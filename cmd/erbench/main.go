@@ -22,11 +22,7 @@
 //	          run that must preserve verdict parity
 //	solvecache  incremental solver-session ablation: fresh-per-query vs
 //	          one persistent session per pipeline (cumulative solver
-//	          time, constraint reuse, verdict parity); -portfolio N
-//	          adds a third configuration racing each query across N
-//	          seeded CDCL workers (optionally -cube-vars splits and
-//	          -speculate pre-solving), comparing sequential vs raced
-//	          session wall clock under the same parity gate
+//	          time, constraint reuse, verdict parity)
 //	tracestore  persistent trace archive: per-app raw-vs-stored
 //	          compression over archived reoccurrences, ingest
 //	          throughput, and verdict parity when every trace is read
@@ -38,10 +34,6 @@
 //	          solver time, and statically mined invariants verified on
 //	          the reproduced input (-absint-widen tunes the fixpoint
 //	          widening threshold)
-//	slice     static failure-slice ablation: full symbolic shepherding
-//	          vs slice-pruned (out-of-slice instructions execute
-//	          natively), comparing symbolic dispatch counts, verdicts,
-//	          and per-iteration recording-site parity
 //	telemetry telemetry overhead smoke: each bug reproduced with the
 //	          metrics registry + span tracer off vs on (min-of-N wall
 //	          clock), asserting verdict parity and < 5% overhead, plus
@@ -86,7 +78,7 @@ import (
 var experiments = []string{
 	"fig1", "table1", "offline", "fig5", "fig6", "random",
 	"accuracy", "rept", "mimic", "ablation", "mt", "fleet",
-	"solvecache", "tracestore", "absint", "slice", "telemetry",
+	"solvecache", "tracestore", "absint", "telemetry",
 	"obs", "corpus",
 }
 
@@ -110,11 +102,8 @@ func main() {
 	machines := flag.Int("machines", 0, "producer machines per app for the fleet experiment (0 = default 2)")
 	nodes := flag.Int("nodes", 0, "run the fleet experiment through an in-process multi-node cluster (coordinator + N triage nodes over loopback HTTP); scaling is measured at every count in {1,2,4} <= N")
 	killAfter := flag.Duration("kill-after", 0, "with -nodes >= 2, kill -9 one triage node this long into an extra chaos run (all buckets must still resolve via lease re-dispatch)")
-	pace := flag.Duration("pace", 0, "production-run spacing per fleet machine (0 = default 100ms); also the solvecache portfolio mode's simulated reoccurrence interval (0 = default 1s)")
+	pace := flag.Duration("pace", 0, "production-run spacing per producer machine in the fleet, obs and corpus experiments (0 = default: 100ms for fleet and obs, 200µs for corpus)")
 	trials := flag.Int("trials", 0, "timed repetitions per mode for the telemetry and obs experiments (0 = default 3)")
-	portfolio := flag.Int("portfolio", 0, "racing CDCL workers per query for the solvecache experiment's third mode (<=1 = off)")
-	cubeVars := flag.Int("cube-vars", 0, "cube-and-conquer split variables for the solvecache portfolio mode (0 = no cubes)")
-	speculate := flag.Bool("speculate", false, "speculatively pre-solve stall constraints during waits in the solvecache portfolio mode")
 	useAbsint := flag.Bool("absint", false, "enable the abstract-interpretation pre-pass across the corpus experiment's pipelines")
 	absintWiden := flag.Int("absint-widen", 0, "fixpoint widening threshold for the abstract pass (0 = default)")
 	corpusN := flag.Int("corpus-n", 200, "generated scenarios for the corpus experiment")
@@ -176,20 +165,6 @@ func main() {
 	}
 	if *trials < 0 {
 		fmt.Fprintf(os.Stderr, "erbench: -trials must be >= 0 (got %d)\n", *trials)
-		os.Exit(2)
-	}
-	// Portfolio sizing flags: negative widths are caller mistakes, and
-	// cube/speculation settings are meaningless without racing on.
-	if *portfolio < 0 {
-		fmt.Fprintf(os.Stderr, "erbench: -portfolio must be >= 0 (got %d)\n", *portfolio)
-		os.Exit(2)
-	}
-	if *cubeVars < 0 {
-		fmt.Fprintf(os.Stderr, "erbench: -cube-vars must be >= 0 (got %d)\n", *cubeVars)
-		os.Exit(2)
-	}
-	if (*cubeVars > 0 || *speculate) && *portfolio <= 1 {
-		fmt.Fprintln(os.Stderr, "erbench: -cube-vars/-speculate require -portfolio > 1")
 		os.Exit(2)
 	}
 	// Abstract-pass knobs: the ablation *is* the off-vs-on comparison,
@@ -408,12 +383,7 @@ func main() {
 	}
 	if run("solvecache") {
 		fmt.Fprintln(out, "== incremental solver-session ablation (fresh vs session) ==")
-		opts := bench.SolveCacheOptions{
-			Portfolio: *portfolio,
-			CubeVars:  *cubeVars,
-			Speculate: *speculate,
-			Pace:      *pace,
-		}
+		opts := bench.SolveCacheOptions{}
 		if *app != "" {
 			opts.Only = []string{*app}
 		}
@@ -471,28 +441,6 @@ func main() {
 			bench.RenderAbsint(out, r)
 			if !r.AllVerdictsMatch {
 				fmt.Fprintln(os.Stderr, "absint: verdict parity violated (see table)")
-				ok = false
-			}
-		}
-		fmt.Fprintln(out)
-	}
-	if run("slice") {
-		fmt.Fprintln(out, "== static failure-slice ablation (full vs slice-pruned symbex) ==")
-		opts := bench.SliceOptions{}
-		if *app != "" {
-			opts.Only = []string{*app}
-		}
-		if log != nil {
-			opts.Log = log
-		}
-		r, err := bench.RunSlice(opts)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "slice:", err)
-			ok = false
-		} else {
-			bench.RenderSlice(out, r)
-			if !r.AllParity {
-				fmt.Fprintln(os.Stderr, "slice: verdict/recording-site parity violated (see table)")
 				ok = false
 			}
 		}

@@ -88,9 +88,6 @@ type Options struct {
 	MaxIterations int
 	// RingSize is the trace buffer capacity (default 64 MB).
 	RingSize int
-	// StaticSlice enables failure-slice-pruned symbolic execution and
-	// deducibility-aware recording-set selection (internal/dataflow).
-	StaticSlice bool
 	// Telemetry, when set, is the shared metrics registry the session
 	// reports into: per-stage latency histograms
 	// (er_core_stage_seconds) plus the symbolic executor's and
@@ -184,7 +181,6 @@ func ReproduceWith(mod *Module, gen Generator, opts Options) (*Report, error) {
 		Symex:         symex.Options{QueryBudget: opts.QueryBudget},
 		MaxIterations: opts.MaxIterations,
 		RingSize:      opts.RingSize,
-		StaticSlice:   opts.StaticSlice,
 		Telemetry:     opts.Telemetry,
 		Tracer:        opts.Tracer,
 		Log:           opts.Log,
@@ -211,7 +207,6 @@ func ReproduceFrom(mod *Module, src Source, opts Options) (*Report, error) {
 		Symex:         symex.Options{QueryBudget: opts.QueryBudget},
 		MaxIterations: opts.MaxIterations,
 		RingSize:      opts.RingSize,
-		StaticSlice:   opts.StaticSlice,
 		Telemetry:     opts.Telemetry,
 		Tracer:        opts.Tracer,
 		Log:           opts.Log,

@@ -87,35 +87,46 @@ func RunFig5(appName string) (*Fig5Result, error) {
 		"control-flow + 1st iteration data values",
 		"control-flow + 2nd iteration data values",
 	}
-	res := &Fig5Result{App: a.Name}
+	type generation struct {
+		trace   *pt.Trace
+		failure *vm.Failure
+		best    *symex.Result
+	}
+	gens := make([]generation, len(modules))
 	for i, m := range modules {
 		trace, failRes, err := record(m, a.Failing(), a.Seed)
 		if err != nil {
 			return nil, err
 		}
-		// Solver timeout disabled (§5.2): every configuration
-		// executes the same instructions to completion. The work per
-		// configuration is deterministic but the later generations
-		// finish in single-digit milliseconds, where one scheduling
-		// hiccup dwarfs the real difference — so measure each
-		// configuration a few times and keep the fastest run, the
-		// standard noise-robust estimator for fixed work.
-		var best *symex.Result
-		for rep := 0; rep < 3; rep++ {
-			eng := symex.New(m, trace, failRes.Failure, symex.Options{ProgressEvery: 64})
-			sres := eng.Run("main")
+		gens[i] = generation{trace: trace, failure: failRes.Failure}
+	}
+	// Solver timeout disabled (§5.2): every configuration executes the
+	// same instructions to completion. The work per configuration is
+	// deterministic but the later generations finish in single-digit
+	// milliseconds, where one scheduling hiccup dwarfs the real
+	// difference — so measure each configuration a few times and keep
+	// the fastest run, the standard noise-robust estimator for fixed
+	// work. The repetitions are interleaved across generations so a
+	// burst of load on the machine hits every generation alike.
+	for rep := 0; rep < 3; rep++ {
+		for i, m := range modules {
+			g := &gens[i]
+			sres := symex.New(m, g.trace, g.failure, symex.Options{ProgressEvery: 64}).Run("main")
 			if sres.Status != symex.StatusCompleted {
 				return nil, fmt.Errorf("bench: fig5 generation %d: %v (%v)", i, sres.Status, sres.Err)
 			}
-			if best == nil || sres.Stats.Elapsed < best.Stats.Elapsed {
-				best = sres
+			if g.best == nil || sres.Stats.Elapsed < g.best.Stats.Elapsed {
+				g.best = sres
 			}
 		}
+	}
+	res := &Fig5Result{App: a.Name}
+	for i, g := range gens {
 		res.Series = append(res.Series, Fig5Series{
 			Label:  labels[i],
-			Points: best.Progress,
-			Total:  best.Stats.Elapsed,
-			Instrs: best.Stats.Instrs,
+			Points: g.best.Progress,
+			Total:  g.best.Stats.Elapsed,
+			Instrs: g.best.Stats.Instrs,
 		})
 	}
 	return res, nil

@@ -17,41 +17,9 @@ type SolveCacheOptions struct {
 	QueryBudget int64
 	// Only restricts the run to the named apps (nil = all).
 	Only []string
-	// Portfolio, when > 1, adds a second comparison per app: the
-	// incremental session solving sequentially vs racing each query
-	// across that many CDCL workers. Unlike the fresh-vs-session half,
-	// this pair runs under the app's stall-tuned budget (the Table 1
-	// regime where queries give up and force reoccurrence waits) —
-	// that is where racing buys wall clock, by converting budget-bound
-	// Unknowns into definitive verdicts and so cutting whole
-	// iterations. Gated on verdict parity across all configurations.
-	Portfolio int
-	// CubeVars additionally splits raced queries into 2^CubeVars cubes
-	// in the portfolio configuration (0 = no cube workers).
-	CubeVars int
-	// Speculate additionally pre-solves the last stall's path
-	// constraint during the portfolio configuration's reoccurrence
-	// waits.
-	Speculate bool
-	// Pace is the simulated reoccurrence interval for the stall-budget
-	// pair: occurrence i of a run is delivered no earlier than i×Pace
-	// after the run starts, modeling a production failure that reoccurs
-	// on a fixed cadence rather than on demand. The pair's end-to-end
-	// times then measure what the paper measures — time to reproduction
-	// including reoccurrence waits — so cutting occurrences, not raw
-	// solver time, is what racing is paid to do (and what speculation's
-	// overlap with the waits is worth). 0 = DefaultReoccurPace.
-	Pace time.Duration
 	// Log receives progress lines.
 	Log io.Writer
 }
-
-// DefaultReoccurPace is the stall-budget pair's simulated reoccurrence
-// interval. Production reoccurrence gaps are minutes to days; one
-// second is small enough to keep the bench interactive while still
-// dwarfing per-iteration compute, which is the regime the paper's
-// deployment model assumes.
-const DefaultReoccurPace = time.Second
 
 // SolveCacheRow compares one app's full ER reproduction under
 // fresh-per-query solving versus one persistent incremental session
@@ -78,29 +46,7 @@ type SolveCacheRow struct {
 	// Session cache effectiveness.
 	Session solver.IncStats
 
-	// Sequential-vs-portfolio session reproductions under the app's
-	// stall-tuned budget (all zero unless the ablation ran with
-	// SolveCacheOptions.Portfolio > 1). The E2E fields are end-to-end
-	// reproduction times with paced reoccurrence delivery — waits
-	// included — the pair's headline metric.
-	PortSeqTime       time.Duration
-	PortSeqE2E        time.Duration
-	PortSeqOccur      int
-	PortSeqReproduced bool
-	PortSeqVerified   bool
-	PortSolverTime    time.Duration
-	PortE2E           time.Duration
-	PortOccur         int
-	PortReproduced    bool
-	PortVerified      bool
-	// Portfolio carries the racing counters of the portfolio run's
-	// session; Speculations/SpecHits its pre-solve outcomes (zero
-	// unless Speculate).
-	Portfolio    solver.PortfolioStats
-	Speculations int
-	SpecHits     int
-
-	// VerdictMatch: all modes agree on Reproduced and Verified —
+	// VerdictMatch: both modes agree on Reproduced and Verified —
 	// the correctness gate of the ablation.
 	VerdictMatch bool
 	FailReason   string
@@ -123,17 +69,6 @@ func (r SolveCacheRow) ReusePct() float64 {
 	return 100 * float64(r.Session.ConstraintsReused) / float64(r.Session.ConstraintsSeen)
 }
 
-// PortSpeedup is the sequential-session / portfolio-session end-to-end
-// reproduction-time ratio under the stall-tuned budget — the wall
-// clock bought by racing seeds, which is mostly the reoccurrence
-// waits of the iterations they cut.
-func (r SolveCacheRow) PortSpeedup() float64 {
-	if r.PortE2E <= 0 {
-		return 0
-	}
-	return float64(r.PortSeqE2E) / float64(r.PortE2E)
-}
-
 // SolveCacheResult aggregates the ablation.
 type SolveCacheResult struct {
 	Rows []SolveCacheRow
@@ -141,19 +76,8 @@ type SolveCacheResult struct {
 	// Speedup is their ratio (the experiment's headline number).
 	TotalFresh time.Duration
 	TotalInc   time.Duration
-	// PortfolioWorkers echoes the requested racing width;
-	// TotalPortSeq/TotalPort sum cumulative solver time and the E2E
-	// variants end-to-end reproduction time (paced waits included) for
-	// the stall-budget pair; Portfolio aggregates its racing counters
-	// (all zero when the ablation ran without -portfolio).
-	PortfolioWorkers int
-	TotalPortSeq     time.Duration
-	TotalPort        time.Duration
-	TotalPortSeqE2E  time.Duration
-	TotalPortE2E     time.Duration
-	Portfolio        solver.PortfolioStats
 	// AllVerdictsMatch reports whether every app reproduced (and
-	// verified) identically in every mode run.
+	// verified) identically in both modes.
 	AllVerdictsMatch bool
 }
 
@@ -165,88 +89,42 @@ func (r *SolveCacheResult) Speedup() float64 {
 	return float64(r.TotalFresh) / float64(r.TotalInc)
 }
 
-// PortSpeedup is the aggregate sequential/portfolio end-to-end
-// reproduction-time ratio under the stall-tuned budgets.
-func (r *SolveCacheResult) PortSpeedup() float64 {
-	if r.TotalPortE2E <= 0 {
-		return 0
-	}
-	return float64(r.TotalPortSeqE2E) / float64(r.TotalPortE2E)
-}
-
-// solveCacheMode selects one of the ablation's configurations:
-// fresh-per-query, sequential session, or portfolio session.
-type solveCacheMode struct {
-	incremental bool
-	portfolio   int
-	cubeVars    int
-	speculate   bool
-	// pace, when > 0, delays occurrence i until i×pace after the run
-	// starts — the simulated production reoccurrence cadence.
-	pace time.Duration
-}
-
-// solveCacheRun drives one full ER reproduction under the given mode,
-// returning the report, (for sessions) the session's cumulative
-// statistics, and the end-to-end wall clock including any paced
-// reoccurrence waits. It mirrors core.Reproduce but keeps hold of the
-// Pipeline so the session counters survive.
-//
-// Speculation is launched before the wait, exactly as a production
-// driver would: the pre-solve goroutine gets the otherwise-dead wait
-// time, and Feed joins it before touching the session.
-func solveCacheRun(a *apps.App, budget int64, mode solveCacheMode, log io.Writer) (*core.Report, solver.IncStats, time.Duration, error) {
+// solveCacheRun drives one full ER reproduction with a fresh solver
+// per query or one incremental session, returning the report and (for
+// the session) its cumulative statistics. It mirrors core.Reproduce but
+// keeps hold of the Pipeline so the session counters survive.
+func solveCacheRun(a *apps.App, budget int64, incremental bool, log io.Writer) (*core.Report, solver.IncStats, error) {
 	mod, err := a.Module()
 	if err != nil {
-		return nil, solver.IncStats{}, 0, err
+		return nil, solver.IncStats{}, err
 	}
-	cfg := core.Config{
+	p, err := core.NewPipeline(core.Config{
 		Module:            mod,
 		Symex:             symex.Options{QueryBudget: budget, MaxInstrs: 50_000_000},
-		IncrementalSolver: mode.incremental,
-		PortfolioWorkers:  mode.portfolio,
-		PortfolioCubeVars: mode.cubeVars,
-		Speculate:         mode.speculate,
+		IncrementalSolver: incremental,
 		Log:               log,
-	}
-	p, err := core.NewPipeline(cfg)
+	})
 	if err != nil {
-		return nil, solver.IncStats{}, 0, err
+		return nil, solver.IncStats{}, err
 	}
 	src := &core.GenSource{Gen: &core.FixedWorkload{Workload: a.Failing(), Seed: a.Seed}}
-	start := time.Now()
-	for n := 0; !p.Done(); n++ {
-		p.Speculate() // no-op unless mode.speculate and a stall predicted a PC
-		if mode.pace > 0 && n > 0 {
-			// Occurrence n arrives at start+n×pace, however long the
-			// analysis so far took: a failure in production reoccurs on
-			// its own schedule, not the reconstruction's.
-			if d := time.Until(start.Add(time.Duration(n) * mode.pace)); d > 0 {
-				time.Sleep(d)
-			}
-		}
+	for !p.Done() {
 		occ, err := src.Next(p.Request())
 		if err != nil {
-			return p.Report(), p.SolverStats(), time.Since(start), err
+			return p.Report(), p.SolverStats(), err
 		}
 		if _, err := p.Feed(occ); err != nil {
-			return p.Report(), p.SolverStats(), time.Since(start), err
+			return p.Report(), p.SolverStats(), err
 		}
 	}
-	return p.Report(), p.SolverStats(), time.Since(start), p.Err()
+	return p.Report(), p.SolverStats(), p.Err()
 }
 
 // RunSolveCache reproduces each Table 1 bug twice — fresh solver per
 // query, then one incremental session per pipeline — and compares
 // cumulative solver time, abstract steps, and reproduction verdicts.
-// With opts.Portfolio > 1 each bug is reproduced a third time through a
-// portfolio session, adding the sequential-vs-raced wall-clock
-// comparison under the same verdict-parity gate.
 func RunSolveCache(opts SolveCacheOptions) (*SolveCacheResult, error) {
 	res := &SolveCacheResult{AllVerdictsMatch: true}
-	if opts.Portfolio > 1 {
-		res.PortfolioWorkers = opts.Portfolio
-	}
 	for _, a := range apps.All() {
 		if len(opts.Only) > 0 && !contains(opts.Only, a.Name) {
 			continue
@@ -265,7 +143,7 @@ func RunSolveCache(opts SolveCacheOptions) (*SolveCacheResult, error) {
 		}
 		row := SolveCacheRow{App: a.Name}
 
-		fresh, _, _, err := solveCacheRun(a, budget, solveCacheMode{}, opts.Log)
+		fresh, _, err := solveCacheRun(a, budget, false, opts.Log)
 		if err != nil && fresh == nil {
 			row.FailReason = err.Error()
 			res.Rows = append(res.Rows, row)
@@ -281,7 +159,7 @@ func RunSolveCache(opts SolveCacheOptions) (*SolveCacheResult, error) {
 			row.FreshSteps += it.SolverSteps
 		}
 
-		inc, st, _, err := solveCacheRun(a, budget, solveCacheMode{incremental: true}, opts.Log)
+		inc, st, err := solveCacheRun(a, budget, true, opts.Log)
 		if err != nil && inc == nil {
 			row.FailReason = err.Error()
 			res.Rows = append(res.Rows, row)
@@ -300,69 +178,6 @@ func RunSolveCache(opts SolveCacheOptions) (*SolveCacheResult, error) {
 
 		row.VerdictMatch = row.FreshReproduced == row.IncReproduced &&
 			row.FreshVerified == row.IncVerified
-
-		if opts.Portfolio > 1 {
-			// The racing comparison runs under the app's stall-tuned
-			// budget — the regime where queries give up and the
-			// reconstruction loops on reoccurrences. Racing pays off
-			// exactly there: a diversified seed or cube finishing within
-			// the limits the deterministic search exhausts turns a stall
-			// iteration into progress, cutting both wall clock and
-			// occurrence count. Under the generous bench budget nothing
-			// ever stalls and racing is pure overhead.
-			stallBudget := a.QueryBudget
-			if stallBudget == 0 {
-				stallBudget = budget
-			}
-			pace := opts.Pace
-			if pace == 0 {
-				pace = DefaultReoccurPace
-			}
-			seq, _, seqE2E, err := solveCacheRun(a, stallBudget,
-				solveCacheMode{incremental: true, pace: pace}, opts.Log)
-			if err != nil && seq == nil {
-				row.FailReason = err.Error()
-				res.Rows = append(res.Rows, row)
-				res.AllVerdictsMatch = false
-				continue
-			}
-			row.PortSeqTime = seq.TotalSolverTime
-			row.PortSeqE2E = seqE2E
-			row.PortSeqOccur = seq.Occurrences
-			row.PortSeqReproduced = seq.Reproduced
-			row.PortSeqVerified = seq.Verified
-
-			port, pst, portE2E, err := solveCacheRun(a, stallBudget, solveCacheMode{
-				incremental: true,
-				portfolio:   opts.Portfolio,
-				cubeVars:    opts.CubeVars,
-				speculate:   opts.Speculate,
-				pace:        pace,
-			}, opts.Log)
-			if err != nil && port == nil {
-				row.FailReason = err.Error()
-				res.Rows = append(res.Rows, row)
-				res.AllVerdictsMatch = false
-				continue
-			}
-			row.PortSolverTime = port.TotalSolverTime
-			row.PortE2E = portE2E
-			row.PortOccur = port.Occurrences
-			row.PortReproduced = port.Reproduced
-			row.PortVerified = port.Verified
-			row.Portfolio = pst.Portfolio
-			row.Speculations = port.Speculations
-			row.SpecHits = port.SpecHits
-			row.VerdictMatch = row.VerdictMatch &&
-				row.PortSeqReproduced == row.PortReproduced &&
-				row.PortSeqVerified == row.PortVerified
-			res.TotalPortSeq += row.PortSeqTime
-			res.TotalPort += row.PortSolverTime
-			res.TotalPortSeqE2E += row.PortSeqE2E
-			res.TotalPortE2E += row.PortE2E
-			res.Portfolio.Merge(pst.Portfolio)
-		}
-
 		if !row.VerdictMatch {
 			res.AllVerdictsMatch = false
 		}
@@ -374,21 +189,13 @@ func RunSolveCache(opts SolveCacheOptions) (*SolveCacheResult, error) {
 				a.Name, row.FreshSolverTime.Round(time.Microsecond),
 				row.IncSolverTime.Round(time.Microsecond), row.Speedup(),
 				row.ReusePct(), row.VerdictMatch)
-			if opts.Portfolio > 1 {
-				fmt.Fprintf(opts.Log, "solvecache: %s stall-budget e2e seq=%v (%d occ) portfolio=%v (%d occ) portspeedup=%.2fx races=%d wins(b/s/c)=%d/%d/%d\n",
-					a.Name, row.PortSeqE2E.Round(time.Microsecond), row.PortSeqOccur,
-					row.PortE2E.Round(time.Microsecond), row.PortOccur, row.PortSpeedup(),
-					row.Portfolio.Races, row.Portfolio.BaseWins, row.Portfolio.SeedWins,
-					row.Portfolio.CubeWins)
-			}
 		}
 	}
 	return res, nil
 }
 
 // RenderSolveCache prints the ablation in a table plus the aggregate
-// verdict line. A portfolio run adds a second table comparing the
-// session solving sequentially vs racing under the stall-tuned budget.
+// verdict line.
 func RenderSolveCache(w io.Writer, res *SolveCacheResult) {
 	header := []string{"Application-BugID", "Fresh Solver", "Incremental", "Speedup", "Reuse", "Fallbacks", "Verdict"}
 	var rows [][]string
@@ -407,44 +214,6 @@ func RenderSolveCache(w io.Writer, res *SolveCacheResult) {
 	fmt.Fprintf(w, "\ncumulative solver time: fresh %v vs incremental %v (%.2fx); verdicts identical: %v\n",
 		res.TotalFresh.Round(time.Microsecond), res.TotalInc.Round(time.Microsecond),
 		res.Speedup(), res.AllVerdictsMatch)
-
-	if res.PortfolioWorkers > 1 {
-		fmt.Fprintf(w, "\n-- portfolio racing under stall-tuned budgets, paced reoccurrences (%d workers) --\n", res.PortfolioWorkers)
-		header = []string{"Application-BugID", "Sequential e2e", "Portfolio e2e", "PortSpd",
-			"Occur seq/port", "Races", "Wins b/s/c", "Verdict"}
-		rows = rows[:0]
-		var seqOccur, portOccur int
-		for _, r := range res.Rows {
-			seqOccur += r.PortSeqOccur
-			portOccur += r.PortOccur
-			rows = append(rows, []string{
-				r.App,
-				r.PortSeqE2E.Round(time.Millisecond).String(),
-				r.PortE2E.Round(time.Millisecond).String(),
-				fmt.Sprintf("%.2fx", r.PortSpeedup()),
-				fmt.Sprintf("%d/%d", r.PortSeqOccur, r.PortOccur),
-				fmt.Sprintf("%d", r.Portfolio.Races),
-				fmt.Sprintf("%d/%d/%d", r.Portfolio.BaseWins, r.Portfolio.SeedWins, r.Portfolio.CubeWins),
-				solveCacheVerdict(r),
-			})
-		}
-		table(w, header, rows)
-		fmt.Fprintf(w, "\nportfolio (%d workers): e2e sequential %v vs raced %v (%.2fx); occurrences %d vs %d; races %d, wins base/seed/cube %d/%d/%d, unknowns %d, clauses shared/imported %d/%d\n",
-			res.PortfolioWorkers,
-			res.TotalPortSeqE2E.Round(time.Millisecond), res.TotalPortE2E.Round(time.Millisecond),
-			res.PortSpeedup(), seqOccur, portOccur,
-			res.Portfolio.Races, res.Portfolio.BaseWins,
-			res.Portfolio.SeedWins, res.Portfolio.CubeWins, res.Portfolio.Unknowns,
-			res.Portfolio.ClausesShared, res.Portfolio.ClausesImported)
-		var specs, hits int
-		for _, r := range res.Rows {
-			specs += r.Speculations
-			hits += r.SpecHits
-		}
-		if specs > 0 {
-			fmt.Fprintf(w, "speculative pre-solve: %d launched, %d hit the next query's fast path\n", specs, hits)
-		}
-	}
 }
 
 func solveCacheVerdict(r SolveCacheRow) string {

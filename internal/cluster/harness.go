@@ -42,9 +42,7 @@ type HarnessOptions struct {
 	Pace           time.Duration
 	Timeout        time.Duration
 	// Node solver tuning.
-	SolverSessions   bool
-	PortfolioWorkers int
-	Speculate        bool
+	SolverSessions bool
 	// Telemetry, when set, receives the er_fleet_*/er_cluster_*
 	// series.
 	Telemetry *telemetry.Registry
@@ -133,15 +131,13 @@ func RunHarness(opts HarnessOptions) (*HarnessResult, error) {
 			tracer = telemetry.NewTracer(0)
 		}
 		n, err := NewNode(NodeOptions{
-			Name:             fmt.Sprintf("node-%d", i),
-			Coordinator:      coord.URL(),
-			Apps:             opts.Apps,
-			Workers:          opts.WorkersPerNode,
-			SolverSessions:   opts.SolverSessions,
-			PortfolioWorkers: opts.PortfolioWorkers,
-			Speculate:        opts.Speculate,
-			Tracer:           tracer,
-			Log:              opts.Log,
+			Name:           fmt.Sprintf("node-%d", i),
+			Coordinator:    coord.URL(),
+			Apps:           opts.Apps,
+			Workers:        opts.WorkersPerNode,
+			SolverSessions: opts.SolverSessions,
+			Tracer:         tracer,
+			Log:            opts.Log,
 		})
 		if err == nil {
 			err = n.Start()

@@ -33,13 +33,9 @@ type NodeOptions struct {
 	// (default 16).
 	MaxIterations int
 	// SolverSessions enables a persistent incremental solver session
-	// per leased bucket; Speculate additionally pre-solves predicted
-	// queries while waiting for the next banked occurrence.
+	// per leased bucket.
 	SolverSessions        bool
 	SolverMaxSessionNodes int
-	PortfolioWorkers      int
-	PortfolioCubeVars     int
-	Speculate             bool
 	// Tracer records each leased bucket's replay as a span tree rooted
 	// under the coordinator's bucket span (the lease grant carries the
 	// parent context); snapshots ship back on heartbeats and with the
@@ -225,9 +221,6 @@ func (n *Node) runLease(l *LeaseResponse) {
 		MaxIterations:         n.opts.MaxIterations,
 		IncrementalSolver:     n.opts.SolverSessions,
 		SolverMaxSessionNodes: n.opts.SolverMaxSessionNodes,
-		PortfolioWorkers:      n.opts.PortfolioWorkers,
-		PortfolioCubeVars:     n.opts.PortfolioCubeVars,
-		Speculate:             n.opts.Speculate,
 		Tracer:                n.opts.Tracer,
 		ParentSpan:            replay,
 		Log:                   n.opts.Log,
@@ -302,9 +295,7 @@ func (n *Node) runLease(l *LeaseResponse) {
 		}
 		if !fr.Found {
 			// Nothing banked for this version yet: production is still
-			// re-hitting the failure. Overlap the wait with a
-			// speculative pre-solve (no-op unless configured).
-			p.Speculate()
+			// re-hitting the failure.
 			continue
 		}
 		after = fr.Seq + 1

@@ -94,27 +94,6 @@ type Config struct {
 	// expression nodes before its caches reset (0 = solver default);
 	// only meaningful with IncrementalSolver.
 	SolverMaxSessionNodes int
-	// PortfolioWorkers, when > 1, races each solver query's CDCL
-	// descent across that many workers — the deterministic base search
-	// plus seeded clones exchanging learnt clauses — with the first
-	// definitive verdict winning and cancelling the rest. Applied to
-	// the incremental session and to fresh per-query solvers alike.
-	// Verdict-preserving: racing changes latency, never outcomes.
-	PortfolioWorkers int
-	// PortfolioCubeVars additionally splits grown queries into 2^n
-	// cube workers over the n highest-occurrence variables (cube and
-	// conquer); 0 disables splitting. Only meaningful with
-	// PortfolioWorkers > 1.
-	PortfolioCubeVars int
-	// Speculate enables speculative pre-solve: while the pipeline sits
-	// in the reoccurrence wait, the predicted next-iteration constraint
-	// set (the last stall's path constraint) is solved into the
-	// persistent session on a side goroutine, warming its caches and
-	// learnt clauses for the query the next trace will actually issue.
-	// Mispredictions are discarded at no correctness cost — the
-	// session's assumption-based queries leave nothing to retract.
-	// Requires IncrementalSolver.
-	Speculate bool
 	// Telemetry, when set, is the shared metrics registry the
 	// pipeline reports into: per-stage latency histograms
 	// (er_core_stage_seconds{stage=...}) and iteration/outcome
@@ -149,14 +128,6 @@ type Config struct {
 	// AbsintWiden overrides the widening threshold of the mining
 	// analysis (0 = absint default). Only meaningful with Absint.
 	AbsintWiden int
-	// StaticSlice enables the static dataflow analysis
-	// (internal/dataflow) across the loop: shepherded symbolic
-	// execution prunes instructions outside the backward failure slice
-	// (executing them natively), and key data value selection drops
-	// recording sites a replay can statically deduce from the rest.
-	// The analysis is recomputed for every instrumented deployment.
-	// Overridden by Symex.Slice when the caller injects an analysis.
-	StaticSlice bool
 }
 
 // Iteration reports one pass of the loop.
@@ -178,7 +149,7 @@ type Iteration struct {
 	SelectTime  time.Duration
 	// SymSteps/ConcSteps split the shepherded instruction count into
 	// fully symbolic dispatches and natively executed (slice-pruned)
-	// ones; without Config.StaticSlice every instruction is symbolic.
+	// ones.
 	SymSteps  int64
 	ConcSteps int64
 	// Recording describes what the next deployment will record.
@@ -206,15 +177,6 @@ type Report struct {
 	// TraceInstrs is the dynamic instruction count of the failing
 	// execution ("#Instr" of Table 1).
 	TraceInstrs int64
-	// Speculations counts speculative pre-solves launched during
-	// reoccurrence waits (Config.Speculate); SpecHits the ones whose
-	// warmed session state fed the next iteration's fast path, SpecMisses
-	// the ones that completed but did not help, SpecDiscards the ones
-	// cancelled before finishing.
-	Speculations int
-	SpecHits     int
-	SpecMisses   int
-	SpecDiscards int
 	// TotalSATVars/TotalSATClauses accumulate the CNF volume blasted
 	// across all solver queries; AbsintDischarged counts queries the
 	// abstract pre-discharge pass decided and AbsintBits the variable
@@ -256,11 +218,8 @@ func Reproduce(cfg Config) (*Report, error) {
 	waitHist := StageHistogram(cfg.Telemetry, "wait")
 	for !p.Done() {
 		// The reoccurrence wait is driver time, not pipeline time, so
-		// Reproduce owns the span and the stage sample. The wait is also
-		// where speculative pre-solve overlaps solver work with
-		// production's reoccurrence latency (no-op unless configured).
+		// Reproduce owns the span and the stage sample.
 		wSpan := p.Span().Child("reoccurrence-wait")
-		p.Speculate()
 		waitStart := time.Now()
 		occ, err := src.Next(p.Request())
 		waitHist.Observe(time.Since(waitStart).Seconds())

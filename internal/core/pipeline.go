@@ -14,7 +14,6 @@ import (
 
 	"execrecon/internal/absint"
 	"execrecon/internal/dataflow"
-	"execrecon/internal/expr"
 	"execrecon/internal/invariants"
 	"execrecon/internal/ir"
 	"execrecon/internal/keyselect"
@@ -41,8 +40,9 @@ type Pipeline struct {
 	// sound without any invalidation bookkeeping.
 	session *solver.Incremental
 	// an is the static dataflow analysis of the deployed module,
-	// recomputed on every re-instrumentation (nil unless
-	// Config.StaticSlice is set).
+	// recomputed on every re-instrumentation: shepherding prunes
+	// instructions outside its backward failure slice, and key data
+	// value selection drops recording sites it proves deducible.
 	an *dataflow.Analysis
 	// tel caches the telemetry series this pipeline updates (nil
 	// unless Config.Telemetry is set); root is the session's
@@ -50,30 +50,16 @@ type Pipeline struct {
 	tel  *pipelineTelemetry
 	root *telemetry.Span
 	// stop is the pipeline-wide cancellation flag: Abort trips it, and
-	// every solver query the pipeline issues — in-flight or speculative
-	// — observes it on its next budget spend, not just at the deadline
-	// cadence.
-	stop *solver.Cancel
-	// Speculative pre-solve state (Config.Speculate): specPC is the
-	// predicted next-iteration constraint set (the last stall's path
-	// constraint); specStop/specDone track the in-flight speculation
-	// goroutine, which is the only thing besides the driver ever
-	// touching the session — and never concurrently, because every
-	// session use joins it first via stopSpeculation. specFinished is
-	// written by the goroutine before specDone closes.
-	specPC       []*expr.Expr
-	specStop     *solver.Cancel
-	specDone     chan struct{}
-	specSpan     *telemetry.Span
-	specStart    time.Time
-	specFinished bool
-	signature    *vm.Failure
-	seed         int64 // verification seed (from the first occurrence)
-	haveSeed     bool
-	deferLeft    int
-	iters        int
-	done         bool
-	err          error
+	// every solver query the pipeline issues observes it on its next
+	// budget spend, not just at the deadline cadence.
+	stop      *solver.Cancel
+	signature *vm.Failure
+	seed      int64 // verification seed (from the first occurrence)
+	haveSeed  bool
+	deferLeft int
+	iters     int
+	done      bool
+	err       error
 }
 
 // NewPipeline validates the configuration and returns a pipeline
@@ -113,10 +99,8 @@ func NewPipeline(cfg Config) (*Pipeline, error) {
 		deferLeft: cfg.DeferTracing,
 		tel:       newPipelineTelemetry(cfg.Telemetry),
 		root:      root,
-		stop:      solver.NewCancel(nil),
-	}
-	if cfg.StaticSlice {
-		p.an = dataflow.Analyze(cfg.Module)
+		stop:      solver.NewCancel(),
+		an:        dataflow.Analyze(cfg.Module),
 	}
 	if cfg.IncrementalSolver && cfg.Symex.Solver == nil {
 		// Validate is off to match the engine's fresh-per-query solver
@@ -130,7 +114,6 @@ func NewPipeline(cfg Config) (*Pipeline, error) {
 			MaxSessionNodes: cfg.SolverMaxSessionNodes,
 			Metrics:         cfg.Telemetry,
 			Stop:            p.stop,
-			Portfolio:       cfg.portfolio(),
 			Absint:          cfg.Absint,
 		})
 	}
@@ -155,14 +138,6 @@ func (p *Pipeline) mineInvariants(tc *vm.Workload) {
 	p.rep.AbsintInvariants = invariants.VerifyStatic(cands, [][]invariants.Obs{obs})
 	p.cfg.logf("absint: %d static invariant candidates mined, %d verified on the reproduced input",
 		len(cands), len(p.rep.AbsintInvariants))
-}
-
-// portfolio assembles the solver racing options from the config knobs.
-func (c *Config) portfolio() solver.PortfolioOptions {
-	return solver.PortfolioOptions{
-		Workers:  c.PortfolioWorkers,
-		CubeVars: c.PortfolioCubeVars,
-	}
 }
 
 // SolverStats returns the persistent solver session's cumulative
@@ -233,12 +208,6 @@ func (p *Pipeline) Feed(occ *Occurrence) (bool, error) {
 	if p.done {
 		return true, p.err
 	}
-	// Settle any speculative pre-solve first: even occurrences that turn
-	// out benign or foreign leave drivers free to read solver stats
-	// right after Feed returns, which is only safe with the speculation
-	// goroutine joined. A completed speculation's outcome is consumed by
-	// the next analyzed occurrence below.
-	p.stopSpeculation()
 	if occ == nil || occ.Result == nil || occ.Result.Failure == nil {
 		return false, nil // benign run; nothing to do
 	}
@@ -257,12 +226,10 @@ func (p *Pipeline) Feed(occ *Occurrence) (bool, error) {
 	}
 	p.rep.Occurrences++
 	p.tel.occurrences().Inc()
-	// Every path that terminates the session below must settle any
-	// in-flight speculation and close the root span so the tree
-	// publishes to the tracer ring.
+	// Every path that terminates the session below must close the root
+	// span so the tree publishes to the tracer ring.
 	defer func() {
 		if p.done {
-			p.stopSpeculation()
 			p.endRoot()
 		}
 	}()
@@ -284,16 +251,6 @@ func (p *Pipeline) Feed(occ *Occurrence) (bool, error) {
 		telemetry.A("version", p.version))
 	defer itSpan.End()
 
-	// Whether a completed speculation predicted this iteration's query
-	// is judged by the session's fast-path counter: a hit means the
-	// warmed trail answered (part of) the real query without search.
-	speculated := p.specFinished
-	p.specFinished = false
-	var specFastSats int64
-	if speculated {
-		specFastSats = p.session.Stats().FastSats
-	}
-
 	// Offline phase: shepherded symbolic execution. With a persistent
 	// session the engine's queries reuse all Tseitin/Ackermann/learned
 	// work from earlier iterations.
@@ -304,10 +261,7 @@ func (p *Pipeline) Feed(occ *Occurrence) (bool, error) {
 	if sxOpts.Stop == nil {
 		sxOpts.Stop = p.stop
 	}
-	if sxOpts.Portfolio.Workers == 0 {
-		sxOpts.Portfolio = p.cfg.portfolio()
-	}
-	if sxOpts.Slice == nil && p.an != nil {
+	if sxOpts.Slice == nil {
 		sxOpts.Slice = p.an
 	}
 	if sxOpts.Metrics == nil {
@@ -367,17 +321,6 @@ func (p *Pipeline) Feed(occ *Occurrence) (bool, error) {
 	shSpan.End()
 	p.tel.shepherd().Observe(sres.Stats.Elapsed.Seconds())
 	p.tel.solve().Observe(sres.Stats.SolverTime.Seconds())
-	if speculated {
-		if p.session.Stats().FastSats > specFastSats {
-			p.rep.SpecHits++
-			p.tel.specHits().Inc()
-			itSpan.SetAttr("speculation", "hit")
-		} else {
-			p.rep.SpecMisses++
-			p.tel.specMisses().Inc()
-			itSpan.SetAttr("speculation", "miss")
-		}
-	}
 
 	switch sres.Status {
 	case symex.StatusCompleted:
@@ -408,11 +351,6 @@ func (p *Pipeline) Feed(occ *Occurrence) (bool, error) {
 		p.cfg.logf("iteration %d: stalled (%s); selecting key data values", p.iters+1, sres.StallReason)
 		p.tel.iterations().Inc()
 		p.tel.stalls().Inc()
-		// The stall's path constraint is the best prediction of the next
-		// iteration's query — the re-instrumented run retreads the same
-		// path with a few symbolic terms concretized — so it becomes the
-		// speculation target for the coming reoccurrence wait.
-		p.specPC = sres.PathConstraint
 		var sites []symex.SiteKey
 		var cost int64
 		var err error
@@ -455,9 +393,7 @@ func (p *Pipeline) Feed(occ *Occurrence) (bool, error) {
 		}
 		p.deployed = instrumented
 		p.version++
-		if p.cfg.StaticSlice {
-			p.an = dataflow.Analyze(instrumented)
-		}
+		p.an = dataflow.Analyze(instrumented)
 		p.tel.instrument().Observe(time.Since(inStart).Seconds())
 		inSpan.SetAttr("version", p.version)
 		inSpan.End()
@@ -479,69 +415,4 @@ func (p *Pipeline) Feed(occ *Occurrence) (bool, error) {
 		p.tel.failed().Inc()
 		return true, p.err
 	}
-}
-
-// Speculate starts a speculative pre-solve of the predicted
-// next-iteration constraint set — the last stall's path constraint —
-// on a side goroutine, so solver work overlaps the reoccurrence wait
-// instead of serializing behind it. The speculation solves into the
-// persistent session, warming its import memo, cached CNF, learnt
-// clauses, and (on sat) the held model trail the fast path extends;
-// when the predicted set matches the next query's shared prefix the
-// real solve starts from all of that for free. Drivers call it when
-// they are about to block waiting for the next occurrence (Reproduce
-// does; the fleet scheduler does when a bucket's queue runs dry).
-//
-// Returns true when a speculation was launched. No-op unless
-// Config.Speculate and Config.IncrementalSolver are both set, a stall
-// has produced a prediction, and no speculation is already in flight.
-// A misprediction costs nothing but the side goroutine's time: the
-// session's assumption-based queries leave no state to retract, and
-// Feed cancels and joins the goroutine before the session is touched
-// again.
-func (p *Pipeline) Speculate() bool {
-	if p.done || !p.cfg.Speculate || p.session == nil || len(p.specPC) == 0 || p.specDone != nil {
-		return false
-	}
-	pc := p.specPC
-	p.specPC = nil // one prediction, one speculation
-	p.specStop = solver.NewCancel(p.stop)
-	p.specDone = make(chan struct{})
-	p.specStart = time.Now()
-	p.specFinished = false
-	p.specSpan = p.root.Child("speculate", telemetry.A("constraints", len(pc)))
-	p.rep.Speculations++
-	p.tel.speculations().Inc()
-	session, stop, done := p.session, p.specStop, p.specDone
-	go func() {
-		defer close(done)
-		_, _, _ = session.SolveStop(pc, stop)
-		// Cancelled solves were discarded, not completed; the write is
-		// published to the driver by the channel close.
-		p.specFinished = !stop.Canceled()
-	}()
-	return true
-}
-
-// stopSpeculation cancels and joins the in-flight speculative
-// pre-solve, if any. The session is single-goroutine, so every path
-// that touches it — each Feed analysis and each terminal path — must
-// pass through here first; the join is prompt because the cancellation
-// flag is observed on every budget spend. Completed-vs-discarded is
-// settled here; whether a completed speculation actually predicted the
-// next query is judged in Feed via the session's fast-path counter.
-func (p *Pipeline) stopSpeculation() {
-	if p.specDone == nil {
-		return
-	}
-	p.specStop.Cancel()
-	<-p.specDone
-	if !p.specFinished {
-		p.rep.SpecDiscards++
-		p.tel.specDiscards().Inc()
-	}
-	p.tel.speculate().Observe(time.Since(p.specStart).Seconds())
-	p.specSpan.SetAttr("completed", p.specFinished)
-	p.specSpan.End()
-	p.specStop, p.specDone, p.specSpan = nil, nil, nil
 }

@@ -16,7 +16,7 @@ import (
 // span tree. Exported so the bench/CLI layers can render summaries in
 // a stable order.
 var StageNames = []string{
-	"wait", "speculate", "decode", "shepherd", "solve", "keyselect", "instrument", "verify",
+	"wait", "decode", "shepherd", "solve", "keyselect", "instrument", "verify",
 }
 
 // pipelineTelemetry caches the registry series one pipeline updates;
@@ -33,19 +33,12 @@ type pipelineTelemetry struct {
 	cSites       *telemetry.Counter
 	cRecordBytes *telemetry.Counter
 
-	// Speculative pre-solve outcomes (Config.Speculate).
-	cSpeculations *telemetry.Counter
-	cSpecHits     *telemetry.Counter
-	cSpecMisses   *telemetry.Counter
-	cSpecDiscards *telemetry.Counter
-
 	hShepherd   *telemetry.Histogram
 	hSolve      *telemetry.Histogram
 	hKeyselect  *telemetry.Histogram
 	hInstrument *telemetry.Histogram
 	hVerify     *telemetry.Histogram
 	hWait       *telemetry.Histogram
-	hSpeculate  *telemetry.Histogram
 }
 
 func (t *pipelineTelemetry) occurrences() *telemetry.Counter {
@@ -102,41 +95,6 @@ func (t *pipelineTelemetry) recordBytes() *telemetry.Counter {
 		return nil
 	}
 	return t.cRecordBytes
-}
-
-func (t *pipelineTelemetry) speculations() *telemetry.Counter {
-	if t == nil {
-		return nil
-	}
-	return t.cSpeculations
-}
-
-func (t *pipelineTelemetry) specHits() *telemetry.Counter {
-	if t == nil {
-		return nil
-	}
-	return t.cSpecHits
-}
-
-func (t *pipelineTelemetry) specMisses() *telemetry.Counter {
-	if t == nil {
-		return nil
-	}
-	return t.cSpecMisses
-}
-
-func (t *pipelineTelemetry) specDiscards() *telemetry.Counter {
-	if t == nil {
-		return nil
-	}
-	return t.cSpecDiscards
-}
-
-func (t *pipelineTelemetry) speculate() *telemetry.Histogram {
-	if t == nil {
-		return nil
-	}
-	return t.hSpeculate
 }
 
 func (t *pipelineTelemetry) shepherd() *telemetry.Histogram {
@@ -203,18 +161,12 @@ func newPipelineTelemetry(reg *telemetry.Registry) *pipelineTelemetry {
 		cSites:       reg.Counter("er_core_recording_sites_total", "key data value recording sites instrumented"),
 		cRecordBytes: reg.Counter("er_core_recording_bytes_total", "estimated per-occurrence recording cost instrumented"),
 
-		cSpeculations: reg.Counter("er_core_speculations_total", "speculative pre-solves launched during reoccurrence waits"),
-		cSpecHits:     reg.Counter("er_core_speculation_hits_total", "speculations whose warmed state fed the next query's fast path"),
-		cSpecMisses:   reg.Counter("er_core_speculation_misses_total", "speculations that completed without helping the next query"),
-		cSpecDiscards: reg.Counter("er_core_speculation_discards_total", "speculations cancelled before completing"),
-
 		hShepherd:   StageHistogram(reg, "shepherd"),
 		hSolve:      StageHistogram(reg, "solve"),
 		hKeyselect:  StageHistogram(reg, "keyselect"),
 		hInstrument: StageHistogram(reg, "instrument"),
 		hVerify:     StageHistogram(reg, "verify"),
 		hWait:       StageHistogram(reg, "wait"),
-		hSpeculate:  StageHistogram(reg, "speculate"),
 	}
 }
 
@@ -244,20 +196,19 @@ func (p *Pipeline) endRoot() {
 // reoccurrence source failing, the fleet shutting down): it trips the
 // pipeline-wide cancellation flag — so an in-flight solve, observed on
 // its next budget spend rather than at the old 256-step deadline-check
-// cadence, returns Unknown promptly — joins any speculative pre-solve,
-// and closes the span tree with reason as a root attribute.
-// Idempotent and nil-safe; on pipelines that ended normally only the
-// (now moot) cancellation remains, their root having already closed.
+// cadence, returns Unknown promptly — and closes the span tree with
+// reason as a root attribute. Idempotent and nil-safe; on pipelines
+// that ended normally only the (now moot) cancellation remains, their
+// root having already closed.
 //
 // The cancellation itself is safe from any goroutine, including while
-// the driver is blocked inside Feed; the speculation join and span
-// cleanup assume the usual single-driver discipline.
+// the driver is blocked inside Feed; the span cleanup assumes the usual
+// single-driver discipline.
 func (p *Pipeline) Abort(reason string) {
 	if p == nil {
 		return
 	}
 	p.stop.Cancel()
-	p.stopSpeculation()
 	if p.root == nil {
 		return
 	}

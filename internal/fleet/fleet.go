@@ -95,20 +95,6 @@ type Options struct {
 	// nodes before it resets (0 = solver default); only meaningful
 	// with SolverSessions.
 	SolverMaxSessionNodes int
-	// PortfolioWorkers, when > 1, races each bucket pipeline's solver
-	// queries across that many seeded CDCL workers (first definitive
-	// verdict wins, the rest are cancelled). Verdict-preserving; an
-	// app can override via its own Symex.Portfolio options.
-	PortfolioWorkers int
-	// PortfolioCubeVars additionally splits grown queries into 2^n
-	// cube workers (cube and conquer); only meaningful with
-	// PortfolioWorkers > 1.
-	PortfolioCubeVars int
-	// Speculate lets a bucket pipeline pre-solve its predicted
-	// next-iteration constraint set whenever its reoccurrence queue
-	// runs dry, overlapping solver work with the wait for production
-	// to re-hit the failure. Requires SolverSessions.
-	Speculate bool
 	// Absint enables the abstract-interpretation layer in every
 	// bucket pipeline: solver pre-discharge + narrowed blasting, and
 	// verified static invariant mining on reproduction. Registered
@@ -527,9 +513,6 @@ func (f *Fleet) runBucket(b *Bucket) {
 		RingSize:              f.opts.RingSize,
 		IncrementalSolver:     f.opts.SolverSessions,
 		SolverMaxSessionNodes: f.opts.SolverMaxSessionNodes,
-		PortfolioWorkers:      f.opts.PortfolioWorkers,
-		PortfolioCubeVars:     f.opts.PortfolioCubeVars,
-		Speculate:             f.opts.Speculate,
 		Absint:                f.opts.Absint,
 		AbsintWiden:           f.opts.AbsintWiden,
 		Telemetry:             f.opts.Telemetry,
@@ -559,13 +542,6 @@ func (f *Fleet) runBucket(b *Bucket) {
 				continue
 			}
 			wSpan := p.Span().Child("reoccurrence-wait")
-			// About to block on production: let the pipeline pre-solve
-			// its predicted next query while we wait (no-op unless
-			// Options.Speculate). Feed settles the speculation before
-			// the session is touched again.
-			if p.Speculate() {
-				b.recordSpecStats(p)
-			}
 			waitStart := time.Now()
 			select {
 			case <-f.ctx.Done():
@@ -634,7 +610,6 @@ func (f *Fleet) feedOccurrence(b *Bucket, g *appGroup, p *core.Pipeline, occ *co
 	}
 	b.iterations.Store(int32(len(p.Report().Iterations)))
 	b.recordSolverStats(p)
-	b.recordSpecStats(p)
 	if p.Version() != before && !p.Done() {
 		// Key data values selected: roll the instrumented
 		// module out to this app's machines.

@@ -4,7 +4,6 @@ import (
 	"time"
 
 	"execrecon/internal/prod"
-	"execrecon/internal/solver"
 	"execrecon/internal/tracestore"
 )
 
@@ -42,13 +41,6 @@ type Snapshot struct {
 	AbsintLemmas     int64
 	AbsintFacts      int64
 	LintProofs       int64
-	// Portfolio aggregates the buckets' solver-racing counters (all
-	// zero unless Options.PortfolioWorkers > 1): races run, wins by
-	// worker kind, and learned-clause exchange traffic.
-	Portfolio solver.PortfolioStats
-	// Speculation aggregates the buckets' speculative pre-solve
-	// outcomes (all zero unless Options.Speculate).
-	Speculation SpecStats
 	// StoreEnabled reports whether the fleet runs with a persistent
 	// trace archive (Options.Store); Store is then its stats snapshot:
 	// live segments, raw vs stored bytes (the delta-compression win),
@@ -106,10 +98,6 @@ type BucketSnapshot struct {
 	AbsintFacts      int64
 	AbsintMined      int
 	AbsintVerified   int
-	// Portfolio carries the session's racing counters; Speculation the
-	// pipeline's pre-solve outcomes. Zero without the matching options.
-	Portfolio   solver.PortfolioStats
-	Speculation SpecStats
 	// Reproduced/Verified mirror the pipeline report once resolved.
 	Reproduced bool
 	Verified   bool
@@ -154,11 +142,6 @@ func (f *Fleet) Snapshot() Snapshot {
 		s.AbsintDischarged += bs.AbsintDischarged
 		s.AbsintLemmas += bs.AbsintLemmas
 		s.AbsintFacts += bs.AbsintFacts
-		s.Portfolio.Merge(bs.Portfolio)
-		s.Speculation.Speculations += bs.Speculation.Speculations
-		s.Speculation.Hits += bs.Speculation.Hits
-		s.Speculation.Misses += bs.Speculation.Misses
-		s.Speculation.Discards += bs.Speculation.Discards
 		s.Buckets = append(s.Buckets, bs)
 	}
 	return s
@@ -189,8 +172,6 @@ func (f *Fleet) snapshotBucket(b *Bucket) BucketSnapshot {
 	bs.AbsintDischarged = st.AbsintDischarged
 	bs.AbsintLemmas = st.AbsintLemmas
 	bs.AbsintFacts = st.AbsintFacts
-	bs.Portfolio = st.Portfolio
-	bs.Speculation = b.loadSpecStats()
 	if rep := b.report.Load(); rep != nil {
 		bs.Reproduced = rep.Reproduced
 		bs.Verified = rep.Verified

@@ -89,12 +89,9 @@ type Bucket struct {
 	// session itself lives on the pipeline and dies with it when the
 	// bucket retires; only this snapshot outlives it.
 	solverStats atomic.Pointer[solver.IncStats]
-	// specStats mirrors the pipeline's speculative pre-solve outcome
-	// counters the same way (nil until the first speculation window).
-	specStats atomic.Pointer[SpecStats]
-	report    atomic.Pointer[core.Report]
-	firstSeen time.Time
-	doneAt    atomic.Int64 // unix nanos; 0 while in flight
+	report      atomic.Pointer[core.Report]
+	firstSeen   time.Time
+	doneAt      atomic.Int64 // unix nanos; 0 while in flight
 }
 
 // Occurrences returns the total matching occurrences triaged into the
@@ -118,38 +115,6 @@ func (b *Bucket) loadSolverStats() solver.IncStats {
 		return *st
 	}
 	return solver.IncStats{}
-}
-
-// SpecStats counts a bucket pipeline's speculative pre-solve outcomes
-// (Options.Speculate): launched, hit (warmed state fed the next
-// query's fast path), completed-but-unhelpful, and cancelled.
-type SpecStats struct {
-	Speculations int64
-	Hits         int64
-	Misses       int64
-	Discards     int64
-}
-
-// recordSpecStats mirrors the pipeline report's speculation counters.
-// Unlike recordSolverStats it reads only the driver-owned report, so
-// it is safe to call while a speculation goroutine holds the session —
-// which is exactly when the scheduler calls it.
-func (b *Bucket) recordSpecStats(p *core.Pipeline) {
-	rep := p.Report()
-	b.specStats.Store(&SpecStats{
-		Speculations: int64(rep.Speculations),
-		Hits:         int64(rep.SpecHits),
-		Misses:       int64(rep.SpecMisses),
-		Discards:     int64(rep.SpecDiscards),
-	})
-}
-
-// loadSpecStats returns the last published speculation snapshot.
-func (b *Bucket) loadSpecStats() SpecStats {
-	if st := b.specStats.Load(); st != nil {
-		return *st
-	}
-	return SpecStats{}
 }
 
 // State returns the bucket's lifecycle state.

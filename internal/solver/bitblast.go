@@ -542,13 +542,7 @@ func (b *blaster) assert(e *expr.Expr) {
 }
 
 // modelVar reads back the model value of a named expression variable.
-func (b *blaster) modelVar(name string) (uint64, bool) { return b.modelVarFrom(b.s, name) }
-
-// modelVarFrom reads the variable's bits out of core's model rather
-// than the blaster's own core — after a portfolio race the winning
-// model may live on a clone, which shares the snapshot's variable
-// numbering, so the blaster's literal maps apply unchanged.
-func (b *blaster) modelVarFrom(core *sat, name string) (uint64, bool) {
+func (b *blaster) modelVar(name string) (uint64, bool) {
 	bs, ok := b.vars[name]
 	if !ok {
 		return 0, false
@@ -560,7 +554,7 @@ func (b *blaster) modelVarFrom(core *sat, name string) (uint64, bool) {
 		// model-read bits still need the flip.
 		bit, isC := b.isConstLit(l)
 		if !isC {
-			bit = core.modelValue(l.vindex())
+			bit = b.s.modelValue(l.vindex())
 			if l.sign() {
 				bit = !bit
 			}

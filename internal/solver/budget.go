@@ -13,20 +13,16 @@ import (
 // consults budgetNow again after arming.
 var budgetNow = time.Now
 
-// Cancel is a goroutine-safe cancellation flag. Cancels chain: a
-// Cancel created with a parent observes the parent's cancellation as
-// its own, so a portfolio race can be stopped either by its local
-// winner or by the pipeline-wide abort above it.
+// Cancel is a goroutine-safe cancellation flag: one goroutine trips it
+// (a pipeline abort) while another is metering a solve against it.
 //
 // The zero value is usable; a nil *Cancel never reports canceled.
 type Cancel struct {
-	flag   atomic.Bool
-	parent *Cancel
+	flag atomic.Bool
 }
 
-// NewCancel returns a cancellation flag chained under parent (which
-// may be nil).
-func NewCancel(parent *Cancel) *Cancel { return &Cancel{parent: parent} }
+// NewCancel returns an untripped cancellation flag.
+func NewCancel() *Cancel { return &Cancel{} }
 
 // Cancel trips the flag. Safe for concurrent use; idempotent.
 func (c *Cancel) Cancel() {
@@ -35,15 +31,8 @@ func (c *Cancel) Cancel() {
 	}
 }
 
-// Canceled reports whether this flag or any ancestor has been tripped.
-func (c *Cancel) Canceled() bool {
-	for ; c != nil; c = c.parent {
-		if c.flag.Load() {
-			return true
-		}
-	}
-	return false
-}
+// Canceled reports whether the flag has been tripped.
+func (c *Cancel) Canceled() bool { return c != nil && c.flag.Load() }
 
 // Budget meters solver work. Work units are abstract "steps": one SAT
 // decision is 1, one conflict 50, one Tseitin gate 1, one node created
@@ -55,10 +44,10 @@ func (c *Cancel) Canceled() bool {
 // with MaxSteps as a determinism-friendly stand-in used throughout the
 // test suite and benchmark harness.
 //
-// A Budget is safe to share across goroutines: racing portfolio
-// workers metering against one shared budget account their steps with
+// A Budget is safe to share across goroutines: its accounting uses
 // atomics, and Stop gives callers a prompt cancellation path that is
-// observed on every spend rather than only at the deadline cadence.
+// observed on every spend rather than only at the deadline cadence, so
+// Pipeline.Abort can stop a solve from another goroutine.
 type Budget struct {
 	MaxSteps int64
 	// Timeout bounds the solve to a monotonic duration measured from

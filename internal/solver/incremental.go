@@ -64,11 +64,6 @@ type Incremental struct {
 	core *sat
 	bl   *blaster
 
-	// pool holds the persistent portfolio replicas (lazily created on
-	// the first escalation, dropped on reset — replicas mirror the
-	// session core's variable numbering, which a rebuild invalidates).
-	pool *replicaPool
-
 	// pending holds Ackermann consistency lemmas emitted by the
 	// elimination stage but not yet blasted+asserted (budget ran out
 	// mid-flush); they are retried under the next query's budget.
@@ -82,10 +77,6 @@ type Incremental struct {
 	absSeen   map[uint64]bool
 
 	poisoned bool
-
-	// stop is the per-call cancellation flag installed by SolveStop
-	// (nil for plain Solve calls, which fall back to Options.Stop).
-	stop *Cancel
 
 	last  Stats
 	stats IncStats
@@ -105,12 +96,6 @@ type incMetrics struct {
 	fallbacks, resets   *telemetry.Counter
 	steps               *telemetry.Counter
 	seconds             *telemetry.Histogram
-
-	// Portfolio racing (er_portfolio_*); nil-safe to leave unused.
-	races                        *telemetry.Counter
-	baseWins, seedWins, cubeWins *telemetry.Counter
-	raceUnknowns                 *telemetry.Counter
-	shared, importedCl           *telemetry.Counter
 
 	// Abstract pre-discharge (er_absint_*).
 	absDischarged, absLemmas, absFacts *telemetry.Counter
@@ -133,14 +118,6 @@ func newIncMetrics(reg *telemetry.Registry) *incMetrics {
 		resets:  reg.Counter("er_solver_session_resets_total", "session rebuilds (poisoning or node bound)"),
 		steps:   reg.Counter("er_solver_steps_total", "abstract solver steps spent"),
 		seconds: reg.Histogram("er_solver_query_seconds", "wall time per incremental solver query", nil),
-
-		races:        reg.Counter("er_portfolio_races_total", "queries whose CDCL descent raced across seeded workers"),
-		baseWins:     reg.Counter("er_portfolio_wins_total", "portfolio race wins by worker kind", telemetry.L("worker", "base")),
-		seedWins:     reg.Counter("er_portfolio_wins_total", "portfolio race wins by worker kind", telemetry.L("worker", "seed")),
-		cubeWins:     reg.Counter("er_portfolio_wins_total", "portfolio race wins by worker kind", telemetry.L("worker", "cube")),
-		raceUnknowns: reg.Counter("er_portfolio_unknowns_total", "portfolio races where no worker finished"),
-		shared:       reg.Counter("er_portfolio_clauses_shared_total", "learnt clauses published to the race exchange"),
-		importedCl:   reg.Counter("er_portfolio_clauses_imported_total", "learnt clauses imported from other workers"),
 
 		absDischarged: reg.Counter("er_absint_discharged_total", "queries decided by the abstract pre-discharge pass"),
 		absLemmas:     reg.Counter("er_absint_lemmas_total", "universal absint lemmas asserted permanently"),
@@ -172,13 +149,6 @@ func (inc *Incremental) report(before IncStats, res Result, err error, elapsed t
 	m.resets.Add(st.Resets - before.Resets)
 	m.steps.Add(st.Steps - before.Steps)
 	m.seconds.ObserveDuration(elapsed)
-	m.races.Add(st.Portfolio.Races - before.Portfolio.Races)
-	m.baseWins.Add(st.Portfolio.BaseWins - before.Portfolio.BaseWins)
-	m.seedWins.Add(st.Portfolio.SeedWins - before.Portfolio.SeedWins)
-	m.cubeWins.Add(st.Portfolio.CubeWins - before.Portfolio.CubeWins)
-	m.raceUnknowns.Add(st.Portfolio.Unknowns - before.Portfolio.Unknowns)
-	m.shared.Add(st.Portfolio.ClausesShared - before.Portfolio.ClausesShared)
-	m.importedCl.Add(st.Portfolio.ClausesImported - before.Portfolio.ClausesImported)
 	m.absDischarged.Add(st.AbsintDischarged - before.AbsintDischarged)
 	m.absLemmas.Add(st.AbsintLemmas - before.AbsintLemmas)
 	m.absFacts.Add(st.AbsintFacts - before.AbsintFacts)
@@ -235,9 +205,6 @@ type IncStats struct {
 	// the session's resident "cache size".
 	Nodes         int
 	LearntClauses int
-	// Portfolio aggregates racing-search outcomes when the session was
-	// built with Options.Portfolio.Workers > 1.
-	Portfolio PortfolioStats
 }
 
 // DefaultMaxSessionNodes bounds a session's interned expression nodes
@@ -266,7 +233,6 @@ func (inc *Incremental) reset() {
 	inc.elim = newArrayElim(inc.b, nil)
 	inc.core = newSAT(nil)
 	inc.bl = newBlaster(inc.core, nil)
-	inc.pool = nil
 	inc.pending = nil
 	// Queued and already-asserted absint lemmas die with the old
 	// builder and core; the seen-set must go too, or the rebuilt core
@@ -325,11 +291,7 @@ func (inc *Incremental) attach(budget *Budget) {
 // that the per-query budget or deadline ran out.
 func (inc *Incremental) Solve(cs []*expr.Expr) (Result, *expr.Assignment, error) {
 	start := time.Now()
-	stop := inc.stop
-	if stop == nil {
-		stop = inc.opts.Stop
-	}
-	budget := &Budget{MaxSteps: inc.opts.MaxSteps, Timeout: inc.opts.Timeout, Stop: stop}
+	budget := &Budget{MaxSteps: inc.opts.MaxSteps, Timeout: inc.opts.Timeout, Stop: inc.opts.Stop}
 	if inc.met == nil && inc.opts.Metrics != nil {
 		inc.met = newIncMetrics(inc.opts.Metrics)
 	}
@@ -363,18 +325,6 @@ func (inc *Incremental) Solve(cs []*expr.Expr) (Result, *expr.Assignment, error)
 	}
 	inc.report(before, res, err, inc.last.Elapsed)
 	return res, asn, err
-}
-
-// SolveStop is Solve with a per-call cancellation flag that overrides
-// Options.Stop for the duration of the call. Callers needing both —
-// e.g. a speculative pre-solve that must die on pipeline abort and on
-// its own discard — chain them with NewCancel(parent). The session
-// itself stays single-goroutine; only the flag may be tripped from
-// other goroutines.
-func (inc *Incremental) SolveStop(cs []*expr.Expr, stop *Cancel) (Result, *expr.Assignment, error) {
-	inc.stop = stop
-	defer func() { inc.stop = nil }()
-	return inc.Solve(cs)
 }
 
 // solveQuery is the budget-attached body of Solve.
@@ -533,43 +483,19 @@ func (inc *Incremental) solveQuery(cs []*expr.Expr) (Result, *expr.Assignment, e
 		assumps = append(assumps, l)
 	}
 
-	// Stage 3: CDCL under assumptions, learnt clauses persisting. With
-	// a portfolio configured a budget-bound descent escalates to a race
-	// across seeded clones of the session core (the fast path never
-	// races: a held trail that extends is cheaper than any parallel
-	// search, and neither do queries the deterministic search answers
-	// in budget). The winner core holds the model — usually the session
-	// core itself; after a clone win the session simply pays a fresh
-	// descent on its next query.
-	winner := inc.core
-	if inc.opts.Portfolio.Workers > 1 {
-		sres, done := inc.core.fastSolve(assumps)
-		if !done {
-			if inc.pool == nil {
-				inc.pool = &replicaPool{}
-			}
-			sres, winner = raceSearch(inc.core, inc.pool, assumps, inc.opts.Portfolio, &inc.stats.Portfolio)
-		}
-		switch sres {
-		case satUnsat:
-			return ResultUnsat, nil, nil
-		case satUnknown:
-			return ResultUnknown, nil, nil
-		}
-	} else {
-		switch inc.core.solveAssume(assumps) {
-		case satUnsat:
-			return ResultUnsat, nil, nil
-		case satUnknown:
-			return ResultUnknown, nil, nil
-		}
+	// Stage 3: CDCL under assumptions, learnt clauses persisting.
+	switch inc.core.solveAssume(assumps) {
+	case satUnsat:
+		return ResultUnsat, nil, nil
+	case satUnknown:
+		return ResultUnknown, nil, nil
 	}
 
 	// Stage 4: model extraction and validation. The model covers every
 	// variable the session ever saw; stale entries are harmless (the
 	// caller looks names up) and current-query entries are checked
 	// below.
-	asn, err := extractModelFrom(inc.bl, inc.elim, winner)
+	asn, err := extractModel(inc.bl, inc.elim)
 	if err != nil {
 		return inc.freshFallback(imported, err)
 	}

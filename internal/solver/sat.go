@@ -104,62 +104,16 @@ type sat struct {
 	fastSats     int64
 	trailShrinks int64
 
-	// Diversification for portfolio racing (setSeed). Seed 0 keeps
-	// the solver exactly as deterministic as it has always been; a
-	// non-zero seed mixes rare random decisions and phase flips into
-	// the search and varies the restart interval, so K workers on the
-	// same CNF explore different parts of the space.
-	seed        uint64
-	rng         uint64 // xorshift64 state; never zero once seeded
-	randDecPm   uint64 // per-mille chance a decision picks a random var
-	randPhasePm uint64 // per-mille chance a decision gets a random phase
-	restartBase int64  // Luby restart unit (conflicts)
-
-	// exchange, when non-nil, shares short learnt clauses between the
-	// racing workers of one portfolio query (see clauseExchange).
-	exchange       *clauseExchange
-	exchangeID     int
-	exchangeCursor int
-
 	budget *Budget
 }
 
-// defaultRestartBase is the Luby restart unit the solver has always
-// used; seeded portfolio workers vary it per seed.
-const defaultRestartBase = 64
+// restartBase is the Luby restart unit (conflicts).
+const restartBase = 64
 
 func newSAT(budget *Budget) *sat {
-	s := &sat{varInc: 1, budget: budget, restartBase: defaultRestartBase}
+	s := &sat{varInc: 1, budget: budget}
 	s.newVar() // var 0 placeholder
 	return s
-}
-
-// setSeed installs the diversification seed. Seed 0 restores the
-// fully deterministic default search; distinct non-zero seeds give
-// distinct restart cadences, decision noise, and phase noise.
-func (s *sat) setSeed(seed uint64) {
-	s.seed = seed
-	if seed == 0 {
-		s.rng, s.randDecPm, s.randPhasePm = 0, 0, 0
-		s.restartBase = defaultRestartBase
-		return
-	}
-	s.rng = seed*0x9E3779B97F4A7C15 | 1 // splitmix-style spread, never zero
-	s.randDecPm = 20
-	s.randPhasePm = 10
-	bases := [...]int64{32, 64, 128, 256}
-	s.restartBase = bases[seed%uint64(len(bases))]
-}
-
-// nextRand is xorshift64 — tiny, deterministic per seed, and fast
-// enough to sit on the decision path.
-func (s *sat) nextRand() uint64 {
-	x := s.rng
-	x ^= x << 13
-	x ^= x >> 7
-	x ^= x << 17
-	s.rng = x
-	return x
 }
 
 func (s *sat) newVar() int {
@@ -505,16 +459,6 @@ func (s *sat) backtrackTo(level int) {
 }
 
 func (s *sat) pickBranchVar() int {
-	// Seeded workers occasionally branch on a uniformly random
-	// undecided variable instead of the activity maximum. The variable
-	// is peeked, not removed: when it is later popped while assigned
-	// the loop below discards it, and backtracking reinserts only
-	// variables absent from the heap, so the heap stays consistent.
-	if s.randDecPm > 0 && len(s.heap) > 0 && s.nextRand()%1000 < s.randDecPm {
-		if v := s.heap[s.nextRand()%uint64(len(s.heap))]; s.assigns[v] == tUndef {
-			return v
-		}
-	}
 	for len(s.heap) > 0 {
 		v := s.heapRemoveMax()
 		if s.assigns[v] == tUndef {
@@ -633,22 +577,9 @@ func (s *sat) solve() satResult { return s.solveAssume(nil) }
 // does the classic from-scratch descent below run. On satUnsat or
 // satUnknown the trail is fully retracted.
 func (s *sat) solveAssume(assumps []lit) satResult {
-	if res, done := s.fastSolve(assumps); done {
-		return res
-	}
-	return s.searchAssume(assumps)
-}
-
-// fastSolve is the search-free front half of solveAssume: known-failed
-// cores answer unsat immediately, and a held satisfying trail is
-// extended to the new assumption set when possible. The second return
-// reports whether the query was decided; when false the caller must
-// run searchAssume (possibly raced across portfolio workers — the fast
-// path itself is never raced, it belongs to the session's core alone).
-func (s *sat) fastSolve(assumps []lit) (satResult, bool) {
 	if s.failed {
 		s.dropTrail()
-		return satUnsat, true
+		return satUnsat
 	}
 	// propagate() first: clauses attached since the last call may have
 	// enqueued implications (their gate-variable cascade) that are not
@@ -657,23 +588,13 @@ func (s *sat) fastSolve(assumps []lit) (satResult, bool) {
 	if s.modelHeld {
 		if conflict := s.propagate(); conflict == nil && s.extendModel(assumps) {
 			s.fastSats++
-			return satSat, true
+			return satSat
 		}
 		s.modelHeld = false
 	}
-	return satUnknown, false
-}
-
-// searchAssume is the from-scratch CDCL descent of solveAssume.
-func (s *sat) searchAssume(assumps []lit) satResult {
-	if s.failed {
-		s.dropTrail()
-		return satUnsat
-	}
-	s.modelHeld = false
 	s.backtrackTo(0)
 	var restarts int64
-	conflictsUntilRestart := luby(1) * s.restartBase
+	conflictsUntilRestart := luby(1) * restartBase
 	var conflictCount int64
 	maxLearnts := len(s.clauses)/2 + 1000
 	for {
@@ -694,9 +615,6 @@ func (s *sat) searchAssume(assumps []lit) satResult {
 				return satUnsat
 			}
 			learnt, bt := s.analyze(conflict)
-			// Publish before attaching: watch maintenance reorders
-			// c.lits in place, so the exchange must copy now.
-			s.exchange.publish(s.exchangeID, learnt)
 			s.backtrackTo(bt)
 			if len(learnt) == 1 {
 				s.uncheckedEnqueue(learnt[0], nil)
@@ -712,17 +630,10 @@ func (s *sat) searchAssume(assumps []lit) satResult {
 		if conflictCount >= conflictsUntilRestart {
 			restarts++
 			conflictCount = 0
-			conflictsUntilRestart = luby(restarts+1) * s.restartBase
+			conflictsUntilRestart = luby(restarts+1) * restartBase
 			// Restart above the assumption levels: the assumptions are
 			// forced anyway, so re-propagating them buys nothing.
 			s.backtrackTo(len(assumps))
-			// Restart boundaries are where racing workers absorb each
-			// other's learnt clauses: the trail is shallow, so dynamic
-			// attachment is cheap and conflicts surface immediately.
-			if !s.importShared() {
-				s.dropTrail()
-				return satUnsat
-			}
 		}
 		if len(s.learnts) > maxLearnts {
 			s.reduceLearnts()
@@ -754,40 +665,8 @@ func (s *sat) searchAssume(assumps []lit) satResult {
 		}
 		s.decisions++
 		s.trailLim = append(s.trailLim, len(s.trail))
-		neg := !s.polarity[v]
-		if s.randPhasePm > 0 && s.nextRand()%1000 < s.randPhasePm {
-			neg = s.nextRand()&1 == 0
-		}
-		s.uncheckedEnqueue(mkLit(v, neg), nil)
+		s.uncheckedEnqueue(mkLit(v, !s.polarity[v]), nil)
 	}
-}
-
-// importShared drains clauses other portfolio workers learnt since the
-// last restart into this core. Shared clauses are consequences of the
-// common problem CNF, so attaching them is sound; it reports false
-// when an import exposes root-level unsatisfiability.
-func (s *sat) importShared() bool {
-	for _, lits := range s.exchange.drain(s.exchangeID, &s.exchangeCursor) {
-		if !s.addClause(lits) || s.failed {
-			return false
-		}
-		if conflict := s.propagate(); conflict != nil {
-			// Conflict while re-propagating an import at (or near) the
-			// root: let the regular conflict handling see it by
-			// rewinding to level 0; a root conflict is then caught by
-			// the caller's level-0 check on the next iteration.
-			if s.decisionLevel() == 0 {
-				s.failed = true
-				return false
-			}
-			s.backtrackTo(0)
-			if s.propagate() != nil {
-				s.failed = true
-				return false
-			}
-		}
-	}
-	return true
 }
 
 // extendModel tries to turn the held (propagated, conflict-free)
@@ -966,18 +845,3 @@ func (s *sat) reduceLearnts() {
 
 // modelValue returns the model value of var v after satSat.
 func (s *sat) modelValue(v int) bool { return s.assigns[v] == tTrue }
-
-// rootFacts returns the level-0 prefix of the trail: every literal
-// forced by the clause database alone, with no decisions involved.
-// Unit clauses never enter s.clauses (they are enqueued directly), so
-// this prefix is the only record of them. It only grows while the
-// variable numbering is stable, which is what lets portfolio replicas
-// track it with a cursor. The returned slice aliases the trail — copy
-// before mutating, and only read it while the core is idle.
-func (s *sat) rootFacts() []lit {
-	bound := len(s.trail)
-	if s.decisionLevel() > 0 {
-		bound = s.trailLim[0]
-	}
-	return s.trail[:bound]
-}

@@ -60,11 +60,6 @@ type Options struct {
 	// and Tseitin gate), not just at the deadline-check cadence. A
 	// canceled solve returns ResultUnknown.
 	Stop *Cancel
-	// Portfolio, when Workers > 1, races the CDCL search phase across
-	// seeded workers (and cube splits) sharing a bounded learned-
-	// clause exchange; the first definitive verdict wins and cancels
-	// the rest. Verdict-preserving: only latency changes.
-	Portfolio PortfolioOptions
 	// Absint enables the abstract-interpretation pre-discharge pass:
 	// before blasting, the query is evaluated in the interval +
 	// known-bits domain (internal/absint). Decided queries skip CDCL
@@ -114,15 +109,10 @@ type Stats struct {
 // Solver decides conjunctions of bitvector/array constraints built
 // with a shared expr.Builder. Each Solve call is independent.
 type Solver struct {
-	b      *expr.Builder
-	opts   Options
-	last   Stats
-	pstats PortfolioStats
+	b    *expr.Builder
+	opts Options
+	last Stats
 }
-
-// PortfolioStats returns the cumulative racing counters (zero when no
-// portfolio is configured).
-func (s *Solver) PortfolioStats() PortfolioStats { return s.pstats }
 
 // New returns a Solver over builder b.
 func New(b *expr.Builder, opts Options) *Solver {
@@ -230,34 +220,16 @@ func (s *Solver) Solve(cs []*expr.Expr) (Result, *expr.Assignment, error) {
 		return ResultUnsat, nil, nil
 	}
 
-	// Stage 3: CDCL — raced across seeded workers when a portfolio is
-	// configured, solo otherwise. The winner core holds the model.
-	winner := core
-	if s.opts.Portfolio.Workers > 1 {
-		var sres satResult
-		var done bool
-		if sres, done = core.fastSolve(nil); !done {
-			// One-shot queries race over a throwaway pool: catch-up
-			// replicates the whole CNF once, exactly as a clone would.
-			sres, winner = raceSearch(core, &replicaPool{}, nil, s.opts.Portfolio, &s.pstats)
-		}
-		switch sres {
-		case satUnsat:
-			return ResultUnsat, nil, nil
-		case satUnknown:
-			return ResultUnknown, nil, nil
-		}
-	} else {
-		switch core.solve() {
-		case satUnsat:
-			return ResultUnsat, nil, nil
-		case satUnknown:
-			return ResultUnknown, nil, nil
-		}
+	// Stage 3: CDCL.
+	switch core.solve() {
+	case satUnsat:
+		return ResultUnsat, nil, nil
+	case satUnknown:
+		return ResultUnknown, nil, nil
 	}
 
 	// Stage 4: model extraction.
-	asn, err := extractModelFrom(bl, elim, winner)
+	asn, err := extractModel(bl, elim)
 	if err != nil {
 		return ResultUnknown, nil, err
 	}
@@ -280,16 +252,9 @@ func (s *Solver) Solve(cs []*expr.Expr) (Result, *expr.Assignment, error) {
 // they evaluate directly). Internal $rd read variables are dropped
 // from the visible model.
 func extractModel(bl *blaster, elim *arrayElim) (*expr.Assignment, error) {
-	return extractModelFrom(bl, elim, bl.s)
-}
-
-// extractModelFrom is extractModel reading the SAT model from core —
-// the portfolio race's winner, which may be a clone of the blaster's
-// own core.
-func extractModelFrom(bl *blaster, elim *arrayElim, core *sat) (*expr.Assignment, error) {
 	asn := expr.NewAssignment()
 	for name := range bl.vars {
-		if v, ok := bl.modelVarFrom(core, name); ok {
+		if v, ok := bl.modelVar(name); ok {
 			asn.Vars[name] = v
 		}
 	}

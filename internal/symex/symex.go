@@ -80,20 +80,18 @@ type Options struct {
 	// cadence. Pipelines wire their abort flag here. Ignored when
 	// Solver is injected (configure the session's own Options.Stop).
 	Stop *solver.Cancel
-	// Portfolio, when Workers > 1, races each query's CDCL descent
-	// across seeded workers. Ignored when Solver is injected.
-	Portfolio solver.PortfolioOptions
 	// Absint enables the abstract-interpretation pre-discharge and
 	// width-narrowed blasting in the engine's own one-shot solver.
 	// Ignored when Solver is injected (configure the session's own
 	// Options.Absint).
 	Absint bool
-	// Slice optionally supplies the static backward failure slice of
-	// the module (dataflow.Analyze). When set, instructions statically
-	// proved unable to influence any failure condition are executed
-	// concretely or skipped instead of symbolically; the gathered path
-	// constraint is identical to a full run's. Nil means full symbolic
-	// stepping.
+	// Slice supplies the static backward failure slice of the module
+	// (dataflow.Analyze); core.Pipeline always sets it. Instructions
+	// statically proved unable to influence any failure condition are
+	// executed concretely or skipped instead of symbolically; the
+	// gathered path constraint is identical to a full run's. Nil means
+	// full symbolic stepping, the reference the slice differential and
+	// parity tests compare against.
 	Slice *dataflow.Analysis
 	// Metrics, when set, receives the engine's dispatch and solver
 	// counters (er_symex_*) at the end of each Run — the RunStats
@@ -326,12 +324,11 @@ func NewFromEvents(mod *ir.Module, src pt.EventSource, failure *vm.Failure, opts
 	sol := opts.Solver
 	if sol == nil {
 		sol = solver.New(b, solver.Options{
-			MaxSteps:  opts.QueryBudget,
-			Timeout:   opts.QueryTimeout,
-			Validate:  false,
-			Stop:      opts.Stop,
-			Portfolio: opts.Portfolio,
-			Absint:    opts.Absint,
+			MaxSteps: opts.QueryBudget,
+			Timeout:  opts.QueryTimeout,
+			Validate: false,
+			Stop:     opts.Stop,
+			Absint:   opts.Absint,
 		})
 	}
 	e := &Engine{
