@@ -20,9 +20,6 @@
 //	          + N triage nodes over loopback HTTP, scaling measured at
 //	          {1,2,4} <= N), and -kill-after D adds a node-kill chaos
 //	          run that must preserve verdict parity
-//	solvecache  incremental solver-session ablation: fresh-per-query vs
-//	          one persistent session per pipeline (cumulative solver
-//	          time, constraint reuse, verdict parity)
 //	tracestore  persistent trace archive: per-app raw-vs-stored
 //	          compression over archived reoccurrences, ingest
 //	          throughput, and verdict parity when every trace is read
@@ -78,7 +75,7 @@ import (
 var experiments = []string{
 	"fig1", "table1", "offline", "fig5", "fig6", "random",
 	"accuracy", "rept", "mimic", "ablation", "mt", "fleet",
-	"solvecache", "tracestore", "absint", "telemetry",
+	"tracestore", "absint", "telemetry",
 	"obs", "corpus",
 }
 
@@ -377,27 +374,6 @@ func main() {
 				ok = false
 			} else {
 				bench.RenderFleet(out, r)
-			}
-		}
-		fmt.Fprintln(out)
-	}
-	if run("solvecache") {
-		fmt.Fprintln(out, "== incremental solver-session ablation (fresh vs session) ==")
-		opts := bench.SolveCacheOptions{}
-		if *app != "" {
-			opts.Only = []string{*app}
-		}
-		if log != nil {
-			opts.Log = log
-		}
-		r, err := bench.RunSolveCache(opts)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "solvecache:", err)
-			ok = false
-		} else {
-			bench.RenderSolveCache(out, r)
-			if !r.AllVerdictsMatch {
-				ok = false
 			}
 		}
 		fmt.Fprintln(out)

@@ -1,10 +1,6 @@
 package absint
 
-import (
-	"math/bits"
-
-	"execrecon/internal/expr"
-)
+import "execrecon/internal/expr"
 
 // This file is the solver-facing half of the abstract interpreter: it
 // evaluates a constraint set over the expr DAG in the interval +
@@ -20,9 +16,6 @@ import (
 //     candidate assignment drawn from the refined intervals and
 //     validated concretely with Assignment.Satisfies. An unvalidated
 //     guess never escapes.
-//   - Lemmas are universal facts: computed under the unconstrained
-//     (all-variables-Top) environment, so they hold for every
-//     assignment and may outlive the query (session-level reuse).
 //   - Vars facts are query-refined: they hold only for models of this
 //     constraint set and must not leak into other queries.
 //
@@ -35,10 +28,6 @@ import (
 type QueryOptions struct {
 	// MaxRounds bounds constraint-refinement iterations (default 3).
 	MaxRounds int
-	// MaxLemmas caps emitted universal lemmas (default 24).
-	MaxLemmas int
-	// WantLemmas enables universal lemma extraction.
-	WantLemmas bool
 	// WantModel enables the guess-and-check Sat attempt.
 	WantModel bool
 }
@@ -46,9 +35,6 @@ type QueryOptions struct {
 func (o QueryOptions) withDefaults() QueryOptions {
 	if o.MaxRounds <= 0 {
 		o.MaxRounds = 3
-	}
-	if o.MaxLemmas <= 0 {
-		o.MaxLemmas = 24
 	}
 	return o
 }
@@ -83,10 +69,6 @@ type QueryResult struct {
 	// Vars maps variable names to query-refined facts (normalised to
 	// the variable's width). Valid only for this constraint set.
 	Vars map[string]Val
-	// Lemmas are universally valid implied facts over subterms of the
-	// constraints, safe to assert permanently in the originating
-	// Builder's session.
-	Lemmas []*expr.Expr
 }
 
 // maxModelVars bounds the guess-and-check attempt: with more distinct
@@ -95,8 +77,7 @@ type QueryResult struct {
 const maxModelVars = 32
 
 // AnalyzeQuery evaluates the conjunction of cs in the abstract domain.
-// b must be the Builder that produced cs (lemmas are built in it).
-func AnalyzeQuery(b *expr.Builder, cs []*expr.Expr, opt QueryOptions) *QueryResult {
+func AnalyzeQuery(cs []*expr.Expr, opt QueryOptions) *QueryResult {
 	opt = opt.withDefaults()
 	res := &QueryResult{Verdict: VerdictUnknown}
 	q := &qstate{
@@ -111,9 +92,6 @@ func AnalyzeQuery(b *expr.Builder, cs []*expr.Expr, opt QueryOptions) *QueryResu
 			res.Verdict = VerdictUnsat // constraint is false outright
 			return res
 		}
-	}
-	if opt.WantLemmas {
-		res.Lemmas = q.lemmas(b, cs, opt.MaxLemmas)
 	}
 
 	// Refinement rounds: push constraint truth back into variables.
@@ -705,75 +683,4 @@ func candidatePoints(v Val) []uint64 {
 	add(v.Hi&^v.Mask | v.Bits)
 	add(v.Hi)
 	return out
-}
-
-// lemmas extracts universally valid facts over the subterms of cs:
-// bounds and bit patterns that hold under the unconstrained
-// environment, rendered as expressions in b. Per-query variable
-// refinements never appear here — only an empty environment is used.
-func (q *qstate) lemmas(b *expr.Builder, cs []*expr.Expr, maxN int) []*expr.Expr {
-	// The universal pass runs before any refinement, so q.env is
-	// empty and q.memo holds exactly the universal values.
-	var out []*expr.Expr
-	emitted := make(map[uint64]bool)
-	for _, c := range cs {
-		if len(out) >= maxN {
-			break
-		}
-		expr.Walk(c, func(s *expr.Expr) {
-			if len(out) >= maxN || s.IsArray() || s.Width < 2 {
-				return
-			}
-			if s.Kind == expr.KConst || s.Kind == expr.KVar {
-				return // nothing a CDCL core doesn't already know
-			}
-			if emitted[s.ID()] {
-				return
-			}
-			v := q.eval(s)
-			if v.IsBottom() {
-				return
-			}
-			v = v.demote()
-			w := s.Width
-			m := mask(w)
-			if c, ok := v.IsConst(); ok {
-				emitted[s.ID()] = true
-				out = append(out, b.Eq(s, b.Const(c, w)))
-				return
-			}
-			got := false
-			if v.Hi < m && len(out) < maxN {
-				out = append(out, b.Ule(s, b.Const(v.Hi, w)))
-				got = true
-			}
-			if v.Lo > 0 && len(out) < maxN {
-				out = append(out, b.Ule(b.Const(v.Lo, w), s))
-				got = true
-			}
-			if km := v.Mask & m; km != 0 && len(out) < maxN {
-				// Skip when the interval lemmas already pin the same
-				// leading bits and nothing else is known.
-				if km != leadingKnown(v, w) {
-					out = append(out, b.Eq(b.And(s, b.Const(km, w)), b.Const(v.Bits&m, w)))
-					got = true
-				}
-			}
-			if got {
-				emitted[s.ID()] = true
-			}
-		})
-	}
-	return out
-}
-
-// leadingKnown returns the mask of leading bits that norm derives from
-// the interval alone (common prefix of Lo and Hi).
-func leadingKnown(v Val, w uint) uint64 {
-	x := v.Lo ^ v.Hi
-	if x == 0 {
-		return mask(w)
-	}
-	lz := uint(bits.LeadingZeros64(x))
-	return (^uint64(0) << (64 - lz)) & mask(w)
 }

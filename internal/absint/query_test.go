@@ -15,7 +15,7 @@ func TestQueryUnsatByInterval(t *testing.T) {
 		b.Ult(x, b.Const(5, 32)),  // x < 5
 		b.Ult(b.Const(10, 32), x), // x > 10
 	}
-	res := absint.AnalyzeQuery(b, cs, absint.QueryOptions{})
+	res := absint.AnalyzeQuery(cs, absint.QueryOptions{})
 	if res.Verdict != absint.VerdictUnsat {
 		t.Fatalf("want unsat, got %v (vars %v)", res.Verdict, res.Vars)
 	}
@@ -29,7 +29,7 @@ func TestQueryUnsatByBits(t *testing.T) {
 		b.Eq(b.And(x, b.Const(1, 32)), b.Const(0, 32)),
 		b.Eq(x, b.Const(7, 32)),
 	}
-	res := absint.AnalyzeQuery(b, cs, absint.QueryOptions{})
+	res := absint.AnalyzeQuery(cs, absint.QueryOptions{})
 	if res.Verdict != absint.VerdictUnsat {
 		t.Fatalf("want unsat, got %v", res.Verdict)
 	}
@@ -44,7 +44,7 @@ func TestQuerySatModel(t *testing.T) {
 		b.Ule(y, b.Const(100, 32)),
 		b.Ult(b.Const(10, 32), y),
 	}
-	res := absint.AnalyzeQuery(b, cs, absint.QueryOptions{WantModel: true})
+	res := absint.AnalyzeQuery(cs, absint.QueryOptions{WantModel: true})
 	if res.Verdict != absint.VerdictSat {
 		t.Fatalf("want sat, got %v (vars %v)", res.Verdict, res.Vars)
 	}
@@ -60,7 +60,7 @@ func TestQueryRefinedVars(t *testing.T) {
 		b.Ule(x, b.Const(41, 32)),
 		b.Ule(b.Const(12, 32), x),
 	}
-	res := absint.AnalyzeQuery(b, cs, absint.QueryOptions{})
+	res := absint.AnalyzeQuery(cs, absint.QueryOptions{})
 	if res.Verdict != absint.VerdictUnknown {
 		t.Fatalf("want unknown, got %v", res.Verdict)
 	}
@@ -70,30 +70,6 @@ func TestQueryRefinedVars(t *testing.T) {
 	}
 	if v.Lo != 12 || v.Hi != 41 {
 		t.Fatalf("refined x = %v, want [12,41]", v)
-	}
-}
-
-func TestQueryLemmas(t *testing.T) {
-	b := expr.NewBuilder()
-	x := b.Var("x", 8)
-	// zext8->32(x) is universally <= 255: the sum below is <= 265.
-	wide := b.ZExt(x, 32)
-	sum := b.Add(wide, b.Const(10, 32))
-	cs := []*expr.Expr{b.Ult(sum, b.Const(500, 32))}
-	res := absint.AnalyzeQuery(b, cs, absint.QueryOptions{WantLemmas: true})
-	if len(res.Lemmas) == 0 {
-		t.Fatalf("no lemmas emitted")
-	}
-	// Every lemma must hold for every assignment: spot-check randomly.
-	r := rand.New(rand.NewSource(7))
-	for i := 0; i < 2000; i++ {
-		asn := expr.NewAssignment()
-		asn.Vars["x"] = r.Uint64() & 0xFF
-		for _, l := range res.Lemmas {
-			if v, err := asn.Eval(l); err != nil || v == 0 {
-				t.Fatalf("lemma %v violated by x=%d (err %v)", l, asn.Vars["x"], err)
-			}
-		}
 	}
 }
 
@@ -148,7 +124,7 @@ func TestQueryRandomSoundness(t *testing.T) {
 		if err != nil {
 			t.Fatalf("concrete eval: %v", err)
 		}
-		res := absint.AnalyzeQuery(b, cs, absint.QueryOptions{WantModel: true, WantLemmas: true})
+		res := absint.AnalyzeQuery(cs, absint.QueryOptions{WantModel: true})
 		if sat && res.Verdict == absint.VerdictUnsat {
 			t.Fatalf("iter %d: unsat verdict but %v satisfies %v", iter, conc.Vars, cs)
 		}
@@ -163,13 +139,6 @@ func TestQueryRandomSoundness(t *testing.T) {
 				if cv, okc := conc.Vars[name]; okc && !v.Contains(cv) {
 					t.Fatalf("iter %d: refined %s=%v excludes satisfying value %d", iter, name, v, cv)
 				}
-			}
-		}
-		// Lemmas are universal: the concrete assignment satisfies them
-		// regardless of whether it satisfies the query.
-		for _, l := range res.Lemmas {
-			if v, err := conc.Eval(l); err == nil && v == 0 {
-				t.Fatalf("iter %d: universal lemma %v violated by %v", iter, l, conc.Vars)
 			}
 		}
 	}

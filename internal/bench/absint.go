@@ -23,7 +23,7 @@ type AbsintOptions struct {
 }
 
 // AbsintRow compares one app's full ER reproduction with the abstract
-// pre-pass off versus on: same fresh-per-query solving, same budgets,
+// pre-pass off versus on: same solver, same budgets,
 // so any delta in CNF size or solver time is attributable to the
 // interval/known-bits analysis alone.
 type AbsintRow struct {
@@ -141,7 +141,7 @@ func (r *AbsintResult) ClauseReductionPct() float64 {
 }
 
 // absintRun drives one full ER reproduction with the abstract pass on
-// or off, fresh-per-query solving throughout. It mirrors
+// or off. It mirrors
 // core.Reproduce but keeps the Pipeline so the report's CNF and
 // discharge totals survive.
 func absintRun(a *apps.App, budget int64, on bool, widen int, log io.Writer) (*core.Report, error) {

@@ -41,8 +41,6 @@ type HarnessOptions struct {
 	MachinesPerApp int
 	Pace           time.Duration
 	Timeout        time.Duration
-	// Node solver tuning.
-	SolverSessions bool
 	// Telemetry, when set, receives the er_fleet_*/er_cluster_*
 	// series.
 	Telemetry *telemetry.Registry
@@ -131,13 +129,12 @@ func RunHarness(opts HarnessOptions) (*HarnessResult, error) {
 			tracer = telemetry.NewTracer(0)
 		}
 		n, err := NewNode(NodeOptions{
-			Name:           fmt.Sprintf("node-%d", i),
-			Coordinator:    coord.URL(),
-			Apps:           opts.Apps,
-			Workers:        opts.WorkersPerNode,
-			SolverSessions: opts.SolverSessions,
-			Tracer:         tracer,
-			Log:            opts.Log,
+			Name:        fmt.Sprintf("node-%d", i),
+			Coordinator: coord.URL(),
+			Apps:        opts.Apps,
+			Workers:     opts.WorkersPerNode,
+			Tracer:      tracer,
+			Log:         opts.Log,
 		})
 		if err == nil {
 			err = n.Start()

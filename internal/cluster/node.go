@@ -32,10 +32,6 @@ type NodeOptions struct {
 	// MaxIterations bounds each pipeline's reoccurrence loop
 	// (default 16).
 	MaxIterations int
-	// SolverSessions enables a persistent incremental solver session
-	// per leased bucket.
-	SolverSessions        bool
-	SolverMaxSessionNodes int
 	// Tracer records each leased bucket's replay as a span tree rooted
 	// under the coordinator's bucket span (the lease grant carries the
 	// parent context); snapshots ship back on heartbeats and with the
@@ -215,15 +211,13 @@ func (n *Node) runLease(l *LeaseResponse) {
 	shipSnap()
 
 	p, err := core.NewPipeline(core.Config{
-		Module:                app.Module,
-		Entry:                 app.Entry,
-		Symex:                 app.Symex,
-		MaxIterations:         n.opts.MaxIterations,
-		IncrementalSolver:     n.opts.SolverSessions,
-		SolverMaxSessionNodes: n.opts.SolverMaxSessionNodes,
-		Tracer:                n.opts.Tracer,
-		ParentSpan:            replay,
-		Log:                   n.opts.Log,
+		Module:        app.Module,
+		Entry:         app.Entry,
+		Symex:         app.Symex,
+		MaxIterations: n.opts.MaxIterations,
+		Tracer:        n.opts.Tracer,
+		ParentSpan:    replay,
+		Log:           n.opts.Log,
 	})
 	if err != nil {
 		// A broken pipeline config is permanent for this node-app

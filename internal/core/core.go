@@ -82,24 +82,12 @@ type Config struct {
 	RandomSelection bool
 	// RandomSeed seeds the random-selection baseline.
 	RandomSeed int64
-	// IncrementalSolver shares one persistent solver session across
-	// the pipeline's iterations: Tseitin definitions, Ackermann
-	// lemmas, and CDCL learned clauses survive from one reoccurrence
-	// to the next, so iteration N+1 re-pays only for constraints it
-	// has not seen before. Off by default (fresh solver per query,
-	// the original behaviour). Overridden by Symex.Solver when the
-	// caller injects its own session.
-	IncrementalSolver bool
-	// SolverMaxSessionNodes bounds the incremental session's interned
-	// expression nodes before its caches reset (0 = solver default);
-	// only meaningful with IncrementalSolver.
-	SolverMaxSessionNodes int
 	// Telemetry, when set, is the shared metrics registry the
 	// pipeline reports into: per-stage latency histograms
 	// (er_core_stage_seconds{stage=...}) and iteration/outcome
-	// counters, plus the symbolic executor's and incremental solver
-	// session's own er_symex_*/er_solver_* series (threaded through
-	// automatically unless the caller injected its own Symex options).
+	// counters, plus the symbolic executor's own er_symex_*/er_absint_*
+	// series (threaded through automatically unless the caller
+	// injected its own Symex options).
 	// Nil disables collection entirely.
 	Telemetry *telemetry.Registry
 	// Tracer, when set, records the whole reconstruction as one
@@ -117,13 +105,12 @@ type Config struct {
 	// to publish the tree).
 	ParentSpan *telemetry.Span
 	// Absint enables the abstract-interpretation layer
-	// (internal/absint) across the loop: every solver query — fresh or
-	// incremental-session — first runs the interval + known-bits
-	// pre-discharge pass, undecided one-shot queries blast with
-	// refined bits pinned, and a verified reproduction additionally
-	// mines static invariant candidates that are confirmed
-	// MIMIC-style against the reproduced input's concrete run before
-	// being reported. Verdict-preserving throughout.
+	// (internal/absint) across the loop: every solver query first runs
+	// the interval + known-bits pre-discharge pass, undecided queries
+	// blast with refined bits pinned, and a verified reproduction
+	// additionally mines static invariant candidates that are
+	// confirmed MIMIC-style against the reproduced input's concrete
+	// run before being reported. Verdict-preserving throughout.
 	Absint bool
 	// AbsintWiden overrides the widening threshold of the mining
 	// analysis (0 = absint default). Only meaningful with Absint.
@@ -171,8 +158,7 @@ type Report struct {
 	// TotalSymexTime sums shepherded symbolic execution time across
 	// iterations ("Symbex Time" of Table 1).
 	TotalSymexTime time.Duration
-	// TotalSolverTime sums solver query wall time across iterations —
-	// the headline metric of the solvecache experiment.
+	// TotalSolverTime sums solver query wall time across iterations.
 	TotalSolverTime time.Duration
 	// TraceInstrs is the dynamic instruction count of the failing
 	// execution ("#Instr" of Table 1).

@@ -273,18 +273,4 @@ func TestReproduceWithAbsint(t *testing.T) {
 			t.Errorf("invalid verified invariant %v", inv)
 		}
 	}
-	// The same config over the incremental session must agree too.
-	rep2, err := core.Reproduce(core.Config{
-		Module:            compile(t, chainSrc),
-		Gen:               &core.FixedWorkload{Workload: chainWorkload(), Seed: 1},
-		Symex:             symex.Options{QueryBudget: 30_000},
-		Absint:            true,
-		IncrementalSolver: true,
-	})
-	if err != nil {
-		t.Fatalf("reproduce (incremental): %v", err)
-	}
-	if !rep2.Reproduced || !rep2.Verified {
-		t.Fatalf("absint+incremental run did not reproduce+verify: %+v", rep2)
-	}
 }

@@ -1,6 +1,6 @@
-// Incremental ER pipeline: the Fig. 2 loop factored so that it can be
-// *driven by delivered reoccurrences* instead of pulling runs from a
-// workload generator. Reproduce (core.go) wraps a Pipeline and a
+// Occurrence-driven ER pipeline: the Fig. 2 loop factored so that it
+// can be *driven by delivered reoccurrences* instead of pulling runs
+// from a workload generator. Reproduce (core.go) wraps a Pipeline and a
 // ReoccurrenceSource into the original blocking loop; the fleet
 // scheduler (internal/fleet) feeds many Pipelines concurrently, one
 // per failure-signature bucket, as trace blobs arrive from production
@@ -33,12 +33,6 @@ type Pipeline struct {
 	deployed *ir.Module
 	version  int // increments on each re-instrumentation
 	rep      *Report
-	// session is the persistent incremental solver shared by every
-	// iteration's symbolic execution (nil unless
-	// Config.IncrementalSolver is set). Constraint sets differ across
-	// iterations — the session's assumption-based queries make that
-	// sound without any invalidation bookkeeping.
-	session *solver.Incremental
 	// an is the static dataflow analysis of the deployed module,
 	// recomputed on every re-instrumentation: shepherding prunes
 	// instructions outside its backward failure slice, and key data
@@ -102,21 +96,6 @@ func NewPipeline(cfg Config) (*Pipeline, error) {
 		stop:      solver.NewCancel(),
 		an:        dataflow.Analyze(cfg.Module),
 	}
-	if cfg.IncrementalSolver && cfg.Symex.Solver == nil {
-		// Validate is off to match the engine's fresh-per-query solver
-		// configuration (symex also disables it); the session's
-		// self-checking mode stays available to callers that inject
-		// their own session and is exercised by the differential tests.
-		p.session = solver.NewIncremental(solver.Options{
-			MaxSteps:        cfg.Symex.QueryBudget,
-			Timeout:         cfg.Symex.QueryTimeout,
-			Validate:        false,
-			MaxSessionNodes: cfg.SolverMaxSessionNodes,
-			Metrics:         cfg.Telemetry,
-			Stop:            p.stop,
-			Absint:          cfg.Absint,
-		})
-	}
 	return p, nil
 }
 
@@ -138,15 +117,6 @@ func (p *Pipeline) mineInvariants(tc *vm.Workload) {
 	p.rep.AbsintInvariants = invariants.VerifyStatic(cands, [][]invariants.Obs{obs})
 	p.cfg.logf("absint: %d static invariant candidates mined, %d verified on the reproduced input",
 		len(cands), len(p.rep.AbsintInvariants))
-}
-
-// SolverStats returns the persistent solver session's cumulative
-// statistics (zero value when the pipeline runs without one).
-func (p *Pipeline) SolverStats() solver.IncStats {
-	if p.session == nil {
-		return solver.IncStats{}
-	}
-	return p.session.Stats()
 }
 
 // Deployed returns the module production must currently run — the
@@ -251,13 +221,8 @@ func (p *Pipeline) Feed(occ *Occurrence) (bool, error) {
 		telemetry.A("version", p.version))
 	defer itSpan.End()
 
-	// Offline phase: shepherded symbolic execution. With a persistent
-	// session the engine's queries reuse all Tseitin/Ackermann/learned
-	// work from earlier iterations.
+	// Offline phase: shepherded symbolic execution.
 	sxOpts := p.cfg.Symex
-	if sxOpts.Solver == nil && p.session != nil {
-		sxOpts.Solver = p.session
-	}
 	if sxOpts.Stop == nil {
 		sxOpts.Stop = p.stop
 	}

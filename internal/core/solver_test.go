@@ -10,40 +10,31 @@ import (
 )
 
 // TestReproduceSolverParity runs the stall-then-iterate scenario with
-// a fresh solver per query and with the incremental session: both must
-// reproduce and verify, and both must shepherd through the static
-// failure slice (some instructions executed natively).
+// the fresh-per-query solver: it must reproduce and verify, and it
+// must shepherd through the static failure slice (some instructions
+// executed natively).
 func TestReproduceSolverParity(t *testing.T) {
-	for _, tc := range []struct {
-		name        string
-		incremental bool
-	}{
-		{"fresh", false},
-		{"incremental", true},
-	} {
-		t.Run(tc.name, func(t *testing.T) {
-			mod := compile(t, chainSrc)
-			rep, err := core.Reproduce(core.Config{
-				Module:            mod,
-				Gen:               &core.FixedWorkload{Workload: chainWorkload(), Seed: 1},
-				Symex:             symex.Options{QueryBudget: 30_000},
-				IncrementalSolver: tc.incremental,
-			})
-			if err != nil {
-				t.Fatalf("reproduce: %v", err)
-			}
-			if !rep.Reproduced || !rep.Verified {
-				t.Fatalf("reproduced=%v verified=%v reason=%s", rep.Reproduced, rep.Verified, rep.FailReason)
-			}
-			var conc int64
-			for _, it := range rep.Iterations {
-				conc += it.ConcSteps
-			}
-			if conc == 0 {
-				t.Error("no instruction executed natively: the failure slice did not reach shepherding")
-			}
+	t.Run("fresh", func(t *testing.T) {
+		mod := compile(t, chainSrc)
+		rep, err := core.Reproduce(core.Config{
+			Module: mod,
+			Gen:    &core.FixedWorkload{Workload: chainWorkload(), Seed: 1},
+			Symex:  symex.Options{QueryBudget: 30_000},
 		})
-	}
+		if err != nil {
+			t.Fatalf("reproduce: %v", err)
+		}
+		if !rep.Reproduced || !rep.Verified {
+			t.Fatalf("reproduced=%v verified=%v reason=%s", rep.Reproduced, rep.Verified, rep.FailReason)
+		}
+		var conc int64
+		for _, it := range rep.Iterations {
+			conc += it.ConcSteps
+		}
+		if conc == 0 {
+			t.Error("no instruction executed natively: the failure slice did not reach shepherding")
+		}
+	})
 }
 
 // TestPipelineAbortCancelsInFlightSolve pins the prompt-abort fix:

@@ -12,12 +12,6 @@ type Builder struct {
 	table   map[uint64][]*Expr
 	nextID  uint64
 	created int
-
-	// imports memoizes cross-builder translation by stable ID (see
-	// Import). Lazily allocated; nil until the first Import call.
-	imports    map[uint64]*Expr
-	importHits int64
-	importMiss int64
 }
 
 // NewBuilder returns an empty Builder.
@@ -68,39 +62,6 @@ func nodeEqual(a, c *Expr) bool {
 	return true
 }
 
-// stableHash computes the builder-independent content hash of a node
-// whose children already carry stable IDs (FNV-1a over the node's
-// shape). Unlike hashNode it uses no per-builder seed, so structurally
-// equal nodes from different builders hash identically.
-func stableHash(e *Expr) uint64 {
-	const (
-		fnvOffset = 14695981039346656037
-		fnvPrime  = 1099511628211
-	)
-	h := uint64(fnvOffset)
-	mix := func(v uint64) {
-		for i := 0; i < 8; i++ {
-			h ^= v & 0xff
-			h *= fnvPrime
-			v >>= 8
-		}
-	}
-	mix(uint64(e.Kind))
-	mix(uint64(e.Width))
-	mix(uint64(e.IdxWidth))
-	mix(e.Val)
-	mix(uint64(e.Lo))
-	mix(uint64(len(e.Name)))
-	for i := 0; i < len(e.Name); i++ {
-		h ^= uint64(e.Name[i])
-		h *= fnvPrime
-	}
-	for _, a := range e.Args {
-		mix(a.stable)
-	}
-	return h
-}
-
 // intern returns the canonical node for e, creating it if needed.
 func (b *Builder) intern(e Expr) *Expr {
 	h := b.hashNode(&e)
@@ -111,58 +72,12 @@ func (b *Builder) intern(e Expr) *Expr {
 	}
 	n := new(Expr)
 	*n = e
-	n.hash = h
-	n.stable = stableHash(n)
 	b.nextID++
 	n.id = b.nextID
 	b.created++
 	b.table[h] = append(b.table[h], n)
 	return n
 }
-
-// Import translates a node built by any Builder (including b itself)
-// into b's node space, returning the structurally identical canonical
-// node owned by b. Translation is memoized by stable ID, so importing
-// a DAG whose prefix was imported before touches only the new suffix —
-// the cheap "resume" operation incremental solver sessions rely on
-// when the ER loop rebuilds near-identical constraint sets with a
-// fresh Builder every iteration. Nodes are re-interned with their
-// exact foreign shape (no re-simplification), which preserves
-// structural identity and hence stable IDs.
-func (b *Builder) Import(e *Expr) *Expr {
-	if b.imports == nil {
-		b.imports = make(map[uint64]*Expr)
-	}
-	if c, ok := b.imports[e.stable]; ok {
-		// Cheap shape check guards against (astronomically unlikely)
-		// stable-ID collisions; on mismatch fall through and rebuild
-		// without memoizing.
-		if c.Kind == e.Kind && c.Width == e.Width && c.Val == e.Val &&
-			c.Name == e.Name && len(c.Args) == len(e.Args) {
-			b.importHits++
-			return c
-		}
-	}
-	b.importMiss++
-	args := e.Args
-	if len(args) > 0 {
-		args = make([]*Expr, len(e.Args))
-		for i, a := range e.Args {
-			args[i] = b.Import(a)
-		}
-	}
-	n := b.intern(Expr{
-		Kind: e.Kind, Width: e.Width, IdxWidth: e.IdxWidth,
-		Val: e.Val, Name: e.Name, Lo: e.Lo, Args: args,
-	})
-	b.imports[e.stable] = n
-	return n
-}
-
-// ImportStats returns the Import memo's cumulative hit and miss
-// counts — the solver-session reuse signal surfaced in
-// solver.IncStats.
-func (b *Builder) ImportStats() (hits, misses int64) { return b.importHits, b.importMiss }
 
 func checkWidth(w uint) {
 	if w < 1 || w > 64 {

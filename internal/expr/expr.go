@@ -113,25 +113,12 @@ type Expr struct {
 	// Args are the operand nodes.
 	Args []*Expr
 
-	id     uint64
-	hash   uint64
-	stable uint64
+	id uint64
 }
 
 // ID returns a builder-unique identifier, useful as a map key where
 // pointer identity is inconvenient.
 func (e *Expr) ID() uint64 { return e.id }
-
-// StableID returns a content-derived identifier that is identical for
-// structurally equal nodes across different Builders (unlike ID and
-// the internal interning hash, both of which are builder-local). It is
-// computed once at interning time from the node's kind, widths,
-// constant payload, name, and the children's stable IDs, so it costs
-// O(1) per node. Long-lived caches keyed by StableID survive the
-// per-iteration Builder churn of the ER loop — the property the
-// incremental solver sessions (internal/solver.Incremental) are built
-// on.
-func (e *Expr) StableID() uint64 { return e.stable }
 
 // IsArray reports whether the node denotes an array value.
 func (e *Expr) IsArray() bool {

@@ -84,17 +84,6 @@ type Options struct {
 	// Timeout bounds the whole fleet run (default 2 minutes;
 	// negative disables).
 	Timeout time.Duration
-	// SolverSessions enables a persistent incremental solver session
-	// per bucket pipeline: solver state (Tseitin definitions,
-	// Ackermann lemmas, CDCL learned clauses) is reused across a
-	// bucket's ER iterations and dropped when the bucket retires, so
-	// memory stays bounded by the number of in-flight buckets.
-	// Off by default (fresh solver per query).
-	SolverSessions bool
-	// SolverMaxSessionNodes bounds each session's interned expression
-	// nodes before it resets (0 = solver default); only meaningful
-	// with SolverSessions.
-	SolverMaxSessionNodes int
 	// Absint enables the abstract-interpretation layer in every
 	// bucket pipeline: solver pre-discharge + narrowed blasting, and
 	// verified static invariant mining on reproduction. Registered
@@ -127,9 +116,9 @@ type Options struct {
 	// Telemetry, when set, is the shared metrics registry the whole
 	// subsystem reports into: fleet-level gauges/counters
 	// (er_fleet_*), each bucket pipeline's core stage histograms and
-	// outcome counters (er_core_*), the symbolic executor's and
-	// incremental solver sessions' series (er_symex_*/er_solver_*),
-	// and — when Store is set — the archive's er_tracestore_* series.
+	// outcome counters (er_core_*), the symbolic executor's series
+	// (er_symex_*/er_absint_*), and — when Store is set — the
+	// archive's er_tracestore_* series.
 	// Nil disables collection.
 	Telemetry *telemetry.Registry
 	// Tracer, when set, records each bucket pipeline's reconstruction
@@ -506,18 +495,16 @@ func (f *Fleet) runBucket(b *Bucket) {
 		return
 	}
 	p, err := core.NewPipeline(core.Config{
-		Module:                g.app.Module,
-		Entry:                 g.app.Entry,
-		Symex:                 g.app.Symex,
-		MaxIterations:         f.opts.MaxIterations,
-		RingSize:              f.opts.RingSize,
-		IncrementalSolver:     f.opts.SolverSessions,
-		SolverMaxSessionNodes: f.opts.SolverMaxSessionNodes,
-		Absint:                f.opts.Absint,
-		AbsintWiden:           f.opts.AbsintWiden,
-		Telemetry:             f.opts.Telemetry,
-		Tracer:                f.opts.Tracer,
-		Log:                   f.opts.Log,
+		Module:        g.app.Module,
+		Entry:         g.app.Entry,
+		Symex:         g.app.Symex,
+		MaxIterations: f.opts.MaxIterations,
+		RingSize:      f.opts.RingSize,
+		Absint:        f.opts.Absint,
+		AbsintWiden:   f.opts.AbsintWiden,
+		Telemetry:     f.opts.Telemetry,
+		Tracer:        f.opts.Tracer,
+		Log:           f.opts.Log,
 	})
 	if err != nil {
 		f.logf("fleet: bucket %d (%s): %v", b.ID, b.App, err)
@@ -609,7 +596,6 @@ func (f *Fleet) feedOccurrence(b *Bucket, g *appGroup, p *core.Pipeline, occ *co
 		f.logf("fleet: bucket %d (%s): pipeline: %v", b.ID, b.App, err)
 	}
 	b.iterations.Store(int32(len(p.Report().Iterations)))
-	b.recordSolverStats(p)
 	if p.Version() != before && !p.Done() {
 		// Key data values selected: roll the instrumented
 		// module out to this app's machines.

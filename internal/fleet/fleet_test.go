@@ -171,67 +171,6 @@ func TestFleetStress(t *testing.T) {
 	}
 }
 
-// TestFleetStressSolverSessions re-runs the fleet stress with
-// persistent per-bucket solver sessions enabled (run with -race): the
-// verdicts must be identical to the fresh-solver fleet, and the
-// session counters must surface in the final snapshot. gamma's
-// multi-iteration bucket is what exercises cross-iteration reuse.
-func TestFleetStressSolverSessions(t *testing.T) {
-	apps := testApps(t)
-	f, err := New(apps, Options{
-		Shards:         4,
-		QueueCap:       32,
-		Workers:        4,
-		MachinesPerApp: 3,
-		Pace:           50 * time.Microsecond,
-		Timeout:        60 * time.Second,
-		SolverSessions: true,
-	})
-	if err != nil {
-		t.Fatalf("New: %v", err)
-	}
-	if err := f.Start(); err != nil {
-		t.Fatalf("Start: %v", err)
-	}
-	_ = f.Snapshot() // live stats surface mid-run
-
-	res, err := f.Wait()
-	if err != nil {
-		t.Fatalf("Wait: %v\nsnapshot: %+v", err, f.Snapshot())
-	}
-	if len(res.Buckets) != 3 {
-		t.Fatalf("buckets = %d, want 3: %+v", len(res.Buckets), res.Buckets)
-	}
-	for _, b := range res.Buckets {
-		if !b.Reproduced || !b.Verified {
-			t.Errorf("bucket %s: reproduced=%v verified=%v (report %+v)",
-				b.App, b.Reproduced, b.Verified, b.Report)
-		}
-	}
-	// The sessions must actually have been used and their counters
-	// aggregated into the fleet snapshot.
-	if res.Final.SolverSolves == 0 {
-		t.Errorf("SolverSolves = 0 with sessions enabled: %+v", res.Final)
-	}
-	if res.Final.SolverBlasted == 0 {
-		t.Errorf("SolverBlasted = 0 with sessions enabled: %+v", res.Final)
-	}
-	// gamma stalls and re-runs with more instrumentation, so its
-	// session answers overlapping constraint sets across iterations:
-	// some reuse must show up fleet-wide.
-	if res.Final.SolverReused == 0 {
-		t.Errorf("SolverReused = 0: gamma's multi-iteration bucket should reuse cached constraints: %+v", res.Final)
-	}
-	// Per-bucket counters must be consistent with the aggregate.
-	var solves int64
-	for _, b := range res.Final.Buckets {
-		solves += b.SolverSolves
-	}
-	if solves != res.Final.SolverSolves {
-		t.Errorf("per-bucket solves %d != aggregate %d", solves, res.Final.SolverSolves)
-	}
-}
-
 // TestFleetSequentialOneWorker: the same fleet resolves with a single
 // pipeline worker (the sequential baseline of the fleet benchmark).
 func TestFleetSequentialOneWorker(t *testing.T) {

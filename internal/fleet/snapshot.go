@@ -22,24 +22,11 @@ type Snapshot struct {
 	Accepted int64
 	// Machines aggregates the producer machines' counters.
 	Machines prod.MachineStats
-	// SolverSolves/SolverReused/SolverBlasted/SolverFallbacks/
-	// SolverResets aggregate the buckets' persistent-solver-session
-	// counters (all zero when Options.SolverSessions is off). Reused
-	// vs Blasted is the fleet-wide cache hit split: how many
-	// constraints were answered from session caches versus lowered
-	// from scratch.
-	SolverSolves    int64
-	SolverReused    int64
-	SolverBlasted   int64
-	SolverFallbacks int64
-	SolverResets    int64
-	// AbsintDischarged/AbsintLemmas/AbsintFacts aggregate the abstract
-	// pre-discharge pass across bucket sessions (zero unless
+	// AbsintDischarged aggregates the queries the abstract
+	// pre-discharge pass decided across resolved buckets (zero unless
 	// Options.Absint); LintProofs is the error-level provable-lint
 	// finding count over the registered app modules.
 	AbsintDischarged int64
-	AbsintLemmas     int64
-	AbsintFacts      int64
 	LintProofs       int64
 	// StoreEnabled reports whether the fleet runs with a persistent
 	// trace archive (Options.Store); Store is then its stats snapshot:
@@ -82,20 +69,11 @@ type BucketSnapshot struct {
 	Replayed int64
 	// Iterations is the pipeline's completed analysis iterations.
 	Iterations int
-	// Solver-session counters (zero unless the fleet runs with
-	// SolverSessions): queries answered, constraints reused from the
-	// session cache vs blasted fresh, validation fallbacks, resets.
-	SolverSolves    int64
-	SolverReused    int64
-	SolverBlasted   int64
-	SolverFallbacks int64
-	SolverResets    int64
-	// Absint counters mirror the session's abstract pre-discharge
-	// activity; AbsintMined/AbsintVerified the post-reproduction
-	// static invariant mining (zero unless Options.Absint).
+	// AbsintDischarged counts the queries the abstract pre-discharge
+	// pass decided; AbsintMined/AbsintVerified the post-reproduction
+	// static invariant mining. All three come from the pipeline report
+	// once the bucket resolves (zero unless Options.Absint).
 	AbsintDischarged int64
-	AbsintLemmas     int64
-	AbsintFacts      int64
 	AbsintMined      int
 	AbsintVerified   int
 	// Reproduced/Verified mirror the pipeline report once resolved.
@@ -134,14 +112,7 @@ func (f *Fleet) Snapshot() Snapshot {
 		bs := f.snapshotBucket(b)
 		s.Spills += bs.Spills
 		s.Replayed += bs.Replayed
-		s.SolverSolves += bs.SolverSolves
-		s.SolverReused += bs.SolverReused
-		s.SolverBlasted += bs.SolverBlasted
-		s.SolverFallbacks += bs.SolverFallbacks
-		s.SolverResets += bs.SolverResets
 		s.AbsintDischarged += bs.AbsintDischarged
-		s.AbsintLemmas += bs.AbsintLemmas
-		s.AbsintFacts += bs.AbsintFacts
 		s.Buckets = append(s.Buckets, bs)
 	}
 	return s
@@ -163,18 +134,10 @@ func (f *Fleet) snapshotBucket(b *Bucket) BucketSnapshot {
 		Replayed:     b.replayed.Load(),
 		Iterations:   int(b.iterations.Load()),
 	}
-	st := b.loadSolverStats()
-	bs.SolverSolves = st.Solves
-	bs.SolverReused = st.ConstraintsReused
-	bs.SolverBlasted = st.ConstraintsBlasted
-	bs.SolverFallbacks = st.FreshFallbacks
-	bs.SolverResets = st.Resets
-	bs.AbsintDischarged = st.AbsintDischarged
-	bs.AbsintLemmas = st.AbsintLemmas
-	bs.AbsintFacts = st.AbsintFacts
 	if rep := b.report.Load(); rep != nil {
 		bs.Reproduced = rep.Reproduced
 		bs.Verified = rep.Verified
+		bs.AbsintDischarged = rep.AbsintDischarged
 		bs.AbsintMined = rep.AbsintMined
 		bs.AbsintVerified = len(rep.AbsintInvariants)
 	}

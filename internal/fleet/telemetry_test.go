@@ -28,7 +28,6 @@ func TestFleetTelemetryEndpoint(t *testing.T) {
 		MachinesPerApp: 2,
 		Pace:           50 * time.Microsecond,
 		Timeout:        60 * time.Second,
-		SolverSessions: true,
 		Telemetry:      reg,
 		Tracer:         tr,
 		ListenAddr:     "127.0.0.1:0",
@@ -82,7 +81,7 @@ func TestFleetTelemetryEndpoint(t *testing.T) {
 		"er_core_stage_seconds",
 		"er_core_reproduced_total",
 		"er_symex_runs_total",
-		"er_solver_solves_total",
+		"er_symex_solver_queries_total",
 	} {
 		if !strings.Contains(body, name) {
 			t.Errorf("exposition missing %s", name)
@@ -152,10 +151,10 @@ func TestFleetDebugEndpointJSON(t *testing.T) {
 // TestSnapshotRaceDuringIngest is the silent-stats-loss regression:
 // hammer Snapshot (and the registry collection callbacks) from
 // several goroutines while the fleet ingests, triages, and runs
-// pipelines. Run with -race. It also checks solver-session counters
-// are internally consistent in every observed snapshot — the
-// field-per-atomic mirror this replaced could surface torn
-// combinations such as reused+blasted exceeding constraints seen.
+// pipelines. Run with -race. It also checks every observed bucket
+// snapshot is internally consistent: a bucket's report is published
+// before its reproduced state, so a snapshot that shows the state must
+// also show the report's verdict.
 func TestSnapshotRaceDuringIngest(t *testing.T) {
 	reg := telemetry.New()
 	f, err := New(testApps(t), Options{
@@ -163,7 +162,6 @@ func TestSnapshotRaceDuringIngest(t *testing.T) {
 		MachinesPerApp: 3,
 		Pace:           50 * time.Microsecond,
 		Timeout:        60 * time.Second,
-		SolverSessions: true,
 		Telemetry:      reg,
 	})
 	if err != nil {
@@ -189,12 +187,10 @@ func TestSnapshotRaceDuringIngest(t *testing.T) {
 				}
 				s := f.Snapshot()
 				for _, b := range s.Buckets {
-					// Solves/reuse/blast are published together; any
-					// cross-field inconsistency means a torn read.
-					if b.SolverReused > 0 && b.SolverSolves == 0 {
+					if b.State == BucketReproduced.String() && !b.Reproduced {
 						mu.Lock()
 						torn = append(torn, fmt.Sprintf(
-							"bucket %s: reused=%d with solves=0", b.App, b.SolverReused))
+							"bucket %s: state %s without a reproduced report", b.App, b.State))
 						mu.Unlock()
 					}
 				}
@@ -212,7 +208,7 @@ func TestSnapshotRaceDuringIngest(t *testing.T) {
 		t.Fatalf("Wait: %v", err)
 	}
 	if len(torn) > 0 {
-		t.Errorf("torn solver-stat reads observed: %v", torn)
+		t.Errorf("torn bucket snapshots observed: %v", torn)
 	}
 	for _, b := range res.Buckets {
 		if !b.Reproduced {
@@ -280,7 +276,6 @@ func main() int {
 		MachinesPerApp: 1,
 		Pace:           50 * time.Microsecond,
 		Timeout:        60 * time.Second,
-		SolverSessions: true,
 		Absint:         true,
 		Telemetry:      reg,
 		ListenAddr:     "127.0.0.1:0",
@@ -321,8 +316,7 @@ func main() int {
 	for _, name := range []string{
 		"er_absint_lint_proofs_total",
 		"er_absint_discharged_total",
-		"er_absint_lemmas_total",
-		"er_absint_facts_total",
+		"er_absint_bits_total",
 	} {
 		if !strings.Contains(body, name) {
 			t.Errorf("exposition missing %s", name)
@@ -332,12 +326,23 @@ func main() int {
 	if !strings.Contains(body, want) {
 		t.Errorf("lint proofs mismatch: want %q in\n%s", want, grepLines(body, "er_absint"))
 	}
-	// Session-side absint counters must agree between snapshot
-	// aggregation and the registry (both read the same IncStats).
-	if snap.AbsintDischarged > 0 {
-		if !strings.Contains(body, "er_absint_discharged_total") {
-			t.Errorf("discharged counter missing from exposition")
+	// Every engine query the pre-discharge pass decided lands both in
+	// its bucket's report and on the registry counter; with every
+	// bucket resolved, the snapshot total must equal the counter.
+	var discharged int64
+	for _, fam := range reg.Snapshot() {
+		if fam.Name == "er_absint_discharged_total" {
+			for _, s := range fam.Series {
+				discharged += int64(s.Value)
+			}
 		}
+	}
+	if snap.AbsintDischarged != discharged {
+		t.Errorf("snapshot AbsintDischarged = %d, registry er_absint_discharged_total = %d",
+			snap.AbsintDischarged, discharged)
+	}
+	if discharged == 0 {
+		t.Errorf("pre-discharge never fired across an absint fleet")
 	}
 	// The verified buckets of an absint fleet carry mined invariants.
 	mined := 0

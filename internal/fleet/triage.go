@@ -7,7 +7,6 @@ import (
 
 	"execrecon/internal/core"
 	"execrecon/internal/prod"
-	"execrecon/internal/solver"
 	"execrecon/internal/vm"
 )
 
@@ -80,42 +79,14 @@ type Bucket struct {
 	// mode, making resolution idempotent across lease re-dispatch and
 	// coordinator commit-log replay.
 	remoteResolved atomic.Bool
-	// solverStats is the pipeline's persistent-solver progress,
-	// mirrored after each fed occurrence (nil when the fleet runs with
-	// fresh-per-query solving). One pointer store publishes the whole
-	// struct, so a concurrent Snapshot always reads an internally
-	// consistent set of counters — the previous field-per-atomic
-	// mirror could be observed mid-update (e.g. reused > solves). The
-	// session itself lives on the pipeline and dies with it when the
-	// bucket retires; only this snapshot outlives it.
-	solverStats atomic.Pointer[solver.IncStats]
-	report      atomic.Pointer[core.Report]
-	firstSeen   time.Time
-	doneAt      atomic.Int64 // unix nanos; 0 while in flight
+	report         atomic.Pointer[core.Report]
+	firstSeen      time.Time
+	doneAt         atomic.Int64 // unix nanos; 0 while in flight
 }
 
 // Occurrences returns the total matching occurrences triaged into the
 // bucket (including ones later dropped as stale or overflowed).
 func (b *Bucket) Occurrences() int64 { return b.occurrences.Load() }
-
-// recordSolverStats mirrors the pipeline's persistent-solver counters
-// into the bucket so concurrent Snapshot calls can read them without
-// touching the (single-goroutine) pipeline. The whole struct is
-// published with a single pointer store: readers see either the
-// previous snapshot or this one, never a torn mix of the two.
-func (b *Bucket) recordSolverStats(p *core.Pipeline) {
-	st := p.SolverStats()
-	b.solverStats.Store(&st)
-}
-
-// loadSolverStats returns the last published solver-session snapshot
-// (zero value before the first publication).
-func (b *Bucket) loadSolverStats() solver.IncStats {
-	if st := b.solverStats.Load(); st != nil {
-		return *st
-	}
-	return solver.IncStats{}
-}
 
 // State returns the bucket's lifecycle state.
 func (b *Bucket) State() BucketState { return BucketState(b.state.Load()) }

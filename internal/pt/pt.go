@@ -12,8 +12,8 @@
 package pt
 
 import (
+	"bytes"
 	"errors"
-	"fmt"
 
 	"execrecon/internal/ir"
 )
@@ -273,113 +273,25 @@ func Decode(r *Ring) (*Trace, error) {
 }
 
 // DecodeBytes parses a raw packet stream (as returned by Ring.Bytes)
-// back into events. lost is the number of prefix bytes destroyed by
-// ring wrapping; when nonzero the decoder resynchronizes at the first
-// PSB sync point. DecodeBytes never panics: corrupt or truncated
-// input produces an error.
+// back into events by draining a StreamDecoder, the one packet parser.
+// lost is the number of prefix bytes destroyed by ring wrapping; when
+// nonzero the decoder resynchronizes at the first PSB sync point. A
+// stream that ended on an End packet yields a final EvEnd event.
+// DecodeBytes never panics: corrupt or truncated input produces an
+// error.
 func DecodeBytes(data []byte, lost uint64) (*Trace, error) {
+	d := NewStreamDecoder(bytes.NewReader(data), lost)
 	t := &Trace{Truncated: lost > 0, LostBytes: lost}
-	i := 0
-	if lost > 0 {
-		// Resynchronize at the first PSB. A PSB byte inside a
-		// packet body could alias; the encoder bounds packet size
-		// far below psbInterval so scanning forward finds a true
-		// sync in practice.
-		sync := -1
-		for j := range data {
-			if data[j] == hdrPSB {
-				sync = j
-				break
-			}
-		}
-		if sync < 0 {
-			return nil, ErrNoSync
-		}
-		i = sync
+	// Drain a packet at a time: a TNT packet carries up to 255 events.
+	for d.decodePacket(); d.pi < len(d.pending); d.decodePacket() {
+		t.Events = append(t.Events, d.pending[d.pi:]...)
+		d.pi = len(d.pending)
 	}
-	getUvarint := func() (uint64, error) {
-		var v uint64
-		var shift uint
-		for n := 0; ; n++ {
-			if i >= len(data) {
-				return 0, fmt.Errorf("pt: truncated uvarint at %d", i)
-			}
-			if n == maxUvarintBytes {
-				return 0, fmt.Errorf("pt: uvarint overflow at %d", i)
-			}
-			b := data[i]
-			i++
-			v |= uint64(b&0x7f) << shift
-			if b < 0x80 {
-				return v, nil
-			}
-			shift += 7
-		}
+	if d.err != nil {
+		return nil, d.err
 	}
-	for i < len(data) {
-		h := data[i]
-		i++
-		switch h {
-		case hdrPSB:
-			// sync point; no payload
-		case hdrTNT:
-			if i >= len(data) {
-				return nil, fmt.Errorf("pt: truncated TNT header")
-			}
-			n := int(data[i])
-			i++
-			nbytes := (n + 7) / 8
-			if i+nbytes > len(data) {
-				return nil, fmt.Errorf("pt: truncated TNT payload")
-			}
-			for k := 0; k < n; k++ {
-				bit := data[i+k/8]>>(uint(k)%8)&1 == 1
-				t.Events = append(t.Events, Event{Kind: EvTNT, Taken: bit})
-			}
-			i += nbytes
-		case hdrTIP:
-			v, err := getUvarint()
-			if err != nil {
-				return nil, err
-			}
-			t.Events = append(t.Events, Event{Kind: EvTIP, Target: v})
-		case hdrPTW:
-			k, err := getUvarint()
-			if err != nil {
-				return nil, err
-			}
-			if i >= len(data) {
-				return nil, fmt.Errorf("pt: truncated PTW width")
-			}
-			wb := data[i]
-			i++
-			v, err := getUvarint()
-			if err != nil {
-				return nil, err
-			}
-			t.Events = append(t.Events, Event{Kind: EvPTW, Key: int32(uint32(k)), WidthBits: wb, Value: v})
-		case hdrPGD:
-			c, err := getUvarint()
-			if err != nil {
-				return nil, err
-			}
-			t.Events = append(t.Events, Event{Kind: EvPGD, Count: c})
-		case hdrChunk:
-			tid, err := getUvarint()
-			if err != nil {
-				return nil, err
-			}
-			ts, err := getUvarint()
-			if err != nil {
-				return nil, err
-			}
-			t.Events = append(t.Events, Event{Kind: EvChunk, Tid: int(tid), Timestamp: ts})
-		case hdrEnd:
-			t.Events = append(t.Events, Event{Kind: EvEnd})
-			return t, nil
-		default:
-			return nil, fmt.Errorf("pt: unknown packet header %#x at %d", h, i-1)
-		}
+	if d.ended {
+		t.Events = append(t.Events, Event{Kind: EvEnd})
 	}
 	return t, nil
 }

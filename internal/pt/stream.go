@@ -14,11 +14,12 @@ import (
 // decoded trace is an order of magnitude larger than its packet
 // bytes).
 //
-// Semantics mirror DecodeBytes: an End packet terminates the stream
-// cleanly; clean EOF at a packet boundary also terminates it (a trace
-// without an end marker decodes to its events, as in batch mode);
-// corrupt or truncated-mid-packet input stops the stream and records
-// the error in Err. StreamDecoder never panics on malformed input.
+// It is the only packet parser: DecodeBytes drains one. An End packet
+// terminates the stream cleanly; clean EOF at a packet boundary also
+// terminates it (a trace without an end marker decodes to its
+// events); corrupt or truncated-mid-packet input stops the stream and
+// records the error in Err. StreamDecoder never panics on malformed
+// input.
 //
 // Pointer lifetime: the *Event returned by Peek/Next points into a
 // per-packet buffer that is reused once the packet is exhausted. It
@@ -35,17 +36,23 @@ type StreamDecoder struct {
 	// (a TNT packet carries up to 255). pi indexes the next one.
 	pending []Event
 	pi      int
+	// tnt is the TNT payload buffer (255 bits at most), kept here so
+	// reading a payload does not allocate.
+	tnt [32]byte
 
 	pos    int
 	synced bool
 	done   bool
-	err    error
+	// ended records that the stream stopped on an End packet rather
+	// than at EOF or on an error.
+	ended bool
+	err   error
 }
 
 // NewStreamDecoder returns a decoder reading packet bytes from r.
 // lost is the byte count destroyed by ring wrapping (0 for a complete
 // stream); when nonzero the decoder scans forward to the first PSB
-// sync point before emitting events, exactly like DecodeBytes.
+// sync point before emitting events.
 func NewStreamDecoder(r io.Reader, lost uint64) *StreamDecoder {
 	return &StreamDecoder{
 		r:      bufio.NewReaderSize(r, 4096),
@@ -77,17 +84,17 @@ func (d *StreamDecoder) failRead(err error, what string) {
 		d.fail(err)
 		return
 	}
-	d.fail(fmt.Errorf("pt: truncated %s in stream", what))
+	d.fail(fmt.Errorf("pt: truncated %s", what))
 }
 
 // readUvarint reads a bounded uvarint. Truncation mid-varint is an
-// error (the batch decoder treats it identically).
+// error.
 func (d *StreamDecoder) readUvarint() (uint64, bool) {
 	var v uint64
 	var shift uint
 	for n := 0; ; n++ {
 		if n == maxUvarintBytes {
-			d.fail(fmt.Errorf("pt: uvarint overflow in stream"))
+			d.fail(fmt.Errorf("pt: uvarint overflow"))
 			return 0, false
 		}
 		b, err := d.r.ReadByte()
@@ -104,6 +111,9 @@ func (d *StreamDecoder) readUvarint() (uint64, bool) {
 }
 
 // sync scans forward to the first PSB byte (wrapped-stream recovery).
+// A PSB byte inside a packet body could alias; the encoder bounds
+// packet size far below psbInterval, so scanning forward finds a true
+// sync in practice.
 func (d *StreamDecoder) sync() {
 	for {
 		b, err := d.r.ReadByte()
@@ -129,8 +139,8 @@ func (d *StreamDecoder) decodePacket() {
 		h, err := d.r.ReadByte()
 		if err != nil {
 			if err == io.EOF {
-				// Clean EOF at a packet boundary: end of trace (batch
-				// decode also accepts a stream without an End marker).
+				// Clean EOF at a packet boundary: end of trace (a
+				// stream without an End marker is accepted).
 				d.done = true
 			} else {
 				// A real source error (e.g. corrupt delta/RLE layer in
@@ -153,13 +163,12 @@ func (d *StreamDecoder) decodePacket() {
 			}
 			n := int(nb)
 			nbytes := (n + 7) / 8
-			var payload [32]byte
-			if _, err := io.ReadFull(d.r, payload[:nbytes]); err != nil {
+			if _, err := io.ReadFull(d.r, d.tnt[:nbytes]); err != nil {
 				d.failRead(err, "TNT payload")
 				return
 			}
 			for k := 0; k < n; k++ {
-				bit := payload[k/8]>>(uint(k)%8)&1 == 1
+				bit := d.tnt[k/8]>>(uint(k)%8)&1 == 1
 				d.pending = append(d.pending, Event{Kind: EvTNT, Taken: bit})
 			}
 		case hdrTIP:
@@ -201,8 +210,9 @@ func (d *StreamDecoder) decodePacket() {
 			d.pending = append(d.pending, Event{Kind: EvChunk, Tid: int(tid), Timestamp: ts})
 		case hdrEnd:
 			d.done = true
+			d.ended = true
 		default:
-			d.fail(fmt.Errorf("pt: unknown packet header %#x in stream", h))
+			d.fail(fmt.Errorf("pt: unknown packet header %#x", h))
 		}
 	}
 }

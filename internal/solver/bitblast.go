@@ -20,9 +20,7 @@ type blaster struct {
 	vars map[string][]lit // expr var name -> bit literals
 
 	// narrow, when set, pins variable bits the abstract interpreter
-	// proved constant for every model of the current query. Must stay
-	// nil for incremental sessions, whose cached var literals outlive
-	// any one query's refinement.
+	// proved constant for every model of the current query.
 	narrow       map[string]absint.Val
 	bitsNarrowed int
 
@@ -488,41 +486,6 @@ func (b *blaster) constBits(v uint64, w int) []lit {
 		out[i] = b.constLit(v>>uint(i)&1 == 1)
 	}
 	return out
-}
-
-// clearBudgetErr resets a sticky budget-exhaustion error so a
-// persistent session can retry under a fresh budget. The bits cache
-// only ever holds fully blasted nodes (partial work is returned as
-// uncached dummies), and every clause added so far is a valid Tseitin
-// definition of a fresh gate literal, so resuming is sound.
-func (b *blaster) clearBudgetErr() {
-	if b.err == errBudget {
-		b.err = nil
-	}
-}
-
-// cached reports whether e was already fully blasted — the reuse
-// signal incremental sessions surface in their stats.
-func (b *blaster) cached(e *expr.Expr) bool {
-	_, ok := b.bits[e]
-	return ok
-}
-
-// boolLit returns the literal equivalent to the boolean expression e,
-// without asserting it. The Tseitin definitions emitted along the way
-// are valid regardless of whether e itself is ever asserted, which is
-// what lets incremental sessions keep them across queries and pass
-// constraint literals as CDCL assumptions instead of clauses.
-func (b *blaster) boolLit(e *expr.Expr) (lit, bool) {
-	bs := b.blast(e)
-	if b.err != nil {
-		return litUndef, false
-	}
-	if len(bs) != 1 {
-		b.err = fmt.Errorf("solver: non-boolean constraint of width %d", len(bs))
-		return litUndef, false
-	}
-	return bs[0], true
 }
 
 // assert adds the constraint that boolean expression e is true.

@@ -200,3 +200,77 @@ func TestBudgetMonotonicDeadline(t *testing.T) {
 		t.Error("expired budget not marked exhausted")
 	}
 }
+
+// TestBudgetDeadlineStarvation is the regression test for the
+// deadline-starvation bug: the old implementation consulted the
+// wall clock only every 4096 steps, so a workload whose individual
+// steps are expensive (few but heavy spends) could overrun the
+// deadline by an unbounded factor — and a budget created with an
+// already-expired deadline would happily grant thousands of steps.
+func TestBudgetDeadlineStarvation(t *testing.T) {
+	// An already-expired deadline must deny the very first spend.
+	b := &Budget{Deadline: time.Now().Add(-time.Second)}
+	if b.spend(1) {
+		t.Fatal("expired deadline granted the first spend")
+	}
+	if !b.Exhausted() {
+		t.Error("budget not marked exhausted")
+	}
+
+	// A deadline expiring mid-run must be observed within the check
+	// cadence even when every spend is tiny.
+	b = &Budget{Deadline: time.Now().Add(2 * time.Millisecond)}
+	granted := 0
+	deadline := time.Now().Add(2 * time.Second) // test watchdog
+	for b.spend(1) {
+		granted++
+		if time.Now().After(deadline) {
+			t.Fatal("budget never observed the expired deadline")
+		}
+	}
+	// After expiry at most one check-cadence worth of steps may slip
+	// through before the clock is consulted again.
+	t.Logf("granted %d tiny spends before deadline stop", granted)
+
+	// Steps-only budgets are unaffected by the deadline machinery.
+	b = NewBudget(10)
+	for i := 0; i < 10; i++ {
+		if !b.spend(1) {
+			t.Fatalf("spend %d denied under budget", i)
+		}
+	}
+	if b.spend(1) {
+		t.Error("spend beyond MaxSteps granted")
+	}
+}
+
+// TestStatsPopulatedOnEarlyExit is the regression test for the Stats
+// under-report bug: budget-exhausted ResultUnknown returns — exactly
+// the solves ER's stall detection keys off — used to report zero
+// steps, elapsed time, and SAT counters because stats were recorded
+// only on the happy path.
+func TestStatsPopulatedOnEarlyExit(t *testing.T) {
+	b := expr.NewBuilder()
+	x := b.Var("x", 32)
+	y := b.Var("y", 32)
+	hard := []*expr.Expr{
+		b.Eq(b.Mul(x, y), b.Const(0xdeadbeef, 32)),
+		b.Ult(b.Const(2, 32), x),
+		b.Ult(b.Const(2, 32), y),
+	}
+	s := New(b, Options{MaxSteps: 50}) // far too little to finish
+	res, _, err := s.Solve(hard)
+	if err != nil {
+		t.Fatalf("solve: %v", err)
+	}
+	if res != ResultUnknown {
+		t.Fatalf("result %v, want unknown under a 50-step budget", res)
+	}
+	st := s.LastStats()
+	if st.Steps == 0 {
+		t.Error("Steps not populated on budget-exhausted exit")
+	}
+	if st.Elapsed == 0 {
+		t.Error("Elapsed not populated on budget-exhausted exit")
+	}
+}

@@ -62,9 +62,8 @@ func genSystem(rng *rand.Rand, unsat bool) (*expr.Builder, []*expr.Expr) {
 }
 
 // TestSolveGeneratedSystems decides randomized systems whose verdict
-// is known by construction with both the one-shot solver and a fresh
-// incremental session: verdicts must match the construction and each
-// other, and every model must satisfy the constraints.
+// is known by construction: verdicts must match the construction, and
+// every model must satisfy the constraints.
 func TestSolveGeneratedSystems(t *testing.T) {
 	rng := rand.New(rand.NewSource(4242))
 	for trial := 0; trial < 36; trial++ {
@@ -74,72 +73,18 @@ func TestSolveGeneratedSystems(t *testing.T) {
 		if unsat {
 			want = ResultUnsat
 		}
-		for name, s := range map[string]Backend{
-			"one-shot":    New(b, DefaultOptions()),
-			"incremental": NewIncremental(DefaultOptions()),
-		} {
-			res, model, err := s.Solve(cs)
-			if err != nil {
-				t.Fatalf("trial %d: %s: %v", trial, name, err)
-			}
-			if res != want {
-				t.Fatalf("trial %d: %s decided %v, want %v by construction", trial, name, res, want)
-			}
-			if res == ResultSat {
-				if ok, err := model.Satisfies(cs); err != nil || !ok {
-					t.Fatalf("trial %d: %s model invalid (err %v)", trial, name, err)
-				}
-			}
-		}
-	}
-}
-
-// TestIncrementalGrowingQueries drives an incremental session and the
-// one-shot solver through the same growing query sequence (the shape
-// of ER's reconstruction queries: mostly extend, occasionally
-// contradict) and checks verdict parity at every step.
-func TestIncrementalGrowingQueries(t *testing.T) {
-	cb := expr.NewBuilder()
-	const w = 16
-	x := cb.Var("x", w)
-	y := cb.Var("y", w)
-
-	inc := NewIncremental(Options{Validate: true})
-	var cs []*expr.Expr
-	cs = append(cs, cb.Eq(cb.Add(x, y), cb.Const(500, w)))
-	for step := 0; step < 12; step++ {
-		query := cs
-		if step%4 == 3 {
-			// A contradicting side constraint (not retained):
-			// x < 100 ∧ x > 60000 on top of the base system.
-			query = append(append([]*expr.Expr{}, cs...),
-				cb.Ult(x, cb.Const(100, w)),
-				cb.Ult(cb.Const(60000, w), x))
-		} else {
-			cs = append(cs, cb.Ult(x, cb.Const(uint64(400-step*20), w)))
-			query = cs
-		}
-		fres, fmodel, err := New(cb, DefaultOptions()).Solve(query)
+		res, model, err := New(b, DefaultOptions()).Solve(cs)
 		if err != nil {
-			t.Fatalf("step %d: one-shot: %v", step, err)
+			t.Fatalf("trial %d: %v", trial, err)
 		}
-		ires, imodel, err := inc.Solve(query)
-		if err != nil {
-			t.Fatalf("step %d: incremental: %v", step, err)
+		if res != want {
+			t.Fatalf("trial %d: decided %v, want %v by construction", trial, res, want)
 		}
-		if ires != fres {
-			t.Fatalf("step %d: verdict diverged: one-shot %v, incremental %v", step, fres, ires)
-		}
-		if fres == ResultSat {
-			for name, m := range map[string]*expr.Assignment{"one-shot": fmodel, "incremental": imodel} {
-				if ok, err := m.Satisfies(query); err != nil || !ok {
-					t.Fatalf("step %d: %s model invalid (err %v)", step, name, err)
-				}
+		if res == ResultSat {
+			if ok, err := model.Satisfies(cs); err != nil || !ok {
+				t.Fatalf("trial %d: model invalid (err %v)", trial, err)
 			}
 		}
-	}
-	if st := inc.Stats(); st.Sat == 0 || st.Unsat == 0 {
-		t.Errorf("sequence did not exercise both verdicts: %+v", st)
 	}
 }
 

@@ -7,7 +7,6 @@ import (
 
 	"execrecon/internal/absint"
 	"execrecon/internal/expr"
-	"execrecon/internal/telemetry"
 )
 
 // Result is the outcome of a Solve call.
@@ -45,16 +44,6 @@ type Options struct {
 	// model and fails loudly on mismatch. Cheap; on by default via
 	// DefaultOptions.
 	Validate bool
-	// MaxSessionNodes bounds an Incremental session's interned
-	// expression nodes before it resets its caches (0 means
-	// DefaultMaxSessionNodes). Ignored by the one-shot Solver.
-	MaxSessionNodes int
-	// Metrics, when set, receives an Incremental session's counters
-	// (er_solver_*) in the shared telemetry registry: one delta
-	// update per Solve call, so many sessions can share one registry
-	// without double counting. The IncStats struct remains the
-	// per-session view. Ignored by the one-shot Solver.
-	Metrics *telemetry.Registry
 	// Stop, when set, cancels in-flight solves promptly: it is
 	// observed on every budget spend (each CDCL decision, conflict,
 	// and Tseitin gate), not just at the deadline-check cadence. A
@@ -68,22 +57,6 @@ type Options struct {
 	// constants, shrinking the CNF. Verdict-preserving.
 	Absint bool
 }
-
-// Backend is the query interface shared by the one-shot Solver and
-// the persistent Incremental session, letting callers (the symbolic
-// executor, the ER pipeline) swap fresh-per-query solving for
-// session-cached solving without caring which they hold.
-type Backend interface {
-	// Solve decides the conjunction of cs.
-	Solve(cs []*expr.Expr) (Result, *expr.Assignment, error)
-	// LastStats returns statistics for the most recent Solve call.
-	LastStats() Stats
-}
-
-var (
-	_ Backend = (*Solver)(nil)
-	_ Backend = (*Incremental)(nil)
-)
 
 // DefaultOptions returns options with validation enabled and no
 // limits.
@@ -169,7 +142,7 @@ func (s *Solver) Solve(cs []*expr.Expr) (Result, *expr.Assignment, error) {
 	// already validated concretely against the constraints.
 	var narrow map[string]absint.Val
 	if s.opts.Absint {
-		aq := absint.AnalyzeQuery(s.b, remaining, absint.QueryOptions{WantModel: true})
+		aq := absint.AnalyzeQuery(remaining, absint.QueryOptions{WantModel: true})
 		switch aq.Verdict {
 		case absint.VerdictUnsat:
 			s.last.AbsintDischarged = true

@@ -70,20 +70,12 @@ type Options struct {
 	// ProgressEvery records a progress sample each N instructions
 	// (0 disables); used by the Fig 5 experiment.
 	ProgressEvery int64
-	// Solver optionally supplies a persistent solver session (an
-	// *solver.Incremental shared across a pipeline's iterations). When
-	// nil the engine creates a fresh one-shot solver over its own
-	// builder, exactly as before.
-	Solver solver.Backend
 	// Stop, when set, cancels in-flight solver queries promptly: the
 	// flag is observed on every budget spend, not just at the deadline
-	// cadence. Pipelines wire their abort flag here. Ignored when
-	// Solver is injected (configure the session's own Options.Stop).
+	// cadence. Pipelines wire their abort flag here.
 	Stop *solver.Cancel
 	// Absint enables the abstract-interpretation pre-discharge and
-	// width-narrowed blasting in the engine's own one-shot solver.
-	// Ignored when Solver is injected (configure the session's own
-	// Options.Absint).
+	// width-narrowed blasting in the engine's solver.
 	Absint bool
 	// Slice supplies the static backward failure slice of the module
 	// (dataflow.Analyze); core.Pipeline always sets it. Instructions
@@ -150,12 +142,11 @@ type RunStats struct {
 	SolverQueries int64
 	SolverSteps   int64
 	// SolverTime is the cumulative wall time spent inside solver
-	// queries — the quantity the solvecache experiment compares
-	// between fresh-per-query and incremental-session solving.
+	// queries.
 	SolverTime time.Duration
 	// SATVars/SATClauses accumulate the CNF size reported by every
-	// query (for one-shot solving, the total blasted volume — the
-	// quantity the absint experiment compares with narrowing on/off).
+	// query: the total blasted volume, the quantity the absint
+	// experiment compares with narrowing on/off.
 	SATVars    int64
 	SATClauses int64
 	// AbsintDischarged counts queries the abstract pre-discharge pass
@@ -213,7 +204,7 @@ type Engine struct {
 	an   *dataflow.Analysis
 
 	b   *expr.Builder
-	sol solver.Backend
+	sol *solver.Solver
 
 	threads []*sthread
 	objs    []*sobj
@@ -321,22 +312,18 @@ func NewFromEvents(mod *ir.Module, src pt.EventSource, failure *vm.Failure, opts
 		opts.MaxInstrs = 100_000_000
 	}
 	b := expr.NewBuilder()
-	sol := opts.Solver
-	if sol == nil {
-		sol = solver.New(b, solver.Options{
+	e := &Engine{
+		mod:  mod,
+		opts: opts,
+		an:   opts.Slice,
+		b:    b,
+		sol: solver.New(b, solver.Options{
 			MaxSteps: opts.QueryBudget,
 			Timeout:  opts.QueryTimeout,
 			Validate: false,
 			Stop:     opts.Stop,
 			Absint:   opts.Absint,
-		})
-	}
-	e := &Engine{
-		mod:       mod,
-		opts:      opts,
-		an:        opts.Slice,
-		b:         b,
-		sol:       sol,
+		}),
 		mus:       make(map[uint64]int),
 		cursor:    src,
 		failure:   failure,
@@ -440,9 +427,9 @@ func (e *Engine) reportMetrics(res *Result) {
 		"solver queries issued").Add(res.Stats.SolverQueries)
 	reg.Counter("er_symex_solver_steps_total",
 		"abstract solver steps spent").Add(res.Stats.SolverSteps)
-	reg.Counter("er_absint_oneshot_discharged_total",
+	reg.Counter("er_absint_discharged_total",
 		"engine queries decided by the abstract pre-discharge pass").Add(res.Stats.AbsintDischarged)
-	reg.Counter("er_absint_oneshot_bits_total",
+	reg.Counter("er_absint_bits_total",
 		"variable bits pinned during blasting from known-bits facts").Add(res.Stats.AbsintBits)
 	reg.Histogram("er_symex_run_seconds",
 		"shepherded execution wall time per run", nil).ObserveDuration(res.Stats.Elapsed)

@@ -9,7 +9,7 @@
 // overhead budget (paper §2); a system with that posture must be able
 // to watch itself. Every layer of the reconstruction loop — fleet
 // ingest/triage, the per-bucket core pipelines, shepherded symbolic
-// execution, the incremental solver sessions, and the trace archive —
+// execution, the abstract pre-discharge pass, and the trace archive —
 // registers its counters here under the `er_<pkg>_<name>` naming
 // scheme instead of (or in addition to) its bespoke one-shot stats
 // structs, which remain as thin compatibility views.
