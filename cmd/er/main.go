@@ -56,11 +56,10 @@ import (
 	"execrecon/internal/cluster"
 	"execrecon/internal/core"
 	"execrecon/internal/expr"
-	"execrecon/internal/pt"
+	"execrecon/internal/prod"
 	"execrecon/internal/symex"
 	"execrecon/internal/telemetry"
 	"execrecon/internal/tracestore"
-	"execrecon/internal/vm"
 )
 
 func usage() {
@@ -194,10 +193,7 @@ func main() {
 		}
 		// Traced run: archive the ring when the run fails, exactly as a
 		// production machine would ship it.
-		ring := pt.NewRing(pt.DefaultRingSize)
-		enc := pt.NewEncoder(ring)
-		res := vm.New(mod, vm.Config{Input: w, Seed: 1, Tracer: enc}).Run("main")
-		enc.Finish()
+		res, ring := new(prod.Recorder).Run(mod, "main", w, 1, true, 0)
 		if res.Failure != nil {
 			seq, err := store.AppendRing(res.Failure, tracestore.Meta{
 				App: app, Seed: 1, Instrs: res.Stats.Instrs,
@@ -247,10 +243,7 @@ func main() {
 		// Capture exactly what a production machine ships: a traced run
 		// whose ring buffer and failure travel to the coordinator's
 		// ingest path over the wire protocol.
-		ring := pt.NewRing(pt.DefaultRingSize)
-		enc := pt.NewEncoder(ring)
-		res := vm.New(mod, vm.Config{Input: w, Seed: 1, Tracer: enc}).Run("main")
-		enc.Finish()
+		res, ring := new(prod.Recorder).Run(mod, "main", w, 1, true, 0)
 		if res.Failure == nil {
 			fatal(fmt.Errorf("the given input does not fail; nothing to submit"))
 		}
@@ -281,6 +274,9 @@ func main() {
 		if res.Failure == nil {
 			fatal(fmt.Errorf("the given input does not fail; nothing to reconstruct"))
 		}
+		if err := requireWhole(tr); err != nil {
+			fatal(err)
+		}
 		fmt.Fprintf(os.Stderr, "; failure: %v\n", res.Failure)
 		sres := symex.New(mod, tr, res.Failure, symex.Options{}).Run("main")
 		if sres.Status != symex.StatusCompleted && sres.Status != symex.StatusStalled {
@@ -292,6 +288,15 @@ func main() {
 	default:
 		usage()
 	}
+}
+
+// requireWhole rejects a trace whose ring overflowed: shepherding
+// along a trace missing its prefix yields the wrong path constraint.
+func requireWhole(tr *er.Trace) error {
+	if tr.Truncated {
+		return fmt.Errorf("trace ring overflowed (%d bytes lost); the path constraint needs the whole trace", tr.LostBytes)
+	}
+	return nil
 }
 
 // reportVerdicts lists every cluster bucket's triage outcome.

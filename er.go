@@ -46,6 +46,7 @@ import (
 	"execrecon/internal/invariants"
 	"execrecon/internal/ir"
 	"execrecon/internal/minc"
+	"execrecon/internal/prod"
 	"execrecon/internal/pt"
 	"execrecon/internal/symex"
 	"execrecon/internal/telemetry"
@@ -149,15 +150,7 @@ func Run(mod *Module, w *Workload, seed int64) *RunResult {
 // and the run result. This is what ER's always-on tracing ships to
 // the analysis engine when the run fails.
 func RecordTrace(mod *Module, w *Workload, seed int64) (*Trace, *RunResult, error) {
-	ring := pt.NewRing(pt.DefaultRingSize)
-	enc := pt.NewEncoder(ring)
-	res := vm.New(mod, vm.Config{Input: w, Seed: seed, Tracer: enc}).Run("main")
-	enc.Finish()
-	tr, err := pt.Decode(ring)
-	if err != nil {
-		return nil, nil, err
-	}
-	return tr, res, nil
+	return new(prod.Recorder).Record(mod, w, seed)
 }
 
 // Reproduce runs the full iterative ER loop against a fixed failing
@@ -191,7 +184,7 @@ func ReproduceWith(mod *Module, gen Generator, opts Options) (*Report, error) {
 // reoccurrences themselves instead of replaying workloads in-process.
 // Occurrence is one delivered reoccurrence; SourceRequest describes
 // what the loop needs next; Source is the delivery interface
-// (FixedWorkload and custom fleet buckets implement it).
+// (GenSource, the trace archive and fleet buckets implement it).
 type (
 	Occurrence    = core.Occurrence
 	SourceRequest = core.SourceRequest

@@ -6,6 +6,7 @@ import (
 
 	"execrecon/internal/apps"
 	"execrecon/internal/keyselect"
+	"execrecon/internal/prod"
 	"execrecon/internal/symex"
 )
 
@@ -26,12 +27,16 @@ type AblationRow struct {
 // RunAblation measures the value of recording-set minimization.
 func RunAblation() ([]AblationRow, error) {
 	var rows []AblationRow
+	var rec prod.Recorder
 	for _, a := range apps.All() {
 		mod, err := a.Module()
 		if err != nil {
 			return nil, err
 		}
-		trace, failRes, err := record(mod, a.Failing(), a.Seed)
+		trace, failRes, err := rec.Record(mod, a.Failing(), a.Seed)
+		if err == nil && failRes.Failure == nil {
+			err = errNoFailure
+		}
 		if err != nil {
 			return nil, err
 		}

@@ -1,6 +1,7 @@
 package bench
 
 import (
+	"errors"
 	"fmt"
 	"io"
 	"time"
@@ -8,6 +9,7 @@ import (
 	"execrecon/internal/apps"
 	"execrecon/internal/ir"
 	"execrecon/internal/keyselect"
+	"execrecon/internal/prod"
 	"execrecon/internal/pt"
 	"execrecon/internal/symex"
 	"execrecon/internal/vm"
@@ -57,10 +59,15 @@ func RunFig5(appName string) (*Fig5Result, error) {
 	if budget == 0 {
 		budget = 2000
 	}
+	// One recorder, so every recording below reuses one ring.
+	var rec prod.Recorder
 	modules := []*ir.Module{mod} // generation 0: control flow only
 	cur := mod
 	for gen := 0; gen < 2; gen++ {
-		trace, failRes, err := record(cur, a.Failing(), a.Seed)
+		trace, failRes, err := rec.Record(cur, a.Failing(), a.Seed)
+		if err == nil && failRes.Failure == nil {
+			err = errNoFailure
+		}
 		if err != nil {
 			return nil, err
 		}
@@ -93,8 +100,8 @@ func RunFig5(appName string) (*Fig5Result, error) {
 		best    *symex.Result
 	}
 	gens := make([]generation, len(modules))
-	for i, m := range modules {
-		trace, failRes, err := record(m, a.Failing(), a.Seed)
+	for i, m := range modules { // instrumenting does not change the failure checked above
+		trace, failRes, err := rec.Record(m, a.Failing(), a.Seed)
 		if err != nil {
 			return nil, err
 		}
@@ -132,21 +139,8 @@ func RunFig5(appName string) (*Fig5Result, error) {
 	return res, nil
 }
 
-// record runs one traced failing execution.
-func record(mod *ir.Module, w *vm.Workload, seed int64) (*pt.Trace, *vm.Result, error) {
-	ring := pt.NewRing(pt.DefaultRingSize)
-	enc := pt.NewEncoder(ring)
-	res := vm.New(mod, vm.Config{Input: w, Tracer: enc, Seed: seed}).Run("main")
-	if res.Failure == nil {
-		return nil, nil, fmt.Errorf("bench: workload did not fail")
-	}
-	enc.Finish()
-	tr, err := pt.Decode(ring)
-	if err != nil {
-		return nil, nil, err
-	}
-	return tr, res, nil
-}
+// errNoFailure reports an app's failing workload running clean.
+var errNoFailure = errors.New("bench: workload did not fail")
 
 // RenderFig5 prints the series: per configuration, total time and a
 // coarse progress curve (CSV-like rows usable for plotting).

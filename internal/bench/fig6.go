@@ -74,8 +74,9 @@ func finalInstrumentation(a *apps.App, mod *ir.Module) (*ir.Module, error) {
 	}
 	// Re-derive the instrumented module by replaying the recorded
 	// iteration count.
+	var rec prod.Recorder
 	for i := 0; i < len(rep.Iterations)-1; i++ {
-		trace, failRes, err := record(deployed, a.Failing(), a.Seed)
+		trace, failRes, err := rec.Record(deployed, a.Failing(), a.Seed) // fails: it reproduced above
 		if err != nil {
 			return nil, err
 		}

@@ -57,8 +57,9 @@ func RunReptAccuracy(lengths []int) ([]ReptRow, error) {
 		return nil, err
 	}
 	var rows []ReptRow
+	ring := pt.NewRing(pt.DefaultRingSize) // reset per length, not reallocated
 	for _, n := range lengths {
-		ring := pt.NewRing(pt.DefaultRingSize)
+		ring.Reset()
 		enc := pt.NewEncoder(ring)
 		var truth []uint64
 		cfg := vm.Config{

@@ -111,8 +111,9 @@ func runTracestoreApp(a *apps.App, k int, dir string, opts TracestoreOptions) Tr
 	}
 	defer store.Close()
 	var appendTime time.Duration
+	ring := pt.NewRing(pt.DefaultRingSize) // reset per occurrence, not reallocated
 	for i := 0; i < k; i++ {
-		ring := pt.NewRing(pt.DefaultRingSize)
+		ring.Reset()
 		enc := pt.NewEncoder(ring)
 		if a.Benign != nil {
 			for j := 0; j < window; j++ {

@@ -35,8 +35,7 @@ type WorkloadGen interface {
 }
 
 // FixedWorkload is a WorkloadGen replaying the same failing input
-// every run — the simplest reoccurrence model. It also implements
-// ReoccurrenceSource (see source.go).
+// every run — the simplest reoccurrence model.
 type FixedWorkload struct {
 	Workload *vm.Workload
 	Seed     int64

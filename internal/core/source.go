@@ -4,6 +4,7 @@ import (
 	"fmt"
 
 	"execrecon/internal/ir"
+	"execrecon/internal/prod"
 	"execrecon/internal/pt"
 	"execrecon/internal/vm"
 )
@@ -74,13 +75,33 @@ type ReoccurrenceSource interface {
 type GenSource struct {
 	Gen WorkloadGen
 
+	rec    prod.Recorder
 	runIdx int
 }
 
 // Next implements ReoccurrenceSource.
 func (g *GenSource) Next(req SourceRequest) (*Occurrence, error) {
+	occ, ring, err := g.Await(req)
+	if err != nil || ring == nil {
+		return occ, err
+	}
+	trace, err := pt.Decode(ring)
+	if err != nil {
+		return nil, fmt.Errorf("core: trace decode: %w", err)
+	}
+	if trace.Truncated {
+		return nil, fmt.Errorf("core: trace ring overflowed (%d bytes lost); increase RingSize", trace.LostBytes)
+	}
+	occ.Trace = trace
+	return occ, nil
+}
+
+// Await runs production until a failure matching the request reoccurs
+// and returns it untraced, plus, for a traced request, its recorder's
+// ring, which the next run overwrites (see prod.Recorder.Run).
+func (g *GenSource) Await(req SourceRequest) (*Occurrence, *pt.Ring, error) {
 	if g.Gen == nil {
-		return nil, fmt.Errorf("core: GenSource has no workload generator")
+		return nil, nil, fmt.Errorf("core: GenSource has no workload generator")
 	}
 	maxRuns := req.MaxRuns
 	if maxRuns <= 0 {
@@ -89,46 +110,13 @@ func (g *GenSource) Next(req SourceRequest) (*Occurrence, error) {
 	for tries := 0; tries < maxRuns; tries++ {
 		w, seed := g.Gen.Run(g.runIdx)
 		g.runIdx++
-		if !req.Traced {
-			res := vm.New(req.Deployed, vm.Config{Input: w, Seed: seed}).Run(req.Entry)
-			if res.Failure == nil {
-				continue
-			}
-			if req.Signature != nil && !res.Failure.SameSignature(req.Signature) {
-				continue
-			}
-			return &Occurrence{Result: res, Seed: seed}, nil
+		res, ring := g.rec.Run(req.Deployed, req.Entry, w, seed, req.Traced, req.RingSize)
+		// Benign runs and other bugs are skipped; keep waiting for ours.
+		if res.Failure != nil && (req.Signature == nil || res.Failure.SameSignature(req.Signature)) {
+			return &Occurrence{Result: res, Seed: seed}, ring, nil
 		}
-		ring := pt.NewRing(req.RingSize)
-		enc := pt.NewEncoder(ring)
-		res := vm.New(req.Deployed, vm.Config{Input: w, Tracer: enc, Seed: seed}).Run(req.Entry)
-		if res.Failure == nil {
-			continue
-		}
-		if req.Signature != nil && !res.Failure.SameSignature(req.Signature) {
-			continue // a different bug; keep waiting for ours
-		}
-		enc.Finish()
-		trace, err := pt.Decode(ring)
-		if err != nil {
-			return nil, fmt.Errorf("core: trace decode: %w", err)
-		}
-		if trace.Truncated {
-			return nil, fmt.Errorf("core: trace ring overflowed (%d bytes lost); increase RingSize", trace.LostBytes)
-		}
-		return &Occurrence{Trace: trace, Result: res, Seed: seed}, nil
 	}
-	return nil, fmt.Errorf("core: failure did not reoccur within %d runs", maxRuns)
+	return nil, nil, fmt.Errorf("core: failure did not reoccur within %d runs", maxRuns)
 }
 
-// Next implements ReoccurrenceSource directly on FixedWorkload, so
-// the simplest reoccurrence model plugs into Config.Source without an
-// adapter.
-func (f *FixedWorkload) Next(req SourceRequest) (*Occurrence, error) {
-	return (&GenSource{Gen: f}).Next(req)
-}
-
-var (
-	_ ReoccurrenceSource = (*GenSource)(nil)
-	_ ReoccurrenceSource = (*FixedWorkload)(nil)
-)
+var _ ReoccurrenceSource = (*GenSource)(nil)

@@ -1,10 +1,12 @@
 package core_test
 
 import (
+	"reflect"
 	"strings"
 	"testing"
 
 	"execrecon/internal/core"
+	"execrecon/internal/prod"
 	"execrecon/internal/symex"
 	"execrecon/internal/vm"
 )
@@ -86,12 +88,12 @@ func TestGenSourceExhaustsMaxRuns(t *testing.T) {
 }
 
 func TestReproduceViaExplicitSource(t *testing.T) {
-	// Config.Source (FixedWorkload implements ReoccurrenceSource
-	// directly) must behave exactly like the Gen path.
+	// An explicit Config.Source wrapping the workload generator must
+	// behave exactly like the Gen path.
 	mod := compile(t, chainSrc)
 	rep, err := core.Reproduce(core.Config{
 		Module: mod,
-		Source: &core.FixedWorkload{Workload: chainWorkload(), Seed: 1},
+		Source: &core.GenSource{Gen: &core.FixedWorkload{Workload: chainWorkload(), Seed: 1}},
 		Symex:  symex.Options{QueryBudget: 30_000},
 	})
 	if err != nil {
@@ -233,5 +235,52 @@ func main() int {
 	}
 	if p2.Report().Occurrences != before {
 		t.Error("foreign failure counted as an occurrence")
+	}
+}
+
+// growingGen fails every run, on a trace that grows with the run
+// index, so consecutive occurrences leave different bytes in the ring.
+type growingGen struct{}
+
+func (growingGen) Run(n int) (*vm.Workload, int64) {
+	return vm.NewWorkload().Add("n", uint64(3+40*n)), int64(n)
+}
+
+const growingSrc = `
+func main() int {
+	int n = input32("n");
+	int acc = 0;
+	for (int i = 0; i < n; i = i + 1) {
+		if ((i & 1) == 0) { acc = acc + i; }
+	}
+	abort("end of request");
+	return acc;
+}`
+
+func TestGenSourceRingReuseKeepsDeliveredTrace(t *testing.T) {
+	// GenSource records every run into one reused ring; an occurrence
+	// already delivered must not change when the next run overwrites it.
+	mod := compile(t, growingSrc)
+	src := &core.GenSource{Gen: growingGen{}}
+	req := core.SourceRequest{Deployed: mod, Entry: "main", Traced: true, MaxRuns: 1, RingSize: 1 << 16}
+	first, err := src.Next(req)
+	if err != nil {
+		t.Fatalf("first Next: %v", err)
+	}
+	second, err := src.Next(req)
+	if err != nil {
+		t.Fatalf("second Next: %v", err)
+	}
+	w, seed := growingGen{}.Run(0)
+	fresh, _, err := new(prod.Recorder).Record(mod, w, seed)
+	if err != nil {
+		t.Fatalf("fresh recording: %v", err)
+	}
+	if !reflect.DeepEqual(first.Trace.Events, fresh.Events) {
+		t.Fatal("occurrence 1 changed after occurrence 2 was recorded into the same ring")
+	}
+	if len(second.Trace.Events) <= len(first.Trace.Events) {
+		t.Fatalf("occurrence 2 has %d events, want more than occurrence 1's %d",
+			len(second.Trace.Events), len(first.Trace.Events))
 	}
 }

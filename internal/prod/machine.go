@@ -143,33 +143,20 @@ func (m *Machine) Serve(ctx context.Context) {
 	if ringSize <= 0 {
 		ringSize = MachineRingSize
 	}
-	var ring *pt.Ring // reused across benign runs, shipped on failure
+	var rec Recorder // one ring reused across benign runs, shipped on failure
 	for i := 0; ctx.Err() == nil; i++ {
 		d := m.Current()
 		if d.Module == nil {
 			return // nothing deployed
 		}
 		w, seed := m.Gen(i)
-		var enc *pt.Encoder
-		if m.Trace {
-			if ring == nil {
-				ring = pt.NewRing(ringSize)
-			} else {
-				ring.Reset()
-			}
-			enc = pt.NewEncoder(ring)
-		}
-		var tracer vm.Tracer
-		if enc != nil {
-			tracer = enc
-		}
 		var runStart time.Time
 		if m.Overhead != nil {
 			runStart = time.Now()
 		}
-		res := vm.New(d.Module, vm.Config{Input: w, Tracer: tracer, Seed: seed}).Run(entry)
+		res, _ := rec.Run(d.Module, entry, w, seed, m.Trace, ringSize)
 		if m.Overhead != nil {
-			m.Overhead.RecordRun(m.App, d.Version, enc != nil, time.Since(runStart))
+			m.Overhead.RecordRun(m.App, d.Version, m.Trace, time.Since(runStart))
 		}
 		m.runs.Add(1)
 		if res.Failure != nil {
@@ -178,14 +165,10 @@ func (m *Machine) Serve(ctx context.Context) {
 				App:     m.App,
 				Machine: m.ID,
 				Version: d.Version,
+				Ring:    rec.Ship(), // nil when untraced; the next traced run gets a fresh ring
 				Failure: res.Failure,
 				Seed:    seed,
 				Instrs:  res.Stats.Instrs,
-			}
-			if enc != nil {
-				enc.Finish()
-				msg.Ring = ring
-				ring = nil // shipped; allocate a fresh one next run
 			}
 			if m.Sink.Emit(msg) {
 				m.shipped.Add(1)

@@ -28,7 +28,6 @@ import (
 	"math"
 
 	"execrecon/internal/ir"
-	"execrecon/internal/pt"
 	"execrecon/internal/vm"
 )
 
@@ -98,6 +97,8 @@ type Runner struct {
 	Runs int
 	// RingSize for ER tracing (default 64 MB).
 	RingSize int
+
+	rec Recorder
 }
 
 // NewRunner returns a Runner with the default model and 10 runs.
@@ -112,13 +113,6 @@ func (r *Runner) runs() int {
 	return r.Runs
 }
 
-func (r *Runner) ringSize() int {
-	if r.RingSize <= 0 {
-		return pt.DefaultRingSize
-	}
-	return r.RingSize
-}
-
 // MeasureER measures ER's monitoring overhead: the instrumented
 // module under PT-style tracing versus the pristine module without
 // monitoring. Per §5.3 the instrumented module should be the one of
@@ -130,11 +124,8 @@ func (r *Runner) MeasureER(pristine, instrumented *ir.Module, w WorkloadFunc) Su
 	var samples []Sample
 	for i := 0; i < r.runs(); i++ {
 		wl, seed := w(i)
-		base := vm.New(pristine, vm.Config{Input: wl.Clone(), Seed: seed}).Run("main")
-		ring := pt.NewRing(r.ringSize())
-		enc := pt.NewEncoder(ring)
-		traced := vm.New(instrumented, vm.Config{Input: wl.Clone(), Seed: seed, Tracer: enc}).Run("main")
-		enc.Finish()
+		base, _ := r.rec.Run(pristine, "main", wl.Clone(), seed, false, 0)
+		traced, ring := r.rec.Run(instrumented, "main", wl.Clone(), seed, true, r.RingSize)
 		extra := float64(traced.Stats.Cycles-base.Stats.Cycles) +
 			float64(ring.Written())*r.Model.PTByteCost
 		if extra < 0 {
@@ -185,7 +176,3 @@ func (r *Runner) SensitivityBufferSizes(pristine, instrumented *ir.Module, w Wor
 	r.RingSize = saved
 	return out
 }
-
-// Width re-exports ir.Width to keep the package's public surface
-// self-contained for callers that only deal with workloads.
-type Width = ir.Width

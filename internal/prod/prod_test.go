@@ -74,6 +74,9 @@ func TestBufferSizeInsensitivity(t *testing.T) {
 	r := prod.NewRunner()
 	r.Runs = 2
 	out := r.SensitivityBufferSizes(mod, nil, workload, []int{4 << 10, 1 << 20, 16 << 20})
+	if len(out) != 3 {
+		t.Fatalf("got %d results for 3 sizes: %v", len(out), out)
+	}
 	var first float64
 	i := 0
 	for _, v := range out {

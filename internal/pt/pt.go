@@ -50,12 +50,18 @@ func NewRing(capacity int) *Ring {
 	return &Ring{buf: make([]byte, capacity)}
 }
 
-// Write appends bytes, overwriting the oldest data on wrap.
+// Write appends bytes, overwriting the oldest data on wrap. A write
+// longer than the capacity keeps only its tail; the bytes it drops
+// still count as written (and so as lost).
 func (r *Ring) Write(p []byte) {
-	for _, b := range p {
-		r.buf[r.written%uint64(len(r.buf))] = b
-		r.written++
+	capacity := uint64(len(r.buf))
+	if n := uint64(len(p)); n > capacity {
+		r.written += n - capacity
+		p = p[n-capacity:]
 	}
+	head := copy(r.buf[r.written%capacity:], p)
+	copy(r.buf, p[head:])
+	r.written += uint64(len(p))
 }
 
 // Bytes returns the surviving window in write order and the number of
@@ -85,9 +91,9 @@ func (r *Ring) Bytes() (data []byte, lost uint64) {
 func (r *Ring) Written() uint64 { return r.written }
 
 // Reset rewinds the ring for reuse without reallocating its buffer.
-// Production machines (internal/prod) reuse one ring across benign
-// runs and only ship (and replace) it when a run fails, so steady
-// traffic does not allocate a fresh trace buffer per run.
+// The production recorder (internal/prod) resets its ring for every
+// traced run, so steady traffic does not allocate a fresh trace buffer
+// per run.
 func (r *Ring) Reset() { r.written = 0 }
 
 // Cap returns the ring's capacity in bytes.

@@ -172,3 +172,59 @@ func TestWrittenCount(t *testing.T) {
 		t.Errorf("written: %d", ring.Written())
 	}
 }
+
+// TestRingWriteMatchesPerByte checks the bulk Write against a per-byte
+// reference: whatever the chunk sizes (empty, one byte, around the
+// capacity, longer than it, crossing the wrap point), the surviving
+// window is the tail of everything written since the last Reset, and
+// the rest counts as lost.
+func TestRingWriteMatchesPerByte(t *testing.T) {
+	rng := rand.New(rand.NewSource(7))
+	for _, capacity := range []int{1, 2, 7, 64, 4096} {
+		ring := NewRing(capacity)
+		var history []byte // per-byte reference: every byte in write order
+		for step := 0; step < 400; step++ {
+			var n int
+			switch step % 6 {
+			case 0:
+				n = 0
+			case 1:
+				n = 1
+			case 2:
+				n = capacity - 1
+			case 3:
+				n = capacity
+			case 4:
+				n = capacity + 1
+			default:
+				n = rng.Intn(3*capacity + 2)
+			}
+			if rng.Intn(50) == 0 {
+				ring.Reset()
+				history = history[:0]
+			}
+			chunk := make([]byte, n)
+			rng.Read(chunk)
+			ring.Write(chunk)
+			for _, b := range chunk {
+				history = append(history, b)
+			}
+
+			wantLost := uint64(0)
+			window := history
+			if len(history) > capacity {
+				wantLost = uint64(len(history) - capacity)
+				window = history[len(history)-capacity:]
+			}
+			got, lost := ring.Bytes()
+			if lost != wantLost || ring.Written() != uint64(len(history)) {
+				t.Fatalf("cap %d step %d (chunk %d): lost %d written %d, want %d and %d",
+					capacity, step, n, lost, ring.Written(), wantLost, len(history))
+			}
+			if string(got) != string(window) {
+				t.Fatalf("cap %d step %d (chunk %d): window differs from the per-byte reference",
+					capacity, step, n)
+			}
+		}
+	}
+}

@@ -5,7 +5,6 @@ import (
 
 	"execrecon/internal/core"
 	"execrecon/internal/ir"
-	"execrecon/internal/pt"
 	"execrecon/internal/vm"
 )
 
@@ -34,7 +33,7 @@ type Source struct {
 	// App tags archived records' metadata.
 	App string
 
-	runIdx  int
+	src     core.GenSource // the run-until-failure loop, over Gen
 	version int
 	lastDep *ir.Module
 }
@@ -44,9 +43,6 @@ func (s *Source) Next(req core.SourceRequest) (*core.Occurrence, error) {
 	if s.Store == nil {
 		return nil, fmt.Errorf("tracestore: Source has no store")
 	}
-	if s.Gen == nil {
-		return nil, fmt.Errorf("tracestore: Source has no workload generator")
-	}
 	// Each distinct deployed module is a new rollout version, mirroring
 	// the fleet's deployment counter in the archived metadata.
 	if req.Deployed != s.lastDep {
@@ -55,53 +51,31 @@ func (s *Source) Next(req core.SourceRequest) (*core.Occurrence, error) {
 		}
 		s.lastDep = req.Deployed
 	}
-	maxRuns := req.MaxRuns
-	if maxRuns <= 0 {
-		maxRuns = 1000
+	s.src.Gen = s.Gen
+	occ, ring, err := s.src.Await(req)
+	if err != nil || ring == nil {
+		return occ, err
 	}
-	for tries := 0; tries < maxRuns; tries++ {
-		w, seed := s.Gen.Run(s.runIdx)
-		s.runIdx++
-		if !req.Traced {
-			res := vm.New(req.Deployed, vm.Config{Input: w, Seed: seed}).Run(req.Entry)
-			if res.Failure == nil {
-				continue
-			}
-			if req.Signature != nil && !res.Failure.SameSignature(req.Signature) {
-				continue
-			}
-			return &core.Occurrence{Result: res, Seed: seed}, nil
-		}
-		ring := pt.NewRing(req.RingSize)
-		enc := pt.NewEncoder(ring)
-		res := vm.New(req.Deployed, vm.Config{Input: w, Tracer: enc, Seed: seed}).Run(req.Entry)
-		if res.Failure == nil {
-			continue
-		}
-		if req.Signature != nil && !res.Failure.SameSignature(req.Signature) {
-			continue // a different bug; keep waiting for ours
-		}
-		enc.Finish()
-		seq, err := s.Store.AppendRing(res.Failure, Meta{
-			App:     s.App,
-			Version: s.version,
-			Seed:    seed,
-			Instrs:  res.Stats.Instrs,
-		}, ring)
-		if err != nil {
-			return nil, fmt.Errorf("tracestore: archive occurrence: %w", err)
-		}
-		r, err := s.Store.OpenEvents(KeyOf(res.Failure), seq)
-		if err != nil {
-			return nil, fmt.Errorf("tracestore: reopen archived occurrence: %w", err)
-		}
-		if r.Truncated() {
-			return nil, fmt.Errorf("tracestore: trace ring overflowed (%d bytes lost); increase RingSize",
-				r.Info().Meta.Lost)
-		}
-		return &core.Occurrence{Events: r, Result: res, Seed: seed}, nil
+	res := occ.Result
+	seq, err := s.Store.AppendRing(res.Failure, Meta{
+		App:     s.App,
+		Version: s.version,
+		Seed:    occ.Seed,
+		Instrs:  res.Stats.Instrs,
+	}, ring)
+	if err != nil {
+		return nil, fmt.Errorf("tracestore: archive occurrence: %w", err)
 	}
-	return nil, fmt.Errorf("tracestore: failure did not reoccur within %d runs", maxRuns)
+	r, err := s.Store.OpenEvents(KeyOf(res.Failure), seq)
+	if err != nil {
+		return nil, fmt.Errorf("tracestore: reopen archived occurrence: %w", err)
+	}
+	if r.Truncated() {
+		return nil, fmt.Errorf("tracestore: trace ring overflowed (%d bytes lost); increase RingSize",
+			r.Info().Meta.Lost)
+	}
+	occ.Events = r
+	return occ, nil
 }
 
 // ReplaySource replays already-archived occurrences of one signature
