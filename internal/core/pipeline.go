@@ -91,7 +91,7 @@ func NewPipeline(cfg Config) (*Pipeline, error) {
 		deployed:  cfg.Module,
 		rep:       &Report{},
 		deferLeft: cfg.DeferTracing,
-		tel:       newPipelineTelemetry(cfg.Telemetry),
+		tel:       newPipelineTelemetry(cfg.Telemetry, cfg.Absint || cfg.Symex.Absint),
 		root:      root,
 		stop:      solver.NewCancel(),
 		an:        dataflow.Analyze(cfg.Module),
@@ -278,14 +278,23 @@ func (p *Pipeline) Feed(occ *Occurrence) (bool, error) {
 	}
 	// Solving happens inside shepherding, so the solve span's duration
 	// is externally metered from the engine's solver wall time rather
-	// than clocked here.
-	shSpan.Child("solve",
+	// than clocked here. Its per-stage split rides as attributes, not
+	// child spans, so the span's self time stays the whole solve.
+	solveSpan := shSpan.Child("solve",
 		telemetry.A("verdict", solverVerdict(sres.Status)),
 		telemetry.A("steps", sres.Stats.SolverSteps),
-	).EndAfter(sres.Stats.SolverTime)
+	)
+	if sxOpts.Absint {
+		solveSpan.SetAttr("absint_s", sres.Stats.AbsintTime.Seconds())
+	}
+	solveSpan.SetAttr("arrayelim_s", sres.Stats.ArrayElimTime.Seconds())
+	solveSpan.SetAttr("blast_s", sres.Stats.BlastTime.Seconds())
+	solveSpan.SetAttr("cdcl_s", sres.Stats.CDCLTime.Seconds())
+	solveSpan.EndAfter(sres.Stats.SolverTime)
 	shSpan.End()
 	p.tel.shepherd().Observe(sres.Stats.Elapsed.Seconds())
 	p.tel.solve().Observe(sres.Stats.SolverTime.Seconds())
+	p.tel.observeSolverStages(sres.Stats)
 
 	switch sres.Status {
 	case symex.StatusCompleted:

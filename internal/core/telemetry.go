@@ -39,6 +39,13 @@ type pipelineTelemetry struct {
 	hInstrument *telemetry.Histogram
 	hVerify     *telemetry.Histogram
 	hWait       *telemetry.Histogram
+
+	// er_solver_stage_seconds series; hAbsint is nil unless the
+	// abstract pre-discharge pass is on.
+	hAbsint    *telemetry.Histogram
+	hArrayElim *telemetry.Histogram
+	hBlast     *telemetry.Histogram
+	hCDCL      *telemetry.Histogram
 }
 
 func (t *pipelineTelemetry) occurrences() *telemetry.Counter {
@@ -139,6 +146,18 @@ func (t *pipelineTelemetry) wait() *telemetry.Histogram {
 	return t.hWait
 }
 
+// observeSolverStages records one shepherded run's solver time split
+// by solver stage.
+func (t *pipelineTelemetry) observeSolverStages(st symex.RunStats) {
+	if t == nil {
+		return
+	}
+	t.hAbsint.ObserveDuration(st.AbsintTime)
+	t.hArrayElim.ObserveDuration(st.ArrayElimTime)
+	t.hBlast.ObserveDuration(st.BlastTime)
+	t.hCDCL.ObserveDuration(st.CDCLTime)
+}
+
 // StageHistogram resolves the shared per-stage latency histogram —
 // the one metric every layer (core, fleet drivers, CLIs) reports
 // reconstruction-loop latencies through.
@@ -147,11 +166,19 @@ func StageHistogram(reg *telemetry.Registry, stage string) *telemetry.Histogram 
 		"latency of each ER reconstruction stage", nil, telemetry.L("stage", stage))
 }
 
-func newPipelineTelemetry(reg *telemetry.Registry) *pipelineTelemetry {
+// solverStageHistogram resolves the per-run solver time of one solver
+// stage. It is a family of its own: the solve stage of
+// er_core_stage_seconds already holds the total.
+func solverStageHistogram(reg *telemetry.Registry, stage string) *telemetry.Histogram {
+	return reg.Histogram("er_solver_stage_seconds",
+		"solver wall time per shepherded run, by solver stage", nil, telemetry.L("stage", stage))
+}
+
+func newPipelineTelemetry(reg *telemetry.Registry, absint bool) *pipelineTelemetry {
 	if reg == nil {
 		return nil
 	}
-	return &pipelineTelemetry{
+	t := &pipelineTelemetry{
 		cOccurrences: reg.Counter("er_core_occurrences_total", "matching failure occurrences fed to pipelines"),
 		cIterations:  reg.Counter("er_core_iterations_total", "analysis iterations completed"),
 		cStalls:      reg.Counter("er_core_stalls_total", "iterations that stalled on a solver budget"),
@@ -167,7 +194,15 @@ func newPipelineTelemetry(reg *telemetry.Registry) *pipelineTelemetry {
 		hInstrument: StageHistogram(reg, "instrument"),
 		hVerify:     StageHistogram(reg, "verify"),
 		hWait:       StageHistogram(reg, "wait"),
+
+		hArrayElim: solverStageHistogram(reg, "arrayelim"),
+		hBlast:     solverStageHistogram(reg, "blast"),
+		hCDCL:      solverStageHistogram(reg, "cdcl"),
 	}
+	if absint {
+		t.hAbsint = solverStageHistogram(reg, "absint")
+	}
+	return t
 }
 
 // Span returns the pipeline's root reconstruction span (nil without

@@ -1,7 +1,9 @@
 package core_test
 
 import (
+	"strconv"
 	"testing"
+	"time"
 
 	"execrecon/internal/core"
 	"execrecon/internal/symex"
@@ -189,6 +191,86 @@ func TestPipelineTelemetry(t *testing.T) {
 	}
 	if nWait != rep.Occurrences {
 		t.Errorf("wait spans = %d, want %d", nWait, rep.Occurrences)
+	}
+}
+
+// TestSolverStageSplit checks the solver's per-stage split as the
+// pipeline reports it: every solve span carries arrayelim_s, blast_s
+// and cdcl_s attributes summing to at most the span's duration (the
+// engine's solver time), blasting shows up, and er_solver_stage_seconds
+// takes one sample per iteration and stage, with no absint series
+// while that pass is off.
+func TestSolverStageSplit(t *testing.T) {
+	mod := compile(t, chainSrc)
+	reg := telemetry.New()
+	tr := telemetry.NewTracer(4)
+	rep, err := core.Reproduce(core.Config{
+		Module:    mod,
+		Gen:       &core.FixedWorkload{Workload: chainWorkload(), Seed: 1},
+		Symex:     symex.Options{QueryBudget: 30_000},
+		Telemetry: reg,
+		Tracer:    tr,
+	})
+	if err != nil || !rep.Verified {
+		t.Fatalf("reproduce: %v (verified %v)", err, rep.Verified)
+	}
+	iters := int64(len(rep.Iterations))
+
+	var solves int
+	var blast float64
+	var walk func(s telemetry.SpanSnapshot)
+	walk = func(s telemetry.SpanSnapshot) {
+		if s.Name == "solve" {
+			solves++
+			var sum float64
+			for _, k := range []string{"arrayelim_s", "blast_s", "cdcl_s"} {
+				v, err := strconv.ParseFloat(s.Attrs[k], 64)
+				if err != nil || v < 0 {
+					t.Errorf("solve span %s = %q", k, s.Attrs[k])
+				}
+				sum += v
+				if k == "blast_s" {
+					blast += v
+				}
+			}
+			if _, ok := s.Attrs["absint_s"]; ok {
+				t.Errorf("solve span carries absint_s with the pass off")
+			}
+			if d := time.Duration(sum * float64(time.Second)); d > s.Duration {
+				t.Errorf("solve stages sum to %v, above the span's %v", d, s.Duration)
+			}
+		}
+		for _, c := range s.Children {
+			walk(c)
+		}
+	}
+	for _, root := range tr.Recent() {
+		walk(root)
+	}
+	if int64(solves) != iters || blast <= 0 {
+		t.Fatalf("%d solve spans over %d iterations, blast %vs", solves, iters, blast)
+	}
+
+	fam, ok := reg.Family("er_solver_stage_seconds")
+	if !ok {
+		t.Fatal("er_solver_stage_seconds not registered")
+	}
+	got := map[string]int64{}
+	for _, s := range fam.Series {
+		for _, l := range s.Labels {
+			if l.Name == "stage" && s.Hist != nil {
+				got[l.Value] = s.Hist.Count
+			}
+		}
+	}
+	want := map[string]int64{"arrayelim": iters, "blast": iters, "cdcl": iters}
+	if len(got) != len(want) {
+		t.Errorf("stage series %v, want %v", got, want)
+	}
+	for stage, n := range want {
+		if got[stage] != n {
+			t.Errorf("er_solver_stage_seconds{stage=%q} count %d, want %d", stage, got[stage], n)
+		}
 	}
 }
 

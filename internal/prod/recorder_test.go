@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"reflect"
+	"runtime"
 	"testing"
 
 	"execrecon/internal/prod"
@@ -52,6 +53,26 @@ func TestRecorderReusesRingUntilCapacityChanges(t *testing.T) {
 	}
 	if after, _ := shipped.Bytes(); !bytes.Equal(after, snap) {
 		t.Fatal("shipped ring was overwritten by a later run")
+	}
+}
+
+// TestRecorderTracedRunAllocatesWhatItRecords pins the cost of a
+// traced run to what it records: a small app on a default-capacity
+// (64 MB) ring must allocate well under 1 MB in total, so a
+// capacity-sized make per ring cannot come back unnoticed.
+func TestRecorderTracedRunAllocatesWhatItRecords(t *testing.T) {
+	mod := compileMachine(t, perfProg)
+	w, seed := workload(0)
+	var rec prod.Recorder
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	_, ring := rec.Run(mod, "main", w, seed, true, pt.DefaultRingSize)
+	runtime.ReadMemStats(&after)
+	if ring.Cap() != pt.DefaultRingSize || ring.Written() == 0 {
+		t.Fatalf("ring cap %d, %d bytes written", ring.Cap(), ring.Written())
+	}
+	if alloc := after.TotalAlloc - before.TotalAlloc; alloc >= 1<<20 {
+		t.Fatalf("traced run of %d trace bytes allocated %d bytes, want < 1 MB", ring.Written(), alloc)
 	}
 }
 

@@ -6,7 +6,8 @@
 // at scheduling boundaries (the MTC analog used for cross-thread
 // ordering, §3.4), and PTW packets for data values emitted by ptwrite
 // instrumentation. Packets stream into a fixed-capacity ring buffer
-// (64 MB in the paper); periodic PSB sync points let the decoder
+// (64 MB in the paper) whose backing grows with the bytes written, up
+// to that capacity; periodic PSB sync points let the decoder
 // resynchronize after the ring wraps, and a wrap that destroys the
 // trace prefix is reported as an overflow.
 package pt
@@ -36,10 +37,15 @@ const psbInterval = 4096
 // the paper (64 MB).
 const DefaultRingSize = 64 << 20
 
-// Ring is a byte ring buffer tracking total bytes ever written.
+// Ring is a byte ring buffer of fixed capacity tracking total bytes
+// ever written. Its backing grows with what is written, doubling up
+// to the capacity, and reaches the full capacity only on the first
+// write that wraps: a run that records a few hundred bytes into a
+// 64 MB ring costs a few hundred bytes.
 type Ring struct {
-	buf     []byte
-	written uint64
+	buf      []byte // buf[:min(written, capacity)] holds the window
+	capacity int
+	written  uint64
 }
 
 // NewRing returns a ring of the given capacity.
@@ -47,21 +53,41 @@ func NewRing(capacity int) *Ring {
 	if capacity <= 0 {
 		capacity = DefaultRingSize
 	}
-	return &Ring{buf: make([]byte, capacity)}
+	return &Ring{capacity: capacity}
 }
 
 // Write appends bytes, overwriting the oldest data on wrap. A write
 // longer than the capacity keeps only its tail; the bytes it drops
 // still count as written (and so as lost).
 func (r *Ring) Write(p []byte) {
-	capacity := uint64(len(r.buf))
+	capacity := uint64(r.capacity)
 	if n := uint64(len(p)); n > capacity {
 		r.written += n - capacity
 		p = p[n-capacity:]
 	}
+	end := r.written + uint64(len(p))
+	if end <= capacity {
+		r.reserve(int(end))
+		r.buf = append(r.buf[:r.written], p...)
+		r.written = end
+		return
+	}
+	r.reserve(r.capacity)
+	r.buf = r.buf[:r.capacity]
 	head := copy(r.buf[r.written%capacity:], p)
 	copy(r.buf, p[head:])
-	r.written += uint64(len(p))
+	r.written = end
+}
+
+// reserve makes the backing hold at least n bytes, doubling it but
+// never past the capacity. The window is kept.
+func (r *Ring) reserve(n int) {
+	if n <= cap(r.buf) {
+		return
+	}
+	b := make([]byte, len(r.buf), min(max(n, 2*cap(r.buf)), r.capacity))
+	copy(b, r.buf)
+	r.buf = b
 }
 
 // Bytes returns the surviving window in write order and the number of
@@ -74,7 +100,7 @@ func (r *Ring) Write(p []byte) {
 // persists these blobs long after the producing machine has reused its
 // ring, and TestRingBytesNoAlias pins the behavior.
 func (r *Ring) Bytes() (data []byte, lost uint64) {
-	cap64 := uint64(len(r.buf))
+	cap64 := uint64(r.capacity)
 	if r.written <= cap64 {
 		return append([]byte(nil), r.buf[:r.written]...), 0
 	}
@@ -90,14 +116,15 @@ func (r *Ring) Bytes() (data []byte, lost uint64) {
 // figure used by the overhead model).
 func (r *Ring) Written() uint64 { return r.written }
 
-// Reset rewinds the ring for reuse without reallocating its buffer.
-// The production recorder (internal/prod) resets its ring for every
-// traced run, so steady traffic does not allocate a fresh trace buffer
-// per run.
+// Reset rewinds the ring for reuse, keeping its backing. The
+// production recorder (internal/prod) resets its ring for every traced
+// run, so steady traffic does not allocate a fresh trace buffer per
+// run.
 func (r *Ring) Reset() { r.written = 0 }
 
-// Cap returns the ring's capacity in bytes.
-func (r *Ring) Cap() int { return len(r.buf) }
+// Cap returns the ring's configured capacity in bytes, however much
+// of it the backing has grown to.
+func (r *Ring) Cap() int { return r.capacity }
 
 // Encoder serializes trace events into a Ring. It implements the
 // vm.Tracer shape (the vm package defines the interface; this type

@@ -177,31 +177,45 @@ func TestWrittenCount(t *testing.T) {
 // reference: whatever the chunk sizes (empty, one byte, around the
 // capacity, longer than it, crossing the wrap point), the surviving
 // window is the tail of everything written since the last Reset, and
-// the rest counts as lost.
+// the rest counts as lost. The 64 KB case writes chunks of at most 64
+// bytes, so hundreds of writes grow the backing before the first wrap
+// extends it to the capacity; it resets once right after that wrap
+// and wraps again on the kept backing.
 func TestRingWriteMatchesPerByte(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
-	for _, capacity := range []int{1, 2, 7, 64, 4096} {
+	for _, tc := range []struct{ capacity, steps, maxChunk int }{
+		{1, 400, 0}, {2, 400, 0}, {7, 400, 0}, {64, 400, 0}, {4096, 400, 0},
+		{1 << 16, 5000, 64},
+	} {
+		capacity := tc.capacity
 		ring := NewRing(capacity)
+		if ring.Cap() != capacity {
+			t.Fatalf("cap %d: Cap() = %d before any write", capacity, ring.Cap())
+		}
 		var history []byte // per-byte reference: every byte in write order
-		for step := 0; step < 400; step++ {
+		wrapped, resetAfterWrap := false, false
+		for step := 0; step < tc.steps; step++ {
 			var n int
-			switch step % 6 {
-			case 0:
+			switch {
+			case tc.maxChunk > 0:
+				n = rng.Intn(tc.maxChunk + 1)
+			case step%6 == 0:
 				n = 0
-			case 1:
+			case step%6 == 1:
 				n = 1
-			case 2:
+			case step%6 == 2:
 				n = capacity - 1
-			case 3:
+			case step%6 == 3:
 				n = capacity
-			case 4:
+			case step%6 == 4:
 				n = capacity + 1
 			default:
 				n = rng.Intn(3*capacity + 2)
 			}
-			if rng.Intn(50) == 0 {
+			if (tc.maxChunk == 0 && rng.Intn(50) == 0) || (wrapped && !resetAfterWrap) {
 				ring.Reset()
 				history = history[:0]
+				resetAfterWrap = wrapped
 			}
 			chunk := make([]byte, n)
 			rng.Read(chunk)
@@ -215,6 +229,7 @@ func TestRingWriteMatchesPerByte(t *testing.T) {
 			if len(history) > capacity {
 				wantLost = uint64(len(history) - capacity)
 				window = history[len(history)-capacity:]
+				wrapped = true
 			}
 			got, lost := ring.Bytes()
 			if lost != wantLost || ring.Written() != uint64(len(history)) {
@@ -225,6 +240,17 @@ func TestRingWriteMatchesPerByte(t *testing.T) {
 				t.Fatalf("cap %d step %d (chunk %d): window differs from the per-byte reference",
 					capacity, step, n)
 			}
+			if ring.Cap() != capacity || cap(ring.buf) > capacity {
+				t.Fatalf("cap %d step %d: Cap() %d, backing %d", capacity, step, ring.Cap(), cap(ring.buf))
+			}
+			if !wrapped && 4*len(history) <= capacity && cap(ring.buf) >= capacity {
+				t.Fatalf("cap %d step %d: backing reached the capacity after %d bytes, before any wrap",
+					capacity, step, len(history))
+			}
+		}
+		if tc.maxChunk > 0 && (!resetAfterWrap || ring.Written() <= uint64(capacity)) {
+			t.Fatalf("cap %d: want a wrap, a reset, and a second wrap (reset %v, written %d)",
+				capacity, resetAfterWrap, ring.Written())
 		}
 	}
 }

@@ -53,24 +53,40 @@ func (t tribool) negate() tribool {
 	return tUndef
 }
 
-// clause is a disjunction of literals. learnt marks clauses derived by
-// conflict analysis, the only ones reduceLearnts may delete.
+// clause is the header of a disjunction whose literals are
+// arena[start : start+size]. learnt marks clauses derived by conflict
+// analysis, the only ones reduceLearnts may delete.
 type clause struct {
-	lits   []lit
+	start  uint32
+	size   uint32
 	learnt bool
 }
+
+// cref names a clause by its index in sat.clauses; noClause is the
+// absent reason or conflict.
+type cref int32
+
+const noClause cref = -1
 
 // sat is a CDCL SAT solver with two-watched-literal propagation,
 // first-UIP learning, VSIDS-style variable activities, and Luby
 // restarts.
+//
+// All clause literals live in one flat arena addressed by clause
+// headers, and reset rewinds every slice rather than dropping it, so
+// one sat serves query after query (see satPool) and allocates only
+// when a query outgrows every earlier one. The zero value is ready
+// for reset.
 type sat struct {
-	clauses []*clause
-	learnts []*clause
-	watches [][]*clause // indexed by lit
+	arena    []lit
+	clauses  []clause // problem and learnt clauses, in creation order
+	problems int      // number of problem (non-learnt) clauses
+	learnts  []cref
+	watches  [][]cref // indexed by lit
 
 	assigns  []tribool // indexed by var
 	level    []int
-	reason   []*clause
+	reason   []cref
 	activity []float64
 	polarity []bool // phase saving
 	varInc   float64
@@ -82,7 +98,9 @@ type sat struct {
 	heap    []int // binary max-heap of vars by activity
 	heapPos []int // var -> heap index, -1 if absent
 
-	seen []bool
+	seen   []bool
+	learnt []lit   // analyze's scratch clause
+	marks  []uint8 // reduceLearnts' per-clause marks
 
 	numVars      int
 	failed       bool
@@ -96,10 +114,33 @@ type sat struct {
 // restartBase is the Luby restart unit (conflicts).
 const restartBase = 64
 
-func newSAT(budget *Budget) *sat {
-	s := &sat{varInc: 1, budget: budget}
+// reset empties the solver for a new query metered by budget. Every
+// slice, each watch list included, keeps its capacity.
+func (s *sat) reset(budget *Budget) {
+	for i := range s.watches {
+		s.watches[i] = s.watches[i][:0]
+	}
+	*s = sat{
+		arena:    s.arena[:0],
+		clauses:  s.clauses[:0],
+		learnts:  s.learnts[:0],
+		watches:  s.watches[:0],
+		assigns:  s.assigns[:0],
+		level:    s.level[:0],
+		reason:   s.reason[:0],
+		activity: s.activity[:0],
+		polarity: s.polarity[:0],
+		varInc:   1,
+		trail:    s.trail[:0],
+		trailLim: s.trailLim[:0],
+		heap:     s.heap[:0],
+		heapPos:  s.heapPos[:0],
+		seen:     s.seen[:0],
+		learnt:   s.learnt[:0],
+		marks:    s.marks[:0],
+		budget:   budget,
+	}
 	s.newVar() // var 0 placeholder
-	return s
 }
 
 func (s *sat) newVar() int {
@@ -107,16 +148,39 @@ func (s *sat) newVar() int {
 	s.numVars++
 	s.assigns = append(s.assigns, tUndef)
 	s.level = append(s.level, 0)
-	s.reason = append(s.reason, nil)
+	s.reason = append(s.reason, noClause)
 	s.activity = append(s.activity, 0)
 	s.polarity = append(s.polarity, false)
-	s.watches = append(s.watches, nil, nil)
+	// Watch lists past the length were emptied by reset; reslicing
+	// over them keeps their capacity.
+	if n := len(s.watches); n+2 <= cap(s.watches) {
+		s.watches = s.watches[:n+2]
+	} else {
+		s.watches = append(s.watches, nil, nil)
+	}
 	s.seen = append(s.seen, false)
 	s.heapPos = append(s.heapPos, -1)
 	if v != 0 {
 		s.heapInsert(v)
 	}
 	return v
+}
+
+// lits returns clause c's literals, aliasing the arena.
+func (s *sat) lits(c cref) []lit {
+	h := s.clauses[c]
+	return s.arena[h.start : h.start+h.size : h.start+h.size]
+}
+
+// newClause copies lits into the arena and watches its first two
+// literals.
+func (s *sat) newClause(lits []lit, learnt bool) cref {
+	c := cref(len(s.clauses))
+	s.clauses = append(s.clauses, clause{start: uint32(len(s.arena)), size: uint32(len(lits)), learnt: learnt})
+	s.arena = append(s.arena, lits...)
+	s.watches[lits[0].negate()] = append(s.watches[lits[0].negate()], c)
+	s.watches[lits[1].negate()] = append(s.watches[lits[1].negate()], c)
+	return c
 }
 
 func (s *sat) value(l lit) tribool {
@@ -128,7 +192,9 @@ func (s *sat) value(l lit) tribool {
 }
 
 // addClause installs a problem clause at decision level 0; it returns
-// false if the clause system is trivially unsatisfiable.
+// false if the clause system is trivially unsatisfiable. lits is
+// filtered in place and copied into the arena, so callers may pass a
+// scratch slice.
 func (s *sat) addClause(lits []lit) bool {
 	// Remove duplicate and false literals; detect tautologies and
 	// satisfied clauses at level 0. A false return marks the solver
@@ -136,10 +202,10 @@ func (s *sat) addClause(lits []lit) bool {
 	// detection is a linear scan over the kept prefix — clauses here
 	// are Tseitin-sized (2-3 literals), and the map this used to
 	// allocate per clause dominated blasting time.
-	out := lits[:0]
+	n := 0
 outer:
 	for _, l := range lits {
-		for _, o := range out {
+		for _, o := range lits[:n] {
 			if o == l {
 				continue outer
 			}
@@ -157,9 +223,10 @@ outer:
 				continue
 			}
 		}
-		out = append(out, l)
+		lits[n] = l
+		n++
 	}
-	lits = out
+	lits = lits[:n]
 	switch len(lits) {
 	case 0:
 		s.failed = true
@@ -170,26 +237,20 @@ outer:
 			return false
 		}
 		if s.value(lits[0]) == tUndef {
-			s.uncheckedEnqueue(lits[0], nil)
+			s.uncheckedEnqueue(lits[0], noClause)
 		}
-		if s.propagate() != nil {
+		if s.propagate() != noClause {
 			s.failed = true
 			return false
 		}
 		return true
 	}
-	c := &clause{lits: append([]lit(nil), lits...)}
-	s.clauses = append(s.clauses, c)
-	s.watchClause(c)
+	s.newClause(lits, false)
+	s.problems++
 	return true
 }
 
-func (s *sat) watchClause(c *clause) {
-	s.watches[c.lits[0].negate()] = append(s.watches[c.lits[0].negate()], c)
-	s.watches[c.lits[1].negate()] = append(s.watches[c.lits[1].negate()], c)
-}
-
-func (s *sat) uncheckedEnqueue(l lit, from *clause) {
+func (s *sat) uncheckedEnqueue(l lit, from cref) {
 	v := l.vindex()
 	if l.sign() {
 		s.assigns[v] = tFalse
@@ -204,36 +265,37 @@ func (s *sat) uncheckedEnqueue(l lit, from *clause) {
 func (s *sat) decisionLevel() int { return len(s.trailLim) }
 
 // propagate performs unit propagation; it returns the conflicting
-// clause or nil.
-func (s *sat) propagate() *clause {
+// clause or noClause.
+func (s *sat) propagate() cref {
 	for s.qhead < len(s.trail) {
 		p := s.trail[s.qhead]
 		s.qhead++
 		s.propagations++
 		ws := s.watches[p]
 		kept := ws[:0]
-		var conflict *clause
+		conflict := noClause
 		for wi := 0; wi < len(ws); wi++ {
 			c := ws[wi]
-			if conflict != nil {
+			if conflict != noClause {
 				kept = append(kept, c)
 				continue
 			}
-			// Ensure the false literal is lits[1].
-			if c.lits[0] == p.negate() {
-				c.lits[0], c.lits[1] = c.lits[1], c.lits[0]
+			cl := s.lits(c)
+			// Ensure the false literal is cl[1].
+			if cl[0] == p.negate() {
+				cl[0], cl[1] = cl[1], cl[0]
 			}
-			// Clause already satisfied by lits[0]?
-			if s.value(c.lits[0]) == tTrue {
+			// Clause already satisfied by cl[0]?
+			if s.value(cl[0]) == tTrue {
 				kept = append(kept, c)
 				continue
 			}
 			// Look for a new literal to watch.
 			found := false
-			for i := 2; i < len(c.lits); i++ {
-				if s.value(c.lits[i]) != tFalse {
-					c.lits[1], c.lits[i] = c.lits[i], c.lits[1]
-					s.watches[c.lits[1].negate()] = append(s.watches[c.lits[1].negate()], c)
+			for i := 2; i < len(cl); i++ {
+				if s.value(cl[i]) != tFalse {
+					cl[1], cl[i] = cl[i], cl[1]
+					s.watches[cl[1].negate()] = append(s.watches[cl[1].negate()], c)
 					found = true
 					break
 				}
@@ -243,25 +305,26 @@ func (s *sat) propagate() *clause {
 			}
 			// Unit or conflicting.
 			kept = append(kept, c)
-			if s.value(c.lits[0]) == tFalse {
+			if s.value(cl[0]) == tFalse {
 				conflict = c
 				s.qhead = len(s.trail)
 			} else {
-				s.uncheckedEnqueue(c.lits[0], c)
+				s.uncheckedEnqueue(cl[0], c)
 			}
 		}
 		s.watches[p] = kept
-		if conflict != nil {
+		if conflict != noClause {
 			return conflict
 		}
 	}
-	return nil
+	return noClause
 }
 
 // analyze performs first-UIP conflict analysis, returning the learnt
-// clause (asserting literal first) and the backtrack level.
-func (s *sat) analyze(conflict *clause) ([]lit, int) {
-	learnt := []lit{litUndef}
+// clause (asserting literal first) and the backtrack level. The
+// clause is the solver's scratch buffer, valid until the next call.
+func (s *sat) analyze(conflict cref) ([]lit, int) {
+	learnt := append(s.learnt[:0], litUndef)
 	counter := 0
 	var p lit = litUndef
 	idx := len(s.trail) - 1
@@ -271,7 +334,7 @@ func (s *sat) analyze(conflict *clause) ([]lit, int) {
 		if p != litUndef {
 			start = 1
 		}
-		for _, q := range c.lits[start:] {
+		for _, q := range s.lits(c)[start:] {
 			v := q.vindex()
 			if !s.seen[v] && s.level[v] > 0 {
 				s.seen[v] = true
@@ -313,6 +376,7 @@ func (s *sat) analyze(conflict *clause) ([]lit, int) {
 	for _, q := range learnt {
 		s.seen[q.vindex()] = false
 	}
+	s.learnt = learnt
 	return learnt, bt
 }
 
@@ -340,7 +404,7 @@ func (s *sat) backtrackTo(level int) {
 		v := s.trail[i].vindex()
 		s.polarity[v] = s.assigns[v] == tTrue
 		s.assigns[v] = tUndef
-		s.reason[v] = nil
+		s.reason[v] = noClause
 		if s.heapPos[v] < 0 {
 			s.heapInsert(v)
 		}
@@ -449,10 +513,10 @@ func (s *sat) solve() satResult {
 	var restarts int64
 	conflictsUntilRestart := luby(1) * restartBase
 	var conflictCount int64
-	maxLearnts := len(s.clauses)/2 + 1000
+	maxLearnts := s.problems/2 + 1000
 	for {
 		conflict := s.propagate()
-		if conflict != nil {
+		if conflict != noClause {
 			s.conflicts++
 			conflictCount++
 			if s.budget != nil && !s.budget.spend(50) {
@@ -467,11 +531,10 @@ func (s *sat) solve() satResult {
 			learnt, bt := s.analyze(conflict)
 			s.backtrackTo(bt)
 			if len(learnt) == 1 {
-				s.uncheckedEnqueue(learnt[0], nil)
+				s.uncheckedEnqueue(learnt[0], noClause)
 			} else {
-				c := &clause{lits: learnt, learnt: true}
+				c := s.newClause(learnt, true)
 				s.learnts = append(s.learnts, c)
-				s.watchClause(c)
 				s.uncheckedEnqueue(learnt[0], c)
 			}
 			s.decayActivities()
@@ -496,39 +559,50 @@ func (s *sat) solve() satResult {
 		}
 		s.decisions++
 		s.trailLim = append(s.trailLim, len(s.trail))
-		s.uncheckedEnqueue(mkLit(v, !s.polarity[v]), nil)
+		s.uncheckedEnqueue(mkLit(v, !s.polarity[v]), noClause)
 	}
 }
 
-// reduceLearnts drops roughly half of the learnt clauses (the longer
-// ones), keeping reason clauses.
+// reduceLearnts drops the older half of the learnt clauses, sparing
+// binary clauses and clauses that are the reason for a current
+// assignment. The arena space of a dropped clause is reclaimed only
+// by the next reset.
 func (s *sat) reduceLearnts() {
-	locked := make(map[*clause]bool)
+	const (
+		locked uint8 = 1
+		drop   uint8 = 2
+	)
+	if n := len(s.clauses); cap(s.marks) >= n {
+		s.marks = s.marks[:n]
+		clear(s.marks)
+	} else {
+		s.marks = make([]uint8, n)
+	}
 	for _, c := range s.reason {
-		if c != nil && c.learnt {
-			locked[c] = true
+		if c != noClause && s.clauses[c].learnt {
+			s.marks[c] = locked
 		}
 	}
-	// Simple policy: keep binary clauses and the shorter half.
 	kept := s.learnts[:0]
-	removed := make(map[*clause]bool)
+	dropped := false
 	n := len(s.learnts)
 	for i, c := range s.learnts {
-		if locked[c] || len(c.lits) <= 2 || i >= n/2 {
+		if s.marks[c] == locked || s.clauses[c].size <= 2 || i >= n/2 {
 			kept = append(kept, c)
 		} else {
-			removed[c] = true
+			s.marks[c] = drop
+			dropped = true
 		}
 	}
 	s.learnts = kept
-	if len(removed) == 0 {
+	if !dropped {
 		return
 	}
 	for li := range s.watches {
 		ws := s.watches[li]
 		out := ws[:0]
 		for _, c := range ws {
-			if !removed[c] {
+			if s.marks[c] != drop {
 				out = append(out, c)
 			}
 		}

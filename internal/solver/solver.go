@@ -3,6 +3,7 @@ package solver
 import (
 	"fmt"
 	"strings"
+	"sync"
 	"time"
 
 	"execrecon/internal/absint"
@@ -77,7 +78,24 @@ type Stats struct {
 	// AbsintBits counts variable bits pinned to constants during
 	// blasting from abstract known-bits facts.
 	AbsintBits int
+	// Absint, ArrayElim, Blast and CDCL are the wall time of each
+	// solver stage (Absint only with Options.Absint). A stage cut
+	// short by the budget still reports its time; fast paths and
+	// model extraction belong to none, so the four sum to at most
+	// Elapsed.
+	Absint    time.Duration
+	ArrayElim time.Duration
+	Blast     time.Duration
+	CDCL      time.Duration
 }
+
+// satPool recycles SAT workspaces across Solve calls. A symex engine
+// issues only a couple of queries, so a workspace per Solver would
+// rarely be reused; the pool lets every query in the process grow the
+// same few arenas instead of allocating its own. Solve returns its
+// workspace only after the stats and the model have been read from
+// it.
+var satPool = sync.Pool{New: func() any { return new(sat) }}
 
 // Solver decides conjunctions of bitvector/array constraints built
 // with a shared expr.Builder. Each Solve call is independent.
@@ -98,6 +116,14 @@ func (s *Solver) LastStats() Stats { return s.last }
 // Solve decides the conjunction of cs. On ResultSat the returned
 // assignment satisfies every constraint; on other results it is nil.
 func (s *Solver) Solve(cs []*expr.Expr) (Result, *expr.Assignment, error) {
+	ws := satPool.Get().(*sat)
+	defer satPool.Put(ws)
+	return s.solve(cs, ws)
+}
+
+// solve is Solve on the SAT workspace ws, which it resets before
+// blasting.
+func (s *Solver) solve(cs []*expr.Expr, ws *sat) (Result, *expr.Assignment, error) {
 	start := time.Now()
 	budget := &Budget{MaxSteps: s.opts.MaxSteps, Timeout: s.opts.Timeout, Stop: s.opts.Stop}
 	s.last = Stats{}
@@ -112,7 +138,7 @@ func (s *Solver) Solve(cs []*expr.Expr) (Result, *expr.Assignment, error) {
 		s.last.Elapsed = time.Since(start)
 		if core != nil {
 			s.last.SATVars = core.numVars
-			s.last.SATClauses = len(core.clauses)
+			s.last.SATClauses = core.problems
 			s.last.Propagations = core.propagations
 			s.last.Conflicts = core.conflicts
 			s.last.Decisions = core.decisions
@@ -142,7 +168,9 @@ func (s *Solver) Solve(cs []*expr.Expr) (Result, *expr.Assignment, error) {
 	// already validated concretely against the constraints.
 	var narrow map[string]absint.Val
 	if s.opts.Absint {
+		t := time.Now()
 		aq := absint.AnalyzeQuery(remaining, absint.QueryOptions{WantModel: true})
+		s.last.Absint = time.Since(t)
 		switch aq.Verdict {
 		case absint.VerdictUnsat:
 			s.last.AbsintDischarged = true
@@ -155,8 +183,10 @@ func (s *Solver) Solve(cs []*expr.Expr) (Result, *expr.Assignment, error) {
 	}
 
 	// Stage 1: array elimination.
+	t := time.Now()
 	elim := newArrayElim(s.b, budget)
 	pure, err := elim.run(remaining)
+	s.last.ArrayElim = time.Since(t)
 	if err != nil {
 		if err == errBudget {
 			return ResultUnknown, nil, nil
@@ -165,7 +195,9 @@ func (s *Solver) Solve(cs []*expr.Expr) (Result, *expr.Assignment, error) {
 	}
 
 	// Stage 2: bit blasting, with query-refined variable bits pinned.
-	core = newSAT(budget)
+	t = time.Now()
+	core = ws
+	core.reset(budget)
 	bl := newBlaster(core, budget)
 	bl.narrow = narrow
 	unsatEarly := false
@@ -183,6 +215,7 @@ func (s *Solver) Solve(cs []*expr.Expr) (Result, *expr.Assignment, error) {
 		}
 	}
 	s.last.AbsintBits = bl.bitsNarrowed
+	s.last.Blast = time.Since(t)
 	if bl.err == errBudget {
 		return ResultUnknown, nil, nil
 	}
@@ -194,7 +227,10 @@ func (s *Solver) Solve(cs []*expr.Expr) (Result, *expr.Assignment, error) {
 	}
 
 	// Stage 3: CDCL.
-	switch core.solve() {
+	t = time.Now()
+	verdict := core.solve()
+	s.last.CDCL = time.Since(t)
+	switch verdict {
 	case satUnsat:
 		return ResultUnsat, nil, nil
 	case satUnknown:

@@ -144,6 +144,13 @@ type RunStats struct {
 	// SolverTime is the cumulative wall time spent inside solver
 	// queries.
 	SolverTime time.Duration
+	// AbsintTime, ArrayElimTime, BlastTime and CDCLTime split
+	// SolverTime by solver stage (solver.Stats); they sum to at most
+	// SolverTime.
+	AbsintTime    time.Duration
+	ArrayElimTime time.Duration
+	BlastTime     time.Duration
+	CDCLTime      time.Duration
 	// SATVars/SATClauses accumulate the CNF size reported by every
 	// query: the total blasted volume, the quantity the absint
 	// experiment compares with narrowing on/off.
@@ -228,6 +235,10 @@ type Engine struct {
 	queries       int64
 	qsteps        int64
 	qtime         time.Duration
+	qabsint       time.Duration
+	qelim         time.Duration
+	qblast        time.Duration
+	qcdcl         time.Duration
 	start         time.Time
 	progress      []ProgressPoint
 	stallExpr     *expr.Expr
@@ -382,6 +393,10 @@ func (e *Engine) Run(entry string) *Result {
 		SolverQueries:    e.queries,
 		SolverSteps:      e.qsteps,
 		SolverTime:       e.qtime,
+		AbsintTime:       e.qabsint,
+		ArrayElimTime:    e.qelim,
+		BlastTime:        e.qblast,
+		CDCLTime:         e.qcdcl,
 		SATVars:          e.satVars,
 		SATClauses:       e.satClauses,
 		AbsintDischarged: e.absDischarged,
@@ -449,6 +464,10 @@ func (e *Engine) solve(extra ...*expr.Expr) (solver.Result, *expr.Assignment, er
 	st := e.sol.LastStats()
 	e.qsteps += st.Steps
 	e.qtime += st.Elapsed
+	e.qabsint += st.Absint
+	e.qelim += st.ArrayElim
+	e.qblast += st.Blast
+	e.qcdcl += st.CDCL
 	e.satVars += int64(st.SATVars)
 	e.satClauses += int64(st.SATClauses)
 	if st.AbsintDischarged {
