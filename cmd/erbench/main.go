@@ -24,13 +24,6 @@
 //	          compression over archived reoccurrences, ingest
 //	          throughput, and verdict parity when every trace is read
 //	          back through the store's streaming reader
-//	absint    abstract-interpretation ablation: each bug reproduced
-//	          with the interval/known-bits pre-pass off vs on,
-//	          comparing verdict parity, abstractly-discharged query
-//	          rate, CNF size reduction from bit-pinning, cumulative
-//	          solver time, and statically mined invariants verified on
-//	          the reproduced input (-absint-widen tunes the fixpoint
-//	          widening threshold)
 //	telemetry telemetry overhead smoke: each bug reproduced with the
 //	          metrics registry + span tracer off vs on (min-of-N wall
 //	          clock), asserting verdict parity and < 5% overhead, plus
@@ -50,10 +43,7 @@
 //	          whole population through the fleet under mixed
 //	          benign/failing traffic, reporting per-pattern
 //	          reproduction rates, iteration counts, and recording-cost
-//	          distributions; -absint runs the population with the
-//	          abstract-interpretation pre-pass enabled across every
-//	          pipeline (discharge, narrowed blasting, provable lint,
-//	          invariant mining)
+//	          distributions
 //	all       everything above
 //
 // -json <dir> additionally writes the telemetry experiment's
@@ -75,7 +65,7 @@ import (
 var experiments = []string{
 	"fig1", "table1", "offline", "fig5", "fig6", "random",
 	"accuracy", "rept", "mimic", "ablation", "mt", "fleet",
-	"tracestore", "absint", "telemetry",
+	"tracestore", "telemetry",
 	"obs", "corpus",
 }
 
@@ -101,8 +91,6 @@ func main() {
 	killAfter := flag.Duration("kill-after", 0, "with -nodes >= 2, kill -9 one triage node this long into an extra chaos run (all buckets must still resolve via lease re-dispatch)")
 	pace := flag.Duration("pace", 0, "production-run spacing per producer machine in the fleet, obs and corpus experiments (0 = default: 100ms for fleet and obs, 200µs for corpus)")
 	trials := flag.Int("trials", 0, "timed repetitions per mode for the telemetry and obs experiments (0 = default 3)")
-	useAbsint := flag.Bool("absint", false, "enable the abstract-interpretation pre-pass across the corpus experiment's pipelines")
-	absintWiden := flag.Int("absint-widen", 0, "fixpoint widening threshold for the abstract pass (0 = default)")
 	corpusN := flag.Int("corpus-n", 200, "generated scenarios for the corpus experiment")
 	seed := flag.Int64("seed", 1, "generation master seed for the corpus experiment")
 	maxOverhead := flag.Float64("max-overhead", 5.0, "telemetry experiment failure threshold in percent")
@@ -162,29 +150,6 @@ func main() {
 	}
 	if *trials < 0 {
 		fmt.Fprintf(os.Stderr, "erbench: -trials must be >= 0 (got %d)\n", *trials)
-		os.Exit(2)
-	}
-	// Abstract-pass knobs: the ablation *is* the off-vs-on comparison,
-	// so explicitly forcing -absint=false alongside -exp absint is a
-	// contradiction; a negative widening threshold would never
-	// stabilize the fixpoint; and tuning the threshold is meaningless
-	// when nothing runs the pass.
-	absintSet := false
-	flag.Visit(func(f *flag.Flag) {
-		if f.Name == "absint" {
-			absintSet = true
-		}
-	})
-	if absintSet && !*useAbsint && *exp == "absint" {
-		fmt.Fprintln(os.Stderr, "erbench: -absint=false contradicts -exp absint (the ablation runs the pass by definition)")
-		os.Exit(2)
-	}
-	if *absintWiden < 0 {
-		fmt.Fprintf(os.Stderr, "erbench: -absint-widen must be >= 0 (got %d)\n", *absintWiden)
-		os.Exit(2)
-	}
-	if *absintWiden > 0 && !*useAbsint && *exp != "absint" && *exp != "all" {
-		fmt.Fprintln(os.Stderr, "erbench: -absint-widen requires -exp absint or -absint")
 		os.Exit(2)
 	}
 	if *maxOverhead <= 0 {
@@ -400,28 +365,6 @@ func main() {
 		}
 		fmt.Fprintln(out)
 	}
-	if run("absint") {
-		fmt.Fprintln(out, "== abstract-interpretation ablation (pre-pass off vs on) ==")
-		opts := bench.AbsintOptions{Widen: *absintWiden}
-		if *app != "" {
-			opts.Only = []string{*app}
-		}
-		if log != nil {
-			opts.Log = log
-		}
-		r, err := bench.RunAbsint(opts)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "absint:", err)
-			ok = false
-		} else {
-			bench.RenderAbsint(out, r)
-			if !r.AllVerdictsMatch {
-				fmt.Fprintln(os.Stderr, "absint: verdict parity violated (see table)")
-				ok = false
-			}
-		}
-		fmt.Fprintln(out)
-	}
 	if run("telemetry") {
 		fmt.Fprintln(out, "== telemetry overhead: registry + span tracer off vs on ==")
 		opts := bench.TelemetryOptions{Trials: *trials}
@@ -510,12 +453,10 @@ func main() {
 	if run("corpus") {
 		fmt.Fprintln(out, "== population-scale reproduction over generated scenarios ==")
 		opts := bench.CorpusOptions{
-			N:           *corpusN,
-			Seed:        uint64(*seed),
-			Workers:     *workers,
-			Pace:        *pace,
-			Absint:      *useAbsint,
-			AbsintWiden: *absintWiden,
+			N:       *corpusN,
+			Seed:    uint64(*seed),
+			Workers: *workers,
+			Pace:    *pace,
 		}
 		if log != nil {
 			opts.Log = log

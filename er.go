@@ -131,7 +131,7 @@ func Lint(mod *Module) []Finding {
 // branches. OOB and overflow proofs are error-level (ErrorLevel);
 // always-true/false branches stay advisory.
 func LintProvable(mod *Module) []Finding {
-	return absint.Lint(mod, absint.Config{})
+	return absint.Lint(mod)
 }
 
 // ErrorLevel reports whether a lint rule is error-level — a proven

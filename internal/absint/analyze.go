@@ -7,36 +7,22 @@ import (
 	"execrecon/internal/ir"
 )
 
-// Config tunes the fixpoint iteration.
-type Config struct {
-	// WidenAfter is the number of visits of a loop head before
-	// widening kicks in (default 8). Lower converges faster but
-	// loses bound precision inside loops.
-	WidenAfter int
-	// MaxFuncRuns caps interprocedural re-analyses before the
-	// analyzer bails out to the sound one-pass Top approximation
-	// (default 64 per function).
-	MaxFuncRuns int
-}
-
-func (c Config) withDefaults() Config {
-	if c.WidenAfter <= 0 {
-		c.WidenAfter = 8
-	}
-	if c.MaxFuncRuns <= 0 {
-		c.MaxFuncRuns = 64
-	}
-	return c
-}
+const (
+	// widenAfter is the number of visits of a loop head before
+	// widening kicks in. Lower converges faster but loses bound
+	// precision inside loops.
+	widenAfter = 8
+	// maxFuncRuns caps interprocedural re-analyses per function
+	// before the analyzer bails out to the sound one-pass Top
+	// approximation.
+	maxFuncRuns = 64
+)
 
 // FuncFacts is the per-function fixpoint result.
 type FuncFacts struct {
 	F     *ir.Func
 	Index int
 	CFG   *dataflow.CFG
-	// Params over-approximates the arguments of every call that can
-	// reach this function (Top for roots).
-	Params []Val
 	// Ret over-approximates every returned value (Bottom if the
 	// function never returns).
 	Ret Val
@@ -55,7 +41,6 @@ type FuncFacts struct {
 // ModuleFacts is the whole-module fixpoint result.
 type ModuleFacts struct {
 	Mod   *ir.Module
-	Entry string
 	Funcs map[string]*FuncFacts
 }
 
@@ -83,7 +68,6 @@ type fstate struct {
 
 type analyzer struct {
 	mod     *ir.Module
-	cfg     Config
 	states  []*fstate
 	byName  map[string]*fstate
 	callers map[string]map[string]bool
@@ -96,14 +80,13 @@ type analyzer struct {
 // matching an indirect-call arity are rooted with Top parameters.
 // An empty entry roots every function (the mode used for lint, whose
 // findings must hold for any entry point).
-func AnalyzeModule(mod *ir.Module, entry string, cfg Config) *ModuleFacts {
+func AnalyzeModule(mod *ir.Module, entry string) *ModuleFacts {
 	a := &analyzer{
 		mod:     mod,
-		cfg:     cfg.withDefaults(),
 		byName:  make(map[string]*fstate, len(mod.Funcs)),
 		callers: make(map[string]map[string]bool),
 	}
-	mf := &ModuleFacts{Mod: mod, Entry: entry, Funcs: make(map[string]*FuncFacts, len(mod.Funcs))}
+	mf := &ModuleFacts{Mod: mod, Funcs: make(map[string]*FuncFacts, len(mod.Funcs))}
 
 	// Collect indirect-call arities: the VM lets an icall reach any
 	// function of matching arity, so those must stay Top-rooted.
@@ -145,7 +128,7 @@ func AnalyzeModule(mod *ir.Module, entry string, cfg Config) *ModuleFacts {
 	}
 
 	total := 0
-	budget := a.cfg.MaxFuncRuns * (len(a.states) + 1)
+	budget := maxFuncRuns * (len(a.states) + 1)
 	for len(a.queue) > 0 {
 		st := a.queue[0]
 		a.queue = a.queue[1:]
@@ -159,7 +142,6 @@ func AnalyzeModule(mod *ir.Module, entry string, cfg Config) *ModuleFacts {
 	}
 
 	for _, st := range a.states {
-		st.ff.Params = st.params
 		st.ff.Ret = st.ret
 		st.ff.Reached = st.reached
 	}
@@ -198,7 +180,7 @@ func (a *analyzer) bailout() {
 
 func (a *analyzer) runFunc(st *fstate) {
 	st.runs++
-	if st.runs > a.cfg.MaxFuncRuns {
+	if st.runs > maxFuncRuns {
 		return // bounded by the global budget bailout
 	}
 	a.runFuncOnce(st, false)
@@ -307,7 +289,7 @@ func (a *analyzer) runFuncOnce(st *fstate, topCallees bool) {
 				nw = e.env
 			} else {
 				nw = joinEnv(cur, e.env)
-				if visits[e.to] >= a.cfg.WidenAfter && cfg.RPONum(b) >= cfg.RPONum(e.to) {
+				if visits[e.to] >= widenAfter && cfg.RPONum(b) >= cfg.RPONum(e.to) {
 					nw = widenEnv(cur, nw)
 				}
 				if envEq(cur, nw) {
@@ -385,7 +367,7 @@ func (a *analyzer) recordCall(caller *fstate, callee string, args []Val) *fstate
 			av = ConstV(0, 64) // missing args read as zeroed registers
 		}
 		nv := st.params[i].Join(av, 64)
-		if st.paramJoins > a.cfg.WidenAfter*4 {
+		if st.paramJoins > widenAfter*4 {
 			nv = st.params[i].Widen(nv, 64)
 		}
 		if nv != st.params[i] {

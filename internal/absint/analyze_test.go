@@ -19,7 +19,7 @@ func checkSound(t *testing.T, src string, loads []*vm.Workload) {
 	if err != nil {
 		t.Fatalf("compile: %v", err)
 	}
-	mf := absint.AnalyzeModule(mod, "main", absint.Config{})
+	mf := absint.AnalyzeModule(mod, "main")
 	for i, w := range loads {
 		var bad []string
 		cfg := vm.Config{
@@ -150,7 +150,7 @@ func TestLintProvableOOB(t *testing.T) {
 	f.Blocks = []*ir.Block{b0}
 	mod.AddFunc(f)
 
-	fs := absint.Lint(mod, absint.Config{})
+	fs := absint.Lint(mod)
 	fd := findRule(fs, dataflow.RuleProvableOOB)
 	if fd == nil {
 		t.Fatalf("no provable-oob finding in %v", fs)
@@ -175,7 +175,7 @@ func TestLintProvableOverflow(t *testing.T) {
 	f.Blocks = []*ir.Block{b0}
 	mod.AddFunc(f)
 
-	fs := absint.Lint(mod, absint.Config{})
+	fs := absint.Lint(mod)
 	if findRule(fs, dataflow.RuleProvableOverflow) == nil {
 		t.Fatalf("no provable-overflow finding in %v", fs)
 	}
@@ -200,7 +200,7 @@ func TestLintAlwaysBranch(t *testing.T) {
 	f.Blocks = []*ir.Block{b0, b1, b2}
 	mod.AddFunc(f)
 
-	fs := absint.Lint(mod, absint.Config{})
+	fs := absint.Lint(mod)
 	fd := findRule(fs, dataflow.RuleAlwaysBranch)
 	if fd == nil {
 		t.Fatalf("no always-branch finding in %v", fs)
@@ -236,36 +236,10 @@ func main() int { return fib(input32("n") & 15); }`,
 		if err != nil {
 			t.Fatalf("compile %d: %v", i, err)
 		}
-		for _, fd := range absint.Lint(mod, absint.Config{}) {
+		for _, fd := range absint.Lint(mod) {
 			if dataflow.ErrorLevel(fd.Rule) {
 				t.Errorf("program %d: spurious %v", i, fd)
 			}
-		}
-	}
-}
-
-// TestMineVerify: mined static candidates hold on the concrete runs
-// they are checked against.
-func TestMineVerify(t *testing.T) {
-	src := `
-func clamp(int v) int {
-	if (v < 0) { return 0; }
-	if (v > 99) { return 99; }
-	return v;
-}
-func main() int { return clamp(input32("v")); }`
-	mod, err := minc.Compile("t", src)
-	if err != nil {
-		t.Fatalf("compile: %v", err)
-	}
-	mf := absint.AnalyzeModule(mod, "main", absint.Config{})
-	cands := absint.Mine(mf)
-	if len(cands) == 0 {
-		t.Fatalf("no mined candidates")
-	}
-	for _, c := range cands {
-		if c.Min > c.Max {
-			t.Fatalf("inverted bound %+v", c)
 		}
 	}
 }

@@ -1,17 +1,16 @@
-// Package absint is a fixpoint abstract interpreter over the minc IR
-// and the solver's expression language. It computes, for every value,
-// an unsigned interval [Lo,Hi] combined with a known-bits mask
-// (value&Mask == Bits), plus pointer provenance for packed addresses.
+// Package absint is a fixpoint abstract interpreter over the minc IR.
+// It computes, for every register value, an unsigned interval [Lo,Hi]
+// combined with a known-bits mask (value&Mask == Bits), plus pointer
+// provenance for packed addresses.
 // The domains over-approximate the concrete VM semantics (vm.EvalBin
 // and the opcode semantics in vm/exec.go), which is the soundness
 // contract checked end-to-end by FuzzAbsintSoundness: no concrete
 // execution ever escapes the computed facts.
 //
-// The facts feed four consumers: solver pre-discharge (deciding
-// queries without CDCL), width-narrowed bit-blasting (pinning known
-// CNF bits), static invariant mining (candidates for
-// internal/invariants), and provable lint (errors for code that must
-// fail on every execution reaching it).
+// The facts have one consumer: provable lint (Lint), which reports
+// code that must fail on every execution reaching it. The compiler
+// (minc.CompileWithLint) and the er.Lint/LintProvable API run it; no
+// reconstruction path does.
 package absint
 
 import (
@@ -97,14 +96,6 @@ func (v Val) Contains(x uint64) bool {
 		v = v.Full()
 	}
 	return v.Lo <= x && x <= v.Hi && x&v.Mask == v.Bits
-}
-
-// KnownBitCount is the number of pinned bits within w.
-func (v Val) KnownBitCount(w uint) int {
-	if v.bot {
-		return 0
-	}
-	return bits.OnesCount64(v.Mask & mask(w))
 }
 
 const objShift = 32

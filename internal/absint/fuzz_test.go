@@ -15,9 +15,9 @@ import (
 // that definition. Any escape is an unsound transfer function.
 func FuzzAbsintSoundness(f *testing.F) {
 	for _, s := range []uint64{1, 42, 1337, 99991, 0xdeadbeef} {
-		f.Add(s, uint8(8))
+		f.Add(s)
 	}
-	f.Fuzz(func(t *testing.T, seed uint64, widen uint8) {
+	f.Fuzz(func(t *testing.T, seed uint64) {
 		scens, _, err := corpus.Generate(corpus.GenConfig{
 			N: 1, Seed: seed, Attempts: 4,
 		})
@@ -29,8 +29,7 @@ func FuzzAbsintSoundness(f *testing.F) {
 		if err != nil {
 			t.Skipf("module: %v", err)
 		}
-		cfg := absint.Config{WidenAfter: int(widen%16) + 1}
-		mf := absint.AnalyzeModule(mod, "main", cfg)
+		mf := absint.AnalyzeModule(mod, "main")
 
 		check := func(w *vm.Workload, schedSeed int64, label string) {
 			var bad string

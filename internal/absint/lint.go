@@ -13,13 +13,8 @@ import (
 // of entry point). Error-level rules (dataflow.ErrorLevel) flag
 // instructions that fail on every execution reaching them; the
 // always-branch rule is advisory.
-func Lint(mod *ir.Module, cfg Config) []dataflow.Finding {
-	mf := AnalyzeModule(mod, "", cfg)
-	return LintFacts(mf)
-}
-
-// LintFacts derives provable findings from an existing fixpoint.
-func LintFacts(mf *ModuleFacts) []dataflow.Finding {
+func Lint(mod *ir.Module) []dataflow.Finding {
+	mf := AnalyzeModule(mod, "")
 	var out []dataflow.Finding
 	for _, f := range mf.Mod.Funcs {
 		ff := mf.Funcs[f.Name]

@@ -7,12 +7,11 @@ import (
 	"execrecon/internal/vm"
 )
 
-// Transfer functions for the w-bit operations shared by the IR and
-// expression layers. Operands are first masked to w bits (mirroring
-// the VM's msk) by the callers; each function returns the w-bit
-// result abstraction. Every function must over-approximate
-// vm.EvalBin — that contract is fuzzed by FuzzAbsintSoundness and
-// TestOpsDifferential.
+// Transfer functions for the w-bit IR operations. Operands are first
+// masked to w bits (mirroring the VM's msk) by the callers; each
+// function returns the w-bit result abstraction. Every function must
+// over-approximate vm.EvalBin — that contract is fuzzed by
+// FuzzAbsintSoundness and TestOpsDifferential.
 
 // addKnownBits runs a bitwise ripple-carry over the known bits of a
 // and b with known carry-in, returning the known mask/bits of a+b.

@@ -34,7 +34,7 @@ func TestCorpusLintClean(t *testing.T) {
 		// advisory always-branch notes on guard idioms, but an
 		// error-level proof — oob or overflow on every input — would
 		// mean a shipped app is statically broken.
-		for _, f := range absint.Lint(mod, absint.Config{}) {
+		for _, f := range absint.Lint(mod) {
 			if dataflow.ErrorLevel(f.Rule) {
 				t.Errorf("%s: %s", a.Name, f)
 			}

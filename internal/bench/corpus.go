@@ -41,12 +41,6 @@ type CorpusOptions struct {
 	Telemetry  *telemetry.Registry
 	Tracer     *telemetry.Tracer
 	ListenAddr string
-	// Absint enables the abstract-interpretation pre-pass (solver
-	// pre-discharge, narrowed blasting, registration-time provable
-	// lint) across the whole population's pipelines; AbsintWiden is
-	// its widening threshold (0 = default).
-	Absint      bool
-	AbsintWiden int
 	// Log receives generation and fleet progress lines.
 	Log io.Writer
 }
@@ -110,15 +104,6 @@ type CorpusResult struct {
 	Unresolved int
 	// TimedOut reports whether the fleet hit its timeout.
 	TimedOut bool
-	// Absint echoes CorpusOptions.Absint; the counters below then
-	// aggregate the abstract pass's work across the population:
-	// queries discharged without CDCL, registration-time provable
-	// lint findings, and static invariants mined/verified.
-	Absint           bool
-	AbsintDischarged int64
-	AbsintLintProofs int64
-	AbsintMined      int
-	AbsintVerified   int
 }
 
 // RunCorpus generates opts.N self-verified scenarios and reproduces
@@ -165,15 +150,13 @@ func RunCorpus(opts CorpusOptions) (*CorpusResult, error) {
 	met := corpus.NewMetrics(opts.Telemetry)
 	runStart := time.Now()
 	res, err := fleet.Run(fapps, fleet.Options{
-		Workers:     opts.Workers,
-		Pace:        opts.Pace,
-		Timeout:     opts.Timeout,
-		Telemetry:   opts.Telemetry,
-		Tracer:      opts.Tracer,
-		ListenAddr:  opts.ListenAddr,
-		Absint:      opts.Absint,
-		AbsintWiden: opts.AbsintWiden,
-		Log:         opts.Log,
+		Workers:    opts.Workers,
+		Pace:       opts.Pace,
+		Timeout:    opts.Timeout,
+		Telemetry:  opts.Telemetry,
+		Tracer:     opts.Tracer,
+		ListenAddr: opts.ListenAddr,
+		Log:        opts.Log,
 	})
 	r.RunTime = time.Since(runStart)
 	if err != nil {
@@ -183,18 +166,6 @@ func RunCorpus(opts CorpusOptions) (*CorpusResult, error) {
 			return r, fmt.Errorf("fleet: %w", err)
 		}
 		r.TimedOut = true
-	}
-	if opts.Absint {
-		r.Absint = true
-		r.AbsintLintProofs = res.Final.LintProofs
-		for _, b := range res.Buckets {
-			if b.Report == nil {
-				continue
-			}
-			r.AbsintDischarged += b.Report.AbsintDischarged
-			r.AbsintMined += b.Report.AbsintMined
-			r.AbsintVerified += len(b.Report.AbsintInvariants)
-		}
 	}
 
 	type agg struct {
@@ -317,10 +288,6 @@ func RenderCorpus(w io.Writer, r *CorpusResult) {
 	fmt.Fprintf(w, "\nfleet run: %v", r.RunTime.Round(time.Millisecond))
 	if r.TimedOut {
 		fmt.Fprintf(w, " (TIMED OUT: %d scenarios unresolved)", r.Unresolved)
-	}
-	if r.Absint {
-		fmt.Fprintf(w, "\nabstract pass: %d queries discharged, %d provable lint findings at registration, %d/%d static invariants verified/mined",
-			r.AbsintDischarged, r.AbsintLintProofs, r.AbsintVerified, r.AbsintMined)
 	}
 	fmt.Fprintf(w, "\nreproduce this population with: erbench -exp corpus -corpus-n %d -seed %d\n", r.N, r.Seed)
 }

@@ -18,7 +18,6 @@ import (
 	"io"
 	"time"
 
-	"execrecon/internal/invariants"
 	"execrecon/internal/ir"
 	"execrecon/internal/symex"
 	"execrecon/internal/telemetry"
@@ -84,9 +83,9 @@ type Config struct {
 	// Telemetry, when set, is the shared metrics registry the
 	// pipeline reports into: per-stage latency histograms
 	// (er_core_stage_seconds{stage=...}) and iteration/outcome
-	// counters, plus the symbolic executor's own er_symex_*/er_absint_*
-	// series (threaded through automatically unless the caller
-	// injected its own Symex options).
+	// counters, plus the symbolic executor's own er_symex_* series
+	// (threaded through automatically unless the caller injected its
+	// own Symex options).
 	// Nil disables collection entirely.
 	Telemetry *telemetry.Registry
 	// Tracer, when set, records the whole reconstruction as one
@@ -103,17 +102,6 @@ type Config struct {
 	// coordinator's per-bucket timeline (the caller Ends the parent
 	// to publish the tree).
 	ParentSpan *telemetry.Span
-	// Absint enables the abstract-interpretation layer
-	// (internal/absint) across the loop: every solver query first runs
-	// the interval + known-bits pre-discharge pass, undecided queries
-	// blast with refined bits pinned, and a verified reproduction
-	// additionally mines static invariant candidates that are
-	// confirmed MIMIC-style against the reproduced input's concrete
-	// run before being reported. Verdict-preserving throughout.
-	Absint bool
-	// AbsintWiden overrides the widening threshold of the mining
-	// analysis (0 = absint default). Only meaningful with Absint.
-	AbsintWiden int
 }
 
 // Iteration reports one pass of the loop.
@@ -163,19 +151,12 @@ type Report struct {
 	// execution ("#Instr" of Table 1).
 	TraceInstrs int64
 	// TotalSATVars/TotalSATClauses accumulate the CNF volume blasted
-	// across all solver queries; AbsintDischarged counts queries the
-	// abstract pre-discharge pass decided and AbsintBits the variable
-	// bits it pinned during blasting (Config.Absint only).
-	TotalSATVars     int64
-	TotalSATClauses  int64
+	// across all solver queries.
+	TotalSATVars    int64
+	TotalSATClauses int64
+	// AbsintDischarged is always zero; it stays only because the
+	// benchmark ledger reads it.
 	AbsintDischarged int64
-	AbsintBits       int64
-	// AbsintMined counts static invariant candidates proposed by the
-	// abstract interpreter after a verified reproduction;
-	// AbsintInvariants holds the subset that survived MIMIC-style
-	// verification against the reproduced input's concrete run.
-	AbsintMined      int
-	AbsintInvariants []invariants.StaticCandidate
 	FailReason       string
 }
 

@@ -242,35 +242,3 @@ func main() int {
 		t.Errorf("iterations = %d, want 1 (only the traced one analyzes)", len(rep.Iterations))
 	}
 }
-
-// TestReproduceWithAbsint drives the iterative chain workload with the
-// abstract-interpretation layer on: the reproduction must still land
-// (verdict parity with the plain run above), and the verified report
-// must carry mined-and-confirmed static invariants plus the absint
-// solver counters.
-func TestReproduceWithAbsint(t *testing.T) {
-	mod := compile(t, chainSrc)
-	rep, err := core.Reproduce(core.Config{
-		Module: mod,
-		Gen:    &core.FixedWorkload{Workload: chainWorkload(), Seed: 1},
-		Symex:  symex.Options{QueryBudget: 30_000},
-		Absint: true,
-	})
-	if err != nil {
-		t.Fatalf("reproduce: %v", err)
-	}
-	if !rep.Reproduced || !rep.Verified {
-		t.Fatalf("absint run did not reproduce+verify: %+v", rep)
-	}
-	if rep.TotalSATVars == 0 || rep.TotalSATClauses == 0 {
-		t.Errorf("CNF volume not accounted: vars=%d clauses=%d", rep.TotalSATVars, rep.TotalSATClauses)
-	}
-	if rep.AbsintMined == 0 {
-		t.Errorf("no static invariant candidates mined")
-	}
-	for _, inv := range rep.AbsintInvariants {
-		if inv.Min > inv.Max {
-			t.Errorf("invalid verified invariant %v", inv)
-		}
-	}
-}

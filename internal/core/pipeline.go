@@ -12,9 +12,7 @@ import (
 	"fmt"
 	"time"
 
-	"execrecon/internal/absint"
 	"execrecon/internal/dataflow"
-	"execrecon/internal/invariants"
 	"execrecon/internal/ir"
 	"execrecon/internal/keyselect"
 	"execrecon/internal/pt"
@@ -91,32 +89,12 @@ func NewPipeline(cfg Config) (*Pipeline, error) {
 		deployed:  cfg.Module,
 		rep:       &Report{},
 		deferLeft: cfg.DeferTracing,
-		tel:       newPipelineTelemetry(cfg.Telemetry, cfg.Absint || cfg.Symex.Absint),
+		tel:       newPipelineTelemetry(cfg.Telemetry),
 		root:      root,
 		stop:      solver.NewCancel(),
 		an:        dataflow.Analyze(cfg.Module),
 	}
 	return p, nil
-}
-
-// mineInvariants runs the abstract interpreter over the pristine
-// module and keeps only the candidates the reproduced input's concrete
-// run confirms — MIMIC-style, a static hypothesis must survive dynamic
-// observation before it is reported (or later assumed by a solver).
-func (p *Pipeline) mineInvariants(tc *vm.Workload) {
-	if !p.cfg.Absint || tc == nil {
-		return
-	}
-	mf := absint.AnalyzeModule(p.cfg.Module, p.cfg.Entry, absint.Config{WidenAfter: p.cfg.AbsintWiden})
-	cands := absint.Mine(mf)
-	p.rep.AbsintMined = len(cands)
-	if len(cands) == 0 {
-		return
-	}
-	obs, _ := invariants.CollectEntry(p.cfg.Module, p.cfg.Entry, tc.Clone(), p.seed)
-	p.rep.AbsintInvariants = invariants.VerifyStatic(cands, [][]invariants.Obs{obs})
-	p.cfg.logf("absint: %d static invariant candidates mined, %d verified on the reproduced input",
-		len(cands), len(p.rep.AbsintInvariants))
 }
 
 // Deployed returns the module production must currently run — the
@@ -232,9 +210,6 @@ func (p *Pipeline) Feed(occ *Occurrence) (bool, error) {
 	if sxOpts.Metrics == nil {
 		sxOpts.Metrics = p.cfg.Telemetry
 	}
-	if !sxOpts.Absint {
-		sxOpts.Absint = p.cfg.Absint
-	}
 	var src pt.EventSource
 	if occ.Trace != nil {
 		it.TraceEvents = len(occ.Trace.Events)
@@ -265,8 +240,6 @@ func (p *Pipeline) Feed(occ *Occurrence) (bool, error) {
 	p.rep.TotalSolverTime += sres.Stats.SolverTime
 	p.rep.TotalSATVars += sres.Stats.SATVars
 	p.rep.TotalSATClauses += sres.Stats.SATClauses
-	p.rep.AbsintDischarged += sres.Stats.AbsintDischarged
-	p.rep.AbsintBits += sres.Stats.AbsintBits
 	shSpan.SetAttr("status", sres.Status.String())
 	shSpan.SetAttr("trace_events", it.TraceEvents)
 	shSpan.SetAttr("instrs", sres.Stats.Instrs)
@@ -284,9 +257,6 @@ func (p *Pipeline) Feed(occ *Occurrence) (bool, error) {
 		telemetry.A("verdict", solverVerdict(sres.Status)),
 		telemetry.A("steps", sres.Stats.SolverSteps),
 	)
-	if sxOpts.Absint {
-		solveSpan.SetAttr("absint_s", sres.Stats.AbsintTime.Seconds())
-	}
 	solveSpan.SetAttr("arrayelim_s", sres.Stats.ArrayElimTime.Seconds())
 	solveSpan.SetAttr("blast_s", sres.Stats.BlastTime.Seconds())
 	solveSpan.SetAttr("cdcl_s", sres.Stats.CDCLTime.Seconds())
@@ -314,7 +284,6 @@ func (p *Pipeline) Feed(occ *Occurrence) (bool, error) {
 		vSpan.End()
 		if p.rep.Verified {
 			p.tel.verified().Inc()
-			p.mineInvariants(sres.TestCase)
 		}
 		p.cfg.logf("iteration %d: reproduced after %d occurrence(s); verified=%v",
 			p.iters+1, p.rep.Occurrences, p.rep.Verified)

@@ -40,9 +40,7 @@ type pipelineTelemetry struct {
 	hVerify     *telemetry.Histogram
 	hWait       *telemetry.Histogram
 
-	// er_solver_stage_seconds series; hAbsint is nil unless the
-	// abstract pre-discharge pass is on.
-	hAbsint    *telemetry.Histogram
+	// er_solver_stage_seconds series.
 	hArrayElim *telemetry.Histogram
 	hBlast     *telemetry.Histogram
 	hCDCL      *telemetry.Histogram
@@ -152,7 +150,6 @@ func (t *pipelineTelemetry) observeSolverStages(st symex.RunStats) {
 	if t == nil {
 		return
 	}
-	t.hAbsint.ObserveDuration(st.AbsintTime)
 	t.hArrayElim.ObserveDuration(st.ArrayElimTime)
 	t.hBlast.ObserveDuration(st.BlastTime)
 	t.hCDCL.ObserveDuration(st.CDCLTime)
@@ -174,7 +171,7 @@ func solverStageHistogram(reg *telemetry.Registry, stage string) *telemetry.Hist
 		"solver wall time per shepherded run, by solver stage", nil, telemetry.L("stage", stage))
 }
 
-func newPipelineTelemetry(reg *telemetry.Registry, absint bool) *pipelineTelemetry {
+func newPipelineTelemetry(reg *telemetry.Registry) *pipelineTelemetry {
 	if reg == nil {
 		return nil
 	}
@@ -198,9 +195,6 @@ func newPipelineTelemetry(reg *telemetry.Registry, absint bool) *pipelineTelemet
 		hArrayElim: solverStageHistogram(reg, "arrayelim"),
 		hBlast:     solverStageHistogram(reg, "blast"),
 		hCDCL:      solverStageHistogram(reg, "cdcl"),
-	}
-	if absint {
-		t.hAbsint = solverStageHistogram(reg, "absint")
 	}
 	return t
 }

@@ -31,7 +31,7 @@ func TestCorpusProvableLintClean(t *testing.T) {
 			t.Errorf("%s: compile: %v", sc.Name, err)
 			continue
 		}
-		for _, f := range absint.Lint(mod, absint.Config{}) {
+		for _, f := range absint.Lint(mod) {
 			if dataflow.ErrorLevel(f.Rule) {
 				t.Errorf("%s (%s): provable-lint false positive: %s", sc.Name, sc.Pattern, f)
 			}
@@ -70,7 +70,7 @@ func main() int {
 			t.Fatalf("%s: compile: %v", tc.name, err)
 		}
 		found := false
-		for _, f := range absint.Lint(mod, absint.Config{}) {
+		for _, f := range absint.Lint(mod) {
 			if f.Rule == tc.rule {
 				found = true
 			}

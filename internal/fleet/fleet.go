@@ -9,9 +9,7 @@ import (
 	"sync/atomic"
 	"time"
 
-	"execrecon/internal/absint"
 	"execrecon/internal/core"
-	"execrecon/internal/dataflow"
 	"execrecon/internal/ir"
 	"execrecon/internal/prod"
 	"execrecon/internal/pt"
@@ -84,14 +82,6 @@ type Options struct {
 	// Timeout bounds the whole fleet run (default 2 minutes;
 	// negative disables).
 	Timeout time.Duration
-	// Absint enables the abstract-interpretation layer in every
-	// bucket pipeline: solver pre-discharge + narrowed blasting, and
-	// verified static invariant mining on reproduction. Registered
-	// apps additionally get an upfront provable-lint pass whose
-	// error-level proof count lands on er_absint_lint_proofs_total.
-	Absint bool
-	// AbsintWiden overrides the widening threshold (0 = default).
-	AbsintWiden int
 	// Store, when set, is the persistent trace archive: triage
 	// appends every ingested reoccurrence to it (delta-compressed
 	// against the bucket's reference trace), occurrences that overflow
@@ -117,7 +107,7 @@ type Options struct {
 	// subsystem reports into: fleet-level gauges/counters
 	// (er_fleet_*), each bucket pipeline's core stage histograms and
 	// outcome counters (er_core_*), the symbolic executor's series
-	// (er_symex_*/er_absint_*), and — when Store is set — the
+	// (er_symex_*), and — when Store is set — the
 	// archive's er_tracestore_* series.
 	// Nil disables collection.
 	Telemetry *telemetry.Registry
@@ -220,11 +210,6 @@ type Fleet struct {
 	start    time.Time
 	resolved atomic.Int64 // completed buckets
 
-	// lintProofs counts error-level provable-lint findings across the
-	// registered app modules (computed once in New when Options.Absint
-	// is set; surfaced as er_absint_lint_proofs_total).
-	lintProofs int64
-
 	// Introspection endpoint (nil unless Options.ListenAddr is set)
 	// and the pre-resolved fleet-owned stage histograms.
 	server     *telemetry.Server
@@ -321,17 +306,6 @@ func New(apps []App, opts Options) (*Fleet, error) {
 			machineID++
 		}
 		f.byName[a.Name] = g
-		if o.Absint {
-			// Upfront provable lint over each registered module: proven
-			// OOB/overflow in deployed code is worth flagging before any
-			// failure ever reoccurs.
-			for _, fd := range absint.Lint(a.Module, absint.Config{WidenAfter: o.AbsintWiden}) {
-				if dataflow.ErrorLevel(fd.Rule) {
-					f.lintProofs++
-					f.logf("fleet: app %q: %s", a.Name, fd)
-				}
-			}
-		}
 	}
 	if o.Telemetry != nil {
 		f.registerMetrics(o.Telemetry)
@@ -500,8 +474,6 @@ func (f *Fleet) runBucket(b *Bucket) {
 		Symex:         g.app.Symex,
 		MaxIterations: f.opts.MaxIterations,
 		RingSize:      f.opts.RingSize,
-		Absint:        f.opts.Absint,
-		AbsintWiden:   f.opts.AbsintWiden,
 		Telemetry:     f.opts.Telemetry,
 		Tracer:        f.opts.Tracer,
 		Log:           f.opts.Log,

@@ -107,10 +107,6 @@ func (f *Fleet) registerMetrics(reg *telemetry.Registry) {
 		"spilled occurrences replayed from the trace archive",
 		func(b *Bucket) int64 { return b.replayed.Load() })
 
-	reg.CounterFunc("er_absint_lint_proofs_total",
-		"error-level provable lint findings across registered app modules",
-		func() float64 { return float64(f.lintProofs) })
-
 	// The fleet owns the wait/decode legs of the shared per-stage
 	// histogram; its bucket pipelines fill in the rest (shepherd,
 	// solve, keyselect, instrument, verify).

@@ -22,12 +22,6 @@ type Snapshot struct {
 	Accepted int64
 	// Machines aggregates the producer machines' counters.
 	Machines prod.MachineStats
-	// AbsintDischarged aggregates the queries the abstract
-	// pre-discharge pass decided across resolved buckets (zero unless
-	// Options.Absint); LintProofs is the error-level provable-lint
-	// finding count over the registered app modules.
-	AbsintDischarged int64
-	LintProofs       int64
 	// StoreEnabled reports whether the fleet runs with a persistent
 	// trace archive (Options.Store); Store is then its stats snapshot:
 	// live segments, raw vs stored bytes (the delta-compression win),
@@ -69,13 +63,6 @@ type BucketSnapshot struct {
 	Replayed int64
 	// Iterations is the pipeline's completed analysis iterations.
 	Iterations int
-	// AbsintDischarged counts the queries the abstract pre-discharge
-	// pass decided; AbsintMined/AbsintVerified the post-reproduction
-	// static invariant mining. All three come from the pipeline report
-	// once the bucket resolves (zero unless Options.Absint).
-	AbsintDischarged int64
-	AbsintMined      int
-	AbsintVerified   int
 	// Reproduced/Verified mirror the pipeline report once resolved.
 	Reproduced bool
 	Verified   bool
@@ -107,12 +94,10 @@ func (f *Fleet) Snapshot() Snapshot {
 		s.StoreEnabled = true
 		s.Store = st.Stats()
 	}
-	s.LintProofs = f.lintProofs
 	for _, b := range f.table.Buckets() {
 		bs := f.snapshotBucket(b)
 		s.Spills += bs.Spills
 		s.Replayed += bs.Replayed
-		s.AbsintDischarged += bs.AbsintDischarged
 		s.Buckets = append(s.Buckets, bs)
 	}
 	return s
@@ -137,9 +122,6 @@ func (f *Fleet) snapshotBucket(b *Bucket) BucketSnapshot {
 	if rep := b.report.Load(); rep != nil {
 		bs.Reproduced = rep.Reproduced
 		bs.Verified = rep.Verified
-		bs.AbsintDischarged = rep.AbsintDischarged
-		bs.AbsintMined = rep.AbsintMined
-		bs.AbsintVerified = len(rep.AbsintInvariants)
 	}
 	if done := b.doneAt.Load(); done != 0 {
 		bs.Elapsed = time.Unix(0, done).Sub(b.firstSeen)

@@ -11,7 +11,6 @@ import (
 	"time"
 
 	"execrecon/internal/telemetry"
-	"execrecon/internal/vm"
 )
 
 // TestFleetTelemetryEndpoint runs a full telemetry-enabled fleet with
@@ -243,113 +242,4 @@ func grepLines(s, substr string) string {
 		}
 	}
 	return strings.Join(out, "\n")
-}
-
-// TestFleetAbsintTelemetryRoundTrip runs an absint-enabled fleet whose
-// app set includes a module with a provably out-of-bounds store in a
-// dead helper, scrapes /metrics and /debug/er, and checks the
-// er_absint_* series round-trip against the fleet snapshot.
-func TestFleetAbsintTelemetryRoundTrip(t *testing.T) {
-	reg := telemetry.New()
-	apps := testApps(t)
-	apps = append(apps, App{
-		Name: "delta",
-		// never() is unreachable at runtime but statically analyzed:
-		// the 400-byte offset into a 16-byte global is a provable OOB,
-		// so registration must count one error-level lint proof while
-		// main stays reproducible.
-		Module: compile(t, "delta", `
-int small[4];
-func never() {
-	small[100] = 1;
-}
-func main() int {
-	int z = input32("z");
-	assert(z != 9, "delta bug");
-	return 0;
-}`),
-		Failing: func() *vm.Workload { return vm.NewWorkload().Add("z", 9) },
-		Seed:    1,
-	})
-	f, err := New(apps, Options{
-		Workers:        4,
-		MachinesPerApp: 1,
-		Pace:           50 * time.Microsecond,
-		Timeout:        60 * time.Second,
-		Absint:         true,
-		Telemetry:      reg,
-		ListenAddr:     "127.0.0.1:0",
-	})
-	if err != nil {
-		t.Fatalf("New: %v", err)
-	}
-	if err := f.Start(); err != nil {
-		t.Fatalf("Start: %v", err)
-	}
-	addr := f.IntrospectionAddr()
-	if body, err := httpGet(t, "http://"+addr+"/metrics"); err != nil {
-		t.Fatalf("mid-run /metrics: %v", err)
-	} else if !strings.Contains(body, "er_absint_lint_proofs_total") {
-		t.Errorf("mid-run exposition missing er_absint_lint_proofs_total")
-	}
-	if _, err := httpGet(t, "http://"+addr+"/debug/er"); err != nil {
-		t.Fatalf("mid-run /debug/er: %v", err)
-	}
-	res, err := f.Wait()
-	if err != nil {
-		t.Fatalf("Wait: %v", err)
-	}
-	for _, b := range res.Buckets {
-		if !b.Reproduced || !b.Verified {
-			t.Errorf("bucket %s: reproduced=%v verified=%v", b.App, b.Reproduced, b.Verified)
-		}
-	}
-	snap := res.Final
-	if snap.LintProofs == 0 {
-		t.Errorf("no lint proofs counted despite the provable OOB in delta")
-	}
-	var sb strings.Builder
-	if err := reg.WritePrometheus(&sb); err != nil {
-		t.Fatalf("WritePrometheus: %v", err)
-	}
-	body := sb.String()
-	for _, name := range []string{
-		"er_absint_lint_proofs_total",
-		"er_absint_discharged_total",
-		"er_absint_bits_total",
-	} {
-		if !strings.Contains(body, name) {
-			t.Errorf("exposition missing %s", name)
-		}
-	}
-	want := fmt.Sprintf("er_absint_lint_proofs_total %d", snap.LintProofs)
-	if !strings.Contains(body, want) {
-		t.Errorf("lint proofs mismatch: want %q in\n%s", want, grepLines(body, "er_absint"))
-	}
-	// Every engine query the pre-discharge pass decided lands both in
-	// its bucket's report and on the registry counter; with every
-	// bucket resolved, the snapshot total must equal the counter.
-	var discharged int64
-	for _, fam := range reg.Snapshot() {
-		if fam.Name == "er_absint_discharged_total" {
-			for _, s := range fam.Series {
-				discharged += int64(s.Value)
-			}
-		}
-	}
-	if snap.AbsintDischarged != discharged {
-		t.Errorf("snapshot AbsintDischarged = %d, registry er_absint_discharged_total = %d",
-			snap.AbsintDischarged, discharged)
-	}
-	if discharged == 0 {
-		t.Errorf("pre-discharge never fired across an absint fleet")
-	}
-	// The verified buckets of an absint fleet carry mined invariants.
-	mined := 0
-	for _, b := range snap.Buckets {
-		mined += b.AbsintMined
-	}
-	if mined == 0 {
-		t.Errorf("no bucket mined static invariant candidates")
-	}
 }

@@ -208,81 +208,3 @@ func (s *Set) Check(failing []Obs) []Violation {
 
 // NumPoints returns the number of program points with invariants.
 func (s *Set) NumPoints() int { return len(s.points) }
-
-// StaticCandidate is a candidate invariant proposed by static
-// analysis (internal/absint mines these from its interval facts):
-// at Point, variable Var (an argument index, or -1 for the return
-// value) lies in [Min,Max], and is nonzero when Nonzero is set.
-//
-// Candidates are MIMIC-style hypotheses: they become usable solver
-// assumptions only after VerifyStatic confirms them against the
-// concrete observations of a reproduced input.
-type StaticCandidate struct {
-	Point    string // "func:enter" or "func:exit"
-	Var      int    // argument index, or -1 for the return value
-	Min, Max int64
-	Nonzero  bool
-}
-
-func (c StaticCandidate) String() string {
-	v := fmt.Sprintf("var%d", c.Var)
-	if c.Var < 0 {
-		v = "ret"
-	}
-	s := fmt.Sprintf("%s: %d <= %s <= %d", c.Point, c.Min, v, c.Max)
-	if c.Nonzero {
-		s += " (nonzero)"
-	}
-	return s
-}
-
-// holds reports whether the candidate is consistent with one
-// observation at its point.
-func (c StaticCandidate) holds(o Obs) bool {
-	i := c.Var
-	if i < 0 {
-		i = 0 // exit points record the return value as var 0
-	}
-	if i >= len(o.Vars) {
-		return true // point arity mismatch: nothing to contradict
-	}
-	x := o.Vars[i]
-	if x < c.Min || x > c.Max {
-		return false
-	}
-	if c.Nonzero && x == 0 {
-		return false
-	}
-	return true
-}
-
-// VerifyStatic filters cands down to those verified by the observed
-// runs: the candidate's point was observed at least once and no
-// observation violates it. Unobserved candidates are dropped — an
-// assumption that was never exercised on the reproduced input has no
-// concrete evidence behind it.
-func VerifyStatic(cands []StaticCandidate, runs [][]Obs) []StaticCandidate {
-	var out []StaticCandidate
-	for _, c := range cands {
-		seen, ok := false, true
-		for _, run := range runs {
-			for _, o := range run {
-				if o.Point != c.Point {
-					continue
-				}
-				seen = true
-				if !c.holds(o) {
-					ok = false
-					break
-				}
-			}
-			if !ok {
-				break
-			}
-		}
-		if seen && ok {
-			out = append(out, c)
-		}
-	}
-	return out
-}

@@ -31,7 +31,7 @@ func CompileWithLint(name, src string) (*ir.Module, []dataflow.Finding, error) {
 	if err != nil {
 		return mod, findings, err
 	}
-	return mod, append(findings, absint.Lint(mod, absint.Config{})...), nil
+	return mod, append(findings, absint.Lint(mod)...), nil
 }
 
 func compile(name, src string) (*ir.Module, []dataflow.Finding, error) {

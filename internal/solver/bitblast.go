@@ -3,7 +3,6 @@ package solver
 import (
 	"fmt"
 
-	"execrecon/internal/absint"
 	"execrecon/internal/expr"
 )
 
@@ -18,11 +17,6 @@ type blaster struct {
 
 	bits map[*expr.Expr][]lit
 	vars map[string][]lit // expr var name -> bit literals
-
-	// narrow, when set, pins variable bits the abstract interpreter
-	// proved constant for every model of the current query.
-	narrow       map[string]absint.Val
-	bitsNarrowed int
 
 	err error
 }
@@ -247,14 +241,8 @@ func (b *blaster) blast(e *expr.Expr) []lit {
 		}
 	case expr.KVar:
 		out = make([]lit, w)
-		nv, pin := b.narrow[e.Name]
 		for i := 0; i < w; i++ {
-			if pin && nv.Mask>>uint(i)&1 == 1 {
-				out[i] = b.constLit(nv.Bits>>uint(i)&1 == 1)
-				b.bitsNarrowed++
-			} else {
-				out[i] = b.freshLit()
-			}
+			out[i] = b.freshLit()
 		}
 		b.vars[e.Name] = out
 	case expr.KAdd:

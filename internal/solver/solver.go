@@ -6,7 +6,6 @@ import (
 	"sync"
 	"time"
 
-	"execrecon/internal/absint"
 	"execrecon/internal/expr"
 )
 
@@ -50,13 +49,6 @@ type Options struct {
 	// and Tseitin gate), not just at the deadline-check cadence. A
 	// canceled solve returns ResultUnknown.
 	Stop *Cancel
-	// Absint enables the abstract-interpretation pre-discharge pass:
-	// before blasting, the query is evaluated in the interval +
-	// known-bits domain (internal/absint). Decided queries skip CDCL
-	// entirely (Sat only with a concretely validated model);
-	// undecided ones blast with refined variable bits pinned to
-	// constants, shrinking the CNF. Verdict-preserving.
-	Absint bool
 }
 
 // DefaultOptions returns options with validation enabled and no
@@ -72,18 +64,10 @@ type Stats struct {
 	Conflicts    int64
 	Decisions    int64
 	Elapsed      time.Duration
-	// AbsintDischarged reports that the abstract pre-discharge pass
-	// decided the query without bit blasting.
-	AbsintDischarged bool
-	// AbsintBits counts variable bits pinned to constants during
-	// blasting from abstract known-bits facts.
-	AbsintBits int
-	// Absint, ArrayElim, Blast and CDCL are the wall time of each
-	// solver stage (Absint only with Options.Absint). A stage cut
-	// short by the budget still reports its time; fast paths and
-	// model extraction belong to none, so the four sum to at most
-	// Elapsed.
-	Absint    time.Duration
+	// ArrayElim, Blast and CDCL are the wall time of each solver
+	// stage. A stage cut short by the budget still reports its time;
+	// fast paths and model extraction belong to none, so the three
+	// sum to at most Elapsed.
 	ArrayElim time.Duration
 	Blast     time.Duration
 	CDCL      time.Duration
@@ -163,25 +147,6 @@ func (s *Solver) solve(cs []*expr.Expr, ws *sat) (Result, *expr.Assignment, erro
 		return ResultSat, expr.NewAssignment(), nil
 	}
 
-	// Stage 0: abstract pre-discharge. Unsat is proven by
-	// over-approximation; Sat verdicts carry a model AnalyzeQuery has
-	// already validated concretely against the constraints.
-	var narrow map[string]absint.Val
-	if s.opts.Absint {
-		t := time.Now()
-		aq := absint.AnalyzeQuery(remaining, absint.QueryOptions{WantModel: true})
-		s.last.Absint = time.Since(t)
-		switch aq.Verdict {
-		case absint.VerdictUnsat:
-			s.last.AbsintDischarged = true
-			return ResultUnsat, nil, nil
-		case absint.VerdictSat:
-			s.last.AbsintDischarged = true
-			return ResultSat, aq.Model, nil
-		}
-		narrow = aq.Vars
-	}
-
 	// Stage 1: array elimination.
 	t := time.Now()
 	elim := newArrayElim(s.b, budget)
@@ -194,12 +159,11 @@ func (s *Solver) solve(cs []*expr.Expr, ws *sat) (Result, *expr.Assignment, erro
 		return ResultUnknown, nil, err
 	}
 
-	// Stage 2: bit blasting, with query-refined variable bits pinned.
+	// Stage 2: bit blasting.
 	t = time.Now()
 	core = ws
 	core.reset(budget)
 	bl := newBlaster(core, budget)
-	bl.narrow = narrow
 	unsatEarly := false
 	for _, c := range pure {
 		if c.IsTrue() {
@@ -214,7 +178,6 @@ func (s *Solver) solve(cs []*expr.Expr, ws *sat) (Result, *expr.Assignment, erro
 			break
 		}
 	}
-	s.last.AbsintBits = bl.bitsNarrowed
 	s.last.Blast = time.Since(t)
 	if bl.err == errBudget {
 		return ResultUnknown, nil, nil

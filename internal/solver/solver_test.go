@@ -425,32 +425,24 @@ func TestEmptyAndTrivial(t *testing.T) {
 
 // TestStageTimesWithinElapsed checks the per-stage split of a query's
 // wall time: the stages run inside the solve, so they sum to at most
-// Elapsed; a blasted query reports blasting time; Absint stays zero
-// with the pass off.
+// Elapsed, and a blasted query reports blasting time.
 func TestStageTimesWithinElapsed(t *testing.T) {
-	for _, absint := range []bool{false, true} {
-		b := expr.NewBuilder()
-		x, d := b.Var("x", 32), b.Var("d", 32)
-		cs := []*expr.Expr{
-			b.Ult(b.Const(1, 32), d),
-			b.Eq(b.UDiv(x, d), b.Const(77, 32)),
-			b.Eq(b.URem(x, d), b.Const(1, 32)),
-		}
-		opts := DefaultOptions()
-		opts.Absint = absint
-		s := New(b, opts)
-		if r, _, err := s.Solve(cs); r != ResultSat || err != nil {
-			t.Fatalf("absint=%v: %v (err %v)", absint, r, err)
-		}
-		st := s.LastStats()
-		if sum := st.Absint + st.ArrayElim + st.Blast + st.CDCL; sum > st.Elapsed {
-			t.Errorf("absint=%v: stages sum to %v, above Elapsed %v (%+v)", absint, sum, st.Elapsed, st)
-		}
-		if st.Blast <= 0 || st.SATClauses == 0 {
-			t.Errorf("absint=%v: blasted query reports Blast %v over %d clauses", absint, st.Blast, st.SATClauses)
-		}
-		if !absint && st.Absint != 0 {
-			t.Errorf("Absint %v with the pass off", st.Absint)
-		}
+	b := expr.NewBuilder()
+	x, d := b.Var("x", 32), b.Var("d", 32)
+	cs := []*expr.Expr{
+		b.Ult(b.Const(1, 32), d),
+		b.Eq(b.UDiv(x, d), b.Const(77, 32)),
+		b.Eq(b.URem(x, d), b.Const(1, 32)),
+	}
+	s := New(b, DefaultOptions())
+	if r, _, err := s.Solve(cs); r != ResultSat || err != nil {
+		t.Fatalf("%v (err %v)", r, err)
+	}
+	st := s.LastStats()
+	if sum := st.ArrayElim + st.Blast + st.CDCL; sum > st.Elapsed {
+		t.Errorf("stages sum to %v, above Elapsed %v (%+v)", sum, st.Elapsed, st)
+	}
+	if st.Blast <= 0 || st.SATClauses == 0 {
+		t.Errorf("blasted query reports Blast %v over %d clauses", st.Blast, st.SATClauses)
 	}
 }

@@ -74,9 +74,6 @@ type Options struct {
 	// flag is observed on every budget spend, not just at the deadline
 	// cadence. Pipelines wire their abort flag here.
 	Stop *solver.Cancel
-	// Absint enables the abstract-interpretation pre-discharge and
-	// width-narrowed blasting in the engine's solver.
-	Absint bool
 	// Slice supplies the static backward failure slice of the module
 	// (dataflow.Analyze); core.Pipeline always sets it. Instructions
 	// statically proved unable to influence any failure condition are
@@ -144,26 +141,18 @@ type RunStats struct {
 	// SolverTime is the cumulative wall time spent inside solver
 	// queries.
 	SolverTime time.Duration
-	// AbsintTime, ArrayElimTime, BlastTime and CDCLTime split
-	// SolverTime by solver stage (solver.Stats); they sum to at most
-	// SolverTime.
-	AbsintTime    time.Duration
+	// ArrayElimTime, BlastTime and CDCLTime split SolverTime by
+	// solver stage (solver.Stats); they sum to at most SolverTime.
 	ArrayElimTime time.Duration
 	BlastTime     time.Duration
 	CDCLTime      time.Duration
 	// SATVars/SATClauses accumulate the CNF size reported by every
-	// query: the total blasted volume, the quantity the absint
-	// experiment compares with narrowing on/off.
+	// query: the total blasted volume.
 	SATVars    int64
 	SATClauses int64
-	// AbsintDischarged counts queries the abstract pre-discharge pass
-	// decided without CDCL; AbsintBits variable bits pinned during
-	// blasting from known-bits facts.
-	AbsintDischarged int64
-	AbsintBits       int64
-	Elapsed          time.Duration
-	PCSize           int
-	GraphNodes       int
+	Elapsed    time.Duration
+	PCSize     int
+	GraphNodes int
 }
 
 // Result is the outcome of a shepherded symbolic execution.
@@ -225,23 +214,20 @@ type Engine struct {
 	exprSites map[uint64]SiteKey
 	sites     map[SiteKey]*SiteStats
 
-	instrs        int64
-	symSteps      int64
-	concSteps     int64
-	satVars       int64
-	satClauses    int64
-	absDischarged int64
-	absBits       int64
-	queries       int64
-	qsteps        int64
-	qtime         time.Duration
-	qabsint       time.Duration
-	qelim         time.Duration
-	qblast        time.Duration
-	qcdcl         time.Duration
-	start         time.Time
-	progress      []ProgressPoint
-	stallExpr     *expr.Expr
+	instrs     int64
+	symSteps   int64
+	concSteps  int64
+	satVars    int64
+	satClauses int64
+	queries    int64
+	qsteps     int64
+	qtime      time.Duration
+	qelim      time.Duration
+	qblast     time.Duration
+	qcdcl      time.Duration
+	start      time.Time
+	progress   []ProgressPoint
+	stallExpr  *expr.Expr
 
 	res *Result
 }
@@ -333,7 +319,6 @@ func NewFromEvents(mod *ir.Module, src pt.EventSource, failure *vm.Failure, opts
 			Timeout:  opts.QueryTimeout,
 			Validate: false,
 			Stop:     opts.Stop,
-			Absint:   opts.Absint,
 		}),
 		mus:       make(map[uint64]int),
 		cursor:    src,
@@ -387,23 +372,20 @@ func (e *Engine) Run(entry string) *Result {
 		})
 	}
 	res.Stats = RunStats{
-		Instrs:           e.instrs,
-		SymSteps:         e.symSteps,
-		ConcSteps:        e.concSteps,
-		SolverQueries:    e.queries,
-		SolverSteps:      e.qsteps,
-		SolverTime:       e.qtime,
-		AbsintTime:       e.qabsint,
-		ArrayElimTime:    e.qelim,
-		BlastTime:        e.qblast,
-		CDCLTime:         e.qcdcl,
-		SATVars:          e.satVars,
-		SATClauses:       e.satClauses,
-		AbsintDischarged: e.absDischarged,
-		AbsintBits:       e.absBits,
-		Elapsed:          time.Since(e.start),
-		PCSize:           len(e.pc),
-		GraphNodes:       e.b.NumNodes(),
+		Instrs:        e.instrs,
+		SymSteps:      e.symSteps,
+		ConcSteps:     e.concSteps,
+		SolverQueries: e.queries,
+		SolverSteps:   e.qsteps,
+		SolverTime:    e.qtime,
+		ArrayElimTime: e.qelim,
+		BlastTime:     e.qblast,
+		CDCLTime:      e.qcdcl,
+		SATVars:       e.satVars,
+		SATClauses:    e.satClauses,
+		Elapsed:       time.Since(e.start),
+		PCSize:        len(e.pc),
+		GraphNodes:    e.b.NumNodes(),
 	}
 	switch x := err.(type) {
 	case nil:
@@ -442,10 +424,6 @@ func (e *Engine) reportMetrics(res *Result) {
 		"solver queries issued").Add(res.Stats.SolverQueries)
 	reg.Counter("er_symex_solver_steps_total",
 		"abstract solver steps spent").Add(res.Stats.SolverSteps)
-	reg.Counter("er_absint_discharged_total",
-		"engine queries decided by the abstract pre-discharge pass").Add(res.Stats.AbsintDischarged)
-	reg.Counter("er_absint_bits_total",
-		"variable bits pinned during blasting from known-bits facts").Add(res.Stats.AbsintBits)
 	reg.Histogram("er_symex_run_seconds",
 		"shepherded execution wall time per run", nil).ObserveDuration(res.Stats.Elapsed)
 	reg.Histogram("er_symex_solver_seconds",
@@ -464,16 +442,11 @@ func (e *Engine) solve(extra ...*expr.Expr) (solver.Result, *expr.Assignment, er
 	st := e.sol.LastStats()
 	e.qsteps += st.Steps
 	e.qtime += st.Elapsed
-	e.qabsint += st.Absint
 	e.qelim += st.ArrayElim
 	e.qblast += st.Blast
 	e.qcdcl += st.CDCL
 	e.satVars += int64(st.SATVars)
 	e.satClauses += int64(st.SATClauses)
-	if st.AbsintDischarged {
-		e.absDischarged++
-	}
-	e.absBits += int64(st.AbsintBits)
 	return r, m, err
 }
 
