@@ -43,8 +43,6 @@ type FleetModeResult struct {
 	Verified   int
 	// Occurrences is the total failure reoccurrences triaged.
 	Occurrences int64
-	// QueueDrops sums ingest overflow drops across shards.
-	QueueDrops int64
 }
 
 // FleetExpResult compares sequential vs parallel triage over the same
@@ -113,9 +111,6 @@ func runFleetMode(label string, workers int, only []string, opts FleetExpOptions
 		}
 		m.Occurrences += b.Occurrences
 	}
-	for _, d := range res.Final.QueueDrops {
-		m.QueueDrops += d
-	}
 	return m, res.Buckets, nil
 }
 
@@ -176,7 +171,7 @@ func RenderFleet(w io.Writer, r *FleetExpResult) {
 	table(w, header, rows)
 	fmt.Fprintln(w)
 
-	header = []string{"Triage mode", "Workers", "End-to-end", "Resolved", "Reproduced", "#Occur", "Queue drops"}
+	header = []string{"Triage mode", "Workers", "End-to-end", "Resolved", "Reproduced", "#Occur"}
 	rows = nil
 	for _, m := range []FleetModeResult{r.Sequential, r.Parallel} {
 		rows = append(rows, []string{
@@ -186,7 +181,6 @@ func RenderFleet(w io.Writer, r *FleetExpResult) {
 			fmt.Sprintf("%d", m.Resolved),
 			fmt.Sprintf("%d", m.Reproduced),
 			fmt.Sprintf("%d", m.Occurrences),
-			fmt.Sprintf("%d", m.QueueDrops),
 		})
 	}
 	table(w, header, rows)

@@ -9,6 +9,7 @@ import (
 	"execrecon/internal/prod"
 	"execrecon/internal/pt"
 	"execrecon/internal/telemetry"
+	"execrecon/internal/tracestore"
 )
 
 // maxPollWait bounds every long-poll (lease and fetch) so a dead
@@ -175,15 +176,19 @@ func (c *Coordinator) handleFetch(w http.ResponseWriter, r *http.Request) {
 			writeJSON(w, FetchResponse{Status: rejection("lease lost")})
 			return
 		}
-		// Scan the archive for the next matching record. The node's
-		// cursor (AfterSeq) plus exact version matching skips records
-		// banked for other apps sharing the key and records from stale
-		// deployments.
-		for _, ri := range c.store.Records(req.Key) {
-			if ri.Seq < req.AfterSeq || ri.Meta.App != req.App ||
-				ri.Meta.Lost > 0 || ri.Meta.Version != req.Version {
-				continue
+		// Find the next matching record from the archive's metadata.
+		// The node's cursor (AfterSeq) plus exact version matching skips
+		// records banked for other apps sharing the key and records
+		// from stale deployments; only the match is read.
+		from := req.AfterSeq
+		for {
+			ri, next, ok := c.store.Next(req.Key, from, func(ri tracestore.RecordInfo) bool {
+				return ri.Meta.App == req.App && ri.Meta.Lost == 0 && ri.Meta.Version == req.Version
+			})
+			if !ok {
+				break
 			}
+			from = next
 			raw, info, err := c.store.ReadRaw(req.Key, ri.Seq)
 			if err != nil {
 				// Previously a silent log line: an unreadable archive

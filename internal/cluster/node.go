@@ -29,9 +29,6 @@ type NodeOptions struct {
 	// Workers is how many buckets the node reconstructs concurrently
 	// (default 2).
 	Workers int
-	// MaxIterations bounds each pipeline's reoccurrence loop
-	// (default 16).
-	MaxIterations int
 	// Tracer records each leased bucket's replay as a span tree rooted
 	// under the coordinator's bucket span (the lease grant carries the
 	// parent context); snapshots ship back on heartbeats and with the
@@ -211,13 +208,12 @@ func (n *Node) runLease(l *LeaseResponse) {
 	shipSnap()
 
 	p, err := core.NewPipeline(core.Config{
-		Module:        app.Module,
-		Entry:         app.Entry,
-		Symex:         app.Symex,
-		MaxIterations: n.opts.MaxIterations,
-		Tracer:        n.opts.Tracer,
-		ParentSpan:    replay,
-		Log:           n.opts.Log,
+		Module:     app.Module,
+		Entry:      app.Entry,
+		Symex:      app.Symex,
+		Tracer:     n.opts.Tracer,
+		ParentSpan: replay,
+		Log:        n.opts.Log,
 	})
 	if err != nil {
 		// A broken pipeline config is permanent for this node-app
@@ -309,7 +305,7 @@ func (n *Node) runLease(l *LeaseResponse) {
 			// chain so the coordinator can rebuild and deploy the
 			// instrumented module statelessly.
 			chain := chainOf(p.Report())
-			sites, costBytes := recordingCostOf(p.Report())
+			sites, costBytes := p.Report().RecordingSet()
 			resp, err := n.client.Rollout(&RolloutRequest{
 				App: l.App, Key: l.Key, Term: l.Term,
 				Version: p.Version(), Chain: chain,
@@ -372,20 +368,6 @@ func chainOf(rep *core.Report) [][]symex.SiteKey {
 		}
 	}
 	return chain
-}
-
-// recordingCostOf totals the accumulated recording set across the
-// report's stall iterations: the site count and estimated
-// per-occurrence byte cost of the version about to roll out (the
-// chain is cumulative, so the totals are too).
-func recordingCostOf(rep *core.Report) (sites int, costBytes int64) {
-	for _, it := range rep.Iterations {
-		if len(it.Sites) > 0 {
-			sites += len(it.Sites)
-			costBytes += it.RecordingCost
-		}
-	}
-	return sites, costBytes
 }
 
 // occurrenceFromFetch rebuilds a pipeline occurrence from a fetched

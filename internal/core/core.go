@@ -106,7 +106,10 @@ type Config struct {
 
 // Iteration reports one pass of the loop.
 type Iteration struct {
-	Occurrence  int
+	Occurrence int
+	// TraceEvents is the number of trace events shepherding consumed,
+	// on both the in-memory and the streamed trace path. A run that
+	// stalls stops early, so it can be less than the trace's length.
 	TraceEvents int
 	TraceBytes  uint64
 	Status      symex.Status
@@ -158,6 +161,20 @@ type Report struct {
 	// benchmark ledger reads it.
 	AbsintDischarged int64
 	FailReason       string
+}
+
+// RecordingSet totals the accumulated recording set across the
+// report's stall iterations: the site count and estimated
+// per-occurrence byte cost of the latest instrumented version (each
+// rollout deploys the whole chain, so the totals are cumulative).
+func (r *Report) RecordingSet() (sites int, costBytes int64) {
+	for _, it := range r.Iterations {
+		if len(it.Sites) > 0 {
+			sites += len(it.Sites)
+			costBytes += it.RecordingCost
+		}
+	}
+	return sites, costBytes
 }
 
 func (c *Config) logf(format string, args ...interface{}) {

@@ -210,22 +210,16 @@ func (p *Pipeline) Feed(occ *Occurrence) (bool, error) {
 	if sxOpts.Metrics == nil {
 		sxOpts.Metrics = p.cfg.Telemetry
 	}
-	var src pt.EventSource
+	// A streaming occurrence (trace-archive read path) decodes
+	// incrementally while the executor shepherds.
+	src := occ.Events
 	if occ.Trace != nil {
-		it.TraceEvents = len(occ.Trace.Events)
 		src = pt.NewCursor(occ.Trace)
-	} else {
-		// Streaming occurrence (trace-archive read path): the source
-		// decodes incrementally while the executor shepherds, so the
-		// event count is only known after the run.
-		src = occ.Events
 	}
 	shSpan := itSpan.Child("shepherd")
 	eng := symex.NewFromEvents(p.deployed, src, occ.Result.Failure, sxOpts)
 	sres := eng.Run(p.cfg.Entry)
-	if occ.Trace == nil {
-		it.TraceEvents = src.Pos()
-	}
+	it.TraceEvents = src.Pos()
 	it.Status = sres.Status
 	it.StallReason = sres.StallReason
 	it.SymexTime = sres.Stats.Elapsed

@@ -16,7 +16,7 @@ import (
 // span tree. Exported so the bench/CLI layers can render summaries in
 // a stable order.
 var StageNames = []string{
-	"wait", "decode", "shepherd", "solve", "keyselect", "instrument", "verify",
+	"wait", "shepherd", "solve", "keyselect", "instrument", "verify",
 }
 
 // pipelineTelemetry caches the registry series one pipeline updates;

@@ -4,6 +4,7 @@ import (
 	"context"
 	"fmt"
 	"io"
+	"os"
 	"runtime"
 	"sync"
 	"sync/atomic"
@@ -12,7 +13,6 @@ import (
 	"execrecon/internal/core"
 	"execrecon/internal/ir"
 	"execrecon/internal/prod"
-	"execrecon/internal/pt"
 	"execrecon/internal/symex"
 	"execrecon/internal/telemetry"
 	"execrecon/internal/tracestore"
@@ -51,74 +51,52 @@ type App struct {
 
 // Options tunes the fleet.
 type Options struct {
-	// Shards is the ingest shard count (default 4).
-	Shards int
-	// QueueCap is the per-shard ingest capacity (default 256).
-	QueueCap int
-	// Policy selects overflow behavior (default Backpressure).
-	Policy OverflowPolicy
 	// Workers is the scheduler worker-pool size: how many ER
 	// pipelines run concurrently (default GOMAXPROCS).
 	Workers int
 	// MachinesPerApp is the default producer count per app
 	// (default 2).
 	MachinesPerApp int
-	// PendingCap bounds each bucket's reoccurrence queue
-	// (default 64).
-	PendingCap int
-	// RingSize is the machines' per-run trace buffer
-	// (default prod.MachineRingSize).
-	RingSize int
-	// MaxIterations bounds each pipeline's reoccurrence loop
-	// (default 16).
-	MaxIterations int
 	// Pace spaces each machine's production runs (default 1ms),
 	// modelling request arrival rather than a busy loop.
 	Pace time.Duration
-	// ExpectFailures is how many distinct failure signatures the
-	// fleet waits to resolve before shutting down (default: one per
-	// app).
-	ExpectFailures int
 	// Timeout bounds the whole fleet run (default 2 minutes;
 	// negative disables).
 	Timeout time.Duration
-	// Store, when set, is the persistent trace archive: triage
-	// appends every ingested reoccurrence to it (delta-compressed
-	// against the bucket's reference trace), occurrences that overflow
-	// a bucket's in-RAM pending queue spill to it instead of being
-	// dropped (the pipeline replays them from disk when the live queue
-	// runs dry), and buckets retire their archive key on resolution so
-	// compaction can reclaim interior records. Nil disables archival:
-	// hot traces live only in RAM and overflow drops, the previous
-	// behavior.
+	// Store is the persistent trace archive, and the one delivery path
+	// of reoccurrences: triage appends every ingested occurrence to it
+	// (delta-compressed against the signature's reference trace), and
+	// each bucket's pipeline replays the next matching record from it —
+	// this app's, recorded on the pipeline's current deployment, with
+	// an unwrapped ring. A bucket's archive key is retired once every
+	// bucket sharing it has resolved, so compaction can reclaim its
+	// interior records. When nil, the fleet opens a private store in a
+	// temporary directory and removes it in Wait or Abandon.
 	Store *tracestore.Store
-	// Remote, when set, switches the fleet to remote-node mode: no
-	// in-process pipeline workers run. Ingest still interns buckets
-	// and banks every reoccurrence in the Store (which becomes the
-	// durable source of truth and is therefore required), but instead
-	// of scheduling a local pipeline, new buckets are handed to the
-	// dispatcher — the cluster coordinator leases them to triage
-	// nodes, which replay the banked occurrences over the wire and
-	// report back through Rollout and ResolveBucket. Occurrences are
-	// never queued in RAM in this mode; the archive is the only
-	// delivery path, which is what makes a node crash recoverable.
+	// Remote, when set, hands buckets to an out-of-process dispatcher
+	// instead of the in-process worker pool: no pipeline workers run.
+	// Ingest still interns buckets and banks every reoccurrence in the
+	// Store, which must then be set, since it outlives the fleet's
+	// process and is what makes a node crash recoverable. The cluster
+	// coordinator leases the buckets to triage nodes, which replay the
+	// banked occurrences over the wire and report back through
+	// Rollout and ResolveBucket.
 	Remote RemoteTriage
 	// Telemetry, when set, is the shared metrics registry the whole
 	// subsystem reports into: fleet-level gauges/counters
 	// (er_fleet_*), each bucket pipeline's core stage histograms and
 	// outcome counters (er_core_*), the symbolic executor's series
-	// (er_symex_*), and — when Store is set — the
-	// archive's er_tracestore_* series.
+	// (er_symex_*), and the archive's er_tracestore_* series.
 	// Nil disables collection.
 	Telemetry *telemetry.Registry
 	// Tracer, when set, records each bucket pipeline's reconstruction
 	// as a nested span tree; the fleet attaches its own
-	// reoccurrence-wait and decode children. Recent finished trees are
-	// exposed on the introspection endpoint's /debug/er.
+	// reoccurrence-wait children. Recent finished trees are exposed on
+	// the introspection endpoint's /debug/er.
 	Tracer *telemetry.Tracer
 	// Journal, when set, receives the fleet's structured events —
-	// archive/spill failures that were previously silent log lines —
-	// and backs the introspection endpoint's /debug/er/events drain.
+	// archive failures that were previously silent log lines — and
+	// backs the introspection endpoint's /debug/er/events drain.
 	Journal *telemetry.Journal
 	// Overhead, when set, is the recording-overhead accountant: every
 	// production machine reports its run wall times to it (attributed
@@ -140,34 +118,24 @@ type Options struct {
 	Log io.Writer
 }
 
-func (o *Options) withDefaults(apps int) Options {
+// Ingest sizing: shard count and per-shard capacity. A full shard
+// blocks its producers (backpressure), so no occurrence is dropped on
+// ingest.
+const (
+	ingestShards   = 4
+	ingestQueueCap = 256
+)
+
+func (o *Options) withDefaults() Options {
 	v := *o
-	if v.Shards <= 0 {
-		v.Shards = 4
-	}
-	if v.QueueCap <= 0 {
-		v.QueueCap = 256
-	}
 	if v.Workers <= 0 {
 		v.Workers = runtime.GOMAXPROCS(0)
 	}
 	if v.MachinesPerApp <= 0 {
 		v.MachinesPerApp = 2
 	}
-	if v.PendingCap <= 0 {
-		v.PendingCap = 64
-	}
-	if v.RingSize <= 0 {
-		v.RingSize = prod.MachineRingSize
-	}
-	if v.MaxIterations <= 0 {
-		v.MaxIterations = 16
-	}
 	if v.Pace == 0 {
 		v.Pace = time.Millisecond
-	}
-	if v.ExpectFailures <= 0 {
-		v.ExpectFailures = apps
 	}
 	if v.Timeout == 0 {
 		v.Timeout = 2 * time.Minute
@@ -175,21 +143,37 @@ func (o *Options) withDefaults(apps int) Options {
 	return v
 }
 
-// RemoteTriage is the seam of the fleet's remote-node mode: the
-// consumer (the cluster coordinator) that dispatches buckets to
-// out-of-process triage nodes instead of the in-process worker pool.
-// Both callbacks are invoked from ingest drainer goroutines and must
-// not block for long — they gate triage throughput.
+// RemoteTriage receives the fleet's triage events: the consumer that
+// runs each bucket's reconstruction. The fleet's own worker pool is
+// one implementation; the cluster coordinator, which dispatches
+// buckets to out-of-process triage nodes, is the other. Both callbacks
+// are invoked from ingest drainer goroutines and must not block for
+// long — they gate triage throughput.
 type RemoteTriage interface {
 	// NewBucket is called exactly once per distinct (app, signature)
 	// bucket, when its first occurrence is interned.
 	NewBucket(b *Bucket)
 	// Banked is called after an occurrence is durably appended to the
 	// trace archive under the bucket's key with the given sequence
-	// number — the signal that wakes a node blocked waiting for the
-	// next reoccurrence.
+	// number — the signal that wakes a consumer waiting for the next
+	// reoccurrence.
 	Banked(b *Bucket, seq uint64)
 }
+
+// localTriage runs bucket pipelines on the fleet's worker pool.
+type localTriage struct{ f *Fleet }
+
+func (l localTriage) NewBucket(b *Bucket) {
+	select {
+	case l.f.work <- b:
+	default:
+		// Scheduler queue saturated (4096 distinct in-flight
+		// failures); resolve as failed so the fleet still terminates.
+		l.f.ResolveBucket(b, &core.Report{Failure: b.Sig, FailReason: "fleet: scheduler queue saturated"})
+	}
+}
+
+func (l localTriage) Banked(b *Bucket, _ uint64) { b.wake() }
 
 // Fleet wires machines, ingest, triage, and the pipeline scheduler
 // together.
@@ -200,8 +184,13 @@ type Fleet struct {
 
 	ingest    *Ingest
 	table     *Table
+	triage    RemoteTriage
+	store     *tracestore.Store
 	work      chan *Bucket
 	completed chan *Bucket
+	// retireMu orders archive-key retirement (ResolveBucket) against
+	// new buckets re-opening a key they share (admit).
+	retireMu sync.Mutex
 
 	ctx      context.Context
 	cancel   context.CancelFunc
@@ -212,9 +201,8 @@ type Fleet struct {
 
 	// Introspection endpoint (nil unless Options.ListenAddr is set)
 	// and the pre-resolved fleet-owned stage histograms.
-	server     *telemetry.Server
-	waitHist   *telemetry.Histogram
-	decodeHist *telemetry.Histogram
+	server   *telemetry.Server
+	waitHist *telemetry.Histogram
 
 	waitOnce sync.Once
 	result   *Result
@@ -253,15 +241,20 @@ func New(apps []App, opts Options) (*Fleet, error) {
 	if opts.Remote != nil && opts.Store == nil {
 		return nil, fmt.Errorf("fleet: remote-node mode requires a trace store (the archive is the delivery path)")
 	}
-	o := opts.withDefaults(len(apps))
+	o := opts.withDefaults()
 	f := &Fleet{
 		opts:      o,
 		apps:      apps,
 		byName:    make(map[string]*appGroup, len(apps)),
-		ingest:    NewIngest(o.Shards, o.QueueCap, o.Policy),
-		table:     NewTable(o.PendingCap),
+		ingest:    NewIngest(ingestShards, ingestQueueCap),
+		table:     NewTable(),
+		triage:    o.Remote,
+		store:     o.Store,
 		work:      make(chan *Bucket, 4096),
 		completed: make(chan *Bucket, 4096),
+	}
+	if f.triage == nil {
+		f.triage = localTriage{f}
 	}
 	machineID := 0
 	for i := range apps {
@@ -296,7 +289,6 @@ func New(apps []App, opts Options) (*Fleet, error) {
 				Entry:    a.Entry,
 				Gen:      gen,
 				Sink:     f.ingest,
-				RingSize: o.RingSize,
 				Pace:     o.Pace,
 				Trace:    true,
 				Overhead: o.Overhead,
@@ -309,9 +301,6 @@ func New(apps []App, opts Options) (*Fleet, error) {
 	}
 	if o.Telemetry != nil {
 		f.registerMetrics(o.Telemetry)
-		if o.Store != nil {
-			o.Store.RegisterMetrics(o.Telemetry)
-		}
 	}
 	return f, nil
 }
@@ -331,6 +320,20 @@ func (f *Fleet) Start() error {
 	f.ctx, f.cancel = context.WithCancel(context.Background())
 	f.start = time.Now()
 
+	if f.store == nil {
+		dir, err := os.MkdirTemp("", "er-fleet-*")
+		if err != nil {
+			f.cancel()
+			return fmt.Errorf("fleet: trace archive: %w", err)
+		}
+		if f.store, err = tracestore.Open(dir, tracestore.Options{}); err != nil {
+			os.RemoveAll(dir)
+			f.cancel()
+			return fmt.Errorf("fleet: trace archive: %w", err)
+		}
+	}
+	f.store.RegisterMetrics(f.opts.Telemetry)
+
 	if f.opts.ListenAddr != "" {
 		srv, err := telemetry.Serve(f.opts.ListenAddr, telemetry.ServerOptions{
 			Registry: f.opts.Telemetry,
@@ -342,6 +345,7 @@ func (f *Fleet) Start() error {
 		})
 		if err != nil {
 			f.cancel()
+			f.closePrivateStore()
 			return fmt.Errorf("fleet: introspection endpoint: %w", err)
 		}
 		f.server = srv
@@ -370,10 +374,7 @@ func (f *Fleet) Start() error {
 	return nil
 }
 
-// drainShard is the triage consumer of one ingest shard: it interns
-// the failure signature (creating a bucket exactly once per distinct
-// failure), queues the occurrence for the bucket's pipeline, and
-// hands new buckets to the scheduler.
+// drainShard is the triage consumer of one ingest shard.
 func (f *Fleet) drainShard(s int) {
 	defer f.wg.Done()
 	sh := f.ingest.Shard(s)
@@ -382,64 +383,41 @@ func (f *Fleet) drainShard(s int) {
 		case <-f.ctx.Done():
 			return
 		case msg := <-sh:
-			b, isNew := f.table.Intern(msg.Failure, msg.App)
-			if r := f.opts.Remote; r != nil {
-				// Remote-node mode: bank the occurrence durably and
-				// notify the dispatcher — the archive, not RAM, is the
-				// delivery path to the (possibly restarted) node.
-				b.occurrences.Add(1)
-				if isNew {
-					f.logf("fleet: new failure bucket %d (%s): %v [remote]", b.ID, b.App, b.Sig)
-					r.NewBucket(b)
-				}
-				seq, err := f.opts.Store.AppendRing(msg.Failure, tracestore.Meta{
-					App: msg.App, Machine: msg.Machine, Version: msg.Version,
-					Seed: msg.Seed, Instrs: msg.Instrs,
-				}, msg.Ring)
-				if err != nil {
-					b.badDrops.Add(1)
-					// In remote mode the archive is the only delivery
-					// path, so a failed append silently loses the
-					// occurrence — journal it at error level.
-					f.opts.Journal.Log(telemetry.LevelError, "fleet", "archive append failed; occurrence lost",
-						telemetry.A("app", b.App), telemetry.A("bucket", b.ID), telemetry.A("err", err))
-					f.logf("fleet: bucket %d (%s): archive append: %v", b.ID, b.App, err)
-					continue
-				}
-				r.Banked(b, seq)
-				continue
-			}
-			var seq uint64
-			archived := false
-			if st := f.opts.Store; st != nil {
-				var err error
-				seq, err = st.AppendRing(msg.Failure, tracestore.Meta{
-					App: msg.App, Machine: msg.Machine, Version: msg.Version,
-					Seed: msg.Seed, Instrs: msg.Instrs,
-				}, msg.Ring)
-				if err != nil {
-					f.opts.Journal.Log(telemetry.LevelWarn, "fleet", "archive append failed; occurrence stays RAM-only",
-						telemetry.A("app", b.App), telemetry.A("bucket", b.ID), telemetry.A("err", err))
-					f.logf("fleet: bucket %d (%s): archive append: %v", b.ID, b.App, err)
-				} else {
-					archived = true
-				}
-			}
-			b.offerOrSpill(msg, archived, seq)
-			if isNew {
-				f.logf("fleet: new failure bucket %d (%s): %v", b.ID, b.App, b.Sig)
-				select {
-				case f.work <- b:
-				default:
-					// Scheduler queue saturated (4096 distinct
-					// in-flight failures); resolve as failed so the
-					// fleet still terminates.
-					b.state.Store(int32(BucketFailed))
-					f.bucketDone(b)
-				}
-			}
+			f.admit(msg)
 		}
 	}
+}
+
+// admit triages one shipped occurrence: it interns the failure
+// signature (creating a bucket exactly once per distinct (app,
+// signature) pair), banks the occurrence in the trace archive, hands a
+// new bucket to triage and tells triage the occurrence is banked.
+func (f *Fleet) admit(msg *prod.TraceMsg) {
+	b, isNew := f.table.Intern(msg.Failure, msg.App)
+	b.occurrences.Add(1)
+	seq, err := f.store.AppendRing(msg.Failure, tracestore.Meta{
+		App: msg.App, Machine: msg.Machine, Version: msg.Version,
+		Seed: msg.Seed, Instrs: msg.Instrs,
+	}, msg.Ring)
+	if isNew {
+		// Another app sharing the signature may have resolved and
+		// retired the key; this bucket has yet to replay it.
+		f.retireMu.Lock()
+		f.store.Unretire(tracestore.KeyOf(b.Sig))
+		f.retireMu.Unlock()
+		f.logf("fleet: new failure bucket %d (%s): %v", b.ID, b.App, b.Sig)
+		f.triage.NewBucket(b)
+	}
+	if err != nil {
+		// The archive is the only delivery path, so a failed append
+		// loses the occurrence — journal it at error level.
+		b.badDrops.Add(1)
+		f.opts.Journal.Log(telemetry.LevelError, "fleet", "archive append failed; occurrence lost",
+			telemetry.A("app", b.App), telemetry.A("bucket", b.ID), telemetry.A("err", err))
+		f.logf("fleet: bucket %d (%s): archive append: %v", b.ID, b.App, err)
+		return
+	}
+	f.triage.Banked(b, seq)
 }
 
 // worker runs queued buckets' pipelines to completion, one at a time.
@@ -456,176 +434,96 @@ func (f *Fleet) worker() {
 }
 
 // runBucket drives one bucket's ER pipeline event-driven: each
-// delivered reoccurrence advances the pipeline one step, and each
-// re-instrumentation is rolled out to the app's machines, whose next
-// failing runs ship the richer traces the pipeline asked for.
+// reoccurrence replayed from the archive advances the pipeline one
+// step, and each re-instrumentation is rolled out to the app's
+// machines, whose next failing runs ship the richer traces the
+// pipeline asked for.
 func (f *Fleet) runBucket(b *Bucket) {
 	b.state.Store(int32(BucketRunning))
 	g := f.byName[b.App]
 	if g == nil {
 		f.logf("fleet: bucket %d names unknown app %q; abandoning", b.ID, b.App)
-		b.state.Store(int32(BucketFailed))
-		f.bucketDone(b)
+		f.ResolveBucket(b, &core.Report{Failure: b.Sig, FailReason: fmt.Sprintf("fleet: unknown app %q", b.App)})
 		return
 	}
 	p, err := core.NewPipeline(core.Config{
-		Module:        g.app.Module,
-		Entry:         g.app.Entry,
-		Symex:         g.app.Symex,
-		MaxIterations: f.opts.MaxIterations,
-		RingSize:      f.opts.RingSize,
-		Telemetry:     f.opts.Telemetry,
-		Tracer:        f.opts.Tracer,
-		Log:           f.opts.Log,
+		Module:    g.app.Module,
+		Entry:     g.app.Entry,
+		Symex:     g.app.Symex,
+		Telemetry: f.opts.Telemetry,
+		Tracer:    f.opts.Tracer,
+		Log:       f.opts.Log,
 	})
 	if err != nil {
 		f.logf("fleet: bucket %d (%s): %v", b.ID, b.App, err)
-		b.state.Store(int32(BucketFailed))
-		f.bucketDone(b)
+		f.ResolveBucket(b, &core.Report{Failure: b.Sig, FailReason: err.Error()})
 		return
 	}
+	key := tracestore.KeyOf(b.Sig)
+	var cursor uint64
 	for !p.Done() {
-		var msg *prod.TraceMsg
-		select {
-		case <-f.ctx.Done():
+		occ := f.nextOccurrence(b, p, key, &cursor)
+		if occ == nil {
 			p.Abort("fleet shutdown")
 			b.state.Store(int32(BucketFailed))
 			f.bucketDone(b)
 			return
-		case msg = <-b.pending:
-		default:
-			// The live queue is dry: replay a spilled occurrence from
-			// the archive, if any survived an earlier overflow.
-			if occ, ok := f.replaySpilled(b, p.Version()); ok {
-				f.feedOccurrence(b, g, p, occ)
-				continue
+		}
+		before := p.Version()
+		if _, err := p.Feed(occ); err != nil {
+			f.logf("fleet: bucket %d (%s): pipeline: %v", b.ID, b.App, err)
+		}
+		b.iterations.Store(int32(len(p.Report().Iterations)))
+		if p.Version() != before && !p.Done() {
+			// Key data values selected: attribute the new version's
+			// recording-set cost and roll the instrumented module out
+			// to this app's machines.
+			sites, cost := p.Report().RecordingSet()
+			f.opts.Overhead.SetRecordingCost(b.App, p.Version(), sites, cost)
+			_ = f.Rollout(b.App, p.Deployed(), p.Version())
+		}
+	}
+	f.ResolveBucket(b, p.Report())
+}
+
+// nextOccurrence blocks until the archive holds the bucket's next
+// record at or after *cursor that this app recorded on the pipeline's
+// current deployment with an unwrapped ring, then opens it as a
+// streaming occurrence. The lookup reads only record metadata; the
+// app's records it passes over count as stale (an older deployment)
+// or bad (a wrapped ring). It returns nil when the fleet shuts down.
+func (f *Fleet) nextOccurrence(b *Bucket, p *core.Pipeline, key uint64, cursor *uint64) *core.Occurrence {
+	version := p.Version()
+	match := func(ri tracestore.RecordInfo) bool {
+		switch {
+		case ri.Meta.App != b.App:
+			return false // another app sharing the signature
+		case ri.Meta.Version != version:
+			b.staleDrops.Add(1)
+			return false
+		case ri.Meta.Lost > 0:
+			b.badDrops.Add(1)
+			return false
+		}
+		return true
+	}
+	var wSpan *telemetry.Span
+	var waitStart time.Time
+	for {
+		banked := b.bankedCh()
+		info, next, ok := f.store.Next(key, *cursor, match)
+		*cursor = next
+		if !ok {
+			if waitStart.IsZero() {
+				wSpan = p.Span().Child("reoccurrence-wait")
+				waitStart = time.Now()
 			}
-			wSpan := p.Span().Child("reoccurrence-wait")
-			waitStart := time.Now()
 			select {
 			case <-f.ctx.Done():
 				wSpan.End()
-				p.Abort("fleet shutdown")
-				b.state.Store(int32(BucketFailed))
-				f.bucketDone(b)
-				return
-			case msg = <-b.pending:
+				return nil
+			case <-banked:
 			}
-			f.waitHist.Observe(time.Since(waitStart).Seconds())
-			wSpan.End()
-		}
-		if msg.Version != p.Version() {
-			// Recorded on an out-of-date deployment (pre-rollout
-			// binary still reporting); the trace lacks the
-			// recorded values this iteration needs.
-			b.staleDrops.Add(1)
-			continue
-		}
-		dSpan := p.Span().Child("decode")
-		decodeStart := time.Now()
-		occ, err := occurrenceFrom(msg)
-		f.decodeHist.Observe(time.Since(decodeStart).Seconds())
-		if err != nil {
-			dSpan.SetAttr("error", err.Error())
-			dSpan.End()
-			b.badDrops.Add(1)
-			f.logf("fleet: bucket %d (%s): dropping blob: %v", b.ID, b.App, err)
-			continue
-		}
-		if occ.Trace != nil {
-			dSpan.SetAttr("events", len(occ.Trace.Events))
-		}
-		dSpan.End()
-		f.feedOccurrence(b, g, p, occ)
-	}
-	// Resolved: the archive no longer needs every reoccurrence of this
-	// failure — retire its bucket so compaction reclaims the interior
-	// records (the reference and final occurrence survive as the audit
-	// pair).
-	if st := f.opts.Store; st != nil {
-		st.Retire(tracestore.KeyOf(b.Sig))
-	}
-	rep := p.Report()
-	b.report.Store(rep)
-	if rep.Reproduced {
-		b.state.Store(int32(BucketReproduced))
-	} else {
-		b.state.Store(int32(BucketFailed))
-	}
-	// Retire this app's machines: its failure is resolved, so the
-	// fleet stops spending production capacity reproducing it.
-	for _, m := range g.machines {
-		m.Deploy(prod.Deployment{})
-	}
-	f.bucketDone(b)
-}
-
-// feedOccurrence advances the bucket's pipeline by one reoccurrence
-// and rolls out any re-instrumented deployment it produced.
-func (f *Fleet) feedOccurrence(b *Bucket, g *appGroup, p *core.Pipeline, occ *core.Occurrence) {
-	before := p.Version()
-	if _, err := p.Feed(occ); err != nil {
-		f.logf("fleet: bucket %d (%s): pipeline: %v", b.ID, b.App, err)
-	}
-	b.iterations.Store(int32(len(p.Report().Iterations)))
-	if p.Version() != before && !p.Done() {
-		// Key data values selected: roll the instrumented
-		// module out to this app's machines.
-		dep := prod.Deployment{Module: p.Deployed(), Version: p.Version()}
-		for _, m := range g.machines {
-			m.Deploy(dep)
-		}
-		if f.opts.Overhead != nil {
-			// Attribute the new version's recording-set cost
-			// (cumulative across the chain) to the overhead ledger.
-			sites, cost := 0, int64(0)
-			for _, it := range p.Report().Iterations {
-				if len(it.Sites) > 0 {
-					sites += len(it.Sites)
-					cost += it.RecordingCost
-				}
-			}
-			f.opts.Overhead.SetRecordingCost(b.App, p.Version(), sites, cost)
-		}
-		f.logf("fleet: bucket %d (%s): rolled out instrumented deployment v%d",
-			b.ID, b.App, p.Version())
-	}
-}
-
-// replaySpilled pops spilled archive records until it finds one
-// recorded on the pipeline's current deployment version, and rebuilds
-// it as a streaming occurrence: the trace decodes straight off the
-// segment log (delta ops applied on the fly), never materializing the
-// event slice. Stale or unreadable spills are dropped with the same
-// accounting as their live counterparts.
-func (f *Fleet) replaySpilled(b *Bucket, version int) (*core.Occurrence, bool) {
-	st := f.opts.Store
-	if st == nil {
-		return nil, false
-	}
-	key := tracestore.KeyOf(b.Sig)
-	for {
-		seq, ok := b.popSpill()
-		if !ok {
-			return nil, false
-		}
-		r, err := st.OpenEvents(key, seq)
-		if err != nil {
-			b.badDrops.Add(1)
-			f.opts.Journal.Log(telemetry.LevelWarn, "fleet", "spilled occurrence unreadable; dropped",
-				telemetry.A("app", b.App), telemetry.A("bucket", b.ID),
-				telemetry.A("seq", seq), telemetry.A("err", err))
-			f.logf("fleet: bucket %d (%s): spilled record %d unreadable: %v", b.ID, b.App, seq, err)
-			continue
-		}
-		info := r.Info()
-		if info.Meta.Version != version {
-			b.staleDrops.Add(1)
-			continue
-		}
-		if info.Meta.Lost > 0 {
-			// Mirror the live path: a wrapped ring lacks its prefix.
-			b.badDrops.Add(1)
 			continue
 		}
 		occ := &core.Occurrence{
@@ -636,17 +534,29 @@ func (f *Fleet) replaySpilled(b *Bucket, version int) (*core.Occurrence, bool) {
 			Seed: info.Meta.Seed,
 		}
 		if info.RawLen > 0 {
+			r, err := f.store.OpenEvents(key, info.Seq)
+			if err != nil {
+				b.badDrops.Add(1)
+				f.opts.Journal.Log(telemetry.LevelWarn, "fleet", "archived occurrence unreadable; dropped",
+					telemetry.A("app", b.App), telemetry.A("bucket", b.ID),
+					telemetry.A("seq", info.Seq), telemetry.A("err", err))
+				f.logf("fleet: bucket %d (%s): record %d unreadable: %v", b.ID, b.App, info.Seq, err)
+				continue
+			}
 			occ.Events = r
 		}
-		b.replayed.Add(1)
-		return occ, true
+		if !waitStart.IsZero() {
+			f.waitHist.Observe(time.Since(waitStart).Seconds())
+			wSpan.End()
+		}
+		return occ
 	}
 }
 
 // Rollout deploys mod as the named app's next versioned binary across
-// its producer machines — the remote-node analog of the rollout a
-// local pipeline triggers from feedOccurrence. The cluster coordinator
-// calls it when a triage node's pipeline selects key data values.
+// its producer machines. A local pipeline calls it when it selects key
+// data values; the cluster coordinator calls it for a triage node's
+// pipeline.
 func (f *Fleet) Rollout(app string, mod *ir.Module, version int) error {
 	g := f.byName[app]
 	if g == nil {
@@ -656,21 +566,21 @@ func (f *Fleet) Rollout(app string, mod *ir.Module, version int) error {
 	for _, m := range g.machines {
 		m.Deploy(dep)
 	}
-	f.logf("fleet: app %s: rolled out instrumented deployment v%d [remote]", app, version)
+	f.logf("fleet: app %s: rolled out instrumented deployment v%d", app, version)
 	return nil
 }
 
-// ResolveBucket finishes a bucket whose reconstruction ran on a remote
-// triage node: it records the report, retires the app's machines and
-// the bucket's archive key, and signals completion toward Wait. It
-// returns false (and does nothing) if the bucket was already resolved
-// — the idempotence a coordinator replaying its commit log relies on.
+// ResolveBucket finishes a bucket, whether its reconstruction ran on
+// the local worker pool or on a remote triage node: it records the
+// report, retires the app's machines (its failure is resolved, so the
+// fleet stops spending production capacity reproducing it) and, once
+// every bucket sharing it has resolved, the bucket's archive key, and
+// signals completion toward Wait. It returns false (and does nothing)
+// if the bucket was already resolved — the idempotence a coordinator
+// replaying its commit log relies on.
 func (f *Fleet) ResolveBucket(b *Bucket, rep *core.Report) bool {
-	if !b.remoteResolved.CompareAndSwap(false, true) {
+	if !b.resolved.CompareAndSwap(false, true) {
 		return false
-	}
-	if st := f.opts.Store; st != nil {
-		st.Retire(tracestore.KeyOf(b.Sig))
 	}
 	b.report.Store(rep)
 	b.iterations.Store(int32(len(rep.Iterations)))
@@ -684,8 +594,27 @@ func (f *Fleet) ResolveBucket(b *Bucket, rep *core.Report) bool {
 			m.Deploy(prod.Deployment{})
 		}
 	}
+	f.retire(b)
 	f.bucketDone(b)
 	return true
+}
+
+// retire retires b's archive key so compaction reclaims its interior
+// records (the reference and final occurrence survive as the audit
+// pair) — but only once every bucket sharing the key has resolved:
+// buckets intern by (app, signature) while the archive keys by
+// signature alone, and an unresolved bucket may not have replayed its
+// records yet.
+func (f *Fleet) retire(b *Bucket) {
+	key := tracestore.KeyOf(b.Sig)
+	f.retireMu.Lock()
+	defer f.retireMu.Unlock()
+	for _, c := range f.table.Buckets() {
+		if !c.resolved.Load() && tracestore.KeyOf(c.Sig) == key {
+			return
+		}
+	}
+	f.store.Retire(key)
 }
 
 // Submit offers an externally produced trace message to the fleet's
@@ -703,31 +632,25 @@ func (f *Fleet) bucketDone(b *Bucket) {
 	}
 }
 
-// occurrenceFrom decodes a shipped trace blob into a pipeline
-// occurrence.
-func occurrenceFrom(msg *prod.TraceMsg) (*core.Occurrence, error) {
-	occ := &core.Occurrence{
-		Result: &vm.Result{
-			Failure: msg.Failure,
-			Stats:   vm.Stats{Instrs: msg.Instrs},
-		},
-		Seed: msg.Seed,
-	}
-	if msg.Ring == nil {
-		return occ, nil // untraced occurrence (deferred-tracing fleet)
-	}
-	tr, err := pt.Decode(msg.Ring)
-	if err != nil {
-		return nil, fmt.Errorf("trace decode: %w", err)
-	}
-	if tr.Truncated {
-		return nil, fmt.Errorf("trace ring overflowed (%d bytes lost)", tr.LostBytes)
-	}
-	occ.Trace = tr
-	return occ, nil
+// stop shuts the fleet's goroutines and introspection endpoint down.
+func (f *Fleet) stop() {
+	f.cancel()
+	f.ingest.Close()
+	f.wg.Wait()
+	f.server.Close()
 }
 
-// Wait blocks until every expected failure resolves (or the timeout
+// closePrivateStore closes and removes the store the fleet opened for
+// itself when Options.Store was nil.
+func (f *Fleet) closePrivateStore() {
+	if f.opts.Store != nil || f.store == nil {
+		return
+	}
+	f.store.Close()
+	os.RemoveAll(f.store.Dir())
+}
+
+// Wait blocks until one failure per app resolves (or the timeout
 // fires), then shuts the fleet down and returns the aggregate result.
 func (f *Fleet) Wait() (*Result, error) {
 	f.waitOnce.Do(func() {
@@ -737,10 +660,10 @@ func (f *Fleet) Wait() (*Result, error) {
 			defer t.Stop()
 			timeout = t.C
 		}
-		expect := int64(f.opts.ExpectFailures)
+		expect := len(f.apps)
 		done := 0
 	loop:
-		for int64(done) < expect {
+		for done < expect {
 			select {
 			case <-f.completed:
 				done++
@@ -751,10 +674,7 @@ func (f *Fleet) Wait() (*Result, error) {
 			}
 		}
 		elapsed := time.Since(f.start)
-		f.cancel()
-		f.ingest.Close()
-		f.wg.Wait()
-		f.server.Close()
+		f.stop()
 
 		res := &Result{Elapsed: elapsed, Final: f.Snapshot()}
 		for _, b := range f.table.Buckets() {
@@ -764,6 +684,7 @@ func (f *Fleet) Wait() (*Result, error) {
 			})
 		}
 		f.result = res
+		f.closePrivateStore()
 	})
 	return f.result, f.waitErr
 }
@@ -776,10 +697,8 @@ func (f *Fleet) Abandon() {
 	if !f.started.Load() {
 		return
 	}
-	f.cancel()
-	f.ingest.Close()
-	f.wg.Wait()
-	f.server.Close()
+	f.stop()
+	f.closePrivateStore()
 }
 
 // Run is the one-shot convenience: New + Start + Wait.

@@ -94,8 +94,6 @@ func testApps(t *testing.T) []App {
 func TestFleetStress(t *testing.T) {
 	apps := testApps(t)
 	f, err := New(apps, Options{
-		Shards:         4,
-		QueueCap:       32,
 		Workers:        4,
 		MachinesPerApp: 3, // 9 producers total
 		Pace:           50 * time.Microsecond,
@@ -226,7 +224,7 @@ func TestSigHashMatchesSameSignature(t *testing.T) {
 // checks that distinct failures still get distinct buckets via the
 // SameSignature chain.
 func TestTableCollisionChaining(t *testing.T) {
-	tbl := newTableWithHash(4, func(*vm.Failure) uint64 { return 0xdead })
+	tbl := newTableWithHash(func(*vm.Failure) uint64 { return 0xdead })
 	a := sig(vm.FailAssert, "main", 1, "main")
 	b := sig(vm.FailAssert, "main", 2, "main") // same hash, different signature
 	ba, newA := tbl.Intern(a, "appA")
@@ -253,7 +251,7 @@ func TestTableCollisionChaining(t *testing.T) {
 // scheduler-level deadlocks, which all report the same located-nowhere
 // <scheduler> site — must get distinct buckets.
 func TestTablePerAppBuckets(t *testing.T) {
-	tbl := NewTable(4)
+	tbl := NewTable()
 	dead := sig(vm.FailDeadlock, "<scheduler>", 0)
 	ba, newA := tbl.Intern(dead, "corpus-lock-inversion-005")
 	bb, newB := tbl.Intern(dead, "corpus-lock-inversion-012")
@@ -271,11 +269,11 @@ func TestTablePerAppBuckets(t *testing.T) {
 	}
 }
 
-// TestTableConcurrentIntern hammers Intern+offer from many goroutines
-// (run with -race): each distinct signature must get exactly one
-// bucket and no occurrence may be lost unaccounted.
+// TestTableConcurrentIntern hammers Intern from many goroutines (run
+// with -race): each distinct signature must get exactly one bucket,
+// and the occurrences counted on the returned buckets must add up.
 func TestTableConcurrentIntern(t *testing.T) {
-	tbl := NewTable(8)
+	tbl := NewTable()
 	sigs := []*vm.Failure{
 		sig(vm.FailAssert, "a", 1, "a"),
 		sig(vm.FailAssert, "b", 2, "a", "b"),
@@ -299,7 +297,7 @@ func TestTableConcurrentIntern(t *testing.T) {
 					creations[k]++
 					mu.Unlock()
 				}
-				b.offer(&prod.TraceMsg{Failure: sigs[k]})
+				b.occurrences.Add(1)
 			}
 		}(w)
 	}
@@ -314,12 +312,8 @@ func TestTableConcurrentIntern(t *testing.T) {
 	}
 	var total int64
 	for _, b := range tbl.Buckets() {
-		queued := int64(len(b.pending))
-		dropped := b.pendingDrops.Load()
-		if got := b.Occurrences(); got != queued+dropped {
-			// offer always accounts: occurrences == queued + dropped
-			// (nothing was consumed in this test).
-			t.Errorf("bucket %d: occurrences=%d queued=%d dropped=%d", b.ID, got, queued, dropped)
+		if got, want := b.Occurrences(), int64(workers*perWorker/len(sigs)); got != want {
+			t.Errorf("bucket %d: occurrences = %d, want %d", b.ID, got, want)
 		}
 		total += b.Occurrences()
 	}
@@ -328,34 +322,8 @@ func TestTableConcurrentIntern(t *testing.T) {
 	}
 }
 
-func TestIngestDropAccounting(t *testing.T) {
-	q := NewIngest(1, 2, DropNewest)
-	f := sig(vm.FailAssert, "main", 1, "main")
-	accepted := 0
-	for i := 0; i < 10; i++ {
-		if q.Emit(&prod.TraceMsg{Failure: f}) {
-			accepted++
-		}
-	}
-	if accepted != 2 {
-		t.Errorf("accepted = %d, want 2 (shard capacity)", accepted)
-	}
-	if got := q.Accepted(); got != 2 {
-		t.Errorf("Accepted() = %d, want 2", got)
-	}
-	if drops := q.Drops(); drops[0] != 8 {
-		t.Errorf("drops = %v, want [8]", drops)
-	}
-	if depths := q.Depths(); depths[0] != 2 {
-		t.Errorf("depths = %v, want [2]", depths)
-	}
-	if q.Emit(nil) {
-		t.Error("nil message must be rejected")
-	}
-}
-
 func TestIngestCloseUnblocksBackpressure(t *testing.T) {
-	q := NewIngest(1, 1, Backpressure)
+	q := NewIngest(1, 1)
 	f := sig(vm.FailAssert, "main", 1, "main")
 	if !q.Emit(&prod.TraceMsg{Failure: f}) {
 		t.Fatal("first emit should be accepted")
@@ -385,14 +353,20 @@ func TestIngestCloseUnblocksBackpressure(t *testing.T) {
 }
 
 // TestIngestShardsBySignature: all reoccurrences of one failure land
-// on one shard, in order.
+// on one shard, in order, and messages without a failure are refused.
 func TestIngestShardsBySignature(t *testing.T) {
-	q := NewIngest(8, 64, Backpressure)
+	q := NewIngest(8, 64)
 	f := sig(vm.FailAssert, "main", 9, "main")
 	for i := 0; i < 16; i++ {
 		if !q.Emit(&prod.TraceMsg{Machine: i, Failure: f}) {
 			t.Fatalf("emit %d rejected", i)
 		}
+	}
+	if q.Emit(nil) || q.Emit(&prod.TraceMsg{}) {
+		t.Error("a message without a failure must be rejected")
+	}
+	if got := q.Accepted(); got != 16 {
+		t.Errorf("Accepted() = %d, want 16", got)
 	}
 	want := int(SigHash(f) % 8)
 	for i, d := range q.Depths() {

@@ -6,48 +6,25 @@ import (
 	"execrecon/internal/prod"
 )
 
-// OverflowPolicy selects what a full ingest shard does with a new
-// message.
-type OverflowPolicy int
-
-const (
-	// Backpressure blocks the producer until the shard drains (or
-	// the fleet shuts down). This is the lossless default: machines
-	// slow down instead of losing occurrences.
-	Backpressure OverflowPolicy = iota
-	// DropNewest rejects the message immediately and accounts the
-	// drop — the real-fleet behavior when the collector is saturated
-	// and stalling production is unacceptable.
-	DropNewest
-)
-
 // Ingest is a bounded, sharded MPSC queue between many producer
 // machines and the triage drainers. Messages shard by signature hash,
 // so all reoccurrences of one failure land on one shard and stay in
 // arrival order; distinct failures spread across shards and do not
-// contend.
+// contend. A full shard blocks its producers until it drains (or the
+// queue closes): machines slow down instead of losing occurrences.
 //
 // Ingest implements prod.TraceSink.
 type Ingest struct {
 	shards []chan *prod.TraceMsg
-	policy OverflowPolicy
 	done   chan struct{}
 	closed atomic.Bool
 
 	accepted atomic.Int64
-	drops    []paddedCounter // per-shard overflow drops
-}
-
-// paddedCounter is a cache-line padded atomic counter so per-shard
-// drop accounting does not false-share under many producers.
-type paddedCounter struct {
-	n atomic.Int64
-	_ [56]byte
 }
 
 // NewIngest returns a queue with the given shard count and per-shard
 // capacity (both floored at 1).
-func NewIngest(shards, capacity int, policy OverflowPolicy) *Ingest {
+func NewIngest(shards, capacity int) *Ingest {
 	if shards < 1 {
 		shards = 1
 	}
@@ -56,9 +33,7 @@ func NewIngest(shards, capacity int, policy OverflowPolicy) *Ingest {
 	}
 	q := &Ingest{
 		shards: make([]chan *prod.TraceMsg, shards),
-		policy: policy,
 		done:   make(chan struct{}),
-		drops:  make([]paddedCounter, shards),
 	}
 	for i := range q.shards {
 		q.shards[i] = make(chan *prod.TraceMsg, capacity)
@@ -70,29 +45,16 @@ func (q *Ingest) shardOf(msg *prod.TraceMsg) int {
 	return int(SigHash(msg.Failure) % uint64(len(q.shards)))
 }
 
-// Emit implements prod.TraceSink. It returns false when the message
-// was dropped (overflow under DropNewest, or the queue is closed).
+// Emit implements prod.TraceSink. It blocks while the message's shard
+// is full and returns false when the queue is closed.
 func (q *Ingest) Emit(msg *prod.TraceMsg) bool {
 	if msg == nil || msg.Failure == nil {
 		return false
 	}
-	sh := q.shardOf(msg)
-	if q.policy == DropNewest {
-		select {
-		case <-q.done:
-			return false
-		case q.shards[sh] <- msg:
-			q.accepted.Add(1)
-			return true
-		default:
-			q.drops[sh].n.Add(1)
-			return false
-		}
-	}
 	select {
 	case <-q.done:
 		return false
-	case q.shards[sh] <- msg:
+	case q.shards[q.shardOf(msg)] <- msg:
 		q.accepted.Add(1)
 		return true
 	}
@@ -120,15 +82,6 @@ func (q *Ingest) Depths() []int {
 	out := make([]int, len(q.shards))
 	for i, sh := range q.shards {
 		out[i] = len(sh)
-	}
-	return out
-}
-
-// Drops returns the per-shard overflow drop counts.
-func (q *Ingest) Drops() []int64 {
-	out := make([]int64, len(q.drops))
-	for i := range q.drops {
-		out[i] = q.drops[i].n.Load()
 	}
 	return out
 }

@@ -13,7 +13,7 @@ import (
 // and a Snapshot call always agree — there is no second copy of the
 // numbers to fall out of sync.
 //
-// Per-bucket drop/spill counters are exposed as fleet-wide aggregates
+// Per-bucket drop counters are exposed as fleet-wide aggregates
 // (summed over the bucket table at collection time) rather than one
 // labelled series per bucket: bucket cardinality is unbounded in a
 // long-lived fleet, and the per-bucket split stays available on
@@ -28,9 +28,6 @@ func (f *Fleet) registerMetrics(reg *telemetry.Registry) {
 		reg.GaugeFunc("er_fleet_ingest_depth",
 			"current ingest shard queue occupancy",
 			func() float64 { return float64(f.ingest.Depths()[s]) }, lbl)
-		reg.CounterFunc("er_fleet_ingest_drops_total",
-			"trace blobs dropped on ingest overflow (DropNewest policy)",
-			func() float64 { return float64(f.ingest.Drops()[s]) }, lbl)
 	}
 	reg.CounterFunc("er_fleet_ingest_accepted_total",
 		"trace blobs accepted into ingest",
@@ -91,27 +88,17 @@ func (f *Fleet) registerMetrics(reg *telemetry.Registry) {
 	bucketCounter("er_fleet_occurrences_total",
 		"matching occurrences triaged into buckets",
 		func(b *Bucket) int64 { return b.occurrences.Load() })
-	bucketCounter("er_fleet_pending_drops_total",
-		"occurrences dropped on full bucket queues",
-		func(b *Bucket) int64 { return b.pendingDrops.Load() })
 	bucketCounter("er_fleet_stale_drops_total",
-		"occurrences dropped for an out-of-date deployment version",
+		"occurrences skipped for an out-of-date deployment version",
 		func(b *Bucket) int64 { return b.staleDrops.Load() })
 	bucketCounter("er_fleet_bad_drops_total",
-		"occurrences dropped as undecodable or truncated",
+		"occurrences lost on archive append or skipped as unreadable or truncated",
 		func(b *Bucket) int64 { return b.badDrops.Load() })
-	bucketCounter("er_fleet_spills_total",
-		"occurrences parked in the trace archive on queue overflow",
-		func(b *Bucket) int64 { return b.spills.Load() })
-	bucketCounter("er_fleet_replays_total",
-		"spilled occurrences replayed from the trace archive",
-		func(b *Bucket) int64 { return b.replayed.Load() })
 
-	// The fleet owns the wait/decode legs of the shared per-stage
-	// histogram; its bucket pipelines fill in the rest (shepherd,
-	// solve, keyselect, instrument, verify).
+	// The fleet owns the wait leg of the shared per-stage histogram;
+	// its bucket pipelines fill in the rest (shepherd, solve,
+	// keyselect, instrument, verify).
 	f.waitHist = core.StageHistogram(reg, "wait")
-	f.decodeHist = core.StageHistogram(reg, "decode")
 }
 
 // machineStatsView decouples the metric selectors from the

@@ -169,7 +169,7 @@ func TestFleetRemoteMode(t *testing.T) {
 			t.Errorf("bucket %s: NewBucket called %d times, want 1", b.App, n)
 		}
 		key := tracestore.KeyOf(b.Sig)
-		if recs := st.Records(key); len(recs) == 0 {
+		if st.Count(key) == 0 {
 			t.Errorf("bucket %s: no banked records in the archive", b.App)
 		}
 		if !st.Retired(key) {

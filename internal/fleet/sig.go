@@ -5,14 +5,19 @@
 //
 // Data flow:
 //
-//	machines ──Emit──▶ Ingest (sharded bounded MPSC queue,
-//	                   backpressure or drop-with-accounting)
-//	         ──drain─▶ Triage (signature-hash bucketing, dedup,
-//	                   per-bucket reoccurrence queues)
+//	machines ──Emit──▶ Ingest (sharded bounded MPSC queue with
+//	                   backpressure)
+//	         ──drain─▶ Triage (signature-hash bucketing, dedup, and
+//	                   every occurrence banked in the trace archive)
 //	         ──new bucket─▶ Scheduler (worker pool; one independent
 //	                   ER pipeline per bucket, fed event-driven by
-//	                   that bucket's reoccurrences; re-instrumented
-//	                   modules are rolled back out to the machines)
+//	                   that bucket's reoccurrences replayed from the
+//	                   archive; re-instrumented modules are rolled
+//	                   back out to the machines)
+//
+// The archive is the one delivery path: a cluster coordinator
+// (Options.Remote) replaces the scheduler and its triage nodes replay
+// the same records.
 //
 // Everything observable is exported through Fleet.Snapshot: queue
 // depths, drop counters, bucket populations, and per-bucket pipeline

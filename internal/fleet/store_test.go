@@ -1,20 +1,23 @@
 package fleet
 
 import (
+	"context"
+	"os"
 	"testing"
 	"time"
 
+	"execrecon/internal/core"
 	"execrecon/internal/prod"
 	"execrecon/internal/pt"
 	"execrecon/internal/tracestore"
 	"execrecon/internal/vm"
 )
 
-// TestFleetWithStore runs the stress fleet with the persistent trace
+// TestFleetWithStore runs the stress fleet with a caller-owned trace
 // archive wired in (run with -race): every ingested reoccurrence is
-// archived delta-compressed, verdicts stay identical to the
-// store-less fleet, the snapshot surfaces archive stats, and resolved
-// buckets are retired in the store.
+// archived delta-compressed, verdicts stay identical to the store-less
+// fleet, the snapshot surfaces archive stats, and resolved buckets are
+// retired in the store.
 func TestFleetWithStore(t *testing.T) {
 	apps := testApps(t)
 	store, err := tracestore.Open(t.TempDir(), tracestore.Options{AutoCompact: true})
@@ -24,11 +27,8 @@ func TestFleetWithStore(t *testing.T) {
 	defer store.Close()
 
 	f, err := New(apps, Options{
-		Shards:         4,
-		QueueCap:       32,
 		Workers:        4,
 		MachinesPerApp: 3,
-		PendingCap:     1, // overflow aggressively: exercise the spill path
 		Pace:           50 * time.Microsecond,
 		Timeout:        60 * time.Second,
 		Store:          store,
@@ -55,17 +55,10 @@ func TestFleetWithStore(t *testing.T) {
 		}
 	}
 	final := res.Final
-	if !final.StoreEnabled {
-		t.Fatal("snapshot.StoreEnabled = false")
-	}
 	// Every drained message was archived: accepted messages are either
 	// still sitting in a shard queue at shutdown (bounded by the total
 	// ingest capacity) or went through the archive append.
-	backlog := int64(0)
-	for _, d := range final.QueueDepths {
-		backlog += 32 // QueueCap per shard
-		_ = d
-	}
+	backlog := int64(ingestShards * ingestQueueCap)
 	if final.Store.Appends < final.Accepted-backlog {
 		t.Errorf("archive appends %d < accepted %d - backlog %d", final.Store.Appends, final.Accepted, backlog)
 	}
@@ -85,29 +78,29 @@ func TestFleetWithStore(t *testing.T) {
 	}
 }
 
-// TestSpillReplay exercises the overflow spill path deterministically:
-// occurrences that overflow a bucket's pending queue are parked in the
-// archive and replayed — in order, version-filtered — when the live
-// queue runs dry.
-func TestSpillReplay(t *testing.T) {
+// TestArchiveCursor pins the one delivery path deterministically: a
+// bucket's pipeline is fed exactly the archived records at or after its
+// cursor that its own app recorded on the current deployment with an
+// unwrapped ring, in seq order. Records of a stale deployment and
+// wrapped rings are skipped with accounting; another app's records
+// under the same key are left to that app's bucket.
+func TestArchiveCursor(t *testing.T) {
 	store, err := tracestore.Open(t.TempDir(), tracestore.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer store.Close()
-	f, err := New(testApps(t), Options{PendingCap: 1, Store: store})
+	apps := testApps(t)
+	f, err := New(apps, Options{Store: store})
 	if err != nil {
 		t.Fatal(err)
 	}
+	f.ctx, f.cancel = context.WithCancel(context.Background())
+	defer f.cancel()
 
-	sig := &vm.Failure{Kind: vm.FailAssert, Func: "spill", InstrID: 3, Stack: []string{"main", "spill"}}
-	b, isNew := f.table.Intern(sig, "alpha")
-	if !isNew {
-		t.Fatal("bucket not new")
-	}
-
-	makeMsg := func(seed int64, version int) *prod.TraceMsg {
-		ring := pt.NewRing(1 << 16)
+	sig := &vm.Failure{Kind: vm.FailAssert, Func: "shared", InstrID: 3, Stack: []string{"main", "shared"}}
+	makeMsg := func(app string, seed int64, version, ringSize int) *prod.TraceMsg {
+		ring := pt.NewRing(ringSize)
 		enc := pt.NewEncoder(ring)
 		enc.Chunk(0, 0)
 		for i := 0; i < 50; i++ {
@@ -115,73 +108,226 @@ func TestSpillReplay(t *testing.T) {
 		}
 		enc.Finish()
 		return &prod.TraceMsg{
-			App: "alpha", Version: version, Ring: ring,
+			App: app, Version: version, Ring: ring,
 			Failure: sig, Seed: seed, Instrs: 100 + seed,
 		}
 	}
-
-	// Archive + offer like drainShard does. PendingCap 1: the first
-	// message occupies the queue, the rest spill.
-	for i := 0; i < 4; i++ {
-		version := 0
-		if i == 2 {
-			version = 1 // recorded on a stale deployment
-		}
-		msg := makeMsg(int64(i), version)
-		seq, err := store.AppendRing(msg.Failure, tracestore.Meta{
-			App: msg.App, Version: msg.Version, Seed: msg.Seed, Instrs: msg.Instrs,
-		}, msg.Ring)
+	for _, msg := range []*prod.TraceMsg{
+		makeMsg("alpha", 0, 0, 1<<16), // seq 0: delivered
+		makeMsg("alpha", 1, 1, 1<<16), // seq 1: another deployment
+		makeMsg("beta", 2, 0, 1<<16),  // seq 2: another app, same key
+		makeMsg("alpha", 3, 0, 4),     // seq 3: wrapped ring
+		makeMsg("alpha", 4, 0, 1<<16), // seq 4: delivered
+	} {
+		f.admit(msg)
+	}
+	buckets := f.table.Buckets()
+	if len(buckets) != 2 || buckets[0].App != "alpha" || buckets[1].App != "beta" {
+		t.Fatalf("buckets = %+v, want alpha and beta", buckets)
+	}
+	key := tracestore.KeyOf(sig)
+	feed := func(b *Bucket, app App, wantSeeds ...int64) {
+		t.Helper()
+		p, err := core.NewPipeline(core.Config{Module: app.Module})
 		if err != nil {
-			t.Fatalf("AppendRing %d: %v", i, err)
+			t.Fatal(err)
 		}
-		b.offerOrSpill(msg, true, seq)
+		var cursor uint64
+		for _, want := range wantSeeds {
+			occ := f.nextOccurrence(b, p, key, &cursor)
+			if occ == nil {
+				t.Fatalf("%s: no occurrence (want seed %d)", b.App, want)
+			}
+			if occ.Seed != want || occ.Result.Failure != b.Sig || occ.Result.Stats.Instrs != 100+want {
+				t.Fatalf("%s: occurrence = %+v, want seed %d", b.App, occ, want)
+			}
+			n := 0
+			for occ.Events.Next() != nil {
+				n++
+			}
+			if n != 51 { // Chunk + 50 TNTs
+				t.Fatalf("%s seed %d: streamed %d events, want 51", b.App, want, n)
+			}
+		}
+		if cursor != 5 && b.App == "alpha" {
+			t.Fatalf("alpha cursor = %d after its last record, want 5", cursor)
+		}
 	}
-	if got := b.spills.Load(); got != 3 {
-		t.Fatalf("spills = %d, want 3", got)
+	feed(buckets[0], apps[0], 0, 4)
+	feed(buckets[1], apps[1], 2)
+	if got := buckets[0].staleDrops.Load(); got != 1 {
+		t.Errorf("alpha staleDrops = %d, want 1", got)
 	}
-	if got := len(b.pending); got != 1 {
-		t.Fatalf("pending depth = %d, want 1", got)
+	if got := buckets[0].badDrops.Load(); got != 1 {
+		t.Errorf("alpha badDrops = %d, want 1", got)
+	}
+	if s, b := buckets[1].staleDrops.Load(), buckets[1].badDrops.Load(); s != 0 || b != 0 {
+		t.Errorf("beta drops = %d stale, %d bad; want none", s, b)
 	}
 
-	// Replay at version 0: seqs 1 and 3 stream back in order; seq 2
-	// (stale deployment) is filtered with accounting.
-	for _, wantSeed := range []int64{1, 3} {
-		occ, ok := f.replaySpilled(b, 0)
-		if !ok {
-			t.Fatalf("replaySpilled returned nothing (want seed %d)", wantSeed)
-		}
-		if occ.Seed != wantSeed {
-			t.Fatalf("replayed seed = %d, want %d", occ.Seed, wantSeed)
-		}
-		if occ.Result.Failure != sig || occ.Result.Stats.Instrs != 100+wantSeed {
-			t.Fatalf("replayed occurrence = %+v", occ)
-		}
-		if occ.Events == nil {
-			t.Fatal("replayed occurrence has no event stream")
-		}
-		n := 0
-		for occ.Events.Next() != nil {
-			n++
-		}
-		if n != 51 { // Chunk + 50 TNTs
-			t.Fatalf("replayed stream decoded %d events, want 51", n)
-		}
+	// Nothing further matches: the next lookup waits for a banked
+	// occurrence and gives up at shutdown.
+	p, err := core.NewPipeline(core.Config{Module: apps[0].Module})
+	if err != nil {
+		t.Fatal(err)
 	}
-	if _, ok := f.replaySpilled(b, 0); ok {
-		t.Fatal("replaySpilled returned a fourth occurrence")
+	cursor := uint64(5)
+	f.cancel()
+	if occ := f.nextOccurrence(buckets[0], p, key, &cursor); occ != nil {
+		t.Fatalf("occurrence past the last record: %+v", occ)
 	}
-	if got := b.staleDrops.Load(); got != 1 {
-		t.Fatalf("staleDrops = %d, want 1", got)
-	}
-	if got := b.replayed.Load(); got != 2 {
-		t.Fatalf("replayed = %d, want 2", got)
-	}
-	// The snapshot surfaces the spill traffic.
-	snap := f.Snapshot()
-	if snap.Spills != 3 || snap.Replayed != 2 {
-		t.Fatalf("snapshot spills=%d replayed=%d, want 3/2", snap.Spills, snap.Replayed)
-	}
-	if !snap.StoreEnabled || snap.Store.Records != 4 {
+	if snap := f.Snapshot(); snap.Store.Records != 5 {
 		t.Fatalf("snapshot store stats = %+v", snap.Store)
+	}
+}
+
+// Programs whose failures share the scheduler-level deadlock
+// signature, and so one archive key.
+const lockASrc = `
+func worker() {
+	lock(1);
+	unlock(1);
+}
+func main() int {
+	int x = input32("x");
+	if (x == 7) { lock(1); }
+	long t = spawn worker();
+	join(t);
+	return 0;
+}`
+
+const lockBSrc = `
+func worker() {
+	lock(2);
+	unlock(2);
+}
+func main() int {
+	int y = input32("y");
+	if (y == 9) { lock(2); }
+	long t = spawn worker();
+	join(t);
+	return 0;
+}`
+
+// TestFleetSharedKeyRetire: buckets intern by (app, signature), the
+// archive keys by signature alone. When one app resolves, compaction
+// must not reclaim the occurrences another app sharing the key has not
+// replayed yet, so the key retires only once both have resolved, and a
+// bucket that shares it and is interned afterwards re-opens it.
+func TestFleetSharedKeyRetire(t *testing.T) {
+	store, err := tracestore.Open(t.TempDir(), tracestore.Options{AutoCompact: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer store.Close()
+	apps := []App{
+		{Name: "lockA", Module: compile(t, "lockA", lockASrc),
+			Failing: func() *vm.Workload { return vm.NewWorkload().Add("x", 7) }, Seed: 1},
+		{Name: "lockB", Module: compile(t, "lockB", lockBSrc),
+			Failing: func() *vm.Workload { return vm.NewWorkload().Add("y", 9) }, Seed: 1},
+		{Name: "lockC", Module: compile(t, "lockC", lockASrc),
+			Failing: func() *vm.Workload { return vm.NewWorkload().Add("x", 7) }, Seed: 1},
+	}
+	f, err := New(apps, Options{Store: store})
+	if err != nil {
+		t.Fatal(err)
+	}
+	// Drive triage and the pipelines by hand, without machines, so the
+	// interleaving is fixed.
+	f.ctx, f.cancel = context.WithCancel(context.Background())
+	defer f.cancel()
+	bank := func(a App, n int) {
+		for i := 0; i < n; i++ {
+			var rec prod.Recorder
+			res, ring := rec.Run(a.Module, "main", a.Failing(), a.Seed, true, prod.MachineRingSize)
+			if res.Failure == nil || res.Failure.Kind != vm.FailDeadlock {
+				t.Fatalf("%s: failing run = %v, want a deadlock", a.Name, res.Failure)
+			}
+			f.admit(&prod.TraceMsg{App: a.Name, Ring: ring, Failure: res.Failure, Seed: a.Seed, Instrs: res.Stats.Instrs})
+		}
+	}
+	// lockB's records sit strictly inside the key's history: the ones
+	// compaction of a retired key reclaims.
+	bank(apps[0], 1)
+	bank(apps[1], 3)
+	bank(apps[0], 1)
+	bA, bB := <-f.work, <-f.work
+	if bA.App != "lockA" || bB.App != "lockB" {
+		t.Fatalf("scheduled %s, %s; want lockA, lockB", bA.App, bB.App)
+	}
+	key := tracestore.KeyOf(bA.Sig)
+	if tracestore.KeyOf(bB.Sig) != key {
+		t.Fatal("fixture broken: the deadlocks do not share an archive key")
+	}
+
+	f.runBucket(bA)
+	if store.Retired(key) {
+		t.Fatal("key retired while lockB, which shares it, is unresolved")
+	}
+	if _, err := store.Compact(); err != nil { // the pass AutoCompact would run
+		t.Fatal(err)
+	}
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		f.runBucket(bB)
+	}()
+	select {
+	case <-done:
+	case <-time.After(30 * time.Second):
+		f.cancel()
+		<-done
+		t.Fatal("lockB never resolved: its banked occurrences were reclaimed")
+	}
+	for _, b := range []*Bucket{bA, bB} {
+		if rep := b.report.Load(); rep == nil || !rep.Reproduced || !rep.Verified {
+			t.Errorf("bucket %s: report %+v, want reproduced and verified", b.App, rep)
+		}
+	}
+	if !store.Retired(key) {
+		t.Fatal("key not retired after every bucket sharing it resolved")
+	}
+	// A third app hitting the same deadlock later re-opens the key.
+	bank(apps[2], 1)
+	if store.Retired(key) {
+		t.Error("key still retired after a new bucket sharing it was interned")
+	}
+}
+
+// TestFleetPrivateStoreRemoved: a fleet run without Options.Store
+// banks into a private archive in a temporary directory and removes
+// it on shutdown, whether through Wait or Abandon.
+func TestFleetPrivateStoreRemoved(t *testing.T) {
+	for _, abandon := range []bool{false, true} {
+		name := "wait"
+		if abandon {
+			name = "abandon"
+		}
+		t.Run(name, func(t *testing.T) {
+			tmp := t.TempDir()
+			t.Setenv("TMPDIR", tmp)
+			f, err := New(testApps(t)[:1], Options{
+				MachinesPerApp: 1,
+				Pace:           50 * time.Microsecond,
+				Timeout:        60 * time.Second,
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := f.Start(); err != nil {
+				t.Fatal(err)
+			}
+			if entries, _ := os.ReadDir(tmp); len(entries) != 1 {
+				t.Fatalf("temp dir holds %d entries while running, want the private store", len(entries))
+			}
+			if abandon {
+				f.Abandon()
+			} else if _, err := f.Wait(); err != nil {
+				t.Fatal(err)
+			}
+			if entries, _ := os.ReadDir(tmp); len(entries) != 0 {
+				t.Fatalf("temp dir still holds %v after shutdown", entries)
+			}
+		})
 	}
 }

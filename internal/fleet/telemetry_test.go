@@ -22,7 +22,6 @@ func TestFleetTelemetryEndpoint(t *testing.T) {
 	reg := telemetry.New()
 	tr := telemetry.NewTracer(8)
 	f, err := New(testApps(t), Options{
-		Shards:         4,
 		Workers:        4,
 		MachinesPerApp: 2,
 		Pace:           50 * time.Microsecond,

@@ -6,7 +6,6 @@ import (
 	"time"
 
 	"execrecon/internal/core"
-	"execrecon/internal/prod"
 	"execrecon/internal/vm"
 )
 
@@ -41,9 +40,9 @@ func (s BucketState) String() string {
 
 // Bucket groups all reoccurrences of one failure signature. The first
 // occurrence creates the bucket (and spawns ER work); subsequent
-// occurrences only increment counters and queue for the bucket's
-// pipeline — the dedup that keeps one fleet-wide failure from
-// spawning one analysis per machine.
+// occurrences only increment counters and are banked in the trace
+// archive for the bucket's pipeline — the dedup that keeps one
+// fleet-wide failure from spawning one analysis per machine.
 type Bucket struct {
 	ID   int
 	Hash uint64
@@ -56,80 +55,46 @@ type Bucket struct {
 	// rollouts.
 	App string
 
-	pending chan *prod.TraceMsg
+	// banked is closed, and replaced, each time an occurrence of the
+	// bucket is banked in the archive: the wakeup of a pipeline waiting
+	// for its next reoccurrence.
+	bankedMu sync.Mutex
+	banked   chan struct{}
 
-	// spilled holds archive sequence numbers of occurrences that
-	// overflowed the in-RAM pending queue while the fleet runs with a
-	// trace store: instead of dropping them, triage parks the archived
-	// seq here and the bucket's pipeline replays them from disk when
-	// the live queue runs dry (cold/backlogged buckets never lose
-	// reoccurrences).
-	spillMu sync.Mutex
-	spilled []uint64
-
-	occurrences  atomic.Int64 // total matching occurrences seen by triage
-	pendingDrops atomic.Int64 // occurrences dropped because pending was full
-	spills       atomic.Int64 // occurrences parked in the archive on overflow
-	replayed     atomic.Int64 // spilled occurrences replayed from the archive
-	staleDrops   atomic.Int64 // occurrences dropped for an out-of-date version
-	badDrops     atomic.Int64 // occurrences dropped as undecodable/truncated
-	state        atomic.Int32
-	iterations   atomic.Int32 // analysis iterations completed so far
-	// remoteResolved latches the first ResolveBucket call in remote-node
-	// mode, making resolution idempotent across lease re-dispatch and
-	// coordinator commit-log replay.
-	remoteResolved atomic.Bool
-	report         atomic.Pointer[core.Report]
-	firstSeen      time.Time
-	doneAt         atomic.Int64 // unix nanos; 0 while in flight
+	occurrences atomic.Int64 // total matching occurrences seen by triage
+	staleDrops  atomic.Int64 // occurrences skipped for an out-of-date version
+	badDrops    atomic.Int64 // occurrences lost or skipped as unreadable/truncated
+	state       atomic.Int32
+	iterations  atomic.Int32 // analysis iterations completed so far
+	// resolved latches the first ResolveBucket call, making resolution
+	// idempotent across lease re-dispatch and coordinator commit-log
+	// replay.
+	resolved  atomic.Bool
+	report    atomic.Pointer[core.Report]
+	firstSeen time.Time
+	doneAt    atomic.Int64 // unix nanos; 0 while in flight
 }
 
 // Occurrences returns the total matching occurrences triaged into the
-// bucket (including ones later dropped as stale or overflowed).
+// bucket (including ones later skipped as stale or unreadable).
 func (b *Bucket) Occurrences() int64 { return b.occurrences.Load() }
 
 // State returns the bucket's lifecycle state.
 func (b *Bucket) State() BucketState { return BucketState(b.state.Load()) }
 
-// offer enqueues a reoccurrence for the bucket's pipeline without
-// blocking triage; a full pending queue drops with accounting (the
-// pipeline only ever needs "the next" occurrence, so backlog beyond
-// the queue bound is redundant anyway).
-func (b *Bucket) offer(msg *prod.TraceMsg) bool {
-	return b.offerOrSpill(msg, false, 0)
+// bankedCh returns the channel the next banked occurrence closes.
+func (b *Bucket) bankedCh() <-chan struct{} {
+	b.bankedMu.Lock()
+	defer b.bankedMu.Unlock()
+	return b.banked
 }
 
-// offerOrSpill is offer with a spill fallback: when the pending queue
-// is full and the occurrence is already archived under seq, the seq is
-// parked on the spill list for later replay instead of being dropped.
-func (b *Bucket) offerOrSpill(msg *prod.TraceMsg, archived bool, seq uint64) bool {
-	b.occurrences.Add(1)
-	select {
-	case b.pending <- msg:
-		return true
-	default:
-		if archived {
-			b.spillMu.Lock()
-			b.spilled = append(b.spilled, seq)
-			b.spillMu.Unlock()
-			b.spills.Add(1)
-		} else {
-			b.pendingDrops.Add(1)
-		}
-		return false
-	}
-}
-
-// popSpill dequeues the oldest spilled archive sequence number.
-func (b *Bucket) popSpill() (uint64, bool) {
-	b.spillMu.Lock()
-	defer b.spillMu.Unlock()
-	if len(b.spilled) == 0 {
-		return 0, false
-	}
-	seq := b.spilled[0]
-	b.spilled = b.spilled[1:]
-	return seq, true
+// wake signals that an occurrence of the bucket was banked.
+func (b *Bucket) wake() {
+	b.bankedMu.Lock()
+	close(b.banked)
+	b.banked = make(chan struct{})
+	b.bankedMu.Unlock()
 }
 
 // Table is the concurrent signature-hash bucket index. Lookups hash
@@ -137,30 +102,19 @@ func (b *Bucket) popSpill() (uint64, bool) {
 // full SameSignature equality, so two distinct failures that happen
 // to share a hash still get distinct buckets.
 type Table struct {
-	mu         sync.RWMutex
-	byHash     map[uint64][]*Bucket
-	all        []*Bucket
-	pendingCap int
+	mu     sync.RWMutex
+	byHash map[uint64][]*Bucket
+	all    []*Bucket
 	// hash is the signature hash function; tests override it to
 	// force collisions.
 	hash func(*vm.Failure) uint64
 }
 
-// NewTable returns an empty bucket table whose buckets hold at most
-// pendingCap queued reoccurrences (floored at 1).
-func NewTable(pendingCap int) *Table {
-	return newTableWithHash(pendingCap, SigHash)
-}
+// NewTable returns an empty bucket table.
+func NewTable() *Table { return newTableWithHash(SigHash) }
 
-func newTableWithHash(pendingCap int, hash func(*vm.Failure) uint64) *Table {
-	if pendingCap < 1 {
-		pendingCap = 1
-	}
-	return &Table{
-		byHash:     make(map[uint64][]*Bucket),
-		pendingCap: pendingCap,
-		hash:       hash,
-	}
+func newTableWithHash(hash func(*vm.Failure) uint64) *Table {
+	return &Table{byHash: make(map[uint64][]*Bucket), hash: hash}
 }
 
 // Intern returns the bucket for the (app, failure) pair, creating it
@@ -195,7 +149,7 @@ func (t *Table) Intern(f *vm.Failure, app string) (b *Bucket, isNew bool) {
 		Hash:      h,
 		Sig:       f,
 		App:       app,
-		pending:   make(chan *prod.TraceMsg, t.pendingCap),
+		banked:    make(chan struct{}),
 		firstSeen: time.Now(),
 	}
 	t.byHash[h] = append(t.byHash[h], b)

@@ -44,6 +44,16 @@ func (s *Store) Retire(key uint64) {
 	}
 }
 
+// Unretire marks a retired bucket live again, so compaction keeps its
+// records: a consumer that shares the key has started replaying it.
+func (s *Store) Unretire(key uint64) {
+	s.mu.Lock()
+	if ks := s.keys[key]; ks != nil {
+		ks.retired = false
+	}
+	s.mu.Unlock()
+}
+
 // Retired reports whether the bucket has been retired.
 func (s *Store) Retired(key uint64) bool {
 	s.mu.Lock()

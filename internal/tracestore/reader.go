@@ -65,9 +65,6 @@ func (s *Store) OpenEvents(key, seq uint64) (*Reader, error) {
 	}
 	return &Reader{
 		StreamDecoder: pt.NewStreamDecoder(raw, r.meta.Lost),
-		info: RecordInfo{
-			Key: key, Seq: r.seq, Kind: r.kind, Meta: r.meta,
-			RawLen: r.rawLen, StoredBytes: r.storedBytes(),
-		},
+		info:          r.info(key),
 	}, nil
 }

@@ -81,8 +81,9 @@ func (s *Source) Next(req core.SourceRequest) (*core.Occurrence, error) {
 // ReplaySource replays already-archived occurrences of one signature
 // in sequence order — `er reproduce -replay-store`: reconstruction
 // driven purely from the archive, no production runs at all. Each
-// Next pops the next record whose deployment version matches the
-// request's rollout epoch (tracked the same way as Source.version);
+// Next finds the next record whose deployment version matches the
+// request's rollout epoch (tracked the same way as Source.version)
+// from the archive's metadata and opens only that record;
 // it fails when the archive runs out of matching records, which is
 // the archive's analog of "the failure stopped reoccurring".
 type ReplaySource struct {
@@ -113,35 +114,33 @@ func (r *ReplaySource) Next(req core.SourceRequest) (*core.Occurrence, error) {
 	if req.Signature != nil && !sig.SameSignature(req.Signature) {
 		return nil, fmt.Errorf("tracestore: archived signature %v does not match requested %v", sig, req.Signature)
 	}
-	total := uint64(r.Store.Count(r.Key))
-	for ; r.nextSeq < total; r.nextSeq++ {
-		rd, err := r.Store.OpenEvents(r.Key, r.nextSeq)
-		if err != nil {
-			return nil, fmt.Errorf("tracestore: replay seq %d: %w", r.nextSeq, err)
-		}
-		info := rd.Info()
-		if info.Meta.Version != r.version || info.Meta.Lost > 0 {
-			continue // recorded on a different rollout, or wrapped
-		}
-		occ := &core.Occurrence{
-			Result: &vm.Result{
-				Failure: sig,
-				Stats:   vm.Stats{Instrs: info.Meta.Instrs},
-			},
-			Seed: info.Meta.Seed,
-		}
-		if info.RawLen > 0 {
-			// Even when the loop asked for an untraced occurrence the
-			// archived trace is a strict superset — hand it over.
-			occ.Events = rd
-		} else if req.Traced {
-			continue // untraced record cannot satisfy a traced request
-		}
-		r.nextSeq++
-		return occ, nil
+	info, next, ok := r.Store.Next(r.Key, r.nextSeq, func(ri RecordInfo) bool {
+		// Skip records of another rollout, wrapped rings, and untraced
+		// records when the loop needs a trace.
+		return ri.Meta.Version == r.version && ri.Meta.Lost == 0 && (ri.RawLen > 0 || !req.Traced)
+	})
+	r.nextSeq = next
+	if !ok {
+		return nil, fmt.Errorf("tracestore: archive exhausted for key %#x at rollout v%d (%d records)",
+			r.Key, r.version, r.Store.Count(r.Key))
 	}
-	return nil, fmt.Errorf("tracestore: archive exhausted for key %#x at rollout v%d (%d records)",
-		r.Key, r.version, total)
+	occ := &core.Occurrence{
+		Result: &vm.Result{
+			Failure: sig,
+			Stats:   vm.Stats{Instrs: info.Meta.Instrs},
+		},
+		Seed: info.Meta.Seed,
+	}
+	if info.RawLen > 0 {
+		// Even when the loop asked for an untraced occurrence the
+		// archived trace is a strict superset — hand it over.
+		rd, err := r.Store.OpenEvents(r.Key, info.Seq)
+		if err != nil {
+			return nil, fmt.Errorf("tracestore: replay seq %d: %w", info.Seq, err)
+		}
+		occ.Events = rd
+	}
+	return occ, nil
 }
 
 var (

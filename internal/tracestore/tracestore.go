@@ -27,11 +27,11 @@
 //     reconstructed, Retire marks its bucket and compaction rewrites
 //     the log keeping only the bucket's reference and final record.
 //
-// The store slots in at two points of the fleet: internal/fleet uses
-// it as the spill path for cold/backlogged buckets (hot traces stay
-// in RAM; overflow replays from the archive), and internal/prod
-// machines can ship to an archive (ArchiveSink) instead of a live
-// channel.
+// The store is the fleet's one delivery path: internal/fleet banks
+// every ingested reoccurrence here and each bucket's pipeline (or a
+// remote triage node, through the cluster coordinator) replays the
+// next matching record from it. internal/prod machines can also ship
+// to an archive (ArchiveSink) instead of a live channel.
 package tracestore
 
 import (
@@ -160,6 +160,13 @@ type recordRef struct {
 }
 
 func (r recordRef) storedBytes() int64 { return frameHeaderSize + int64(r.plen) }
+
+func (r recordRef) info(key uint64) RecordInfo {
+	return RecordInfo{
+		Key: key, Seq: r.seq, Kind: r.kind, Meta: r.meta,
+		RawLen: r.rawLen, StoredBytes: r.storedBytes(),
+	}
+}
 
 type keyState struct {
 	sig     *vm.Failure
@@ -524,22 +531,32 @@ func (s *Store) Count(key uint64) int {
 	return 0
 }
 
-// Records lists the live records under key in sequence order.
-func (s *Store) Records(key uint64) []RecordInfo {
+// Next returns the first live record under key with Seq >= from that
+// match accepts. It reads only the in-memory index, under the store
+// lock, and opens no record, so a consumer skips stale or foreign
+// records without decoding them and then opens just the one it
+// delivers. match sees every record it passes over, in seq order, and
+// must not call back into the store. next is where the following scan
+// resumes: just past the match, or past every record under key when
+// none matched.
+func (s *Store) Next(key, from uint64, match func(RecordInfo) bool) (info RecordInfo, next uint64, ok bool) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	ks := s.keys[key]
 	if ks == nil {
-		return nil
+		return RecordInfo{}, from, false
 	}
-	out := make([]RecordInfo, 0, len(ks.recs))
-	for _, r := range ks.recs {
-		out = append(out, RecordInfo{
-			Key: key, Seq: r.seq, Kind: r.kind, Meta: r.meta,
-			RawLen: r.rawLen, StoredBytes: r.storedBytes(),
-		})
+	for _, r := range ks.recs[ks.search(from):] {
+		if ri := r.info(key); match(ri) {
+			return ri, r.seq + 1, true
+		}
 	}
-	return out
+	return RecordInfo{}, max(from, ks.nextSeq), false
+}
+
+// search returns the index of the first record with seq >= seq.
+func (ks *keyState) search(seq uint64) int {
+	return sort.Search(len(ks.recs), func(i int) bool { return ks.recs[i].seq >= seq })
 }
 
 // lookupLocked finds the record with the given seq under key.
@@ -548,10 +565,8 @@ func (s *Store) lookupLocked(key, seq uint64) (*keyState, recordRef, error) {
 	if ks == nil {
 		return nil, recordRef{}, fmt.Errorf("tracestore: unknown key %#x", key)
 	}
-	for _, r := range ks.recs {
-		if r.seq == seq {
-			return ks, r, nil
-		}
+	if i := ks.search(seq); i < len(ks.recs) && ks.recs[i].seq == seq {
+		return ks, ks.recs[i], nil
 	}
 	return nil, recordRef{}, fmt.Errorf("tracestore: key %#x has no record seq %d", key, seq)
 }
@@ -591,8 +606,5 @@ func (s *Store) ReadRaw(key, seq uint64) ([]byte, RecordInfo, error) {
 	if err != nil {
 		return nil, RecordInfo{}, err
 	}
-	return raw, RecordInfo{
-		Key: key, Seq: r.seq, Kind: r.kind, Meta: r.meta,
-		RawLen: r.rawLen, StoredBytes: r.storedBytes(),
-	}, nil
+	return raw, r.info(key), nil
 }

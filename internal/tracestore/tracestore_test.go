@@ -411,9 +411,8 @@ func TestCompaction(t *testing.T) {
 	}
 
 	// Retired bucket keeps the audit pair: reference + final record.
-	recs := s.Records(keyDone)
-	if len(recs) != 2 || recs[0].Seq != 0 || recs[1].Seq != 4 {
-		t.Fatalf("retired bucket records = %+v", recs)
+	if n := s.Count(keyDone); n != 2 {
+		t.Fatalf("retired bucket keeps %d records, want 2", n)
 	}
 	for _, want := range []struct {
 		seq uint64
@@ -618,5 +617,69 @@ func TestUntracedRecord(t *testing.T) {
 	}
 	if len(raw) != 0 || info.RawLen != 0 {
 		t.Fatalf("untraced record has %d raw bytes", len(raw))
+	}
+}
+
+// TestNextScansMetadata: Next returns the first record at or after the
+// cursor that the predicate accepts, shows the predicate every record
+// it passes over, resumes past the match (or past every record when
+// none matched), and keeps finding records after a compaction removed
+// the ones around them.
+func TestNextScansMetadata(t *testing.T) {
+	s := openTest(t, t.TempDir(), Options{})
+	sig := testSig("next", 1)
+	key := KeyOf(sig)
+	for i := 0; i < 6; i++ {
+		app := "a"
+		if i%2 == 1 {
+			app = "b"
+		}
+		if _, err := s.Append(sig, Meta{App: app, Seed: int64(i)}, makeRaw(7, 50, nil)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	var seen []uint64
+	isB := func(ri RecordInfo) bool {
+		seen = append(seen, ri.Seq)
+		return ri.Meta.App == "b"
+	}
+	info, next, ok := s.Next(key, 2, isB)
+	if !ok || info.Seq != 3 || info.Meta.Seed != 3 || next != 4 {
+		t.Fatalf("Next from 2 = %+v next %d ok %v, want seq 3, next 4", info, next, ok)
+	}
+	if len(seen) != 2 || seen[0] != 2 || seen[1] != 3 {
+		t.Fatalf("predicate saw %v, want [2 3]", seen)
+	}
+	if _, next, ok := s.Next(key, 6, isB); ok || next != 6 {
+		t.Fatalf("Next past the end: next %d ok %v, want 6, false", next, ok)
+	}
+	none := func(RecordInfo) bool { return false }
+	if _, next, ok := s.Next(key, 0, none); ok || next != 6 {
+		t.Fatalf("Next without a match: next %d ok %v, want 6, false", next, ok)
+	}
+	if _, next, ok := s.Next(KeyOf(testSig("unknown", 9)), 3, isB); ok || next != 3 {
+		t.Fatalf("Next on an unknown key: next %d ok %v, want 3, false", next, ok)
+	}
+
+	// Unretire before compaction keeps every record; retiring drops the
+	// interior ones, and Next steps over the gap.
+	s.Retire(key)
+	s.Unretire(key)
+	if s.Retired(key) {
+		t.Fatal("Retired = true after Unretire")
+	}
+	if res, err := s.Compact(); err != nil || res.DroppedRecords != 0 {
+		t.Fatalf("Compact of an unretired key = %+v, %v; want nothing dropped", res, err)
+	}
+	s.Retire(key)
+	if _, err := s.Compact(); err != nil {
+		t.Fatal(err)
+	}
+	info, _, ok = s.Next(key, 1, isB)
+	if !ok || info.Seq != 5 {
+		t.Fatalf("Next after compaction = %+v ok %v, want seq 5", info, ok)
+	}
+	if _, err := s.OpenEvents(key, info.Seq); err != nil {
+		t.Fatalf("OpenEvents(seq %d): %v", info.Seq, err)
 	}
 }
