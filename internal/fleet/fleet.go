@@ -160,7 +160,12 @@ type RemoteTriage interface {
 	Banked(b *Bucket, seq uint64)
 }
 
-// localTriage runs bucket pipelines on the fleet's worker pool.
+// localTriage runs bucket pipelines on the fleet's worker pool. A
+// worker feeds a bucket's pipeline until the archive has nothing more
+// to deliver, then parks the bucket and serves another; Banked puts a
+// parked bucket on the ready queue, which workers serve before
+// never-started buckets so that buckets already in progress finish
+// first.
 type localTriage struct{ f *Fleet }
 
 func (l localTriage) NewBucket(b *Bucket) {
@@ -173,7 +178,54 @@ func (l localTriage) NewBucket(b *Bucket) {
 	}
 }
 
-func (l localTriage) Banked(b *Bucket, _ uint64) { b.wake() }
+func (l localTriage) Banked(b *Bucket, _ uint64) {
+	if b.unpark() {
+		l.f.ready.push(b)
+	}
+}
+
+// readyQueue holds the parked buckets a banked occurrence woke, in
+// wake order. Banked clears a bucket's parked flag as it queues it, so
+// each bucket is queued at most once: the queue is bounded by the
+// number of buckets and push never blocks the ingest drainer.
+type readyQueue struct {
+	mu sync.Mutex
+	q  []*Bucket
+	// signal (capacity 1) tells an idle worker the queue may be
+	// non-empty.
+	signal chan struct{}
+}
+
+func (r *readyQueue) push(b *Bucket) {
+	r.mu.Lock()
+	r.q = append(r.q, b)
+	r.mu.Unlock()
+	r.notify()
+}
+
+func (r *readyQueue) notify() {
+	select {
+	case r.signal <- struct{}{}:
+	default:
+	}
+}
+
+// pop returns the longest-waiting ready bucket, or nil. When more
+// remain it re-raises the signal for the next idle worker.
+func (r *readyQueue) pop() *Bucket {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	if len(r.q) == 0 {
+		return nil
+	}
+	b := r.q[0]
+	r.q[0] = nil
+	r.q = r.q[1:]
+	if len(r.q) > 0 {
+		r.notify()
+	}
+	return b
+}
 
 // Fleet wires machines, ingest, triage, and the pipeline scheduler
 // together.
@@ -186,7 +238,8 @@ type Fleet struct {
 	table     *Table
 	triage    RemoteTriage
 	store     *tracestore.Store
-	work      chan *Bucket
+	work      chan *Bucket // never-started buckets
+	ready     readyQueue   // parked buckets with a banked occurrence
 	completed chan *Bucket
 	// retireMu orders archive-key retirement (ResolveBucket) against
 	// new buckets re-opening a key they share (admit).
@@ -251,6 +304,7 @@ func New(apps []App, opts Options) (*Fleet, error) {
 		triage:    o.Remote,
 		store:     o.Store,
 		work:      make(chan *Bucket, 4096),
+		ready:     readyQueue{signal: make(chan struct{}, 1)},
 		completed: make(chan *Bucket, 4096),
 	}
 	if f.triage == nil {
@@ -420,54 +474,41 @@ func (f *Fleet) admit(msg *prod.TraceMsg) {
 	f.triage.Banked(b, seq)
 }
 
-// worker runs queued buckets' pipelines to completion, one at a time.
+// worker runs bucket pipelines, one at a time, until it is told to
+// stop: a woken bucket from the ready queue first, else a never-started
+// one.
 func (f *Fleet) worker() {
 	defer f.wg.Done()
-	for {
+	for f.ctx.Err() == nil {
+		if b := f.ready.pop(); b != nil {
+			f.runBucket(b)
+			continue
+		}
 		select {
 		case <-f.ctx.Done():
-			return
+		case <-f.ready.signal:
 		case b := <-f.work:
 			f.runBucket(b)
 		}
 	}
 }
 
-// runBucket drives one bucket's ER pipeline event-driven: each
-// reoccurrence replayed from the archive advances the pipeline one
-// step, and each re-instrumentation is rolled out to the app's
-// machines, whose next failing runs ship the richer traces the
-// pipeline asked for.
+// runBucket starts or resumes one bucket's ER pipeline and drives it
+// event-driven: each reoccurrence replayed from the archive advances
+// the pipeline one step, and each re-instrumentation is rolled out to
+// the app's machines, whose next failing runs ship the richer traces
+// the pipeline asked for. It returns when the bucket resolves or, with
+// no reoccurrence banked yet, parks.
 func (f *Fleet) runBucket(b *Bucket) {
+	if b.p == nil && !f.startBucket(b) {
+		return
+	}
 	b.state.Store(int32(BucketRunning))
-	g := f.byName[b.App]
-	if g == nil {
-		f.logf("fleet: bucket %d names unknown app %q; abandoning", b.ID, b.App)
-		f.ResolveBucket(b, &core.Report{Failure: b.Sig, FailReason: fmt.Sprintf("fleet: unknown app %q", b.App)})
-		return
-	}
-	p, err := core.NewPipeline(core.Config{
-		Module:    g.app.Module,
-		Entry:     g.app.Entry,
-		Symex:     g.app.Symex,
-		Telemetry: f.opts.Telemetry,
-		Tracer:    f.opts.Tracer,
-		Log:       f.opts.Log,
-	})
-	if err != nil {
-		f.logf("fleet: bucket %d (%s): %v", b.ID, b.App, err)
-		f.ResolveBucket(b, &core.Report{Failure: b.Sig, FailReason: err.Error()})
-		return
-	}
-	key := tracestore.KeyOf(b.Sig)
-	var cursor uint64
+	p := b.p
 	for !p.Done() {
-		occ := f.nextOccurrence(b, p, key, &cursor)
+		occ := f.nextOccurrence(b)
 		if occ == nil {
-			p.Abort("fleet shutdown")
-			b.state.Store(int32(BucketFailed))
-			f.bucketDone(b)
-			return
+			return // parked; the next Banked call re-queues it
 		}
 		before := p.Version()
 		if _, err := p.Feed(occ); err != nil {
@@ -483,17 +524,45 @@ func (f *Fleet) runBucket(b *Bucket) {
 			_ = f.Rollout(b.App, p.Deployed(), p.Version())
 		}
 	}
+	b.p = nil
 	f.ResolveBucket(b, p.Report())
 }
 
-// nextOccurrence blocks until the archive holds the bucket's next
-// record at or after *cursor that this app recorded on the pipeline's
-// current deployment with an unwrapped ring, then opens it as a
-// streaming occurrence. The lookup reads only record metadata; the
-// app's records it passes over count as stale (an older deployment)
-// or bad (a wrapped ring). It returns nil when the fleet shuts down.
-func (f *Fleet) nextOccurrence(b *Bucket, p *core.Pipeline, key uint64, cursor *uint64) *core.Occurrence {
-	version := p.Version()
+// startBucket builds b's pipeline on its first run. It resolves b as
+// failed and returns false when that is impossible.
+func (f *Fleet) startBucket(b *Bucket) bool {
+	g := f.byName[b.App]
+	if g == nil {
+		f.logf("fleet: bucket %d names unknown app %q; abandoning", b.ID, b.App)
+		f.ResolveBucket(b, &core.Report{Failure: b.Sig, FailReason: fmt.Sprintf("fleet: unknown app %q", b.App)})
+		return false
+	}
+	p, err := core.NewPipeline(core.Config{
+		Module:    g.app.Module,
+		Entry:     g.app.Entry,
+		Symex:     g.app.Symex,
+		Telemetry: f.opts.Telemetry,
+		Tracer:    f.opts.Tracer,
+		Log:       f.opts.Log,
+	})
+	if err != nil {
+		f.logf("fleet: bucket %d (%s): %v", b.ID, b.App, err)
+		f.ResolveBucket(b, &core.Report{Failure: b.Sig, FailReason: err.Error()})
+		return false
+	}
+	b.p, b.key = p, tracestore.KeyOf(b.Sig)
+	return true
+}
+
+// nextOccurrence returns the archive's next record for b at or after
+// its cursor that this app recorded on the pipeline's current
+// deployment with an unwrapped ring, opened as a streaming occurrence.
+// The lookup reads only record metadata; the app's records it passes
+// over count as stale (an older deployment) or bad (a wrapped ring).
+// When no such record is banked yet it parks b and returns nil; the
+// caller must then leave b's run state alone.
+func (f *Fleet) nextOccurrence(b *Bucket) *core.Occurrence {
+	version := b.p.Version()
 	match := func(ri tracestore.RecordInfo) bool {
 		switch {
 		case ri.Meta.App != b.App:
@@ -507,24 +576,13 @@ func (f *Fleet) nextOccurrence(b *Bucket, p *core.Pipeline, key uint64, cursor *
 		}
 		return true
 	}
-	var wSpan *telemetry.Span
-	var waitStart time.Time
 	for {
-		banked := b.bankedCh()
-		info, next, ok := f.store.Next(key, *cursor, match)
-		*cursor = next
+		info, next, ok := f.store.Next(b.key, b.cursor, match)
+		b.cursor = next
 		if !ok {
-			if waitStart.IsZero() {
-				wSpan = p.Span().Child("reoccurrence-wait")
-				waitStart = time.Now()
-			}
-			select {
-			case <-f.ctx.Done():
-				wSpan.End()
+			if info, ok = f.park(b, match); !ok {
 				return nil
-			case <-banked:
 			}
-			continue
 		}
 		occ := &core.Occurrence{
 			Result: &vm.Result{
@@ -534,7 +592,7 @@ func (f *Fleet) nextOccurrence(b *Bucket, p *core.Pipeline, key uint64, cursor *
 			Seed: info.Meta.Seed,
 		}
 		if info.RawLen > 0 {
-			r, err := f.store.OpenEvents(key, info.Seq)
+			r, err := f.store.OpenEvents(b.key, info.Seq)
 			if err != nil {
 				b.badDrops.Add(1)
 				f.opts.Journal.Log(telemetry.LevelWarn, "fleet", "archived occurrence unreadable; dropped",
@@ -545,12 +603,36 @@ func (f *Fleet) nextOccurrence(b *Bucket, p *core.Pipeline, key uint64, cursor *
 			}
 			occ.Events = r
 		}
-		if !waitStart.IsZero() {
-			f.waitHist.Observe(time.Since(waitStart).Seconds())
-			wSpan.End()
+		if !b.waitStart.IsZero() {
+			f.waitHist.Observe(time.Since(b.waitStart).Seconds())
+			b.wait.End()
+			b.wait, b.waitStart = nil, time.Time{}
 		}
 		return occ
 	}
+}
+
+// park hands b back to the pool when the archive had nothing for it.
+// Under bankedMu it looks once more — an occurrence banked since the
+// last lookup was announced by a Banked call that found b unparked —
+// and returns the record if one arrived. Otherwise it opens the wait
+// span (unless a wait is already open), marks b waiting and sets the
+// parked flag, after which the next Banked call owns b.
+func (f *Fleet) park(b *Bucket, match func(tracestore.RecordInfo) bool) (tracestore.RecordInfo, bool) {
+	b.bankedMu.Lock()
+	defer b.bankedMu.Unlock()
+	info, next, ok := f.store.Next(b.key, b.cursor, match)
+	b.cursor = next
+	if ok {
+		return info, true
+	}
+	if b.waitStart.IsZero() {
+		b.wait = b.p.Span().Child("reoccurrence-wait")
+		b.waitStart = time.Now()
+	}
+	b.state.Store(int32(BucketWaiting))
+	b.parked = true
+	return info, false
 }
 
 // Rollout deploys mod as the named app's next versioned binary across
@@ -632,12 +714,32 @@ func (f *Fleet) bucketDone(b *Bucket) {
 	}
 }
 
-// stop shuts the fleet's goroutines and introspection endpoint down.
+// stop shuts the fleet's goroutines and introspection endpoint down,
+// then ends the buckets whose pipelines were left unfinished.
 func (f *Fleet) stop() {
 	f.cancel()
 	f.ingest.Close()
 	f.wg.Wait()
+	f.abortUnfinished()
 	f.server.Close()
+}
+
+// abortUnfinished ends every bucket whose pipeline started but did not
+// resolve before the workers stopped — parked, or woken and still on
+// the ready queue: its wait span closes, the pipeline aborts and the
+// bucket fails without a report. Parked buckets run no goroutine of
+// their own, so nothing else is left to stop.
+func (f *Fleet) abortUnfinished() {
+	for _, b := range f.table.Buckets() {
+		if b.p == nil {
+			continue
+		}
+		b.wait.End()
+		b.p.Abort("fleet shutdown")
+		b.p, b.wait = nil, nil
+		b.state.Store(int32(BucketFailed))
+		f.bucketDone(b)
+	}
 }
 
 // closePrivateStore closes and removes the store the fleet opened for

@@ -58,7 +58,7 @@ func (f *Fleet) registerMetrics(reg *telemetry.Registry) {
 		"trace blobs producer machines failed to ship",
 		func(st machineStatsView) int64 { return st.dropped })
 
-	for _, state := range []BucketState{BucketQueued, BucketRunning, BucketReproduced, BucketFailed} {
+	for _, state := range []BucketState{BucketQueued, BucketRunning, BucketWaiting, BucketReproduced, BucketFailed} {
 		state := state
 		reg.GaugeFunc("er_fleet_buckets",
 			"failure buckets by lifecycle state",

@@ -83,7 +83,9 @@ func TestFleetWithStore(t *testing.T) {
 // cursor that its own app recorded on the current deployment with an
 // unwrapped ring, in seq order. Records of a stale deployment and
 // wrapped rings are skipped with accounting; another app's records
-// under the same key are left to that app's bucket.
+// under the same key are left to that app's bucket. Once nothing
+// matches, the bucket parks, and one banked occurrence re-queues it
+// exactly once.
 func TestArchiveCursor(t *testing.T) {
 	store, err := tracestore.Open(t.TempDir(), tracestore.Options{})
 	if err != nil {
@@ -126,15 +128,19 @@ func TestArchiveCursor(t *testing.T) {
 		t.Fatalf("buckets = %+v, want alpha and beta", buckets)
 	}
 	key := tracestore.KeyOf(sig)
-	feed := func(b *Bucket, app App, wantSeeds ...int64) {
+	start := func(b *Bucket, app App) {
 		t.Helper()
 		p, err := core.NewPipeline(core.Config{Module: app.Module})
 		if err != nil {
 			t.Fatal(err)
 		}
-		var cursor uint64
+		b.p, b.key = p, key
+	}
+	feed := func(b *Bucket, app App, wantSeeds ...int64) {
+		t.Helper()
+		start(b, app)
 		for _, want := range wantSeeds {
-			occ := f.nextOccurrence(b, p, key, &cursor)
+			occ := f.nextOccurrence(b)
 			if occ == nil {
 				t.Fatalf("%s: no occurrence (want seed %d)", b.App, want)
 			}
@@ -149,8 +155,8 @@ func TestArchiveCursor(t *testing.T) {
 				t.Fatalf("%s seed %d: streamed %d events, want 51", b.App, want, n)
 			}
 		}
-		if cursor != 5 && b.App == "alpha" {
-			t.Fatalf("alpha cursor = %d after its last record, want 5", cursor)
+		if b.cursor != 5 && b.App == "alpha" {
+			t.Fatalf("alpha cursor = %d after its last record, want 5", b.cursor)
 		}
 	}
 	feed(buckets[0], apps[0], 0, 4)
@@ -165,16 +171,29 @@ func TestArchiveCursor(t *testing.T) {
 		t.Errorf("beta drops = %d stale, %d bad; want none", s, b)
 	}
 
-	// Nothing further matches: the next lookup waits for a banked
-	// occurrence and gives up at shutdown.
-	p, err := core.NewPipeline(core.Config{Module: apps[0].Module})
-	if err != nil {
-		t.Fatal(err)
-	}
-	cursor := uint64(5)
-	f.cancel()
-	if occ := f.nextOccurrence(buckets[0], p, key, &cursor); occ != nil {
+	// Nothing further matches: the lookup parks the bucket and returns
+	// nil without blocking, and the drops are not counted again.
+	alpha := buckets[0]
+	start(alpha, apps[0])
+	alpha.cursor = 5
+	if occ := f.nextOccurrence(alpha); occ != nil {
 		t.Fatalf("occurrence past the last record: %+v", occ)
+	}
+	if !alpha.parked || alpha.State() != BucketWaiting {
+		t.Fatalf("alpha parked = %v, state %v; want parked and waiting", alpha.parked, alpha.State())
+	}
+	if s, b := alpha.staleDrops.Load(), alpha.badDrops.Load(); s != 1 || b != 1 {
+		t.Errorf("alpha drops after parking = %d stale, %d bad; want 1 and 1", s, b)
+	}
+	// One banked occurrence re-queues the parked bucket, exactly once.
+	triage := localTriage{f}
+	triage.Banked(alpha, 5)
+	triage.Banked(alpha, 6)
+	if got := f.ready.pop(); got != alpha {
+		t.Fatalf("ready queue = %v, want alpha", got)
+	}
+	if got := f.ready.pop(); got != nil {
+		t.Fatalf("alpha queued twice: second pop = bucket %d", got.ID)
 	}
 	if snap := f.Snapshot(); snap.Store.Records != 5 {
 		t.Fatalf("snapshot store stats = %+v", snap.Store)
@@ -238,12 +257,9 @@ func TestFleetSharedKeyRetire(t *testing.T) {
 	defer f.cancel()
 	bank := func(a App, n int) {
 		for i := 0; i < n; i++ {
-			var rec prod.Recorder
-			res, ring := rec.Run(a.Module, "main", a.Failing(), a.Seed, true, prod.MachineRingSize)
-			if res.Failure == nil || res.Failure.Kind != vm.FailDeadlock {
+			if res := bankCurrent(t, f, a); res.Failure.Kind != vm.FailDeadlock {
 				t.Fatalf("%s: failing run = %v, want a deadlock", a.Name, res.Failure)
 			}
-			f.admit(&prod.TraceMsg{App: a.Name, Ring: ring, Failure: res.Failure, Seed: a.Seed, Instrs: res.Stats.Instrs})
 		}
 	}
 	// lockB's records sit strictly inside the key's history: the ones
@@ -261,23 +277,19 @@ func TestFleetSharedKeyRetire(t *testing.T) {
 	}
 
 	f.runBucket(bA)
+	if !bA.resolved.Load() {
+		t.Fatal("lockA did not resolve from its banked occurrences")
+	}
 	if store.Retired(key) {
 		t.Fatal("key retired while lockB, which shares it, is unresolved")
 	}
 	if _, err := store.Compact(); err != nil { // the pass AutoCompact would run
 		t.Fatal(err)
 	}
-	done := make(chan struct{})
-	go func() {
-		defer close(done)
-		f.runBucket(bB)
-	}()
-	select {
-	case <-done:
-	case <-time.After(30 * time.Second):
-		f.cancel()
-		<-done
-		t.Fatal("lockB never resolved: its banked occurrences were reclaimed")
+	// runBucket parks, rather than blocks, when nothing is left to feed.
+	f.runBucket(bB)
+	if !bB.resolved.Load() {
+		t.Fatalf("lockB never resolved (state %v): its banked occurrences were reclaimed", bB.State())
 	}
 	for _, b := range []*Bucket{bA, bB} {
 		if rep := b.report.Load(); rep == nil || !rep.Reproduced || !rep.Verified {

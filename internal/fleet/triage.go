@@ -6,6 +6,7 @@ import (
 	"time"
 
 	"execrecon/internal/core"
+	"execrecon/internal/telemetry"
 	"execrecon/internal/vm"
 )
 
@@ -18,6 +19,9 @@ const (
 	BucketQueued BucketState = iota
 	// BucketRunning: a worker is driving this bucket's ER pipeline.
 	BucketRunning
+	// BucketWaiting: the pipeline is parked until production banks its
+	// next reoccurrence; no worker holds it.
+	BucketWaiting
 	// BucketReproduced: the pipeline emitted a verified test case.
 	BucketReproduced
 	// BucketFailed: the pipeline ended without reproducing.
@@ -30,6 +34,8 @@ func (s BucketState) String() string {
 		return "queued"
 	case BucketRunning:
 		return "running"
+	case BucketWaiting:
+		return "waiting"
 	case BucketReproduced:
 		return "reproduced"
 	case BucketFailed:
@@ -55,11 +61,24 @@ type Bucket struct {
 	// rollouts.
 	App string
 
-	// banked is closed, and replaced, each time an occurrence of the
-	// bucket is banked in the archive: the wakeup of a pipeline waiting
-	// for its next reoccurrence.
+	// Run state of the local worker pool. At most one worker drives a
+	// bucket at a time; between workers the bucket is parked, and the
+	// parked flag hands these fields from the worker that parked it to
+	// the one that resumes it. p is nil before the bucket starts and
+	// after it ends.
+	p      *core.Pipeline
+	key    uint64 // archive key of Sig
+	cursor uint64 // next archive seq to consider
+	// wait is the open reoccurrence-wait span, started at the first
+	// park since the last delivered occurrence (waitStart zero: none).
+	wait      *telemetry.Span
+	waitStart time.Time
+
+	// parked is set, under bankedMu, when the bucket's pipeline has no
+	// banked occurrence left to feed and its worker returned to the
+	// pool; the next Banked call clears it and queues the bucket to run.
 	bankedMu sync.Mutex
-	banked   chan struct{}
+	parked   bool
 
 	occurrences atomic.Int64 // total matching occurrences seen by triage
 	staleDrops  atomic.Int64 // occurrences skipped for an out-of-date version
@@ -82,19 +101,14 @@ func (b *Bucket) Occurrences() int64 { return b.occurrences.Load() }
 // State returns the bucket's lifecycle state.
 func (b *Bucket) State() BucketState { return BucketState(b.state.Load()) }
 
-// bankedCh returns the channel the next banked occurrence closes.
-func (b *Bucket) bankedCh() <-chan struct{} {
+// unpark clears the parked flag and reports whether it was set: true
+// exactly once per park, so the caller may queue the bucket to run.
+func (b *Bucket) unpark() bool {
 	b.bankedMu.Lock()
 	defer b.bankedMu.Unlock()
-	return b.banked
-}
-
-// wake signals that an occurrence of the bucket was banked.
-func (b *Bucket) wake() {
-	b.bankedMu.Lock()
-	close(b.banked)
-	b.banked = make(chan struct{})
-	b.bankedMu.Unlock()
+	was := b.parked
+	b.parked = false
+	return was
 }
 
 // Table is the concurrent signature-hash bucket index. Lookups hash
@@ -149,7 +163,6 @@ func (t *Table) Intern(f *vm.Failure, app string) (b *Bucket, isNew bool) {
 		Hash:      h,
 		Sig:       f,
 		App:       app,
-		banked:    make(chan struct{}),
 		firstSeen: time.Now(),
 	}
 	t.byHash[h] = append(t.byHash[h], b)
