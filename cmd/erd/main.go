@@ -60,7 +60,7 @@ func main() {
 	pace := flag.Duration("pace", 100*time.Millisecond, "production-run spacing per machine")
 	ttl := flag.Duration("ttl", cluster.DefaultTTL, "lease heartbeat deadline")
 	timeout := flag.Duration("timeout", 0, "stop after this long even if buckets are unresolved (0 = run until every expected failure resolves)")
-	workers := flag.Int("workers", 2, "concurrent leases per node")
+	workers := flag.Int("workers", 2, "concurrent bucket pipelines per node (parked buckets hold a lease, not a worker)")
 	pprof := flag.Bool("pprof", false, "mount net/http/pprof on the coordinator endpoint")
 	logLevel := flag.String("log-level", "info", "journal level: debug, info, warn, or error")
 	logJSON := flag.Bool("log-json", false, "tee journal events to stderr as JSON lines")

@@ -18,7 +18,7 @@ type FleetClusterOptions struct {
 	// count in {1, 2, 4} that is <= Nodes (so -nodes 4 produces the
 	// scaling curve, -nodes 2 a smoke).
 	Nodes int
-	// WorkersPerNode is each node's concurrent-lease budget
+	// WorkersPerNode is each node's concurrent-pipeline budget
 	// (default 2).
 	WorkersPerNode int
 	// KillAfter, when > 0, adds a chaos run at the highest node count

@@ -42,7 +42,7 @@ type ObsOptions struct {
 	// Nodes is the cluster phase's triage-node count (default 2 — the
 	// timeline-stitching smoke needs at least two tracer domains).
 	Nodes int
-	// WorkersPerNode is each node's concurrent-lease budget
+	// WorkersPerNode is each node's concurrent-pipeline budget
 	// (default 2).
 	WorkersPerNode int
 	// MachinesPerApp, Pace, Only as in FleetExpOptions.

@@ -2,6 +2,7 @@ package cluster
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
 	"fmt"
 	"io"
@@ -18,28 +19,42 @@ type Client struct {
 	hc   *http.Client
 }
 
+// maxIdleConns bounds the client's idle keep-alive connections to the
+// coordinator. A node long-polls /v1/fetch once per parked bucket, so
+// dozens of requests can finish at once; the default pool of two idle
+// connections per host would close and re-dial most of them.
+const maxIdleConns = 256
+
 // NewClient returns a client for the coordinator at base (e.g.
 // "http://127.0.0.1:9090"). node names this peer in lease and
 // liveness bookkeeping ("" for pure submit/query clients).
 func NewClient(base, node string) *Client {
+	tr := http.DefaultTransport.(*http.Transport).Clone()
+	tr.MaxIdleConns = maxIdleConns
+	tr.MaxIdleConnsPerHost = maxIdleConns
 	return &Client{
 		base: strings.TrimRight(base, "/"),
 		node: node,
 		// The timeout must clear the coordinator's long-poll window
 		// (maxPollWait) with margin, not race it.
-		hc: &http.Client{Timeout: maxPollWait + 10*time.Second},
+		hc: &http.Client{Transport: tr, Timeout: maxPollWait + 10*time.Second},
 	}
 }
 
-// post round-trips one JSON request. Transport and decode errors are
-// returned as errors; protocol-level rejections ride in the response
-// envelope (OK=false).
-func (cl *Client) post(path string, req, resp interface{}) error {
+// post round-trips one JSON request; cancelling ctx abandons it.
+// Transport and decode errors are returned as errors; protocol-level
+// rejections ride in the response envelope (OK=false).
+func (cl *Client) post(ctx context.Context, path string, req, resp interface{}) error {
 	body, err := json.Marshal(req)
 	if err != nil {
 		return fmt.Errorf("cluster: marshal %s: %w", path, err)
 	}
-	hr, err := cl.hc.Post(cl.base+path, "application/json", bytes.NewReader(body))
+	hreq, err := http.NewRequestWithContext(ctx, http.MethodPost, cl.base+path, bytes.NewReader(body))
+	if err != nil {
+		return fmt.Errorf("cluster: %s: %w", path, err)
+	}
+	hreq.Header.Set("Content-Type", "application/json")
+	hr, err := cl.hc.Do(hreq)
 	if err != nil {
 		return fmt.Errorf("cluster: %s: %w", path, err)
 	}
@@ -55,9 +70,9 @@ func (cl *Client) post(path string, req, resp interface{}) error {
 }
 
 // Lease asks for the next unleased bucket, long-polling up to wait.
-func (cl *Client) Lease(wait time.Duration) (*LeaseResponse, error) {
+func (cl *Client) Lease(ctx context.Context, wait time.Duration) (*LeaseResponse, error) {
 	var resp LeaseResponse
-	err := cl.post(PathLease, &LeaseRequest{
+	err := cl.post(ctx, PathLease, &LeaseRequest{
 		V: ProtocolVersion, Node: cl.node, WaitMillis: wait.Milliseconds(),
 	}, &resp)
 	if err != nil {
@@ -66,22 +81,24 @@ func (cl *Client) Lease(wait time.Duration) (*LeaseResponse, error) {
 	return &resp, nil
 }
 
-// Renew heartbeats a held lease; the request may piggyback the
-// node's latest replay span snapshot and runtime vitals.
-func (cl *Client) Renew(req *RenewRequest) (*RenewResponse, error) {
+// Renew heartbeats every lease the request names; each may carry the
+// node's latest replay span snapshot, and the request the node's
+// runtime vitals.
+func (cl *Client) Renew(ctx context.Context, req *RenewRequest) (*RenewResponse, error) {
 	req.V = ProtocolVersion
 	req.Node = cl.node
 	var resp RenewResponse
-	if err := cl.post(PathRenew, req, &resp); err != nil {
+	if err := cl.post(ctx, PathRenew, req, &resp); err != nil {
 		return nil, err
 	}
 	return &resp, nil
 }
 
-// Fetch asks for the next banked occurrence matching the cursor.
-func (cl *Client) Fetch(app string, key, term, afterSeq uint64, version int, wait time.Duration) (*FetchResponse, error) {
+// Fetch asks for the next banked occurrence matching the cursor,
+// long-polling up to wait.
+func (cl *Client) Fetch(ctx context.Context, app string, key, term, afterSeq uint64, version int, wait time.Duration) (*FetchResponse, error) {
 	var resp FetchResponse
-	err := cl.post(PathFetch, &FetchRequest{
+	err := cl.post(ctx, PathFetch, &FetchRequest{
 		V: ProtocolVersion, Node: cl.node, App: app, Key: key, Term: term,
 		AfterSeq: afterSeq, Version: version, WaitMillis: wait.Milliseconds(),
 	}, &resp)
@@ -96,7 +113,7 @@ func (cl *Client) Rollout(req *RolloutRequest) (*RolloutResponse, error) {
 	req.V = ProtocolVersion
 	req.Node = cl.node
 	var resp RolloutResponse
-	if err := cl.post(PathRollout, req, &resp); err != nil {
+	if err := cl.post(context.Background(), PathRollout, req, &resp); err != nil {
 		return nil, err
 	}
 	return &resp, nil
@@ -107,7 +124,7 @@ func (cl *Client) Resolve(req *ResolveRequest) (*ResolveResponse, error) {
 	req.V = ProtocolVersion
 	req.Node = cl.node
 	var resp ResolveResponse
-	if err := cl.post(PathResolve, req, &resp); err != nil {
+	if err := cl.post(context.Background(), PathResolve, req, &resp); err != nil {
 		return nil, err
 	}
 	return &resp, nil
@@ -118,7 +135,7 @@ func (cl *Client) Resolve(req *ResolveRequest) (*ResolveResponse, error) {
 func (cl *Client) Submit(req *SubmitRequest) (*SubmitResponse, error) {
 	req.V = ProtocolVersion
 	var resp SubmitResponse
-	if err := cl.post(PathSubmit, req, &resp); err != nil {
+	if err := cl.post(context.Background(), PathSubmit, req, &resp); err != nil {
 		return nil, err
 	}
 	return &resp, nil

@@ -10,6 +10,7 @@ import (
 	"path/filepath"
 	"strconv"
 	"strings"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -208,6 +209,7 @@ func TestClusterTwoNodes(t *testing.T) {
 // mid-rollout — and every bucket must still resolve with full verdict
 // parity, the victim's leases expiring and re-dispatching to the
 // survivor, which replays the banked reoccurrences from the archive.
+// A last run kills a node that holds only parked leases.
 func TestClusterKillNodeChaos(t *testing.T) {
 	apps := testApps(t)
 	rng := rand.New(rand.NewSource(42))
@@ -259,6 +261,43 @@ func TestClusterKillNodeChaos(t *testing.T) {
 				victim, killAfter, snap.Expired, snap.Redispatched, res.NodeResolved)
 		})
 	}
+
+	// A node killed while it holds parked leases: every one of them must
+	// expire and re-dispatch, and the survivor resolves each bucket with
+	// the same verdict. Two apps share gamma's program, so both stall and
+	// park on one node while their reoccurrences are held back.
+	t.Run("kill_node_holding_parked_leases", func(t *testing.T) {
+		var release atomic.Bool
+		gamma, gamma2 := apps[2], apps[2]
+		gamma2.Name, gamma2.Module = "gamma2", compile(t, "gamma2", gammaSrc)
+		parked := []fleet.App{
+			gated(gamma, gammaBenign(), &release, true),
+			gated(gamma2, gammaBenign(), &release, true),
+		}
+		coord := startCluster(t, parked, 300*time.Millisecond, nil)
+		victim := startNode(t, coord, "victim", parked, nil)
+		waitUntil(t, "the victim to park both buckets", 60*time.Second, func() bool {
+			return victim.parkedLeases() == 2
+		})
+		victim.Kill()
+		survivor := startNode(t, coord, "survivor", parked, nil)
+		release.Store(true)
+		res, err := coord.Wait()
+		victim.Close()
+		survivor.Close()
+		if err != nil {
+			t.Fatalf("Wait: %v", err)
+		}
+		checkParity(t, res, parked)
+		snap := coord.Snapshot()
+		if snap.Expired < 2 || snap.Redispatched != snap.Expired {
+			t.Errorf("expired %d, redispatched %d; want every parked lease (2) expired and re-dispatched",
+				snap.Expired, snap.Redispatched)
+		}
+		if victim.Resolved() != 0 || survivor.Resolved() != 2 {
+			t.Errorf("resolved: victim %d, survivor %d; want 0 and 2", victim.Resolved(), survivor.Resolved())
+		}
+	})
 }
 
 // TestClusterRedispatchAfterKill pins the lease-expiry leg the

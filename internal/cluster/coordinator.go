@@ -149,6 +149,9 @@ type Coordinator struct {
 	queue     []*bucketCtl
 	nodes     map[string]*nodeSeen
 	recovered int
+	// checkpointed is the log's size after the last checkpoint
+	// maybeCheckpointLocked took.
+	checkpointed int64
 	// nodeGauges tracks which node names already have er_node_*
 	// series registered (registration is dynamic, per first contact).
 	nodeGauges map[string]bool
@@ -607,10 +610,13 @@ func (c *Coordinator) checkpointLocked() {
 }
 
 // maybeCheckpointLocked checkpoints when the log has outgrown the
-// configured bound.
+// configured bound and at least doubled since the last checkpoint: a
+// lease table whose checkpoint alone exceeds the bound is then not
+// rewritten on every append.
 func (c *Coordinator) maybeCheckpointLocked() {
-	if c.wal.Bytes() > c.opts.CheckpointBytes {
+	if n := c.wal.Bytes(); n > c.opts.CheckpointBytes && n > 2*c.checkpointed {
 		c.checkpointLocked()
+		c.checkpointed = c.wal.Bytes()
 	}
 }
 

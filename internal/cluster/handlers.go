@@ -111,13 +111,19 @@ func (c *Coordinator) handleLease(w http.ResponseWriter, r *http.Request) {
 	}
 }
 
+// handleRenew extends every lease the heartbeat names that the node
+// still holds and names the rest lost. A renew record reaches the WAL
+// only for a lease whose iteration count rose: that count is all WAL
+// replay reads from it.
 func (c *Coordinator) handleRenew(w http.ResponseWriter, r *http.Request) {
 	var req RenewRequest
 	if !decodeReq(w, r, &req, func() int { return req.V }) {
 		return
 	}
 	c.touchNode(req.Node)
-	addr := bucketAddr{req.App, req.Key}
+	var lost []LeaseRef
+	var renewed int64
+	logged := false
 	c.mu.Lock()
 	if req.Health != nil {
 		if ns := c.nodes[req.Node]; ns != nil {
@@ -125,34 +131,43 @@ func (c *Coordinator) handleRenew(w http.ResponseWriter, r *http.Request) {
 			c.nodeGaugesLocked(req.Node)
 		}
 	}
-	ctl := c.ctls[addr]
-	if !ctl.validateLocked(req.Node, req.Term) {
-		c.mu.Unlock()
-		writeJSON(w, RenewResponse{Status: rejection("lease lost")})
-		return
+	expiry := time.Now().Add(c.ttl)
+	for _, lr := range req.Leases {
+		ctl := c.ctls[bucketAddr{lr.App, lr.Key}]
+		if !ctl.validateLocked(req.Node, lr.Term) {
+			lost = append(lost, lr.LeaseRef)
+			continue
+		}
+		ctl.expiry = expiry
+		renewed++
+		if lr.Span != nil {
+			// Heartbeats ship the node's latest replay snapshot: even a
+			// node that dies mid-reconstruction leaves its partial subtree
+			// on the bucket timeline.
+			ctl.remoteSpanLocked(lr.Term, *lr.Span)
+		}
+		if lr.Iterations <= ctl.iterations {
+			continue
+		}
+		ctl.iterations = lr.Iterations
+		if err := c.wal.Append(walRecord{
+			T: walRenew, App: lr.App, Key: lr.Key,
+			Node: req.Node, Term: lr.Term, Iterations: lr.Iterations,
+		}); err != nil {
+			// The record carries progress only; the lease stays held.
+			c.journal.Log(telemetry.LevelError, "cluster", "wal renew append failed",
+				telemetry.A("app", lr.App), telemetry.A("key", fmt.Sprintf("%#x", lr.Key)),
+				telemetry.A("term", lr.Term), telemetry.A("err", err))
+			continue
+		}
+		logged = true
 	}
-	ctl.expiry = time.Now().Add(c.ttl)
-	if req.Iterations > ctl.iterations {
-		ctl.iterations = req.Iterations
+	if logged {
+		c.maybeCheckpointLocked()
 	}
-	if req.Span != nil {
-		// Heartbeats ship the node's latest open replay snapshot: even a
-		// node that dies mid-reconstruction leaves its partial subtree on
-		// the bucket timeline.
-		ctl.remoteSpanLocked(req.Term, *req.Span)
-	}
-	err := c.wal.Append(walRecord{
-		T: walRenew, App: req.App, Key: req.Key,
-		Node: req.Node, Term: req.Term, Iterations: req.Iterations,
-	})
-	c.maybeCheckpointLocked()
 	c.mu.Unlock()
-	if err != nil {
-		writeJSON(w, RenewResponse{Status: rejection("wal: %v", err)})
-		return
-	}
-	c.renewed.Add(1)
-	writeJSON(w, RenewResponse{Status: okStatus()})
+	c.renewed.Add(renewed)
+	writeJSON(w, RenewResponse{Status: okStatus(), Lost: lost})
 }
 
 func (c *Coordinator) handleFetch(w http.ResponseWriter, r *http.Request) {

@@ -21,8 +21,9 @@ type HarnessOptions struct {
 	Apps []fleet.App
 	// Nodes is the triage node count (>= 1).
 	Nodes int
-	// WorkersPerNode is each node's concurrent-lease budget
-	// (default 2).
+	// WorkersPerNode is each node's concurrent-pipeline budget
+	// (default 2); a node holds more leases than that while buckets
+	// wait for reoccurrences.
 	WorkersPerNode int
 	// TTL is the lease heartbeat deadline (default 500ms — loopback
 	// heartbeats are cheap and short TTLs keep re-dispatch snappy).

@@ -2,11 +2,13 @@ package cluster
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
 	"fmt"
 	"net/http"
 	"path/filepath"
 	"strings"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -103,7 +105,7 @@ func TestWireTraceContextRoundTrip(t *testing.T) {
 	var lr *LeaseResponse
 	deadline := time.Now().Add(30 * time.Second)
 	for {
-		lr, err = cl.Lease(time.Second)
+		lr, err = cl.Lease(context.Background(), time.Second)
 		if err != nil {
 			t.Fatalf("lease: %v", err)
 		}
@@ -123,14 +125,22 @@ func TestWireTraceContextRoundTrip(t *testing.T) {
 	tracer := telemetry.NewTracer(0)
 	replay := tracer.StartRemote("replay", lr.Trace, telemetry.A("node", "hand-node"))
 	sn := replay.Snapshot()
-	rr, err := cl.Renew(&RenewRequest{
-		App: lr.App, Key: lr.Key, Term: lr.Term,
-		Iterations: 1,
-		Span:       &sn,
-		Health:     &NodeHealth{Goroutines: 7, HeapBytes: 12345, Buckets: 1},
+	held := LeaseRef{App: lr.App, Key: lr.Key, Term: lr.Term}
+	stale := LeaseRef{App: lr.App, Key: lr.Key, Term: lr.Term + 1}
+	rr, err := cl.Renew(context.Background(), &RenewRequest{
+		Leases: []LeaseRenewal{
+			{LeaseRef: held, Iterations: 1, Span: &sn},
+			{LeaseRef: stale},
+		},
+		Health: &NodeHealth{Goroutines: 7, HeapBytes: 12345, Buckets: 1},
 	})
 	if err != nil || !rr.OK {
 		t.Fatalf("renew: %v %+v", err, rr)
+	}
+	// Fencing is per lease: only the term the coordinator never granted
+	// is named lost.
+	if len(rr.Lost) != 1 || rr.Lost[0] != stale {
+		t.Errorf("renew lost = %+v, want only %+v", rr.Lost, stale)
 	}
 
 	tl, ok := coord.TimelineOf(lr.App, lr.Key)
@@ -169,7 +179,7 @@ func TestWireTraceContextRoundTrip(t *testing.T) {
 	// an envelope rejection naming the version skew.
 	body, _ := json.Marshal(&RenewRequest{
 		V: ProtocolVersion + 1, Node: "hand-node",
-		App: lr.App, Key: lr.Key, Term: lr.Term,
+		Leases: []LeaseRenewal{{LeaseRef: held}},
 	})
 	resp, err := http.Post(coord.URL()+PathRenew, "application/json", bytes.NewReader(body))
 	if err != nil {
@@ -408,6 +418,60 @@ func TestClusterTimelineSurvivesRestart(t *testing.T) {
 		}
 		if !recovered {
 			t.Errorf("bucket %s/%#x: no recovered marker on the restarted timeline", tl.App, tl.Key)
+		}
+	}
+}
+
+// reconstructionWaits collects the reoccurrence-wait spans nested
+// directly under a reconstruction span anywhere in the tree.
+func reconstructionWaits(sn telemetry.SpanSnapshot) []telemetry.SpanSnapshot {
+	var out []telemetry.SpanSnapshot
+	for _, c := range sn.Children {
+		if sn.Name == "reconstruction" && c.Name == "reoccurrence-wait" {
+			out = append(out, c)
+		}
+		out = append(out, reconstructionWaits(c)...)
+	}
+	return out
+}
+
+// TestClusterTimelineNodeWaits: a bucket parked on a node opens a
+// reoccurrence-wait span under its reconstruction span. The heartbeat
+// ships it while open, so the stitched timeline shows the wait, and the
+// delivery that resumes the bucket closes it.
+func TestClusterTimelineNodeWaits(t *testing.T) {
+	var release atomic.Bool
+	apps := []fleet.App{gated(testApps(t)[2], gammaBenign(), &release, true)}
+	coord := startCluster(t, apps, 200*time.Millisecond, nil)
+	node := startNode(t, coord, "n0", apps, telemetry.NewTracer(0))
+	defer node.Close()
+
+	waitUntil(t, "gamma to park", 30*time.Second, func() bool { return node.parkedLeases() == 1 })
+	key := coord.Snapshot().Buckets[0].Key
+	waitUntil(t, "an open wait on the stitched timeline", 10*time.Second, func() bool {
+		tl, _ := coord.TimelineOf("gamma", key)
+		w := reconstructionWaits(tl.Root)
+		return len(w) > 0 && w[len(w)-1].Open
+	})
+
+	release.Store(true)
+	res, err := coord.Wait()
+	if err != nil {
+		t.Fatalf("Wait: %v", err)
+	}
+	checkParity(t, res, apps)
+	tls := coord.Timelines()
+	if len(tls) != 1 {
+		t.Fatalf("timelines = %d, want 1", len(tls))
+	}
+	requireCompleteTimeline(t, tls[0], false)
+	waits := reconstructionWaits(tls[0].Root)
+	if len(waits) == 0 {
+		t.Fatal("resolved timeline shows no reoccurrence wait")
+	}
+	for _, w := range waits {
+		if w.Open {
+			t.Errorf("reoccurrence-wait span still open after resolution: %+v", w)
 		}
 	}
 }

@@ -34,9 +34,11 @@ const (
 )
 
 // WAL record types. Grants, expiries, rollouts, and resolutions
-// mutate recovered state; renewals only prove liveness (a restarted
-// coordinator fences every in-flight lease regardless, so their
-// replay effect is progress bookkeeping only).
+// mutate recovered state. A restarted coordinator fences every
+// in-flight lease regardless, so renewals carry only progress: replay
+// reads nothing from a renew record but its iteration count, and the
+// coordinator appends one only when a renewal raises the bucket's
+// count.
 const (
 	walGrant      = "grant"
 	walRenew      = "renew"

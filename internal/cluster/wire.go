@@ -22,11 +22,16 @@
 //     re-dispatched, never re-armed).
 //
 // Buckets are leases: a grant carries a monotonically increasing term
-// and a TTL; nodes renew at TTL/3 and every subsequent RPC (fetch,
-// rollout, resolve) carries the term, so a node whose lease expired —
-// because it crashed, stalled, or was partitioned — is fenced the
-// moment it reappears: the coordinator answers OK=false and the
-// zombie abandons the bucket.
+// and a TTL; a node renews every lease it holds in one heartbeat at
+// TTL/3, and every RPC (renew, fetch, rollout, resolve) carries the
+// term, so a node whose lease expired — because it crashed, stalled,
+// or was partitioned — is fenced the moment it reappears: the
+// coordinator names the lease lost and the zombie abandons the bucket.
+//
+// A node runs its leases on the fleet's bucket runner: a leased bucket
+// with nothing banked parks and releases its worker, and a long-poll
+// on /v1/fetch that holds no worker wakes it. A node therefore holds
+// many more leases than it has workers.
 //
 // Rollouts are stateless on the wire: a node ships the *full*
 // accumulated instrumentation-site chain, and the coordinator rebuilds
@@ -50,8 +55,9 @@ import (
 // v2 added distributed trace propagation (lease grants carry the
 // bucket's SpanContext, renew/resolve ship span snapshots back),
 // piggybacked node health on renewals, and recording-cost attribution
-// on rollouts.
-const ProtocolVersion = 2
+// on rollouts. v3 batches renewals: one heartbeat renews every lease a
+// node holds and the response names each lost one.
+const ProtocolVersion = 3
 
 // Wire paths (mounted on the coordinator's telemetry mux).
 const (
@@ -109,28 +115,41 @@ type NodeHealth struct {
 	Buckets    int    `json:"buckets"` // leases currently held
 }
 
-// RenewRequest is the lease heartbeat (sent at TTL/3). Iterations
-// reports reconstruction progress for the lease table; Span is the
-// latest open snapshot of the node's replay span tree (the
-// coordinator keeps the newest per term, so even a node that dies
-// mid-reconstruction leaves its partial subtree on the timeline);
-// Health carries the node's vitals.
-type RenewRequest struct {
-	V          int                     `json:"v"`
-	Node       string                  `json:"node"`
-	App        string                  `json:"app"`
-	Key        uint64                  `json:"key"`
-	Term       uint64                  `json:"term"`
-	Iterations int                     `json:"iterations,omitempty"`
-	Span       *telemetry.SpanSnapshot `json:"span,omitempty"`
-	Health     *NodeHealth             `json:"health,omitempty"`
+// LeaseRef names one lease: the bucket and the term it was granted
+// under.
+type LeaseRef struct {
+	App  string `json:"app"`
+	Key  uint64 `json:"key"`
+	Term uint64 `json:"term"`
 }
 
-// RenewResponse: OK=false means the lease is lost (expired and
-// re-dispatched, or fenced by a newer term) — the node must abandon
-// the bucket immediately.
+// LeaseRenewal is one held lease in a heartbeat. Iterations reports
+// reconstruction progress for the lease table; Span is the latest
+// snapshot of the node's replay span tree (the coordinator keeps the
+// newest per term, so even a node that dies mid-reconstruction leaves
+// its partial subtree on the timeline).
+type LeaseRenewal struct {
+	LeaseRef
+	Iterations int                     `json:"iterations,omitempty"`
+	Span       *telemetry.SpanSnapshot `json:"span,omitempty"`
+}
+
+// RenewRequest is the node heartbeat (sent at TTL/3): it renews every
+// lease the node holds, whether its bucket is running, parked or not
+// yet started, and carries the node's vitals in Health.
+type RenewRequest struct {
+	V      int            `json:"v"`
+	Node   string         `json:"node"`
+	Leases []LeaseRenewal `json:"leases"`
+	Health *NodeHealth    `json:"health,omitempty"`
+}
+
+// RenewResponse names in Lost every lease of the request the node no
+// longer holds (expired and re-dispatched, or fenced by a newer term);
+// the node must abandon those buckets immediately and keeps the rest.
 type RenewResponse struct {
 	Status
+	Lost []LeaseRef `json:"lost,omitempty"`
 }
 
 // FetchRequest asks for the next banked occurrence of the leased
@@ -139,7 +158,8 @@ type RenewResponse struct {
 // The node owns its replay cursor (AfterSeq), which keeps the
 // coordinator stateless per fetch and makes re-dispatch a replay from
 // zero. The coordinator long-polls up to WaitMillis when nothing
-// matches yet.
+// matches yet: a node asks without waiting while a worker drives the
+// bucket, and long-polls only while the bucket is parked.
 type FetchRequest struct {
 	V          int    `json:"v"`
 	Node       string `json:"node"`

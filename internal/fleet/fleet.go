@@ -160,17 +160,15 @@ type RemoteTriage interface {
 	Banked(b *Bucket, seq uint64)
 }
 
-// localTriage runs bucket pipelines on the fleet's worker pool. A
-// worker feeds a bucket's pipeline until the archive has nothing more
-// to deliver, then parks the bucket and serves another; Banked puts a
-// parked bucket on the ready queue, which workers serve before
-// never-started buckets so that buckets already in progress finish
-// first.
+// localTriage runs bucket pipelines on the fleet's Runner: NewBucket
+// hands a bucket to the workers as a fresh job fed from the archive,
+// and Banked wakes it when it is parked.
 type localTriage struct{ f *Fleet }
 
 func (l localTriage) NewBucket(b *Bucket) {
+	b.feed = archiveFeed{l.f, b}
 	select {
-	case l.f.work <- b:
+	case l.f.work <- &b.Job:
 	default:
 		// Scheduler queue saturated (4096 distinct in-flight
 		// failures); resolve as failed so the fleet still terminates.
@@ -178,54 +176,7 @@ func (l localTriage) NewBucket(b *Bucket) {
 	}
 }
 
-func (l localTriage) Banked(b *Bucket, _ uint64) {
-	if b.unpark() {
-		l.f.ready.push(b)
-	}
-}
-
-// readyQueue holds the parked buckets a banked occurrence woke, in
-// wake order. Banked clears a bucket's parked flag as it queues it, so
-// each bucket is queued at most once: the queue is bounded by the
-// number of buckets and push never blocks the ingest drainer.
-type readyQueue struct {
-	mu sync.Mutex
-	q  []*Bucket
-	// signal (capacity 1) tells an idle worker the queue may be
-	// non-empty.
-	signal chan struct{}
-}
-
-func (r *readyQueue) push(b *Bucket) {
-	r.mu.Lock()
-	r.q = append(r.q, b)
-	r.mu.Unlock()
-	r.notify()
-}
-
-func (r *readyQueue) notify() {
-	select {
-	case r.signal <- struct{}{}:
-	default:
-	}
-}
-
-// pop returns the longest-waiting ready bucket, or nil. When more
-// remain it re-raises the signal for the next idle worker.
-func (r *readyQueue) pop() *Bucket {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	if len(r.q) == 0 {
-		return nil
-	}
-	b := r.q[0]
-	r.q[0] = nil
-	r.q = r.q[1:]
-	if len(r.q) > 0 {
-		r.notify()
-	}
-	return b
-}
+func (l localTriage) Banked(b *Bucket, _ uint64) { l.f.runner.Wake(&b.Job) }
 
 // Fleet wires machines, ingest, triage, and the pipeline scheduler
 // together.
@@ -238,8 +189,8 @@ type Fleet struct {
 	table     *Table
 	triage    RemoteTriage
 	store     *tracestore.Store
-	work      chan *Bucket // never-started buckets
-	ready     readyQueue   // parked buckets with a banked occurrence
+	work      chan *Job // never-started buckets
+	runner    *Runner
 	completed chan *Bucket
 	// retireMu orders archive-key retirement (ResolveBucket) against
 	// new buckets re-opening a key they share (admit).
@@ -252,10 +203,8 @@ type Fleet struct {
 	start    time.Time
 	resolved atomic.Int64 // completed buckets
 
-	// Introspection endpoint (nil unless Options.ListenAddr is set)
-	// and the pre-resolved fleet-owned stage histograms.
-	server   *telemetry.Server
-	waitHist *telemetry.Histogram
+	// Introspection endpoint (nil unless Options.ListenAddr is set).
+	server *telemetry.Server
 
 	waitOnce sync.Once
 	result   *Result
@@ -303,8 +252,8 @@ func New(apps []App, opts Options) (*Fleet, error) {
 		table:     NewTable(),
 		triage:    o.Remote,
 		store:     o.Store,
-		work:      make(chan *Bucket, 4096),
-		ready:     readyQueue{signal: make(chan struct{}, 1)},
+		work:      make(chan *Job, 4096),
+		runner:    NewRunner(),
 		completed: make(chan *Bucket, 4096),
 	}
 	if f.triage == nil {
@@ -474,68 +423,28 @@ func (f *Fleet) admit(msg *prod.TraceMsg) {
 	f.triage.Banked(b, seq)
 }
 
-// worker runs bucket pipelines, one at a time, until it is told to
-// stop: a woken bucket from the ready queue first, else a never-started
-// one.
+// worker runs bucket pipelines, one at a time, until the fleet stops.
 func (f *Fleet) worker() {
 	defer f.wg.Done()
-	for f.ctx.Err() == nil {
-		if b := f.ready.pop(); b != nil {
-			f.runBucket(b)
-			continue
-		}
-		select {
-		case <-f.ctx.Done():
-		case <-f.ready.signal:
-		case b := <-f.work:
-			f.runBucket(b)
-		}
-	}
+	f.runner.Work(f.ctx, f.work)
 }
 
-// runBucket starts or resumes one bucket's ER pipeline and drives it
-// event-driven: each reoccurrence replayed from the archive advances
-// the pipeline one step, and each re-instrumentation is rolled out to
-// the app's machines, whose next failing runs ship the richer traces
-// the pipeline asked for. It returns when the bucket resolves or, with
-// no reoccurrence banked yet, parks.
-func (f *Fleet) runBucket(b *Bucket) {
-	if b.p == nil && !f.startBucket(b) {
-		return
-	}
-	b.state.Store(int32(BucketRunning))
-	p := b.p
-	for !p.Done() {
-		occ := f.nextOccurrence(b)
-		if occ == nil {
-			return // parked; the next Banked call re-queues it
-		}
-		before := p.Version()
-		if _, err := p.Feed(occ); err != nil {
-			f.logf("fleet: bucket %d (%s): pipeline: %v", b.ID, b.App, err)
-		}
-		b.iterations.Store(int32(len(p.Report().Iterations)))
-		if p.Version() != before && !p.Done() {
-			// Key data values selected: attribute the new version's
-			// recording-set cost and roll the instrumented module out
-			// to this app's machines.
-			sites, cost := p.Report().RecordingSet()
-			f.opts.Overhead.SetRecordingCost(b.App, p.Version(), sites, cost)
-			_ = f.Rollout(b.App, p.Deployed(), p.Version())
-		}
-	}
-	b.p = nil
-	f.ResolveBucket(b, p.Report())
+// archiveFeed feeds a local bucket's pipeline from the trace archive
+// and reports through Rollout and ResolveBucket.
+type archiveFeed struct {
+	f *Fleet
+	b *Bucket
 }
 
-// startBucket builds b's pipeline on its first run. It resolves b as
-// failed and returns false when that is impossible.
-func (f *Fleet) startBucket(b *Bucket) bool {
+// Start builds b's pipeline on its first run. It resolves b as failed
+// and returns nil when that is impossible.
+func (a archiveFeed) Start() *core.Pipeline {
+	f, b := a.f, a.b
 	g := f.byName[b.App]
 	if g == nil {
 		f.logf("fleet: bucket %d names unknown app %q; abandoning", b.ID, b.App)
 		f.ResolveBucket(b, &core.Report{Failure: b.Sig, FailReason: fmt.Sprintf("fleet: unknown app %q", b.App)})
-		return false
+		return nil
 	}
 	p, err := core.NewPipeline(core.Config{
 		Module:    g.app.Module,
@@ -548,21 +457,19 @@ func (f *Fleet) startBucket(b *Bucket) bool {
 	if err != nil {
 		f.logf("fleet: bucket %d (%s): %v", b.ID, b.App, err)
 		f.ResolveBucket(b, &core.Report{Failure: b.Sig, FailReason: err.Error()})
-		return false
+		return nil
 	}
-	b.p, b.key = p, tracestore.KeyOf(b.Sig)
-	return true
+	b.key = tracestore.KeyOf(b.Sig)
+	return p
 }
 
-// nextOccurrence returns the archive's next record for b at or after
-// its cursor that this app recorded on the pipeline's current
-// deployment with an unwrapped ring, opened as a streaming occurrence.
-// The lookup reads only record metadata; the app's records it passes
-// over count as stale (an older deployment) or bad (a wrapped ring).
-// When no such record is banked yet it parks b and returns nil; the
-// caller must then leave b's run state alone.
-func (f *Fleet) nextOccurrence(b *Bucket) *core.Occurrence {
-	version := b.p.Version()
+// Next returns the archive's next record for b at or after its cursor
+// that this app recorded on deployment version with an unwrapped ring,
+// opened as a streaming occurrence, or nil when none is banked yet. The
+// lookup reads only record metadata; the app's records it passes over
+// count as stale (an older deployment) or bad (a wrapped ring).
+func (a archiveFeed) Next(version int) (*core.Occurrence, error) {
+	f, b := a.f, a.b
 	match := func(ri tracestore.RecordInfo) bool {
 		switch {
 		case ri.Meta.App != b.App:
@@ -580,9 +487,7 @@ func (f *Fleet) nextOccurrence(b *Bucket) *core.Occurrence {
 		info, next, ok := f.store.Next(b.key, b.cursor, match)
 		b.cursor = next
 		if !ok {
-			if info, ok = f.park(b, match); !ok {
-				return nil
-			}
+			return nil, nil
 		}
 		occ := &core.Occurrence{
 			Result: &vm.Result{
@@ -603,37 +508,29 @@ func (f *Fleet) nextOccurrence(b *Bucket) *core.Occurrence {
 			}
 			occ.Events = r
 		}
-		if !b.waitStart.IsZero() {
-			f.waitHist.Observe(time.Since(b.waitStart).Seconds())
-			b.wait.End()
-			b.wait, b.waitStart = nil, time.Time{}
-		}
-		return occ
+		return occ, nil
 	}
 }
 
-// park hands b back to the pool when the archive had nothing for it.
-// Under bankedMu it looks once more — an occurrence banked since the
-// last lookup was announced by a Banked call that found b unparked —
-// and returns the record if one arrived. Otherwise it opens the wait
-// span (unless a wait is already open), marks b waiting and sets the
-// parked flag, after which the next Banked call owns b.
-func (f *Fleet) park(b *Bucket, match func(tracestore.RecordInfo) bool) (tracestore.RecordInfo, bool) {
-	b.bankedMu.Lock()
-	defer b.bankedMu.Unlock()
-	info, next, ok := f.store.Next(b.key, b.cursor, match)
-	b.cursor = next
-	if ok {
-		return info, true
+// Parked does nothing: Banked wakes the bucket.
+func (archiveFeed) Parked() {}
+
+func (a archiveFeed) Fed(_ *core.Pipeline, err error) {
+	if err != nil {
+		a.f.logf("fleet: bucket %d (%s): pipeline: %v", a.b.ID, a.b.App, err)
 	}
-	if b.waitStart.IsZero() {
-		b.wait = b.p.Span().Child("reoccurrence-wait")
-		b.waitStart = time.Now()
-	}
-	b.state.Store(int32(BucketWaiting))
-	b.parked = true
-	return info, false
 }
+
+// Rollout attributes the new version's recording-set cost and rolls
+// the instrumented module out to this app's machines.
+func (a archiveFeed) Rollout(p *core.Pipeline) error {
+	sites, cost := p.Report().RecordingSet()
+	a.f.opts.Overhead.SetRecordingCost(a.b.App, p.Version(), sites, cost)
+	_ = a.f.Rollout(a.b.App, p.Deployed(), p.Version())
+	return nil
+}
+
+func (a archiveFeed) Resolve(rep *core.Report) { a.f.ResolveBucket(a.b, rep) }
 
 // Rollout deploys mod as the named app's next versioned binary across
 // its producer machines. A local pipeline calls it when it selects key
@@ -734,9 +631,7 @@ func (f *Fleet) abortUnfinished() {
 		if b.p == nil {
 			continue
 		}
-		b.wait.End()
-		b.p.Abort("fleet shutdown")
-		b.p, b.wait = nil, nil
+		b.abort("fleet shutdown")
 		b.state.Store(int32(BucketFailed))
 		f.bucketDone(b)
 	}

@@ -98,7 +98,7 @@ func (f *Fleet) registerMetrics(reg *telemetry.Registry) {
 	// The fleet owns the wait leg of the shared per-stage histogram;
 	// its bucket pipelines fill in the rest (shepherd, solve,
 	// keyselect, instrument, verify).
-	f.waitHist = core.StageHistogram(reg, "wait")
+	f.runner.waitHist = core.StageHistogram(reg, "wait")
 }
 
 // machineStatsView decouples the metric selectors from the

@@ -140,7 +140,7 @@ func TestArchiveCursor(t *testing.T) {
 		t.Helper()
 		start(b, app)
 		for _, want := range wantSeeds {
-			occ := f.nextOccurrence(b)
+			occ, _ := f.runner.next(&b.Job)
 			if occ == nil {
 				t.Fatalf("%s: no occurrence (want seed %d)", b.App, want)
 			}
@@ -176,7 +176,7 @@ func TestArchiveCursor(t *testing.T) {
 	alpha := buckets[0]
 	start(alpha, apps[0])
 	alpha.cursor = 5
-	if occ := f.nextOccurrence(alpha); occ != nil {
+	if occ, _ := f.runner.next(&alpha.Job); occ != nil {
 		t.Fatalf("occurrence past the last record: %+v", occ)
 	}
 	if !alpha.parked || alpha.State() != BucketWaiting {
@@ -189,11 +189,11 @@ func TestArchiveCursor(t *testing.T) {
 	triage := localTriage{f}
 	triage.Banked(alpha, 5)
 	triage.Banked(alpha, 6)
-	if got := f.ready.pop(); got != alpha {
+	if got := f.runner.ready.pop(); got != &alpha.Job {
 		t.Fatalf("ready queue = %v, want alpha", got)
 	}
-	if got := f.ready.pop(); got != nil {
-		t.Fatalf("alpha queued twice: second pop = bucket %d", got.ID)
+	if got := f.runner.ready.pop(); got != nil {
+		t.Fatal("alpha queued twice")
 	}
 	if snap := f.Snapshot(); snap.Store.Records != 5 {
 		t.Fatalf("snapshot store stats = %+v", snap.Store)
@@ -267,7 +267,9 @@ func TestFleetSharedKeyRetire(t *testing.T) {
 	bank(apps[0], 1)
 	bank(apps[1], 3)
 	bank(apps[0], 1)
-	bA, bB := <-f.work, <-f.work
+	<-f.work
+	<-f.work
+	bA, bB := f.table.Buckets()[0], f.table.Buckets()[1]
 	if bA.App != "lockA" || bB.App != "lockB" {
 		t.Fatalf("scheduled %s, %s; want lockA, lockB", bA.App, bB.App)
 	}
@@ -276,7 +278,7 @@ func TestFleetSharedKeyRetire(t *testing.T) {
 		t.Fatal("fixture broken: the deadlocks do not share an archive key")
 	}
 
-	f.runBucket(bA)
+	f.runner.run(&bA.Job)
 	if !bA.resolved.Load() {
 		t.Fatal("lockA did not resolve from its banked occurrences")
 	}
@@ -286,8 +288,8 @@ func TestFleetSharedKeyRetire(t *testing.T) {
 	if _, err := store.Compact(); err != nil { // the pass AutoCompact would run
 		t.Fatal(err)
 	}
-	// runBucket parks, rather than blocks, when nothing is left to feed.
-	f.runBucket(bB)
+	// run parks, rather than blocks, when nothing is left to feed.
+	f.runner.run(&bB.Job)
 	if !bB.resolved.Load() {
 		t.Fatalf("lockB never resolved (state %v): its banked occurrences were reclaimed", bB.State())
 	}

@@ -6,7 +6,6 @@ import (
 	"time"
 
 	"execrecon/internal/core"
-	"execrecon/internal/telemetry"
 	"execrecon/internal/vm"
 )
 
@@ -61,30 +60,15 @@ type Bucket struct {
 	// rollouts.
 	App string
 
-	// Run state of the local worker pool. At most one worker drives a
-	// bucket at a time; between workers the bucket is parked, and the
-	// parked flag hands these fields from the worker that parked it to
-	// the one that resumes it. p is nil before the bucket starts and
-	// after it ends.
-	p      *core.Pipeline
+	// Job is the bucket's run state on the local worker pool; key and
+	// cursor are its archive feed's position.
+	Job
 	key    uint64 // archive key of Sig
 	cursor uint64 // next archive seq to consider
-	// wait is the open reoccurrence-wait span, started at the first
-	// park since the last delivered occurrence (waitStart zero: none).
-	wait      *telemetry.Span
-	waitStart time.Time
-
-	// parked is set, under bankedMu, when the bucket's pipeline has no
-	// banked occurrence left to feed and its worker returned to the
-	// pool; the next Banked call clears it and queues the bucket to run.
-	bankedMu sync.Mutex
-	parked   bool
 
 	occurrences atomic.Int64 // total matching occurrences seen by triage
 	staleDrops  atomic.Int64 // occurrences skipped for an out-of-date version
 	badDrops    atomic.Int64 // occurrences lost or skipped as unreadable/truncated
-	state       atomic.Int32
-	iterations  atomic.Int32 // analysis iterations completed so far
 	// resolved latches the first ResolveBucket call, making resolution
 	// idempotent across lease re-dispatch and coordinator commit-log
 	// replay.
@@ -97,19 +81,6 @@ type Bucket struct {
 // Occurrences returns the total matching occurrences triaged into the
 // bucket (including ones later skipped as stale or unreadable).
 func (b *Bucket) Occurrences() int64 { return b.occurrences.Load() }
-
-// State returns the bucket's lifecycle state.
-func (b *Bucket) State() BucketState { return BucketState(b.state.Load()) }
-
-// unpark clears the parked flag and reports whether it was set: true
-// exactly once per park, so the caller may queue the bucket to run.
-func (b *Bucket) unpark() bool {
-	b.bankedMu.Lock()
-	defer b.bankedMu.Unlock()
-	was := b.parked
-	b.parked = false
-	return was
-}
 
 // Table is the concurrent signature-hash bucket index. Lookups hash
 // the failure, then resolve collisions by chaining and re-checking
