@@ -36,6 +36,9 @@
 //	               the cluster wire protocol as a pure client: submit
 //	               traces into the fleet's ingest path, query triage
 //	               verdicts back out.
+//	-lint          print the advisory dataflow lint findings (dead
+//	               stores, width inconsistencies) to stderr after
+//	               compiling. Findings never change the exit status.
 //	-v             log ER loop progress to stderr.
 //
 // All errors — including a failure that cannot be reproduced and an
@@ -76,7 +79,7 @@ func main() {
 	replayStore := flag.Bool("replay-store", false, "reproduce from archived records only (requires -store)")
 	metricsAddr := flag.String("metrics-addr", "", "serve live telemetry on this address (/metrics Prometheus text, /debug/er JSON) while the command runs")
 	coordinator := flag.String("coordinator", "", "erd coordinator base URL (enables the submit and verdicts subcommands)")
-	lint := flag.Bool("lint", false, "report advisory IR lint findings after compiling")
+	lint := flag.Bool("lint", false, "print advisory dataflow lint findings (dead stores, width mismatches) to stderr")
 	verbose := flag.Bool("v", false, "log ER loop progress to stderr")
 	flag.Usage = usage
 	flag.Parse()
@@ -119,18 +122,8 @@ func main() {
 		fatal(err)
 	}
 	if *lint {
-		// CompileWithLint already includes the abstract interpreter's
-		// rules: proven OOB and overflow fail the run, single-outcome
-		// branches stay advisory.
-		fatalFinding := false
 		for _, f := range findings {
 			fmt.Fprintf(os.Stderr, "er: lint: %s\n", f)
-			if er.ErrorLevel(f.Rule) {
-				fatalFinding = true
-			}
-		}
-		if fatalFinding {
-			os.Exit(1)
 		}
 	}
 	w := er.NewWorkload()

@@ -1,9 +1,9 @@
 // Command ertrace records one monitored execution of a minc program
 // and prints the decoded PT-like packet stream — the raw material ER's
 // analysis engine consumes. It also exposes the static analyses:
-// -lint reports IR lint findings, and -dump-cfg renders each
-// function's control-flow graph (with dominator-tree edges) as
-// Graphviz DOT instead of running the program.
+// -lint reports the dataflow lint's advisory findings, and -dump-cfg
+// renders each function's control-flow graph (with dominator-tree
+// edges) as Graphviz DOT instead of running the program.
 //
 // Usage:
 //
@@ -11,8 +11,9 @@
 //
 // Flags:
 //
-//	-lint      print advisory lint findings (dead stores, width
-//	           inconsistencies) to stderr after compiling.
+//	-lint      print advisory dataflow lint findings (dead stores,
+//	           width inconsistencies) to stderr after compiling.
+//	           Findings never change the exit status.
 //	-dump-cfg  write every function's CFG as Graphviz DOT to stdout
 //	           and exit without executing the program. Solid edges are
 //	           control flow (T/F-labelled for conditional branches);
@@ -48,7 +49,7 @@ func usage() {
 }
 
 func main() {
-	lint := flag.Bool("lint", false, "print advisory lint findings to stderr")
+	lint := flag.Bool("lint", false, "print advisory dataflow lint findings (dead stores, width mismatches) to stderr")
 	dumpCFG := flag.Bool("dump-cfg", false, "write function CFGs as Graphviz DOT to stdout and exit")
 	spans := flag.Bool("spans", false, "run the ER loop and print the session's span tree instead of dumping packets")
 	budget := flag.Int64("budget", 0, "solver query budget for -spans (0 = unlimited)")
@@ -67,18 +68,8 @@ func main() {
 		fatal(err)
 	}
 	if *lint {
-		// CompileWithLint already includes the abstract interpreter's
-		// rules: proven OOB and overflow fail the run, single-outcome
-		// branches stay advisory.
-		fatalFinding := false
 		for _, f := range findings {
 			fmt.Fprintf(os.Stderr, "ertrace: lint: %s\n", f)
-			if er.ErrorLevel(f.Rule) {
-				fatalFinding = true
-			}
-		}
-		if fatalFinding {
-			os.Exit(1)
 		}
 	}
 	if *dumpCFG {

@@ -39,7 +39,6 @@ import (
 	"fmt"
 	"io"
 
-	"execrecon/internal/absint"
 	"execrecon/internal/core"
 	"execrecon/internal/dataflow"
 	"execrecon/internal/fleet"
@@ -118,25 +117,8 @@ func CompileWithLint(name, src string) (*Module, []Finding, error) {
 	return minc.CompileWithLint(name, src)
 }
 
-// Lint runs the full IR lint suite over a compiled module: the
-// dataflow rules plus the abstract interpreter's provable findings
-// (LintProvable).
-func Lint(mod *Module) []Finding {
-	return append(dataflow.Lint(mod), LintProvable(mod)...)
-}
-
-// LintProvable runs only the abstract-interpretation lint rules: a
-// whole-module interval + known-bits fixpoint proving out-of-bounds
-// accesses, guaranteed arithmetic wrap, and single-outcome computed
-// branches. OOB and overflow proofs are error-level (ErrorLevel);
-// always-true/false branches stay advisory.
-func LintProvable(mod *Module) []Finding {
-	return absint.Lint(mod)
-}
-
-// ErrorLevel reports whether a lint rule is error-level — a proven
-// defect that should fail a lint run — rather than advisory.
-func ErrorLevel(rule string) bool { return dataflow.ErrorLevel(rule) }
+// Lint runs the dataflow lint rules over a compiled module.
+func Lint(mod *Module) []Finding { return dataflow.Lint(mod) }
 
 // NewWorkload returns an empty workload; use Add to fill streams.
 func NewWorkload() *Workload { return vm.NewWorkload() }

@@ -282,6 +282,16 @@ func replayWAL(recs []walRecord) *RecoveredState {
 	return st
 }
 
+// walFrame wraps payload in the log's frame header.
+func walFrame(payload []byte) []byte {
+	frame := make([]byte, walFrameHeaderSize+len(payload))
+	copy(frame[:4], walMagic[:])
+	binary.LittleEndian.PutUint32(frame[4:8], uint32(len(payload)))
+	binary.LittleEndian.PutUint32(frame[8:12], crc32.ChecksumIEEE(payload))
+	copy(frame[walFrameHeaderSize:], payload)
+	return frame
+}
+
 // Append frames and writes one record. The write is buffered by the
 // OS only — like the tracestore, the frame format confines crash
 // damage to a recoverable torn tail, so fsync would only narrow the
@@ -291,11 +301,7 @@ func (w *WAL) Append(rec walRecord) error {
 	if err != nil {
 		return fmt.Errorf("cluster: wal marshal: %w", err)
 	}
-	frame := make([]byte, walFrameHeaderSize+len(payload))
-	copy(frame[:4], walMagic[:])
-	binary.LittleEndian.PutUint32(frame[4:8], uint32(len(payload)))
-	binary.LittleEndian.PutUint32(frame[8:12], crc32.ChecksumIEEE(payload))
-	copy(frame[walFrameHeaderSize:], payload)
+	frame := walFrame(payload)
 
 	w.mu.Lock()
 	defer w.mu.Unlock()
@@ -319,11 +325,7 @@ func (w *WAL) Checkpoint(state []RecoveredBucket) error {
 	if err != nil {
 		return fmt.Errorf("cluster: checkpoint marshal: %w", err)
 	}
-	frame := make([]byte, walFrameHeaderSize+len(payload))
-	copy(frame[:4], walMagic[:])
-	binary.LittleEndian.PutUint32(frame[4:8], uint32(len(payload)))
-	binary.LittleEndian.PutUint32(frame[8:12], crc32.ChecksumIEEE(payload))
-	copy(frame[walFrameHeaderSize:], payload)
+	frame := walFrame(payload)
 
 	w.mu.Lock()
 	defer w.mu.Unlock()

@@ -93,8 +93,10 @@ type Config struct {
 	// "iteration" child per analyzed occurrence, each carrying
 	// shepherd/solve/keyselect/instrument/verify stage spans and
 	// attributes (signature, iteration, recording-set size, solver
-	// verdict). Drivers may attach their own children (ingest,
-	// decode, reoccurrence-wait) via Pipeline.Span.
+	// verdict). Drivers may attach their own children via
+	// Pipeline.Span; the only one today is reoccurrence-wait, the time
+	// a bucket waits for its next occurrence. (Ingest is a coordinator
+	// timeline event, not a span.)
 	Tracer *telemetry.Tracer
 	// ParentSpan, when set with Tracer, makes the pipeline's root
 	// "reconstruction" span a child of it instead of a fresh root —

@@ -64,8 +64,9 @@ type ReoccurrenceSource interface {
 	// Next blocks until the failure reoccurs under req.Deployed and
 	// returns the occurrence. Implementations must honor
 	// req.Signature (when non-nil, only matching failures are
-	// delivered) and req.Traced (when true, Occurrence.Trace must be
-	// a complete decoded trace).
+	// delivered) and req.Traced (when true, the occurrence must
+	// carry a complete trace in either carrier, Occurrence.Trace or
+	// Occurrence.Events).
 	Next(req SourceRequest) (*Occurrence, error)
 }
 

@@ -3,20 +3,23 @@ package corpus_test
 import (
 	"testing"
 
-	"execrecon/internal/absint"
 	"execrecon/internal/corpus"
 	"execrecon/internal/dataflow"
-	"execrecon/internal/minc"
 )
 
-// TestCorpusProvableLintClean is the provable-lint regression gate for
-// the generated population: the corpus injects *input-dependent* bugs
-// (they fire only on the ground-truth failing workload), so the
-// abstract interpreter — which proves facts over every input — must
-// never promote one to an error-level finding. A finding here is a
-// lint false positive: it would turn `er -lint` into a build breaker
-// on code that is correct for almost all inputs.
-func TestCorpusProvableLintClean(t *testing.T) {
+// corpusDeadStores is the number of dead-store findings dataflow.Lint
+// reports on the 200 seed-1 scenarios, all of them values the generated
+// mixN helpers assign and never read. The count pins the lint's
+// behaviour on the population.
+const corpusDeadStores = 77
+
+// TestCorpusLintDeadStoresOnly is the lint regression gate for the
+// generated population. The corpus injects input-dependent bugs that
+// fire only on the ground-truth failing workload, so every finding must
+// be an advisory dead-store: a finding of any other rule means a rule
+// misfires on correct-for-most-inputs code (or Compile let an invariant
+// violation through).
+func TestCorpusLintDeadStoresOnly(t *testing.T) {
 	const n = 200
 	scs, _, err := corpus.Generate(corpus.GenConfig{N: n, Seed: 1})
 	if err != nil {
@@ -25,58 +28,22 @@ func TestCorpusProvableLintClean(t *testing.T) {
 	if len(scs) != n {
 		t.Fatalf("generated %d scenarios, want %d", len(scs), n)
 	}
+	dead := 0
 	for _, sc := range scs {
 		mod, err := sc.Module()
 		if err != nil {
 			t.Errorf("%s: compile: %v", sc.Name, err)
 			continue
 		}
-		for _, f := range absint.Lint(mod) {
-			if dataflow.ErrorLevel(f.Rule) {
-				t.Errorf("%s (%s): provable-lint false positive: %s", sc.Name, sc.Pattern, f)
+		for _, f := range dataflow.Lint(mod) {
+			if f.Rule != dataflow.RuleDeadStore {
+				t.Errorf("%s (%s): unexpected lint finding: %s", sc.Name, sc.Pattern, f)
+				continue
 			}
+			dead++
 		}
 	}
-}
-
-// TestProvableLintFlagsKnownBugs is the matching true-positive gate:
-// constructs that are wrong for *every* input — the shapes the corpus
-// deliberately avoids — must be flagged at error level, so the clean
-// result above means "no false positives", not "lint does nothing".
-func TestProvableLintFlagsKnownBugs(t *testing.T) {
-	cases := []struct {
-		name, rule, src string
-	}{
-		{"oob", "provable-oob", `
-int buf[4];
-func main() int {
-	int i = input32("n");
-	buf[i & 3] = i;
-	buf[7] = 1;
-	return 0;
-}
-`},
-		{"overflow", "provable-overflow", `
-func main() int {
-	int x = 3000000000;
-	int y = x + x;
-	return y;
-}
-`},
-	}
-	for _, tc := range cases {
-		mod, err := minc.Compile(tc.name, tc.src)
-		if err != nil {
-			t.Fatalf("%s: compile: %v", tc.name, err)
-		}
-		found := false
-		for _, f := range absint.Lint(mod) {
-			if f.Rule == tc.rule {
-				found = true
-			}
-		}
-		if !found {
-			t.Errorf("%s: no %s finding on a provably-buggy program", tc.name, tc.rule)
-		}
+	if dead != corpusDeadStores {
+		t.Errorf("dead-store findings = %d, want %d", dead, corpusDeadStores)
 	}
 }

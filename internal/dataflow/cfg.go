@@ -168,12 +168,6 @@ func BuildCFG(f *ir.Func) *CFG {
 	return c
 }
 
-// RPONum returns b's position in reverse post-order, or -1 if the
-// block is unreachable. A predecessor with RPONum >= the block's own
-// marks a back edge — the loop-head test used by the abstract
-// interpreter's widening.
-func (c *CFG) RPONum(b int) int { return c.rpoNum[b] }
-
 // Dominates reports whether block a dominates block b. Unreachable
 // blocks dominate nothing and are dominated by nothing.
 func (c *CFG) Dominates(a, b int) bool {

@@ -13,24 +13,7 @@ const (
 	RuleUnreachable = "unreachable-block" // block not reachable from the entry
 	RuleDeadStore   = "dead-store"        // pure register definition never read
 	RuleWidthMix    = "width-mismatch"    // defs of differing widths from different blocks reach one use
-
-	// Rules proven by the abstract interpreter (internal/absint).
-	// The provable-* rules are error-level: the flagged instruction
-	// fails on every execution that reaches it.
-	RuleProvableOOB      = "provable-oob"      // memory access out of bounds for every reaching value
-	RuleProvableOverflow = "provable-overflow" // arithmetic wraps for every reaching value
-	RuleAlwaysBranch     = "always-branch"     // computed branch condition with only one outcome
 )
-
-// ErrorLevel reports whether a rule is error-level: proven-fatal
-// findings that should fail a lint run, as opposed to advisory ones.
-func ErrorLevel(rule string) bool {
-	switch rule {
-	case RuleMaybeUndef, RuleUnreachable, RuleProvableOOB, RuleProvableOverflow:
-		return true
-	}
-	return false
-}
 
 // Finding is one lint diagnostic.
 type Finding struct {

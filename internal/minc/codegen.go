@@ -3,7 +3,6 @@ package minc
 import (
 	"fmt"
 
-	"execrecon/internal/absint"
 	"execrecon/internal/dataflow"
 	"execrecon/internal/ir"
 )
@@ -15,26 +14,14 @@ import (
 // the dead blocks its statement emitter creates, so a violation is a
 // compiler bug, not a property of the user program.
 func Compile(name, src string) (*ir.Module, error) {
-	mod, _, err := compile(name, src)
+	mod, _, err := CompileWithLint(name, src)
 	return mod, err
 }
 
-// CompileWithLint is Compile plus the full lint suite: the advisory
-// dataflow rules (dead stores, cross-block width inconsistencies —
-// suspicious but executable) followed by the abstract-interpretation
-// rules, which include the error-level provable findings
-// (provable-oob, provable-overflow: the fault fires on every
-// execution reaching the site). Callers gate severity with
-// dataflow.ErrorLevel.
+// CompileWithLint is Compile plus the advisory dataflow lint findings
+// (dead stores, cross-block width inconsistencies): suspicious but
+// executable IR.
 func CompileWithLint(name, src string) (*ir.Module, []dataflow.Finding, error) {
-	mod, findings, err := compile(name, src)
-	if err != nil {
-		return mod, findings, err
-	}
-	return mod, append(findings, absint.Lint(mod)...), nil
-}
-
-func compile(name, src string) (*ir.Module, []dataflow.Finding, error) {
 	prog, err := parse(src)
 	if err != nil {
 		return nil, nil, err
