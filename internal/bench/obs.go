@@ -207,7 +207,7 @@ func checkTimeline(tl cluster.BucketTimeline, restart bool) TimelineCheck {
 			tc.Events++
 		}
 	}
-	resolved := tl.State == "resolved" && !tl.ResolvedAt.IsZero()
+	resolved := tl.State == "resolved" && tl.ResolvedAt != nil
 	validTrace := tl.TraceID != "" && tl.TraceID != "0000000000000000"
 	ends := tc.HasResolve
 	if restart {
@@ -396,15 +396,6 @@ func RunObs(opts ObsOptions) (*ObsResult, error) {
 		}
 	}
 	return res, nil
-}
-
-// Pass reports whether every gate held: verdict parity, the budget
-// gate latching, and timeline completeness before and after restart.
-// (The overhead budget itself is erbench's -max-overhead gate.)
-func (r *ObsResult) Pass() bool {
-	return r.AllVerdictsMatch &&
-		r.GateBreaches == 1 && r.GateAlerted &&
-		r.TimelinesComplete && r.RestartComplete
 }
 
 // RenderObs prints the parity table, the ledger and gate summary, and

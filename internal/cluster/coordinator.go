@@ -235,8 +235,8 @@ func NewCoordinator(apps []fleet.App, opts CoordinatorOptions) (*Coordinator, er
 			iterations:   rb.Iterations,
 			redispatches: rb.Redispatches,
 			notify:       make(chan struct{}),
-			firstSeen:    rb.FirstSeen,
-			resolvedAt:   rb.ResolvedAt,
+			firstSeen:    unstamp(rb.FirstSeen),
+			resolvedAt:   unstamp(rb.ResolvedAt),
 		}
 		// Restore the timeline skeleton: the trace id and ingest
 		// time persisted on the grant, the final replay span on the
@@ -257,7 +257,7 @@ func NewCoordinator(apps []fleet.App, opts CoordinatorOptions) (*Coordinator, er
 			}
 			ctl.leaseLog = append(ctl.leaseLog, leaseWindow{
 				term: rb.Term, node: node, start: rb.Span.Start,
-				end: rb.ResolvedAt, reason: "resolved",
+				end: ctl.resolvedAt, reason: "resolved",
 			})
 		}
 		if rb.Resolved {
@@ -484,7 +484,7 @@ func (c *Coordinator) grantLocked(node string) (*bucketCtl, uint64, error) {
 		if err := c.wal.Append(walRecord{
 			T: walGrant, App: ctl.addr.App, Key: ctl.addr.Key,
 			Node: node, Term: ctl.term, Sig: ctl.sig,
-			Trace: ctl.trace.TraceID, FirstSeen: ctl.firstSeen,
+			Trace: ctl.trace.TraceID, FirstSeen: stamp(ctl.firstSeen),
 		}); err != nil {
 			ctl.term--
 			c.enqueueLocked(ctl)
@@ -586,8 +586,8 @@ func (c *Coordinator) checkpointLocked() {
 			App: ctl.addr.App, Key: ctl.addr.Key, Sig: ctl.sig,
 			Term: ctl.term, Version: ctl.version,
 			Iterations: ctl.iterations, Redispatches: ctl.redispatches,
-			Trace: ctl.trace.TraceID, FirstSeen: ctl.firstSeen,
-			ResolvedAt: ctl.resolvedAt,
+			Trace: ctl.trace.TraceID, FirstSeen: stamp(ctl.firstSeen),
+			ResolvedAt: stamp(ctl.resolvedAt),
 		}
 		if sn, ok := ctl.remote[ctl.term]; ok {
 			rb.Span = &sn

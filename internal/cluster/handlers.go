@@ -338,7 +338,7 @@ func (c *Coordinator) handleResolve(w http.ResponseWriter, r *http.Request) {
 	if err := c.wal.Append(walRecord{
 		T: walResolve, App: req.App, Key: req.Key,
 		Node: req.Node, Term: req.Term, Sig: ctl.sig, Report: req.Report,
-		At: now, Span: req.Span,
+		At: &now, Span: req.Span,
 	}); err != nil {
 		c.mu.Unlock()
 		writeJSON(w, ResolveResponse{Status: rejection("wal: %v", err)})

@@ -105,13 +105,13 @@ func (ctl *bucketCtl) remoteSpanLocked(term uint64, sn telemetry.SpanSnapshot) {
 // BucketTimeline is one bucket's stitched end-to-end story, as served
 // by /debug/er/timeline and `er -coordinator timeline`.
 type BucketTimeline struct {
-	App          string    `json:"app"`
-	Key          uint64    `json:"key"`
-	TraceID      string    `json:"trace_id"`
-	State        string    `json:"state"`
-	FirstSeen    time.Time `json:"first_seen"`
-	ResolvedAt   time.Time `json:"resolved_at,omitempty"`
-	Redispatches int       `json:"redispatches"`
+	App          string     `json:"app"`
+	Key          uint64     `json:"key"`
+	TraceID      string     `json:"trace_id"`
+	State        string     `json:"state"`
+	FirstSeen    time.Time  `json:"first_seen"`
+	ResolvedAt   *time.Time `json:"resolved_at,omitempty"`
+	Redispatches int        `json:"redispatches"`
 	// Root is the stitched span tree: ingest → archive → lease →
 	// (remote) replay/reconstruction/iterations → rollouts → resolve.
 	Root telemetry.SpanSnapshot `json:"root"`
@@ -126,7 +126,7 @@ func (ctl *bucketCtl) timelineLocked(now time.Time) BucketTimeline {
 		TraceID:      ctl.trace.TraceID.String(),
 		State:        ctl.state.String(),
 		FirstSeen:    ctl.firstSeen,
-		ResolvedAt:   ctl.resolvedAt,
+		ResolvedAt:   stamp(ctl.resolvedAt),
 		Redispatches: ctl.redispatches,
 	}
 	root := telemetry.SpanSnapshot{

@@ -30,9 +30,9 @@ func requireCompleteTimeline(t *testing.T, tl BucketTimeline, restart bool) {
 	if tl.TraceID == "" || tl.TraceID == "0000000000000000" {
 		t.Errorf("bucket %s/%#x: no trace id", tl.App, tl.Key)
 	}
-	if tl.FirstSeen.IsZero() || tl.ResolvedAt.IsZero() {
+	if tl.FirstSeen.IsZero() || tl.ResolvedAt == nil {
 		t.Errorf("bucket %s/%#x: lifecycle timestamps missing (%v, %v)",
-			tl.App, tl.Key, tl.FirstSeen, tl.ResolvedAt)
+			tl.App, tl.Key, tl.FirstSeen, unstamp(tl.ResolvedAt))
 	}
 	if tl.Root.Name != "bucket" || tl.Root.Open {
 		t.Errorf("bucket %s/%#x: root = %q open=%v", tl.App, tl.Key, tl.Root.Name, tl.Root.Open)
@@ -406,9 +406,9 @@ func TestClusterTimelineSurvivesRestart(t *testing.T) {
 			t.Errorf("bucket %s/%#x: trace id changed across restart: %s -> %s",
 				tl.App, tl.Key, pre.TraceID, tl.TraceID)
 		}
-		if !tl.ResolvedAt.Equal(pre.ResolvedAt) {
+		if !unstamp(tl.ResolvedAt).Equal(unstamp(pre.ResolvedAt)) {
 			t.Errorf("bucket %s/%#x: resolution time changed across restart: %v -> %v",
-				tl.App, tl.Key, pre.ResolvedAt, tl.ResolvedAt)
+				tl.App, tl.Key, unstamp(pre.ResolvedAt), unstamp(tl.ResolvedAt))
 		}
 		var recovered bool
 		for _, ch := range tl.Root.Children {

@@ -66,10 +66,11 @@ type walRecord struct {
 	// Trace/FirstSeen ride on grants, At and Span on resolutions —
 	// the durable skeleton of the bucket's stitched timeline, so a
 	// restarted coordinator still renders ingest-through-resolve for
-	// buckets that completed before the crash.
+	// buckets that completed before the crash. Stamps are pointers so
+	// that an unset one (see stamp) is left out of the record.
 	Trace     telemetry.TraceID       `json:"trace,omitempty"`
-	FirstSeen time.Time               `json:"first_seen,omitempty"`
-	At        time.Time               `json:"at,omitempty"`
+	FirstSeen *time.Time              `json:"first_seen,omitempty"`
+	At        *time.Time              `json:"at,omitempty"`
 	Span      *telemetry.SpanSnapshot `json:"span,omitempty"`
 	// State is the full lease table (checkpoint records only).
 	State []RecoveredBucket `json:"state,omitempty"`
@@ -102,9 +103,27 @@ type RecoveredBucket struct {
 	// resolution time, and the final remote replay span the resolving
 	// node shipped.
 	Trace      telemetry.TraceID       `json:"trace,omitempty"`
-	FirstSeen  time.Time               `json:"first_seen,omitempty"`
-	ResolvedAt time.Time               `json:"resolved_at,omitempty"`
+	FirstSeen  *time.Time              `json:"first_seen,omitempty"`
+	ResolvedAt *time.Time              `json:"resolved_at,omitempty"`
 	Span       *telemetry.SpanSnapshot `json:"span,omitempty"`
+}
+
+// stamp returns &t, or nil for the zero time: omitempty never omits a
+// time.Time, but it does omit a nil pointer.
+func stamp(t time.Time) *time.Time {
+	if t.IsZero() {
+		return nil
+	}
+	return &t
+}
+
+// unstamp reads a stamp back; nil is the zero time. Older logs spell
+// an unset stamp as the zero time, which reads the same.
+func unstamp(p *time.Time) time.Time {
+	if p == nil {
+		return time.Time{}
+	}
+	return *p
 }
 
 // RecoveredState is the replay result of OpenWAL.
@@ -240,7 +259,7 @@ func replayWAL(recs []walRecord) *RecoveredState {
 			if b.Trace == 0 {
 				b.Trace = rec.Trace
 			}
-			if b.FirstSeen.IsZero() {
+			if unstamp(b.FirstSeen).IsZero() {
 				b.FirstSeen = rec.FirstSeen
 			}
 			if !b.Resolved {

@@ -31,8 +31,8 @@ const walFuzzMaxFrames = 64
 func FuzzWALRecovery(f *testing.F) {
 	recs := walTestRecords()
 	at := time.Unix(1700000000, 0).UTC()
-	recs[0].Trace, recs[0].FirstSeen = 0xab, at
-	recs[3].At = at
+	recs[0].Trace, recs[0].FirstSeen = 0xab, &at
+	recs[3].At = &at
 	recs[3].Span = &telemetry.SpanSnapshot{Name: "replay", Start: at, Attrs: map[string]string{"node": "n0"}}
 	var state []RecoveredBucket
 	for _, b := range replayWAL(recs).Buckets {

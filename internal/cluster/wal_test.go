@@ -1,9 +1,11 @@
 package cluster
 
 import (
+	"encoding/json"
 	"os"
 	"path/filepath"
 	"testing"
+	"time"
 
 	"execrecon/internal/core"
 	"execrecon/internal/vm"
@@ -262,5 +264,75 @@ func TestWALCheckpoint(t *testing.T) {
 	}
 	if fi.Size() >= before {
 		t.Fatalf("checkpoint did not truncate: %d -> %d bytes", before, fi.Size())
+	}
+}
+
+// TestWALOmitsZeroStamps: a record without a stamp leaves its key out,
+// and a log that spells unset stamps as the zero time still replays
+// them as unset, with every set stamp intact.
+func TestWALOmitsZeroStamps(t *testing.T) {
+	p, err := json.Marshal(walRecord{T: walRenew, App: "beta", Key: 2, Node: "n0", Term: 1, Iterations: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var keys map[string]json.RawMessage
+	if err := json.Unmarshal(p, &keys); err != nil {
+		t.Fatal(err)
+	}
+	for _, k := range []string{"first_seen", "at"} {
+		if _, ok := keys[k]; ok {
+			t.Errorf("renew record %s carries %q", p, k)
+		}
+	}
+
+	const zero = `"0001-01-01T00:00:00Z"`
+	seen := time.Date(2023, 11, 14, 22, 13, 20, 0, time.UTC)
+	done := seen.Add(5 * time.Second)
+	at := func(ts time.Time) string { return `"` + ts.Format(time.RFC3339) + `"` }
+	var file []byte
+	for _, rec := range []string{
+		`{"t":"checkpoint","first_seen":` + zero + `,"at":` + zero + `,"state":[` +
+			`{"app":"gamma","key":3,"term":1,"version":0,"first_seen":` + at(seen) + `,"resolved_at":` + zero + `}]}`,
+		`{"t":"grant","app":"alpha","key":1,"node":"n0","term":1,"first_seen":` + at(seen) + `,"at":` + zero + `}`,
+		`{"t":"renew","app":"alpha","key":1,"node":"n0","term":1,"iterations":2,"first_seen":` + zero + `,"at":` + zero + `}`,
+		`{"t":"grant","app":"beta","key":2,"node":"n0","term":1,"first_seen":` + zero + `,"at":` + zero + `}`,
+		`{"t":"grant","app":"beta","key":2,"node":"n1","term":2,"first_seen":` + at(seen) + `,"at":` + zero + `}`,
+		`{"t":"resolve","app":"alpha","key":1,"node":"n0","term":1,"first_seen":` + zero + `,"at":` + at(done) + `}`,
+	} {
+		file = append(file, walFrame([]byte(rec))...)
+	}
+	path := filepath.Join(t.TempDir(), "lease.wal")
+	if err := os.WriteFile(path, file, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	w, st, err := OpenWAL(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	w.Close()
+	if st.Records != 6 || st.Truncated != 0 {
+		t.Fatalf("replayed %d records, truncated %d bytes; want 6, 0", st.Records, st.Truncated)
+	}
+	for _, want := range []struct {
+		addr               bucketAddr
+		firstSeen, resolve time.Time
+	}{
+		{bucketAddr{"alpha", 1}, seen, done},
+		{bucketAddr{"beta", 2}, seen, time.Time{}},
+		{bucketAddr{"gamma", 3}, seen, time.Time{}},
+	} {
+		b := st.Buckets[want.addr]
+		if b == nil {
+			t.Fatalf("bucket %v not recovered", want.addr)
+		}
+		if got := unstamp(b.FirstSeen); !got.Equal(want.firstSeen) {
+			t.Errorf("bucket %v: first seen %v, want %v", want.addr, got, want.firstSeen)
+		}
+		if got := unstamp(b.ResolvedAt); !got.Equal(want.resolve) {
+			t.Errorf("bucket %v: resolved at %v, want %v", want.addr, got, want.resolve)
+		}
+	}
+	if a := st.Buckets[bucketAddr{"alpha", 1}]; !a.Resolved || a.Iterations != 2 {
+		t.Errorf("alpha = %+v, want resolved after 2 iterations", a)
 	}
 }

@@ -241,12 +241,3 @@ func (d *DefUse) ReachingDefs(blk, idx, reg int) []int {
 	}
 	return out
 }
-
-// DefIndexAt returns the index into Defs of the definition at
-// (blk, idx), or -1 if that instruction defines nothing.
-func (d *DefUse) DefIndexAt(blk, idx int) int {
-	if di, ok := d.defAt[[2]int{blk, idx}]; ok {
-		return di
-	}
-	return -1
-}

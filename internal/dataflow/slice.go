@@ -108,21 +108,6 @@ func (fa *FuncAnalysis) matches(f *ir.Func) bool {
 	return true
 }
 
-// SlicedOut returns the fraction of reachable instructions not
-// executed fully symbolically (modes conc/skip/loadnv), across the
-// module. Purely informational.
-func (a *Analysis) SlicedOut() float64 {
-	tot, out := 0, 0
-	for _, fa := range a.Funcs {
-		tot += fa.NInstrs
-		out += fa.NConc + fa.NSkip + fa.NLoadNoVal
-	}
-	if tot == 0 {
-		return 0
-	}
-	return float64(out) / float64(tot)
-}
-
 // pureOp reports whether op is a register-to-register computation with
 // no side effects, no constraints, and no trace events — the ops the
 // pruned executor may evaluate natively or skip outright.

@@ -135,15 +135,6 @@ func (e *Expr) IsConst() bool { return e.Kind == KConst }
 // IsBool reports whether the node is a 1-bit (boolean) value.
 func (e *Expr) IsBool() bool { return !e.IsArray() && e.Width == 1 }
 
-// ConstValue returns the constant value, panicking if the node is not
-// constant.
-func (e *Expr) ConstValue() uint64 {
-	if e.Kind != KConst {
-		panic("expr: ConstValue on non-constant " + e.Kind.String())
-	}
-	return e.Val
-}
-
 // IsTrue reports whether e is the 1-bit constant 1.
 func (e *Expr) IsTrue() bool { return e.Kind == KConst && e.Width == 1 && e.Val == 1 }
 

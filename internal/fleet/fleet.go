@@ -68,10 +68,10 @@ type Options struct {
 	// (delta-compressed against the signature's reference trace), and
 	// each bucket's pipeline replays the next matching record from it —
 	// this app's, recorded on the pipeline's current deployment, with
-	// an unwrapped ring. A bucket's archive key is retired once every
-	// bucket sharing it has resolved, so compaction can reclaim its
-	// interior records. When nil, the fleet opens a private store in a
-	// temporary directory and removes it in Wait or Abandon.
+	// an unwrapped ring. Records are never removed, so a bucket interned
+	// after another app on the same signature resolved still replays
+	// them. When nil, the fleet opens a private store in a temporary
+	// directory and removes it in Wait or Abandon.
 	Store *tracestore.Store
 	// Remote, when set, hands buckets to an out-of-process dispatcher
 	// instead of the in-process worker pool: no pipeline workers run.
@@ -192,9 +192,6 @@ type Fleet struct {
 	work      chan *Job // never-started buckets
 	runner    *Runner
 	completed chan *Bucket
-	// retireMu orders archive-key retirement (ResolveBucket) against
-	// new buckets re-opening a key they share (admit).
-	retireMu sync.Mutex
 
 	ctx      context.Context
 	cancel   context.CancelFunc
@@ -403,11 +400,6 @@ func (f *Fleet) admit(msg *prod.TraceMsg) {
 		Seed: msg.Seed, Instrs: msg.Instrs,
 	}, msg.Ring)
 	if isNew {
-		// Another app sharing the signature may have resolved and
-		// retired the key; this bucket has yet to replay it.
-		f.retireMu.Lock()
-		f.store.Unretire(tracestore.KeyOf(b.Sig))
-		f.retireMu.Unlock()
 		f.logf("fleet: new failure bucket %d (%s): %v", b.ID, b.App, b.Sig)
 		f.triage.NewBucket(b)
 	}
@@ -552,10 +544,9 @@ func (f *Fleet) Rollout(app string, mod *ir.Module, version int) error {
 // ResolveBucket finishes a bucket, whether its reconstruction ran on
 // the local worker pool or on a remote triage node: it records the
 // report, retires the app's machines (its failure is resolved, so the
-// fleet stops spending production capacity reproducing it) and, once
-// every bucket sharing it has resolved, the bucket's archive key, and
-// signals completion toward Wait. It returns false (and does nothing)
-// if the bucket was already resolved — the idempotence a coordinator
+// fleet stops spending production capacity reproducing it) and signals
+// completion toward Wait. It returns false (and does nothing) if the
+// bucket was already resolved — the idempotence a coordinator
 // replaying its commit log relies on.
 func (f *Fleet) ResolveBucket(b *Bucket, rep *core.Report) bool {
 	if !b.resolved.CompareAndSwap(false, true) {
@@ -573,27 +564,8 @@ func (f *Fleet) ResolveBucket(b *Bucket, rep *core.Report) bool {
 			m.Deploy(prod.Deployment{})
 		}
 	}
-	f.retire(b)
 	f.bucketDone(b)
 	return true
-}
-
-// retire retires b's archive key so compaction reclaims its interior
-// records (the reference and final occurrence survive as the audit
-// pair) — but only once every bucket sharing the key has resolved:
-// buckets intern by (app, signature) while the archive keys by
-// signature alone, and an unresolved bucket may not have replayed its
-// records yet.
-func (f *Fleet) retire(b *Bucket) {
-	key := tracestore.KeyOf(b.Sig)
-	f.retireMu.Lock()
-	defer f.retireMu.Unlock()
-	for _, c := range f.table.Buckets() {
-		if !c.resolved.Load() && tracestore.KeyOf(c.Sig) == key {
-			return
-		}
-	}
-	f.store.Retire(key)
 }
 
 // Submit offers an externally produced trace message to the fleet's

@@ -172,9 +172,6 @@ func TestFleetRemoteMode(t *testing.T) {
 		if st.Count(key) == 0 {
 			t.Errorf("bucket %s: no banked records in the archive", b.App)
 		}
-		if !st.Retired(key) {
-			t.Errorf("bucket %s: archive key not retired on resolution", b.App)
-		}
 	}
 }
 

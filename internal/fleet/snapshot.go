@@ -19,9 +19,9 @@ type Snapshot struct {
 	Accepted int64
 	// Machines aggregates the producer machines' counters.
 	Machines prod.MachineStats
-	// Store is the trace archive's stats snapshot: live segments, raw
-	// vs stored bytes (the delta-compression win), torn-tail
-	// recoveries, and compaction totals.
+	// Store is the trace archive's stats snapshot: segments, records,
+	// raw vs stored bytes (the delta-compression win) and torn-tail
+	// recoveries.
 	Store tracestore.Stats
 	// Buckets holds per-bucket progress in creation order.
 	Buckets []BucketSnapshot

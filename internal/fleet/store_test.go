@@ -3,6 +3,7 @@ package fleet
 import (
 	"context"
 	"os"
+	"slices"
 	"testing"
 	"time"
 
@@ -16,11 +17,11 @@ import (
 // TestFleetWithStore runs the stress fleet with a caller-owned trace
 // archive wired in (run with -race): every ingested reoccurrence is
 // archived delta-compressed, verdicts stay identical to the store-less
-// fleet, the snapshot surfaces archive stats, and resolved buckets are
-// retired in the store.
+// fleet, the snapshot surfaces archive stats, and every appended
+// record is still reachable after the run.
 func TestFleetWithStore(t *testing.T) {
 	apps := testApps(t)
-	store, err := tracestore.Open(t.TempDir(), tracestore.Options{AutoCompact: true})
+	store, err := tracestore.Open(t.TempDir(), tracestore.Options{})
 	if err != nil {
 		t.Fatalf("Open store: %v", err)
 	}
@@ -65,16 +66,22 @@ func TestFleetWithStore(t *testing.T) {
 	if final.Store.References < 3 {
 		t.Errorf("archive references = %d, want >= 3 (one per signature)", final.Store.References)
 	}
-	// Resolved buckets were retired in the store, and auto-compaction
-	// reclaimed their interior records.
-	for _, b := range res.Buckets {
-		key := tracestore.KeyOf(f.table.Buckets()[b.ID].Sig)
-		if !store.Retired(key) {
-			t.Errorf("bucket %s (key %#x) not retired in store", b.App, key)
+	// Resolution removes nothing: every record appended during the run
+	// is still reachable through Next.
+	var reachable int64
+	all := func(tracestore.RecordInfo) bool { return true }
+	for _, key := range store.Keys() {
+		for from := uint64(0); ; {
+			_, next, ok := store.Next(key, from, all)
+			if !ok {
+				break
+			}
+			reachable++
+			from = next
 		}
 	}
-	if final.Store.Compactions < 1 || final.Store.ReclaimedBytes <= 0 {
-		t.Errorf("auto-compaction did not run: %+v", final.Store)
+	if st := store.Stats(); reachable != st.Appends || st.Records != st.Appends {
+		t.Errorf("reachable records = %d, stats %+v; want every append reachable", reachable, st)
 	}
 }
 
@@ -228,13 +235,12 @@ func main() int {
 	return 0;
 }`
 
-// TestFleetSharedKeyRetire: buckets intern by (app, signature), the
-// archive keys by signature alone. When one app resolves, compaction
-// must not reclaim the occurrences another app sharing the key has not
-// replayed yet, so the key retires only once both have resolved, and a
-// bucket that shares it and is interned afterwards re-opens it.
-func TestFleetSharedKeyRetire(t *testing.T) {
-	store, err := tracestore.Open(t.TempDir(), tracestore.Options{AutoCompact: true})
+// TestFleetSharedKeyReplay: buckets intern by (app, signature), the
+// archive keys by signature alone. When one app resolves, every record
+// another app sharing the key banked is still there to replay, and an
+// app interned on the key afterwards resolves from the archive too.
+func TestFleetSharedKeyReplay(t *testing.T) {
+	store, err := tracestore.Open(t.TempDir(), tracestore.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -262,8 +268,7 @@ func TestFleetSharedKeyRetire(t *testing.T) {
 			}
 		}
 	}
-	// lockB's records sit strictly inside the key's history: the ones
-	// compaction of a retired key reclaims.
+	// lockB's records sit strictly inside the key's history.
 	bank(apps[0], 1)
 	bank(apps[1], 3)
 	bank(apps[0], 1)
@@ -282,29 +287,47 @@ func TestFleetSharedKeyRetire(t *testing.T) {
 	if !bA.resolved.Load() {
 		t.Fatal("lockA did not resolve from its banked occurrences")
 	}
-	if store.Retired(key) {
-		t.Fatal("key retired while lockB, which shares it, is unresolved")
+	// Every record lockB banked still replays after lockA resolved.
+	var seqs []uint64
+	isB := func(ri tracestore.RecordInfo) bool { return ri.Meta.App == "lockB" }
+	for from := uint64(0); ; {
+		info, next, ok := store.Next(key, from, isB)
+		if !ok {
+			break
+		}
+		r, err := store.OpenEvents(key, info.Seq)
+		if err != nil {
+			t.Fatalf("OpenEvents(seq %d): %v", info.Seq, err)
+		}
+		for r.Next() != nil {
+		}
+		if err := r.Err(); err != nil {
+			t.Fatalf("replay of seq %d: %v", info.Seq, err)
+		}
+		seqs = append(seqs, info.Seq)
+		from = next
 	}
-	if _, err := store.Compact(); err != nil { // the pass AutoCompact would run
-		t.Fatal(err)
+	if !slices.Equal(seqs, []uint64{1, 2, 3}) {
+		t.Fatalf("lockB records after lockA resolved = %v, want [1 2 3]", seqs)
 	}
 	// run parks, rather than blocks, when nothing is left to feed.
 	f.runner.run(&bB.Job)
 	if !bB.resolved.Load() {
-		t.Fatalf("lockB never resolved (state %v): its banked occurrences were reclaimed", bB.State())
+		t.Fatalf("lockB never resolved (state %v)", bB.State())
 	}
-	for _, b := range []*Bucket{bA, bB} {
+	// A third app hitting the same deadlock after both resolved replays
+	// its record from the archive.
+	bank(apps[2], 1)
+	<-f.work
+	bC := f.table.Buckets()[2]
+	if bC.App != "lockC" || tracestore.KeyOf(bC.Sig) != key {
+		t.Fatalf("third bucket = %s, want lockC on the shared key", bC.App)
+	}
+	f.runner.run(&bC.Job)
+	for _, b := range []*Bucket{bA, bB, bC} {
 		if rep := b.report.Load(); rep == nil || !rep.Reproduced || !rep.Verified {
 			t.Errorf("bucket %s: report %+v, want reproduced and verified", b.App, rep)
 		}
-	}
-	if !store.Retired(key) {
-		t.Fatal("key not retired after every bucket sharing it resolved")
-	}
-	// A third app hitting the same deadlock later re-opens the key.
-	bank(apps[2], 1)
-	if store.Retired(key) {
-		t.Error("key still retired after a new bucket sharing it was interned")
 	}
 }
 

@@ -26,18 +26,6 @@ func (m *Module) Dump() string {
 	return b.String()
 }
 
-// InstrAt returns the instruction at (block, index), or nil.
-func (f *Func) InstrAt(blk, idx int) *Instr {
-	if blk < 0 || blk >= len(f.Blocks) {
-		return nil
-	}
-	b := f.Blocks[blk]
-	if idx < 0 || idx >= len(b.Instrs) {
-		return nil
-	}
-	return &b.Instrs[idx]
-}
-
 // FindInstrByID locates the instruction with the given ID, returning
 // block and index or (-1, -1).
 func (f *Func) FindInstrByID(id int32) (int, int) {

@@ -35,10 +35,10 @@ const (
 	opLiteral byte = 2
 )
 
-// defaultBlockSize is the delta matching granularity. Small enough to
-// find matches across PTW-packet insertions after a re-instrumentation
+// blockSize is the delta matching granularity. Small enough to find
+// matches across PTW-packet insertions after a re-instrumentation
 // rollout, large enough to keep the index sparse.
-const defaultBlockSize = 32
+const blockSize = 32
 
 const (
 	rkBase = 0x100000001b3 // FNV prime as polynomial base
@@ -66,11 +66,8 @@ func rkHash(b []byte) uint64 {
 const maxHashChain = 4
 
 // deltaEncode appends the delta op stream for target against ref to
-// dst. blockSize ≤ 0 selects defaultBlockSize.
-func deltaEncode(dst, ref, target []byte, blockSize int) []byte {
-	if blockSize <= 0 {
-		blockSize = defaultBlockSize
-	}
+// dst.
+func deltaEncode(dst, ref, target []byte) []byte {
 	emitLiteral := func(lit []byte) {
 		if len(lit) == 0 {
 			return

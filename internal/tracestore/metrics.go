@@ -33,8 +33,4 @@ func (s *Store) RegisterMetrics(reg *telemetry.Registry) {
 		"records appended since Open", func() float64 { return float64(s.Stats().Appends) })
 	reg.CounterFunc("er_tracestore_recoveries_total",
 		"torn tails truncated at Open", func() float64 { return float64(s.Stats().Recoveries) })
-	reg.CounterFunc("er_tracestore_compactions_total",
-		"completed compaction passes", func() float64 { return float64(s.Stats().Compactions) })
-	reg.CounterFunc("er_tracestore_reclaimed_bytes_total",
-		"disk bytes released by compaction", func() float64 { return float64(s.Stats().ReclaimedBytes) })
 }

@@ -32,8 +32,7 @@ var _ pt.EventSource = (*Reader)(nil)
 
 // OpenEvents opens a streaming event reader over the archived
 // occurrence (key, seq). The reader stays valid across concurrent
-// appends and compactions (segments are immutable once written;
-// compaction unlinks but never rewrites them in place).
+// appends: a record's bytes are never rewritten once framed.
 func (s *Store) OpenEvents(key, seq uint64) (*Reader, error) {
 	s.mu.Lock()
 	ks, r, err := s.lookupLocked(key, seq)

@@ -23,15 +23,12 @@
 //     served from the shared per-bucket reference) and decodes PT
 //     packets incrementally, feeding shepherded symbolic execution
 //     without ever materializing the full trace in memory.
-//   - Background compaction of retired buckets: once a failure is
-//     reconstructed, Retire marks its bucket and compaction rewrites
-//     the log keeping only the bucket's reference and final record.
 //
-// The store is the fleet's one delivery path: internal/fleet banks
+// The store appends and replays; it never rewrites or deletes a
+// record. It is the fleet's one delivery path: internal/fleet banks
 // every ingested reoccurrence here and each bucket's pipeline (or a
 // remote triage node, through the cluster coordinator) replays the
-// next matching record from it. internal/prod machines can also ship
-// to an archive (ArchiveSink) instead of a live channel.
+// next matching record from it, including after a crash.
 package tracestore
 
 import (
@@ -51,11 +48,6 @@ type Options struct {
 	// SegmentBytes rolls the active segment once it exceeds this size
 	// (default 4 MB).
 	SegmentBytes int64
-	// BlockSize is the delta-matching granularity (default 32 bytes).
-	BlockSize int
-	// AutoCompact runs compaction in a background goroutine whenever
-	// buckets are retired. Off by default (call Compact explicitly).
-	AutoCompact bool
 	// Sync fsyncs the active segment after every append. Off by
 	// default: the format already confines crash damage to a torn,
 	// recoverable tail, so fsync only narrows the loss window.
@@ -65,9 +57,6 @@ type Options struct {
 func (o Options) withDefaults() Options {
 	if o.SegmentBytes <= 0 {
 		o.SegmentBytes = 4 << 20
-	}
-	if o.BlockSize <= 0 {
-		o.BlockSize = defaultBlockSize
 	}
 	return o
 }
@@ -125,8 +114,8 @@ type Stats struct {
 	Records    int64
 	References int64
 	Deltas     int64
-	// Appends counts records appended over the store's lifetime since
-	// Open (compaction does not decrement it).
+	// Appends counts records appended since Open (records recovered
+	// at Open are not counted).
 	Appends int64
 	// RawBytes is the sum of live records' raw (as-shipped) stream
 	// sizes; StoredBytes the framed bytes they occupy on disk.
@@ -134,10 +123,6 @@ type Stats struct {
 	StoredBytes int64
 	// Recoveries counts torn tails truncated at Open.
 	Recoveries int64
-	// Compactions counts completed compaction passes;
-	// ReclaimedBytes the disk bytes they released.
-	Compactions    int64
-	ReclaimedBytes int64
 }
 
 // Ratio returns the raw-vs-stored compression ratio (0 when empty).
@@ -173,7 +158,6 @@ type keyState struct {
 	recs    []recordRef // ascending seq
 	refRaw  []byte      // lazily cached reference raw stream
 	nextSeq uint64
-	retired bool
 }
 
 type segfile struct {
@@ -193,13 +177,8 @@ type Store struct {
 	cur     *segfile
 	nextSeg int
 	keys    map[uint64]*keyState
-	zombies []*os.File // unlinked by compaction, closed at Close
 	stats   Stats
 	closed  bool
-
-	compactCh chan struct{}
-	doneCh    chan struct{}
-	wg        sync.WaitGroup
 }
 
 // Open opens (creating if needed) the store rooted at dir, scanning
@@ -211,12 +190,10 @@ func Open(dir string, opts Options) (*Store, error) {
 		return nil, fmt.Errorf("tracestore: %w", err)
 	}
 	s := &Store{
-		dir:       dir,
-		opts:      opts,
-		segs:      make(map[int]*segfile),
-		keys:      make(map[uint64]*keyState),
-		compactCh: make(chan struct{}, 1),
-		doneCh:    make(chan struct{}),
+		dir:  dir,
+		opts: opts,
+		segs: make(map[int]*segfile),
+		keys: make(map[uint64]*keyState),
 	}
 	ids, err := listSegments(dir)
 	if err != nil {
@@ -266,16 +243,13 @@ func Open(dir string, opts Options) (*Store, error) {
 			ks.nextSeq = ks.recs[n-1].seq + 1
 		}
 	}
-	if opts.AutoCompact {
-		s.wg.Add(1)
-		go s.compactor()
-	}
 	return s, nil
 }
 
 // indexRecord adds one scanned record to the in-memory index,
-// dropping duplicate (key, seq) pairs (possible after a crash mid-
-// compaction, which copies records before deleting old segments).
+// dropping duplicate (key, seq) pairs: the segment bytes come from
+// disk, possibly written by an older build, and a seq must name one
+// record for Next and lookups to be well defined.
 func (s *Store) indexRecord(seg int, r scannedRecord) {
 	h := r.hdr
 	ks := s.keys[h.key]
@@ -313,17 +287,6 @@ func (s *Store) accountAdd(r recordRef) {
 	s.stats.StoredBytes += r.storedBytes()
 }
 
-func (s *Store) accountRemove(r recordRef) {
-	s.stats.Records--
-	if r.kind == KindReference {
-		s.stats.References--
-	} else {
-		s.stats.Deltas--
-	}
-	s.stats.RawBytes -= int64(r.rawLen)
-	s.stats.StoredBytes -= r.storedBytes()
-}
-
 // Stats returns a snapshot of the store's counters.
 func (s *Store) Stats() Stats {
 	s.mu.Lock()
@@ -340,16 +303,11 @@ func (s *Store) Dir() string { return s.dir }
 // afterwards.
 func (s *Store) Close() error {
 	s.mu.Lock()
+	defer s.mu.Unlock()
 	if s.closed {
-		s.mu.Unlock()
 		return nil
 	}
 	s.closed = true
-	s.mu.Unlock()
-	close(s.doneCh)
-	s.wg.Wait()
-	s.mu.Lock()
-	defer s.mu.Unlock()
 	return s.closeAll()
 }
 
@@ -360,13 +318,7 @@ func (s *Store) closeAll() error {
 			first = err
 		}
 	}
-	for _, f := range s.zombies {
-		if err := f.Close(); err != nil && first == nil {
-			first = err
-		}
-	}
 	s.segs = map[int]*segfile{}
-	s.zombies = nil
 	s.cur = nil
 	return first
 }
@@ -443,7 +395,7 @@ func (s *Store) Append(sig *vm.Failure, meta Meta, raw []byte) (uint64, error) {
 		if err != nil {
 			return 0, err
 		}
-		body = deltaEncode(nil, refRaw, raw, s.opts.BlockSize)
+		body = deltaEncode(nil, refRaw, raw)
 	}
 	payload := encodePayload(kind, seq, key, sig, meta, uint64(len(raw)), body)
 	seg, off, err := s.appendPayloadLocked(payload)

@@ -6,10 +6,8 @@ import (
 	"os"
 	"path/filepath"
 	"testing"
-	"time"
 
 	"execrecon/internal/ir"
-	"execrecon/internal/prod"
 	"execrecon/internal/pt"
 	"execrecon/internal/vm"
 )
@@ -352,7 +350,7 @@ func TestDeltaRoundTripProperty(t *testing.T) {
 		case 3:
 			target = mutate(ref, 1+rng.Intn(64)) // heavily edited
 		}
-		ops := deltaEncode(nil, ref, target, 0)
+		ops := deltaEncode(nil, ref, target)
 		got, err := deltaApply(ref, ops)
 		if err != nil {
 			t.Fatalf("trial %d: apply: %v", trial, err)
@@ -364,189 +362,59 @@ func TestDeltaRoundTripProperty(t *testing.T) {
 	// Identical streams must collapse to a single copy op, the whole
 	// point of reoccurrence archival.
 	ref := randBytes(8192)
-	ops := deltaEncode(nil, ref, ref, 0)
+	ops := deltaEncode(nil, ref, ref)
 	if len(ops) > 32 {
 		t.Fatalf("identical-stream delta is %d bytes", len(ops))
 	}
 }
 
-func TestCompaction(t *testing.T) {
+// TestReopenDropsDuplicateRecords: a (key, seq) pair that appears
+// twice on disk is indexed once, so Next and reads stay well defined
+// whatever build wrote the segments.
+func TestReopenDropsDuplicateRecords(t *testing.T) {
 	dir := t.TempDir()
-	s := openTest(t, dir, Options{SegmentBytes: 16 << 10})
-	sigHot, sigDone := testSig("hot", 1), testSig("done", 2)
-	keyHot, keyDone := KeyOf(sigHot), KeyOf(sigDone)
-	var hotRaws, doneRaws [][]byte
-	for i := 0; i < 5; i++ {
-		rh := makeRaw(41, 600, map[int]bool{i: true})
-		rd := makeRaw(42, 600, map[int]bool{i * 3: true})
-		hotRaws, doneRaws = append(hotRaws, rh), append(doneRaws, rd)
-		if _, err := s.Append(sigHot, Meta{Seed: int64(i)}, rh); err != nil {
-			t.Fatal(err)
-		}
-		if _, err := s.Append(sigDone, Meta{Seed: int64(i)}, rd); err != nil {
+	s := openTest(t, dir, Options{})
+	sig := testSig("dup", 5)
+	key := KeyOf(sig)
+	var raws [][]byte
+	for i := 0; i < 3; i++ {
+		raw := makeRaw(71, 300, map[int]bool{i: true})
+		raws = append(raws, raw)
+		if _, err := s.Append(sig, Meta{Seed: int64(i)}, raw); err != nil {
 			t.Fatal(err)
 		}
 	}
-
-	// A reader opened before compaction must survive the segment swap
-	// (old files are unlinked but handles stay open until Close).
-	early, err := s.OpenEvents(keyDone, 2)
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	s.Retire(keyDone)
-	if !s.Retired(keyDone) {
-		t.Fatal("Retired = false after Retire")
-	}
-	res, err := s.Compact()
-	if err != nil {
-		t.Fatalf("Compact: %v", err)
-	}
-	if res.DroppedRecords != 3 {
-		t.Fatalf("DroppedRecords = %d, want 3", res.DroppedRecords)
-	}
-	if res.ReclaimedBytes <= 0 {
-		t.Fatalf("ReclaimedBytes = %d", res.ReclaimedBytes)
-	}
-
-	// Retired bucket keeps the audit pair: reference + final record.
-	if n := s.Count(keyDone); n != 2 {
-		t.Fatalf("retired bucket keeps %d records, want 2", n)
-	}
-	for _, want := range []struct {
-		seq uint64
-		raw []byte
-	}{{0, doneRaws[0]}, {4, doneRaws[4]}} {
-		got, _, err := s.ReadRaw(keyDone, want.seq)
-		if err != nil || !bytes.Equal(got, want.raw) {
-			t.Fatalf("post-compact ReadRaw(done,%d): err=%v equal=%v", want.seq, err, bytes.Equal(got, want.raw))
-		}
-	}
-	// The live bucket is untouched.
-	for i, raw := range hotRaws {
-		got, _, err := s.ReadRaw(keyHot, uint64(i))
-		if err != nil || !bytes.Equal(got, raw) {
-			t.Fatalf("post-compact ReadRaw(hot,%d): err=%v equal=%v", i, err, bytes.Equal(got, raw))
-		}
-	}
-	// Interior record of the retired bucket is gone.
-	if _, _, err := s.ReadRaw(keyDone, 2); err == nil {
-		t.Fatal("interior record of retired bucket still readable via index")
-	}
-	// The pre-compaction reader still streams its (now unlinked) copy.
-	want, err := pt.DecodeBytes(doneRaws[2], 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	n := 0
-	for early.Next() != nil {
-		n++
-	}
-	if err := early.Err(); err != nil {
-		t.Fatalf("zombie reader failed: %v", err)
-	}
-	wantN := len(want.Events)
-	if want.Events[wantN-1].Kind == pt.EvEnd {
-		wantN--
-	}
-	if n != wantN {
-		t.Fatalf("zombie reader decoded %d events, want %d", n, wantN)
-	}
-
-	// Compaction survives a reopen (records were rewritten, not lost).
+	want := s.Stats()
 	if err := s.Close(); err != nil {
 		t.Fatal(err)
 	}
-	s2 := openTest(t, dir, Options{})
-	if got := s2.Count(keyDone); got != 2 {
-		t.Fatalf("reopen after compact: Count(done) = %d, want 2", got)
-	}
-	if got := s2.Count(keyHot); got != 5 {
-		t.Fatalf("reopen after compact: Count(hot) = %d, want 5", got)
-	}
-}
-
-func TestAutoCompact(t *testing.T) {
-	dir := t.TempDir()
-	s := openTest(t, dir, Options{AutoCompact: true})
-	sig := testSig("auto", 9)
-	key := KeyOf(sig)
-	for i := 0; i < 4; i++ {
-		if _, err := s.Append(sig, Meta{}, makeRaw(51, 400, map[int]bool{i: true})); err != nil {
-			t.Fatal(err)
-		}
-	}
-	s.Retire(key)
-	deadline := time.Now().Add(5 * time.Second)
-	for {
-		if s.Stats().Compactions >= 1 {
-			break
-		}
-		if time.Now().After(deadline) {
-			t.Fatal("background compaction never ran")
-		}
-		time.Sleep(5 * time.Millisecond)
-	}
-	if got := s.Count(key); got != 2 {
-		t.Fatalf("Count = %d after auto compaction, want 2", got)
-	}
-}
-
-func TestArchiveSink(t *testing.T) {
-	dir := t.TempDir()
-	s := openTest(t, dir, Options{})
-	sink := &ArchiveSink{Store: s}
-
-	sig := testSig("sink", 11)
-	ring := pt.NewRing(1 << 16)
-	enc := pt.NewEncoder(ring)
-	enc.Chunk(0, 0)
-	for i := 0; i < 100; i++ {
-		enc.TNT(i%3 == 0)
-	}
-	enc.Finish()
-
-	msg := &prod.TraceMsg{
-		App: "kv", Machine: 4, Version: 2, Ring: ring,
-		Failure: sig, Seed: 1234, Instrs: 5678,
-	}
-	if !sink.Emit(msg) {
-		t.Fatal("Emit rejected a valid message")
-	}
-	if sink.Emit(&prod.TraceMsg{Failure: nil}) {
-		t.Fatal("Emit accepted a message without a failure")
-	}
-	if sink.Appended() != 1 || sink.Dropped() != 1 {
-		t.Fatalf("sink counters: appended=%d dropped=%d", sink.Appended(), sink.Dropped())
-	}
-
-	key := KeyOf(sig)
-	raw, info, err := s.ReadRaw(key, 0)
+	seg0, err := os.ReadFile(filepath.Join(dir, segName(0)))
 	if err != nil {
 		t.Fatal(err)
 	}
-	wantRaw, _ := ring.Bytes()
-	if !bytes.Equal(raw, wantRaw) {
-		t.Fatal("archived ring bytes differ")
+	if err := os.WriteFile(filepath.Join(dir, segName(1)), seg0, 0o644); err != nil {
+		t.Fatal(err)
 	}
-	m := info.Meta
-	if m.App != "kv" || m.Machine != 4 || m.Version != 2 || m.Seed != 1234 || m.Instrs != 5678 {
-		t.Fatalf("archived meta = %+v", m)
+	s2 := openTest(t, dir, Options{})
+	if got := s2.Count(key); got != 3 {
+		t.Fatalf("Count = %d after reopening a duplicated segment, want 3", got)
 	}
-
-	// Closed store: the sink reports the drop instead of erroring out.
-	s.Close()
-	if sink.Emit(msg) {
-		t.Fatal("Emit accepted after store close")
+	if got := s2.Stats(); got.Records != want.Records || got.StoredBytes != want.StoredBytes {
+		t.Fatalf("Stats = %+v, want Records %d StoredBytes %d", got, want.Records, want.StoredBytes)
+	}
+	for i, raw := range raws {
+		got, _, err := s2.ReadRaw(key, uint64(i))
+		if err != nil || !bytes.Equal(got, raw) {
+			t.Fatalf("ReadRaw(%d): err=%v equal=%v", i, err, bytes.Equal(got, raw))
+		}
 	}
 }
 
-// TestConcurrentAppendRead exercises concurrent appends, streaming
-// reads, and compaction under the race detector.
+// TestConcurrentAppendRead exercises concurrent appends and streaming
+// reads across segment rolls under the race detector.
 func TestConcurrentAppendRead(t *testing.T) {
 	dir := t.TempDir()
-	s := openTest(t, dir, Options{SegmentBytes: 32 << 10, AutoCompact: true})
+	s := openTest(t, dir, Options{SegmentBytes: 32 << 10})
 	sigs := []*vm.Failure{testSig("w0", 1), testSig("w1", 2), testSig("w2", 3)}
 	done := make(chan error, len(sigs))
 	for w, sig := range sigs {
@@ -569,9 +437,6 @@ func TestConcurrentAppendRead(t *testing.T) {
 				if err := r.Err(); err != nil {
 					done <- err
 					return
-				}
-				if i == 10 {
-					s.Retire(key)
 				}
 			}
 			done <- nil
@@ -607,9 +472,8 @@ func TestUntracedRecord(t *testing.T) {
 	dir := t.TempDir()
 	s := openTest(t, dir, Options{})
 	sig := testSig("untraced", 13)
-	sink := &ArchiveSink{Store: s}
-	if !sink.Emit(&prod.TraceMsg{App: "x", Failure: sig}) {
-		t.Fatal("Emit rejected an untraced message")
+	if _, err := s.AppendRing(sig, Meta{App: "x"}, nil); err != nil {
+		t.Fatalf("AppendRing of an untraced occurrence: %v", err)
 	}
 	raw, info, err := s.ReadRaw(KeyOf(sig), 0)
 	if err != nil {
@@ -622,9 +486,8 @@ func TestUntracedRecord(t *testing.T) {
 
 // TestNextScansMetadata: Next returns the first record at or after the
 // cursor that the predicate accepts, shows the predicate every record
-// it passes over, resumes past the match (or past every record when
-// none matched), and keeps finding records after a compaction removed
-// the ones around them.
+// it passes over, and resumes past the match (or past every record
+// when none matched).
 func TestNextScansMetadata(t *testing.T) {
 	s := openTest(t, t.TempDir(), Options{})
 	sig := testSig("next", 1)
@@ -659,25 +522,6 @@ func TestNextScansMetadata(t *testing.T) {
 	}
 	if _, next, ok := s.Next(KeyOf(testSig("unknown", 9)), 3, isB); ok || next != 3 {
 		t.Fatalf("Next on an unknown key: next %d ok %v, want 3, false", next, ok)
-	}
-
-	// Unretire before compaction keeps every record; retiring drops the
-	// interior ones, and Next steps over the gap.
-	s.Retire(key)
-	s.Unretire(key)
-	if s.Retired(key) {
-		t.Fatal("Retired = true after Unretire")
-	}
-	if res, err := s.Compact(); err != nil || res.DroppedRecords != 0 {
-		t.Fatalf("Compact of an unretired key = %+v, %v; want nothing dropped", res, err)
-	}
-	s.Retire(key)
-	if _, err := s.Compact(); err != nil {
-		t.Fatal(err)
-	}
-	info, _, ok = s.Next(key, 1, isB)
-	if !ok || info.Seq != 5 {
-		t.Fatalf("Next after compaction = %+v ok %v, want seq 5", info, ok)
 	}
 	if _, err := s.OpenEvents(key, info.Seq); err != nil {
 		t.Fatalf("OpenEvents(seq %d): %v", info.Seq, err)
