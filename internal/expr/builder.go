@@ -1,81 +1,61 @@
 package expr
 
-import (
-	"fmt"
-	"hash/maphash"
-)
+import "fmt"
 
 // Builder creates interned, locally simplified expression nodes. A
 // Builder is not safe for concurrent use.
 type Builder struct {
-	seed    maphash.Seed
-	table   map[uint64][]*Expr
+	table   map[nodeKey]*Expr
 	nextID  uint64
 	created int
 }
 
+// nodeKey is a node's structural identity: every field intern
+// compares, with the arguments named by their ids. No node has more
+// than three arguments, and ids start at 1, so a zero id marks an
+// absent argument. Widths and Lo fit a byte (checkWidth bounds them
+// by 64).
+type nodeKey struct {
+	kind     Kind
+	width    uint8
+	idxWidth uint8
+	lo       uint8
+	val      uint64
+	name     string
+	args     [3]uint64
+}
+
 // NewBuilder returns an empty Builder.
 func NewBuilder() *Builder {
-	return &Builder{
-		seed:  maphash.MakeSeed(),
-		table: make(map[uint64][]*Expr),
-	}
+	return &Builder{table: make(map[nodeKey]*Expr)}
 }
 
 // NumNodes returns the number of distinct nodes the builder has
 // interned, a proxy for constraint state size (§5.3).
 func (b *Builder) NumNodes() int { return b.created }
 
-func (b *Builder) hashNode(e *Expr) uint64 {
-	var h maphash.Hash
-	h.SetSeed(b.seed)
-	h.WriteByte(byte(e.Kind))
-	var buf [8]byte
-	put := func(v uint64) {
-		for i := 0; i < 8; i++ {
-			buf[i] = byte(v >> (8 * i))
-		}
-		h.Write(buf[:])
-	}
-	put(uint64(e.Width))
-	put(uint64(e.IdxWidth))
-	put(e.Val)
-	put(uint64(e.Lo))
-	h.WriteString(e.Name)
-	for _, a := range e.Args {
-		put(a.id)
-	}
-	return h.Sum64()
-}
-
-func nodeEqual(a, c *Expr) bool {
-	if a.Kind != c.Kind || a.Width != c.Width || a.IdxWidth != c.IdxWidth ||
-		a.Val != c.Val || a.Lo != c.Lo || a.Name != c.Name ||
-		len(a.Args) != len(c.Args) {
-		return false
-	}
-	for i := range a.Args {
-		if a.Args[i] != c.Args[i] {
-			return false
-		}
-	}
-	return true
-}
-
 // intern returns the canonical node for e, creating it if needed.
 func (b *Builder) intern(e Expr) *Expr {
-	h := b.hashNode(&e)
-	for _, c := range b.table[h] {
-		if nodeEqual(&e, c) {
-			return c
-		}
+	k := nodeKey{
+		kind:     e.Kind,
+		width:    uint8(e.Width),
+		idxWidth: uint8(e.IdxWidth),
+		lo:       uint8(e.Lo),
+		val:      e.Val,
+		name:     e.Name,
+	}
+	for i, a := range e.Args {
+		k.args[i] = a.id
+	}
+	if n := b.table[k]; n != nil {
+		return n
 	}
 	n := new(Expr)
 	*n = e
 	b.nextID++
 	n.id = b.nextID
 	b.created++
-	b.table[h] = append(b.table[h], n)
+	b.table[k] = n
 	return n
 }
 

@@ -89,6 +89,57 @@ func TestInterning(t *testing.T) {
 	}
 }
 
+// TestInternKeyFields checks that interning tells apart nodes that
+// differ in a single key field, and that node ids depend only on the
+// sequence of calls: a fresh Builder given the same calls hands out
+// the same ids, densely and in creation order.
+func TestInternKeyFields(t *testing.T) {
+	type pair struct {
+		field string
+		x, y  *Expr
+	}
+	build := func(b *Builder) []pair {
+		x, y := b.Var("x", 32), b.Var("y", 32)
+		i, j := b.Var("i", 8), b.Var("j", 8)
+		c := b.Var("c", 1)
+		arr := b.ArrayVar("m", 8, 8)
+		return []pair{
+			{"Lo", b.Extract(x, 0, 8), b.Extract(x, 8, 8)},
+			{"Width", b.Extract(x, 0, 8), b.Extract(x, 0, 16)},
+			{"IdxWidth", b.ArrayVar("m", 8, 8), b.ArrayVar("m", 16, 8)},
+			{"Name", b.Var("p", 8), b.Var("q", 8)},
+			{"Val", b.Const(1, 8), b.Const(2, 8)},
+			{"Args[0]", b.Sub(x, y), b.Sub(y, y)},
+			{"Args[1]", b.Sub(x, y), b.Sub(x, x)},
+			{"argument order", b.Sub(x, y), b.Sub(y, x)},
+			{"Args[0] of 3", b.Store(arr, i, j), b.Store(b.ArrayVar("n", 8, 8), i, j)},
+			{"Args[1] of 3", b.Store(arr, i, j), b.Store(arr, j, j)},
+			{"Args[2] of 3", b.Store(arr, i, j), b.Store(arr, i, i)},
+			{"Ite branch", b.Ite(c, x, y), b.Ite(c, y, x)},
+		}
+	}
+	b := NewBuilder()
+	pairs := build(b)
+	var ids []uint64
+	var maxID uint64
+	for _, p := range pairs {
+		if p.x == p.y {
+			t.Errorf("%s: nodes differing only in %s interned to one node %s", p.x, p.field, p.x)
+		}
+		ids = append(ids, p.x.ID(), p.y.ID())
+		maxID = max(maxID, p.x.ID(), p.y.ID())
+	}
+	if maxID != uint64(b.NumNodes()) {
+		t.Errorf("largest id %d, want %d for %d nodes: ids are not dense", maxID, b.NumNodes(), b.NumNodes())
+	}
+	b2 := NewBuilder()
+	for k, p := range build(b2) {
+		if p.x.ID() != ids[2*k] || p.y.ID() != ids[2*k+1] {
+			t.Errorf("%s: ids %d, %d on a fresh builder, want %d, %d", p.field, p.x.ID(), p.y.ID(), ids[2*k], ids[2*k+1])
+		}
+	}
+}
+
 func TestIdentitySimplifications(t *testing.T) {
 	b := NewBuilder()
 	x := b.Var("x", 32)

@@ -18,6 +18,11 @@ type blaster struct {
 	bits map[*expr.Expr][]lit
 	vars map[string][]lit // expr var name -> bit literals
 
+	// viaAddClause sends every gate clause through addClause; tests
+	// set it to check that gateClause's shortcut builds the same
+	// clause database.
+	viaAddClause bool
+
 	err error
 }
 
@@ -64,6 +69,23 @@ func (b *blaster) spend(n int64) bool {
 	return true
 }
 
+// gateClause installs one Tseitin clause of a gate whose output
+// literal is fresh. The gates exclude x == y and x == ¬y and the
+// output's variable is new, so the clause holds no duplicate and is no
+// tautology; when every literal is also unassigned, addClause's
+// level-0 filter keeps it whole, and the clause goes straight to the
+// arena. A clause with an assigned literal takes the filtering path.
+func (b *blaster) gateClause(lits ...lit) {
+	for _, l := range lits {
+		if b.viaAddClause || b.s.value(l) != tUndef {
+			b.s.addClause(lits)
+			return
+		}
+	}
+	b.s.newClause(lits, false)
+	b.s.problems++
+}
+
 // gateAnd returns a literal equivalent to x ∧ y.
 func (b *blaster) gateAnd(x, y lit) lit {
 	if v, ok := b.isConstLit(x); ok {
@@ -88,9 +110,9 @@ func (b *blaster) gateAnd(x, y lit) lit {
 		return b.litFalse
 	}
 	o := b.freshLit()
-	b.s.addClause([]lit{x.negate(), y.negate(), o})
-	b.s.addClause([]lit{x, o.negate()})
-	b.s.addClause([]lit{y, o.negate()})
+	b.gateClause(x.negate(), y.negate(), o)
+	b.gateClause(x, o.negate())
+	b.gateClause(y, o.negate())
 	return o
 }
 
@@ -122,10 +144,10 @@ func (b *blaster) gateXor(x, y lit) lit {
 		return b.litFalse
 	}
 	o := b.freshLit()
-	b.s.addClause([]lit{x.negate(), y.negate(), o.negate()})
-	b.s.addClause([]lit{x, y, o.negate()})
-	b.s.addClause([]lit{x.negate(), y, o})
-	b.s.addClause([]lit{x, y.negate(), o})
+	b.gateClause(x.negate(), y.negate(), o.negate())
+	b.gateClause(x, y, o.negate())
+	b.gateClause(x.negate(), y, o)
+	b.gateClause(x, y.negate(), o)
 	return o
 }
 
@@ -486,10 +508,9 @@ func (b *blaster) assert(e *expr.Expr) {
 		b.err = fmt.Errorf("solver: asserting non-boolean of width %d", len(bs))
 		return
 	}
-	if !b.s.addClause([]lit{bs[0]}) {
-		// Trivially unsatisfiable; recorded by the caller via
-		// solve() returning unsat.
-	}
+	// A clause system that fails at level 0 marks the SAT core
+	// failed, and its solve reports unsat.
+	b.s.addClause([]lit{bs[0]})
 }
 
 // modelVar reads back the model value of a named expression variable.

@@ -43,16 +43,6 @@ const (
 	tFalse
 )
 
-func (t tribool) negate() tribool {
-	switch t {
-	case tTrue:
-		return tFalse
-	case tFalse:
-		return tTrue
-	}
-	return tUndef
-}
-
 // clause is the header of a disjunction whose literals are
 // arena[start : start+size]. learnt marks clauses derived by conflict
 // analysis, the only ones reduceLearnts may delete.
@@ -74,9 +64,9 @@ const noClause cref = -1
 //
 // All clause literals live in one flat arena addressed by clause
 // headers, and reset rewinds every slice rather than dropping it, so
-// one sat serves query after query (see satPool) and allocates only
-// when a query outgrows every earlier one. The zero value is ready
-// for reset.
+// one sat serves query after query (see getWorkspace) and allocates
+// only when a query outgrows every earlier one. The zero value is
+// ready for reset.
 type sat struct {
 	arena    []lit
 	clauses  []clause // problem and learnt clauses, in creation order
@@ -84,7 +74,7 @@ type sat struct {
 	learnts  []cref
 	watches  [][]cref // indexed by lit
 
-	assigns  []tribool // indexed by var
+	vals     []tribool // indexed by lit; both signs of a var kept in step
 	level    []int
 	reason   []cref
 	activity []float64
@@ -125,7 +115,7 @@ func (s *sat) reset(budget *Budget) {
 		clauses:  s.clauses[:0],
 		learnts:  s.learnts[:0],
 		watches:  s.watches[:0],
-		assigns:  s.assigns[:0],
+		vals:     s.vals[:0],
 		level:    s.level[:0],
 		reason:   s.reason[:0],
 		activity: s.activity[:0],
@@ -146,7 +136,7 @@ func (s *sat) reset(budget *Budget) {
 func (s *sat) newVar() int {
 	v := s.numVars
 	s.numVars++
-	s.assigns = append(s.assigns, tUndef)
+	s.vals = append(s.vals, tUndef, tUndef)
 	s.level = append(s.level, 0)
 	s.reason = append(s.reason, noClause)
 	s.activity = append(s.activity, 0)
@@ -183,13 +173,7 @@ func (s *sat) newClause(lits []lit, learnt bool) cref {
 	return c
 }
 
-func (s *sat) value(l lit) tribool {
-	v := s.assigns[l.vindex()]
-	if l.sign() {
-		return v.negate()
-	}
-	return v
-}
+func (s *sat) value(l lit) tribool { return s.vals[l] }
 
 // addClause installs a problem clause at decision level 0; it returns
 // false if the clause system is trivially unsatisfiable. lits is
@@ -252,11 +236,8 @@ outer:
 
 func (s *sat) uncheckedEnqueue(l lit, from cref) {
 	v := l.vindex()
-	if l.sign() {
-		s.assigns[v] = tFalse
-	} else {
-		s.assigns[v] = tTrue
-	}
+	s.vals[l] = tTrue
+	s.vals[l.negate()] = tFalse
 	s.level[v] = s.decisionLevel()
 	s.reason[v] = from
 	s.trail = append(s.trail, l)
@@ -401,9 +382,11 @@ func (s *sat) backtrackTo(level int) {
 	}
 	bound := s.trailLim[level]
 	for i := len(s.trail) - 1; i >= bound; i-- {
-		v := s.trail[i].vindex()
-		s.polarity[v] = s.assigns[v] == tTrue
-		s.assigns[v] = tUndef
+		l := s.trail[i]
+		v := l.vindex()
+		s.polarity[v] = !l.sign()
+		s.vals[l] = tUndef
+		s.vals[l.negate()] = tUndef
 		s.reason[v] = noClause
 		if s.heapPos[v] < 0 {
 			s.heapInsert(v)
@@ -417,7 +400,7 @@ func (s *sat) backtrackTo(level int) {
 func (s *sat) pickBranchVar() int {
 	for len(s.heap) > 0 {
 		v := s.heapRemoveMax()
-		if s.assigns[v] == tUndef {
+		if s.vals[mkLit(v, false)] == tUndef {
 			return v
 		}
 	}
@@ -505,7 +488,7 @@ const (
 )
 
 // solve runs the CDCL loop once over the installed clauses. On
-// satSat, assigns holds a full model.
+// satSat, vals holds a full model.
 func (s *sat) solve() satResult {
 	if s.failed {
 		return satUnsat
@@ -611,4 +594,4 @@ func (s *sat) reduceLearnts() {
 }
 
 // modelValue returns the model value of var v after satSat.
-func (s *sat) modelValue(v int) bool { return s.assigns[v] == tTrue }
+func (s *sat) modelValue(v int) bool { return s.vals[mkLit(v, false)] == tTrue }

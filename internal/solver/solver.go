@@ -2,6 +2,7 @@ package solver
 
 import (
 	"fmt"
+	"runtime"
 	"strings"
 	"sync"
 	"time"
@@ -73,13 +74,43 @@ type Stats struct {
 	CDCL      time.Duration
 }
 
-// satPool recycles SAT workspaces across Solve calls. A symex engine
-// issues only a couple of queries, so a workspace per Solver would
-// rarely be reused; the pool lets every query in the process grow the
-// same few arenas instead of allocating its own. Solve returns its
-// workspace only after the stats and the model have been read from
-// it.
-var satPool = sync.Pool{New: func() any { return new(sat) }}
+// workspaces recycles SAT workspaces across Solve calls. A symex
+// engine issues only a couple of queries, so a workspace per Solver
+// would rarely be reused; the free list lets every query in the
+// process grow the same few arenas instead of allocating its own.
+// Unlike a sync.Pool, a garbage collection does not empty it, so a
+// query after a collection does not regrow every arena and watch
+// list. It keeps at most GOMAXPROCS workspaces, one per goroutine
+// that can be solving at once.
+var workspaces struct {
+	mu   sync.Mutex
+	free []*sat
+}
+
+// getWorkspace returns the most recently released workspace, or a new
+// one when none is free.
+func getWorkspace() *sat {
+	workspaces.mu.Lock()
+	defer workspaces.mu.Unlock()
+	n := len(workspaces.free)
+	if n == 0 {
+		return new(sat)
+	}
+	ws := workspaces.free[n-1]
+	workspaces.free[n-1] = nil
+	workspaces.free = workspaces.free[:n-1]
+	return ws
+}
+
+// putWorkspace releases ws for the next Solve, or drops it when the
+// free list is full.
+func putWorkspace(ws *sat) {
+	workspaces.mu.Lock()
+	defer workspaces.mu.Unlock()
+	if len(workspaces.free) < runtime.GOMAXPROCS(0) {
+		workspaces.free = append(workspaces.free, ws)
+	}
+}
 
 // Solver decides conjunctions of bitvector/array constraints built
 // with a shared expr.Builder. Each Solve call is independent.
@@ -100,8 +131,8 @@ func (s *Solver) LastStats() Stats { return s.last }
 // Solve decides the conjunction of cs. On ResultSat the returned
 // assignment satisfies every constraint; on other results it is nil.
 func (s *Solver) Solve(cs []*expr.Expr) (Result, *expr.Assignment, error) {
-	ws := satPool.Get().(*sat)
-	defer satPool.Put(ws)
+	ws := getWorkspace()
+	defer putWorkspace(ws)
 	return s.solve(cs, ws)
 }
 

@@ -3,6 +3,7 @@ package solver
 import (
 	"fmt"
 	"reflect"
+	"runtime"
 	"sync"
 	"testing"
 
@@ -174,5 +175,38 @@ func TestWorkspaceReuseMatchesColdConcurrent(t *testing.T) {
 	close(errs)
 	for e := range errs {
 		t.Error(e)
+	}
+}
+
+// TestWorkspaceSurvivesGC solves a query, collects garbage twice and
+// solves it again. The grown workspace must still be on the free list,
+// so the solve after the collections allocates far less than a solve
+// on a cold workspace. (A sync.Pool empties over two collections, and
+// every such solve regrew the arena and the watch lists.)
+func TestWorkspaceSurvivesGC(t *testing.T) {
+	b := expr.NewBuilder()
+	cs := workspaceSequence(b)[0].cs
+	s := New(b, DefaultOptions())
+	solve := func(ws *sat) {
+		var r Result
+		var err error
+		if ws == nil {
+			r, _, err = s.Solve(cs)
+		} else {
+			r, _, err = s.solve(cs, ws)
+		}
+		if r != ResultSat || err != nil {
+			t.Fatalf("%v (err %v)", r, err)
+		}
+	}
+	cold := testing.AllocsPerRun(3, func() { solve(new(sat)) })
+	solve(nil)
+	warm := testing.AllocsPerRun(3, func() {
+		runtime.GC()
+		runtime.GC()
+		solve(nil)
+	})
+	if warm > cold/10 {
+		t.Fatalf("solve after two collections: %.0f allocs, cold workspace %.0f: the workspace was dropped", warm, cold)
 	}
 }

@@ -123,6 +123,10 @@ type Stats struct {
 	StoredBytes int64
 	// Recoveries counts torn tails truncated at Open.
 	Recoveries int64
+	// Orphans counts records dropped at Open because they sort before
+	// their key's first surviving reference, so no reference to decode
+	// them against survived.
+	Orphans int64
 }
 
 // Ratio returns the raw-vs-stored compression ratio (0 when empty).
@@ -182,8 +186,9 @@ type Store struct {
 }
 
 // Open opens (creating if needed) the store rooted at dir, scanning
-// every segment and truncating any torn tail left by a crash. All
-// fully framed records survive recovery.
+// every segment and truncating any torn tail left by a crash. Every
+// fully framed record survives recovery, except records whose key's
+// reference did not (Stats.Orphans).
 func Open(dir string, opts Options) (*Store, error) {
 	opts = opts.withDefaults()
 	if err := os.MkdirAll(dir, 0o755); err != nil {
@@ -242,6 +247,20 @@ func Open(dir string, opts Options) (*Store, error) {
 		if n := len(ks.recs); n > 0 {
 			ks.nextSeq = ks.recs[n-1].seq + 1
 		}
+		// A delta decodes only against its key's reference, which a
+		// corrupt frame may have truncated away. Records before the
+		// first surviving reference stay on disk but leave the index;
+		// nextSeq stays past them, so no later append reuses their
+		// seqs and a reopen cannot mistake them for new records.
+		i := 0
+		for i < len(ks.recs) && ks.recs[i].kind != KindReference {
+			i++
+		}
+		s.stats.Orphans += int64(i)
+		ks.recs = ks.recs[i:]
+		for _, r := range ks.recs {
+			s.accountAdd(r)
+		}
 	}
 	return s, nil
 }
@@ -249,7 +268,8 @@ func Open(dir string, opts Options) (*Store, error) {
 // indexRecord adds one scanned record to the in-memory index,
 // dropping duplicate (key, seq) pairs: the segment bytes come from
 // disk, possibly written by an older build, and a seq must name one
-// record for Next and lookups to be well defined.
+// record for Next and lookups to be well defined. Open accounts the
+// records it keeps once every segment is indexed.
 func (s *Store) indexRecord(seg int, r scannedRecord) {
 	h := r.hdr
 	ks := s.keys[h.key]
@@ -273,7 +293,6 @@ func (s *Store) indexRecord(seg int, r scannedRecord) {
 		rawLen: h.rawLen,
 	}
 	ks.recs = append(ks.recs, ref)
-	s.accountAdd(ref)
 }
 
 func (s *Store) accountAdd(r recordRef) {
@@ -364,8 +383,10 @@ func (s *Store) appendPayloadLocked(payload []byte) (int, int64, error) {
 // archival key), meta the run metadata, raw the PT packet stream as
 // shipped (Ring.Bytes data; meta.Lost carries the wrap loss). The
 // first occurrence of a signature becomes the bucket's reference;
-// later ones are delta-encoded against it. Returns the record's
-// per-key sequence number (0 = reference).
+// later ones are delta-encoded against it. A key whose reference was
+// lost to a corrupt frame gets a fresh one at its next unused seq.
+// Returns the record's per-key sequence number (0 for a first
+// reference).
 func (s *Store) Append(sig *vm.Failure, meta Meta, raw []byte) (uint64, error) {
 	if sig == nil {
 		return 0, fmt.Errorf("tracestore: nil failure signature")
@@ -385,7 +406,7 @@ func (s *Store) Append(sig *vm.Failure, meta Meta, raw []byte) (uint64, error) {
 
 	var kind byte
 	var body []byte
-	if seq == 0 {
+	if len(ks.recs) == 0 {
 		kind = KindReference
 		body = packRLE(nil, raw)
 		ks.refRaw = append([]byte(nil), raw...)
@@ -450,13 +471,15 @@ func (s *Store) refRawLocked(key uint64, ks *keyState) ([]byte, error) {
 	return raw, nil
 }
 
-// Keys returns every archived signature key, sorted.
+// Keys returns every signature key with a live record, sorted.
 func (s *Store) Keys() []uint64 {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	out := make([]uint64, 0, len(s.keys))
-	for k := range s.keys {
-		out = append(out, k)
+	for k, ks := range s.keys {
+		if len(ks.recs) > 0 {
+			out = append(out, k)
+		}
 	}
 	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
 	return out

@@ -410,6 +410,82 @@ func TestReopenDropsDuplicateRecords(t *testing.T) {
 	}
 }
 
+// TestReopenDropsOrphanedDeltas corrupts the frame that holds a key's
+// reference while later segments keep its deltas. Open must drop the
+// orphaned deltas instead of indexing records that cannot be decoded,
+// and the key must keep archiving: the next Append writes a fresh
+// reference past the orphans' seqs, so a second reopen, which scans
+// the orphans again, still serves every new record.
+func TestReopenDropsOrphanedDeltas(t *testing.T) {
+	dir := t.TempDir()
+	opts := Options{SegmentBytes: 1 << 10}
+	s := openTest(t, dir, opts)
+	sig := testSig("orphan", 9)
+	key := KeyOf(sig)
+	for i := 0; i < 6; i++ {
+		if _, err := s.Append(sig, Meta{Seed: int64(i)}, makeRaw(81, 800, map[int]bool{i * 5: true})); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if st := s.Stats(); st.Segments < 2 {
+		t.Fatalf("want the deltas past segment 0, got %d segments", st.Segments)
+	}
+	if err := s.Close(); err != nil {
+		t.Fatal(err)
+	}
+	seg0 := filepath.Join(dir, segName(0))
+	b, err := os.ReadFile(seg0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	b[frameHeaderSize] ^= 0xff // first payload byte of the reference's frame
+	if err := os.WriteFile(seg0, b, 0o644); err != nil {
+		t.Fatal(err)
+	}
+
+	s2 := openTest(t, dir, opts)
+	st := s2.Stats()
+	if st.Records != 0 || st.Orphans == 0 || st.Recoveries != 1 {
+		t.Fatalf("after corrupting the reference: %+v, want no live records, some orphans and one recovery", st)
+	}
+	if keys := s2.Keys(); len(keys) != 0 {
+		t.Fatalf("Keys = %x, want none with live records", keys)
+	}
+	raws := map[uint64][]byte{}
+	appendRead := func(s *Store, i int) {
+		t.Helper()
+		raw := makeRaw(82, 800, map[int]bool{i: true})
+		seq, err := s.Append(sig, Meta{Seed: int64(i)}, raw)
+		if err != nil {
+			t.Fatalf("Append after losing the reference: %v", err)
+		}
+		if seq < 6 {
+			t.Fatalf("Append reused seq %d of an orphaned record", seq)
+		}
+		raws[seq] = raw
+		for seq, raw := range raws {
+			got, _, err := s.ReadRaw(key, seq)
+			if err != nil || !bytes.Equal(got, raw) {
+				t.Fatalf("ReadRaw(%d): err=%v equal=%v", seq, err, bytes.Equal(got, raw))
+			}
+		}
+	}
+	appendRead(s2, 0)
+	appendRead(s2, 1)
+	if st := s2.Stats(); st.References != 1 || st.Deltas != 1 {
+		t.Fatalf("after two appends: %+v, want a fresh reference and one delta", st)
+	}
+	if err := s2.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	s3 := openTest(t, dir, opts)
+	if got := s3.Stats(); got.Records != 2 || got.Orphans != st.Orphans {
+		t.Fatalf("second reopen: %+v, want the 2 new records and the same %d orphans", got, st.Orphans)
+	}
+	appendRead(s3, 2)
+}
+
 // TestConcurrentAppendRead exercises concurrent appends and streaming
 // reads across segment rolls under the race detector.
 func TestConcurrentAppendRead(t *testing.T) {
