@@ -24,19 +24,6 @@
 //	          compression over archived reoccurrences, ingest
 //	          throughput, and verdict parity when every trace is read
 //	          back through the store's streaming reader
-//	telemetry telemetry overhead smoke: each bug reproduced with the
-//	          metrics registry + span tracer off vs on (min-of-N wall
-//	          clock), asserting verdict parity and < 5% overhead, plus
-//	          per-stage latency summaries (p50/p90/p99) read back from
-//	          er_core_stage_seconds
-//	obs       cluster-wide observability gates: the corpus triaged
-//	          with the full layer (registry + tracer + journal +
-//	          overhead accountant) off vs on under a verdict-parity
-//	          and < -max-overhead wall-clock gate; a deterministic
-//	          recording-overhead budget-gate smoke; and a multi-node
-//	          run (-nodes, default 2) whose every resolved bucket must
-//	          stitch into one ingest-through-resolve timeline that
-//	          also survives a coordinator WAL restart
 //	corpus    population-scale reproduction: generate -corpus-n
 //	          self-verified scenarios from -seed (seven injected bug
 //	          patterns, two of them concurrency) and reproduce the
@@ -46,9 +33,8 @@
 //	          distributions
 //	all       everything above
 //
-// -json <dir> additionally writes the telemetry experiment's
-// structured result (including the stage summaries) to
-// <dir>/BENCH_telemetry.json.
+// Tracing overhead is measured by the repository benchmark
+// (benchmark/, trace_overhead_pct).
 package main
 
 import (
@@ -65,8 +51,7 @@ import (
 var experiments = []string{
 	"fig1", "table1", "offline", "fig5", "fig6", "random",
 	"accuracy", "rept", "mimic", "ablation", "mt", "fleet",
-	"tracestore", "telemetry",
-	"obs", "corpus",
+	"tracestore", "corpus",
 }
 
 func validExp(name string) bool {
@@ -89,12 +74,9 @@ func main() {
 	machines := flag.Int("machines", 0, "producer machines per app for the fleet experiment (0 = default 2)")
 	nodes := flag.Int("nodes", 0, "run the fleet experiment through an in-process multi-node cluster (coordinator + N triage nodes over loopback HTTP); scaling is measured at every count in {1,2,4} <= N")
 	killAfter := flag.Duration("kill-after", 0, "with -nodes >= 2, kill -9 one triage node this long into an extra chaos run (all buckets must still resolve via lease re-dispatch)")
-	pace := flag.Duration("pace", 0, "production-run spacing per producer machine in the fleet, obs and corpus experiments (0 = default: 100ms for fleet and obs, 200µs for corpus)")
-	trials := flag.Int("trials", 0, "timed repetitions per mode for the telemetry and obs experiments (0 = default 3)")
+	pace := flag.Duration("pace", 0, "production-run spacing per producer machine in the fleet and corpus experiments (0 = default: 100ms for fleet, 200µs for corpus)")
 	corpusN := flag.Int("corpus-n", 200, "generated scenarios for the corpus experiment")
 	seed := flag.Int64("seed", 1, "generation master seed for the corpus experiment")
-	maxOverhead := flag.Float64("max-overhead", 5.0, "telemetry experiment failure threshold in percent")
-	jsonDir := flag.String("json", "", "write the telemetry experiment's structured result to <dir>/BENCH_telemetry.json")
 	verbose := flag.Bool("v", false, "log ER loop progress")
 	flag.Parse()
 
@@ -146,14 +128,6 @@ func main() {
 	}
 	if *runs <= 0 {
 		fmt.Fprintf(os.Stderr, "erbench: -runs must be > 0 (got %d)\n", *runs)
-		os.Exit(2)
-	}
-	if *trials < 0 {
-		fmt.Fprintf(os.Stderr, "erbench: -trials must be >= 0 (got %d)\n", *trials)
-		os.Exit(2)
-	}
-	if *maxOverhead <= 0 {
-		fmt.Fprintf(os.Stderr, "erbench: -max-overhead must be > 0 (got %v)\n", *maxOverhead)
 		os.Exit(2)
 	}
 	// Corpus sizing flags: a non-positive population or seed is always
@@ -361,91 +335,6 @@ func main() {
 			if !bench.TracestoreParity(rows) {
 				fmt.Fprintln(os.Stderr, "tracestore: verdict parity violated (see table)")
 				ok = false
-			}
-		}
-		fmt.Fprintln(out)
-	}
-	if run("telemetry") {
-		fmt.Fprintln(out, "== telemetry overhead: registry + span tracer off vs on ==")
-		opts := bench.TelemetryOptions{Trials: *trials}
-		if *app != "" {
-			opts.Only = []string{*app}
-		}
-		if log != nil {
-			opts.Log = log
-		}
-		r, err := bench.RunTelemetry(opts)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "telemetry:", err)
-			ok = false
-		} else {
-			bench.RenderTelemetry(out, r)
-			if !r.AllVerdictsMatch {
-				fmt.Fprintln(os.Stderr, "telemetry: verdict parity violated (see table)")
-				ok = false
-			}
-			if over := r.OverheadPct(); over > *maxOverhead {
-				fmt.Fprintf(os.Stderr, "telemetry: overhead %.2f%% exceeds the %.1f%% budget\n",
-					over, *maxOverhead)
-				ok = false
-			}
-			if *jsonDir != "" {
-				path, err := bench.WriteJSONArtifact(*jsonDir, "telemetry", r)
-				if err != nil {
-					fmt.Fprintln(os.Stderr, "telemetry: write json:", err)
-					ok = false
-				} else {
-					fmt.Fprintf(out, "wrote %s\n", path)
-				}
-			}
-		}
-		fmt.Fprintln(out)
-	}
-	if run("obs") {
-		fmt.Fprintln(out, "== observability: journal + accountant parity, timeline stitching ==")
-		opts := bench.ObsOptions{
-			Nodes:          *nodes,
-			MachinesPerApp: *machines,
-			Pace:           *pace,
-			Trials:         *trials,
-		}
-		if *app != "" {
-			opts.Only = []string{*app}
-		}
-		if log != nil {
-			opts.Log = log
-		}
-		r, err := bench.RunObs(opts)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "obs:", err)
-			ok = false
-		} else {
-			bench.RenderObs(out, r)
-			if !r.AllVerdictsMatch {
-				fmt.Fprintln(os.Stderr, "obs: verdict parity violated (see table)")
-				ok = false
-			}
-			if over := r.OverheadPct(); over > *maxOverhead {
-				fmt.Fprintf(os.Stderr, "obs: overhead %.2f%% exceeds the %.1f%% budget\n",
-					over, *maxOverhead)
-				ok = false
-			}
-			if r.GateBreaches != 1 || !r.GateAlerted {
-				fmt.Fprintln(os.Stderr, "obs: recording-overhead budget gate smoke failed")
-				ok = false
-			}
-			if !r.TimelinesComplete || !r.RestartComplete {
-				fmt.Fprintln(os.Stderr, "obs: timeline completeness violated (see tables)")
-				ok = false
-			}
-			if *jsonDir != "" {
-				path, err := bench.WriteJSONArtifact(*jsonDir, "obs", r)
-				if err != nil {
-					fmt.Fprintln(os.Stderr, "obs: write json:", err)
-					ok = false
-				} else {
-					fmt.Fprintf(out, "wrote %s\n", path)
-				}
 			}
 		}
 		fmt.Fprintln(out)

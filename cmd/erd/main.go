@@ -232,6 +232,7 @@ func runCoordinator(fapps []fleet.App, storeDir, walPath, listen string, machine
 		Tracer:         telemetry.NewTracer(0),
 		Journal:        journal,
 		Overhead:       overhead,
+		Pprof:          pprof,
 		Log:            log,
 	}
 	if timeout > 0 {
@@ -240,15 +241,12 @@ func runCoordinator(fapps []fleet.App, storeDir, walPath, listen string, machine
 		fo.Timeout = -1 // a daemon runs until its buckets resolve
 	}
 	coord, err := cluster.NewCoordinator(fapps, cluster.CoordinatorOptions{
-		Fleet:    fo,
-		Store:    store,
-		WALPath:  walPath,
-		TTL:      ttl,
-		Listen:   listen,
-		Pprof:    pprof,
-		Journal:  journal,
-		Overhead: overhead,
-		Log:      log,
+		Fleet:   fo,
+		Store:   store,
+		WALPath: walPath,
+		TTL:     ttl,
+		Listen:  listen,
+		Log:     log,
 	})
 	if err != nil {
 		fatal(err)

@@ -25,7 +25,10 @@ const DefaultTTL = 3 * time.Second
 type CoordinatorOptions struct {
 	// Fleet is the base fleet tuning (machines per app, pace, timeout,
 	// telemetry registry, ...). Remote, Store, and ListenAddr are owned
-	// by the coordinator and overwritten.
+	// by the coordinator and overwritten. The coordinator's endpoint
+	// serves Fleet.Telemetry, Tracer, Journal and Overhead, and mounts
+	// pprof when Fleet.Pprof is set; its lease lifecycle events go to
+	// Fleet.Journal.
 	Fleet fleet.Options
 	// Store is the durable trace archive — required: it is the only
 	// occurrence delivery path to (possibly re-dispatched) nodes.
@@ -43,17 +46,6 @@ type CoordinatorOptions struct {
 	// CheckpointBytes triggers a WAL checkpoint (snapshot + truncate)
 	// once the log exceeds this size (default 256 KB).
 	CheckpointBytes int64
-	// Pprof mounts net/http/pprof on the endpoint.
-	Pprof bool
-	// Journal receives the coordinator's structured events (lease
-	// lifecycle, sweeper/WAL errors that were previously silent) and
-	// backs the endpoint's /debug/er/events drain. Nil disables.
-	Journal *telemetry.Journal
-	// Overhead is the recording-overhead accountant: rollouts
-	// attribute their recording-set cost to it, and the endpoint
-	// embeds its ledger (with budget-breach flags) in /debug/er. Nil
-	// disables.
-	Overhead *telemetry.Overhead
 	// Log receives progress lines.
 	Log io.Writer
 }
@@ -141,8 +133,7 @@ type Coordinator struct {
 	server *telemetry.Server
 	reg    *telemetry.Registry
 
-	journal  *telemetry.Journal
-	overhead *telemetry.Overhead
+	journal *telemetry.Journal
 
 	mu        sync.Mutex
 	ctls      map[bucketAddr]*bucketCtl
@@ -204,8 +195,7 @@ func NewCoordinator(apps []fleet.App, opts CoordinatorOptions) (*Coordinator, er
 		wal:        wal,
 		base:       make(map[string]baseApp, len(apps)),
 		ttl:        opts.TTL,
-		journal:    opts.Journal,
-		overhead:   opts.Overhead,
+		journal:    opts.Fleet.Journal,
 		ctls:       make(map[bucketAddr]*bucketCtl),
 		nodes:      make(map[string]*nodeSeen),
 		nodeGauges: make(map[string]bool),
@@ -327,9 +317,9 @@ func (c *Coordinator) Start() error {
 		Registry: c.opts.Fleet.Telemetry,
 		Tracer:   c.opts.Fleet.Tracer,
 		Journal:  c.journal,
-		Overhead: c.overhead,
+		Overhead: c.opts.Fleet.Overhead,
 		Timeline: func() interface{} { return c.Timelines() },
-		Pprof:    c.opts.Pprof,
+		Pprof:    c.opts.Fleet.Pprof,
 		Debug: func() interface{} {
 			return map[string]interface{}{
 				"fleet":   c.fleet.Snapshot(),

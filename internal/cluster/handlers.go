@@ -300,7 +300,7 @@ func (c *Coordinator) handleRollout(w http.ResponseWriter, r *http.Request) {
 	c.mu.Unlock()
 	// Attribute the version's recording-set cost to the overhead
 	// accountant's (app, version) ledger cell.
-	c.overhead.SetRecordingCost(req.App, req.Version, req.Sites, req.CostBytes)
+	c.opts.Fleet.Overhead.SetRecordingCost(req.App, req.Version, req.Sites, req.CostBytes)
 	c.journal.Log(telemetry.LevelInfo, "cluster", "rollout deployed",
 		telemetry.A("app", req.App), telemetry.A("key", fmt.Sprintf("%#x", req.Key)),
 		telemetry.A("version", req.Version), telemetry.A("sites", req.Sites))

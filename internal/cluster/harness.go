@@ -109,12 +109,10 @@ func RunHarness(opts HarnessOptions) (*HarnessResult, error) {
 			Overhead:       opts.Overhead,
 			Log:            opts.Log,
 		},
-		Store:    store,
-		WALPath:  filepath.Join(opts.Dir, "lease.wal"),
-		TTL:      opts.TTL,
-		Journal:  opts.Journal,
-		Overhead: opts.Overhead,
-		Log:      opts.Log,
+		Store:   store,
+		WALPath: filepath.Join(opts.Dir, "lease.wal"),
+		TTL:     opts.TTL,
+		Log:     opts.Log,
 	})
 	if err != nil {
 		return nil, err

@@ -589,6 +589,6 @@ func occurrenceFromFetch(sig *vm.Failure, fr *FetchResponse) (*core.Occurrence, 
 	if tr.Truncated {
 		return nil, fmt.Errorf("trace ring overflowed (%d bytes lost)", tr.LostBytes)
 	}
-	occ.Trace = tr
+	occ.Events = pt.NewCursor(tr)
 	return occ, nil
 }

@@ -210,16 +210,10 @@ func (p *Pipeline) Feed(occ *Occurrence) (bool, error) {
 	if sxOpts.Metrics == nil {
 		sxOpts.Metrics = p.cfg.Telemetry
 	}
-	// A streaming occurrence (trace-archive read path) decodes
-	// incrementally while the executor shepherds.
-	src := occ.Events
-	if occ.Trace != nil {
-		src = pt.NewCursor(occ.Trace)
-	}
 	shSpan := itSpan.Child("shepherd")
-	eng := symex.NewFromEvents(p.deployed, src, occ.Result.Failure, sxOpts)
+	eng := symex.NewFromEvents(p.deployed, occ.Events, occ.Result.Failure, sxOpts)
 	sres := eng.Run(p.cfg.Entry)
-	it.TraceEvents = src.Pos()
+	it.TraceEvents = occ.Events.Pos()
 	it.Status = sres.Status
 	it.StallReason = sres.StallReason
 	it.SymexTime = sres.Stats.Elapsed

@@ -9,29 +9,25 @@ import (
 	"execrecon/internal/vm"
 )
 
-// Occurrence is one delivered failure reoccurrence: the decoded trace
+// Occurrence is one delivered failure reoccurrence: the trace events
 // (nil when tracing was deferred or disabled for this occurrence),
 // the run outcome, and the scheduler seed of the failing run. The
 // seed is what the loop replays when verifying a generated test case,
 // so that multithreaded failures verify under the interleaving that
 // produced them.
 //
-// Trace and Events are alternative trace carriers. Trace is the
-// in-memory form (every event materialized). Events is a streaming
-// source — e.g. a tracestore reader that delta-reconstructs and
-// decodes an archived blob incrementally — consumed once by the
-// pipeline's symbolic executor without ever holding the full event
-// slice. When both are set, Trace wins.
+// Events is consumed once by the pipeline's symbolic executor. It is
+// a pt.Cursor over an in-memory decoded trace, or a streaming source
+// such as a tracestore reader that delta-reconstructs and decodes an
+// archived blob incrementally without holding the full event slice.
 type Occurrence struct {
-	Trace  *pt.Trace
 	Events pt.EventSource
 	Result *vm.Result
 	Seed   int64
 }
 
-// traced reports whether the occurrence carries trace data in either
-// form.
-func (o *Occurrence) traced() bool { return o.Trace != nil || o.Events != nil }
+// traced reports whether the occurrence carries trace data.
+func (o *Occurrence) traced() bool { return o.Events != nil }
 
 // SourceRequest describes what the loop needs next from a
 // reoccurrence source: a failure matching Signature (nil until the
@@ -65,8 +61,7 @@ type ReoccurrenceSource interface {
 	// returns the occurrence. Implementations must honor
 	// req.Signature (when non-nil, only matching failures are
 	// delivered) and req.Traced (when true, the occurrence must
-	// carry a complete trace in either carrier, Occurrence.Trace or
-	// Occurrence.Events).
+	// carry a complete trace in Occurrence.Events).
 	Next(req SourceRequest) (*Occurrence, error)
 }
 
@@ -93,7 +88,7 @@ func (g *GenSource) Next(req SourceRequest) (*Occurrence, error) {
 	if trace.Truncated {
 		return nil, fmt.Errorf("core: trace ring overflowed (%d bytes lost); increase RingSize", trace.LostBytes)
 	}
-	occ.Trace = trace
+	occ.Events = pt.NewCursor(trace)
 	return occ, nil
 }
 

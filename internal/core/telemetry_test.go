@@ -24,9 +24,9 @@ func counterValue(t *testing.T, reg *telemetry.Registry, name string) float64 {
 	return fam.Series[0].Value
 }
 
-// stageCount returns the observation count of the
-// er_core_stage_seconds series with the given stage label.
-func stageCount(t *testing.T, reg *telemetry.Registry, stage string) int64 {
+// stageHist returns the er_core_stage_seconds histogram of the
+// series with the given stage label.
+func stageHist(t *testing.T, reg *telemetry.Registry, stage string) telemetry.HistSnapshot {
 	t.Helper()
 	fam, ok := reg.Family("er_core_stage_seconds")
 	if !ok {
@@ -38,12 +38,12 @@ func stageCount(t *testing.T, reg *telemetry.Registry, stage string) int64 {
 				if s.Hist == nil {
 					t.Fatalf("stage %s: no histogram snapshot", stage)
 				}
-				return s.Hist.Count
+				return *s.Hist
 			}
 		}
 	}
 	t.Fatalf("stage %s: series not found", stage)
-	return 0
+	return telemetry.HistSnapshot{}
 }
 
 // TestPipelineTelemetry runs the iterative chain reproduction with a
@@ -107,7 +107,8 @@ func TestPipelineTelemetry(t *testing.T) {
 		t.Errorf("recording bytes = %v, want %v", got, wantBytes)
 	}
 
-	// Stage histograms: one sample per stage execution.
+	// Stage histograms: one sample per stage execution, and ordered
+	// quantiles.
 	wantStage := map[string]int64{
 		"shepherd":   int64(iters),
 		"solve":      int64(iters),
@@ -117,8 +118,13 @@ func TestPipelineTelemetry(t *testing.T) {
 		"wait":       int64(rep.Occurrences),
 	}
 	for stage, want := range wantStage {
-		if got := stageCount(t, reg, stage); got != want {
-			t.Errorf("stage %s count = %d, want %d", stage, got, want)
+		hs := stageHist(t, reg, stage)
+		if hs.Count != want {
+			t.Errorf("stage %s count = %d, want %d", stage, hs.Count, want)
+		}
+		p50, p90, p99 := hs.Quantile(0.50), hs.Quantile(0.90), hs.Quantile(0.99)
+		if p50 < 0 || p90 < p50 || p99 < p90 {
+			t.Errorf("stage %s: quantiles out of order p50=%v p90=%v p99=%v", stage, p50, p90, p99)
 		}
 	}
 
@@ -278,18 +284,32 @@ func TestSolverStageSplit(t *testing.T) {
 }
 
 // TestPipelineNoTelemetry checks the nil-telemetry path stays a
-// no-op: no registry, no tracer, identical outcome.
+// no-op: with no registry and no tracer the session reaches the same
+// verdict through the same occurrences and iterations as with both
+// attached.
 func TestPipelineNoTelemetry(t *testing.T) {
 	mod := compile(t, chainSrc)
-	rep, err := core.Reproduce(core.Config{
-		Module: mod,
-		Gen:    &core.FixedWorkload{Workload: chainWorkload(), Seed: 1},
-		Symex:  symex.Options{QueryBudget: 30_000},
-	})
-	if err != nil {
-		t.Fatalf("reproduce: %v", err)
+	run := func(reg *telemetry.Registry, tr *telemetry.Tracer) *core.Report {
+		rep, err := core.Reproduce(core.Config{
+			Module:    mod,
+			Gen:       &core.FixedWorkload{Workload: chainWorkload(), Seed: 1},
+			Symex:     symex.Options{QueryBudget: 30_000},
+			Telemetry: reg,
+			Tracer:    tr,
+		})
+		if err != nil {
+			t.Fatalf("reproduce: %v", err)
+		}
+		return rep
 	}
-	if !rep.Reproduced || !rep.Verified {
-		t.Fatalf("report: %+v", rep)
+	off := run(nil, nil)
+	if !off.Reproduced || !off.Verified {
+		t.Fatalf("report: %+v", off)
+	}
+	on := run(telemetry.New(), telemetry.NewTracer(4))
+	if on.Reproduced != off.Reproduced || on.Verified != off.Verified ||
+		on.Occurrences != off.Occurrences || len(on.Iterations) != len(off.Iterations) {
+		t.Fatalf("telemetry changed the outcome: off %d occurrences/%d iterations, on %d/%d (verified %v/%v)",
+			off.Occurrences, len(off.Iterations), on.Occurrences, len(on.Iterations), off.Verified, on.Verified)
 	}
 }

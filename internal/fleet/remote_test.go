@@ -88,7 +88,7 @@ func (d *fakeDispatcher) nodeRun(f *Fleet, b *Bucket, ch chan uint64) {
 				d.t.Errorf("node decode %s seq %d: %v", b.App, seq, err)
 				return
 			}
-			occ.Trace = tr
+			occ.Events = pt.NewCursor(tr)
 		}
 		if _, err := p.Feed(occ); err != nil {
 			d.t.Errorf("node feed %s: %v", b.App, err)

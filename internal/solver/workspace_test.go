@@ -183,7 +183,14 @@ func TestWorkspaceReuseMatchesColdConcurrent(t *testing.T) {
 // so the solve after the collections allocates far less than a solve
 // on a cold workspace. (A sync.Pool empties over two collections, and
 // every such solve regrew the arena and the watch lists.)
+//
+// The free list starts empty: AllocsPerRun measures at GOMAXPROCS 1,
+// so with two workspaces left over from earlier tests the release
+// after each run would drop the grown one and keep a stale one.
 func TestWorkspaceSurvivesGC(t *testing.T) {
+	workspaces.mu.Lock()
+	workspaces.free = nil
+	workspaces.mu.Unlock()
 	b := expr.NewBuilder()
 	cs := workspaceSequence(b)[0].cs
 	s := New(b, DefaultOptions())

@@ -47,8 +47,7 @@ type overheadCell struct {
 	version int
 
 	runs, ns                 uint64 // all runs of this version
-	tracedRuns, tracedNS     uint64
-	untracedRuns, untracedNS uint64
+	tracedRuns, untracedRuns uint64
 
 	sites     int   // recording sites instrumented for this version
 	costBytes int64 // estimated per-occurrence recording cost
@@ -165,9 +164,9 @@ func (o *Overhead) pctLocked(c *overheadCell) (float64, bool) {
 }
 
 // RecordRun attributes one production run's wall time to (app,
-// version). traced marks whether the run carried the PT tracer (the
-// split lets the ledger separate tracing cost from instrumentation
-// cost). Evaluates the budget gate.
+// version). traced marks whether the run carried the PT tracer; only
+// the run counts are split by it, and the budget gate compares all
+// runs of a version against the baseline. Evaluates the budget gate.
 func (o *Overhead) RecordRun(app string, version int, traced bool, d time.Duration) {
 	if o == nil {
 		return
@@ -182,10 +181,8 @@ func (o *Overhead) RecordRun(app string, version int, traced bool, d time.Durati
 	c.ns += ns
 	if traced {
 		c.tracedRuns++
-		c.tracedNS += ns
 	} else {
 		c.untracedRuns++
-		c.untracedNS += ns
 	}
 	var breach bool
 	var pct float64
