@@ -13,8 +13,7 @@ import (
 
 // HarnessOptions configures an in-process multi-node cluster: one
 // coordinator plus N triage nodes wired over real HTTP on loopback —
-// the `erbench -exp fleet -nodes N` backend and the chaos-test
-// substrate.
+// the benchmark's cluster workload and the chaos-test substrate.
 type HarnessOptions struct {
 	// Apps is the application mix (coordinator machines produce their
 	// failures; every node can triage every app).

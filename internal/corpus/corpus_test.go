@@ -8,7 +8,6 @@ import (
 	"execrecon/internal/core"
 	"execrecon/internal/corpus"
 	"execrecon/internal/symex"
-	"execrecon/internal/telemetry"
 )
 
 // genBatch generates one scenario per pattern (two for short batches)
@@ -90,28 +89,6 @@ func TestGenerateDeterministic(t *testing.T) {
 	}
 	if same == n {
 		t.Errorf("seeds 7 and 8 generated identical populations")
-	}
-}
-
-// TestMetricsCounters checks generation progress lands in the
-// telemetry registry under the er_corpus_* families.
-func TestMetricsCounters(t *testing.T) {
-	reg := telemetry.New()
-	m := corpus.NewMetrics(reg)
-	_, stats, err := corpus.Generate(corpus.GenConfig{N: 3, Seed: 11, Metrics: m})
-	if err != nil {
-		t.Fatalf("Generate: %v", err)
-	}
-	fam, ok := reg.Family("er_corpus_generated_total")
-	if !ok {
-		t.Fatalf("er_corpus_generated_total not registered")
-	}
-	var total float64
-	for _, s := range fam.Series {
-		total += s.Value
-	}
-	if total != float64(stats.Generated) {
-		t.Errorf("er_corpus_generated_total = %v, want %d", total, stats.Generated)
 	}
 }
 

@@ -33,8 +33,6 @@ type GenConfig struct {
 	// giving up (default 8). A retry redraws the scenario from an
 	// independent sub-seed stream, so determinism is preserved.
 	Attempts int
-	// Metrics, if set, receives generation progress counters.
-	Metrics *Metrics
 }
 
 func (c *GenConfig) withDefaults() GenConfig {
@@ -90,7 +88,6 @@ func Generate(cfg GenConfig) ([]*Scenario, *GenStats, error) {
 			if err := cand.SelfVerify(cfg.BenignRuns, cfg.SeedSearch); err != nil {
 				lastErr = err
 				stats.Rejected++
-				cfg.Metrics.rejected(p)
 				continue
 			}
 			sc = cand
@@ -103,7 +100,6 @@ func Generate(cfg GenConfig) ([]*Scenario, *GenStats, error) {
 		out = append(out, sc)
 		stats.Generated++
 		stats.PerPattern[p.String()]++
-		cfg.Metrics.generated(p)
 	}
 	return out, stats, nil
 }

@@ -170,7 +170,7 @@ func TestFleetStress(t *testing.T) {
 }
 
 // TestFleetSequentialOneWorker: the same fleet resolves with a single
-// pipeline worker (the sequential baseline of the fleet benchmark).
+// pipeline worker.
 func TestFleetSequentialOneWorker(t *testing.T) {
 	res, err := Run(testApps(t), Options{
 		Workers:        1,

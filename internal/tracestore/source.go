@@ -18,9 +18,9 @@ import (
 //
 // This is both the persistence deployment shape (`er run -store`,
 // `er reproduce -store -replay-store`) and the verdict-parity harness
-// of the erbench tracestore experiment: the only difference from the
-// in-memory GenSource path is the round trip through the archive, so
-// any verdict divergence is a store bug.
+// of TestSourceTable1Parity: the only difference from the in-memory
+// GenSource path is the round trip through the archive, so any verdict
+// divergence is a store bug.
 //
 // Untraced occurrences (the deferred-tracing phase) are passed through
 // without archiving: an empty stream must not become a signature's
