@@ -40,7 +40,6 @@ import (
 	"time"
 
 	"execrecon/internal/apps"
-	"execrecon/internal/bench"
 	"execrecon/internal/cluster"
 	"execrecon/internal/fleet"
 	"execrecon/internal/symex"
@@ -188,16 +187,12 @@ func corpusApps(only string) ([]fleet.App, error) {
 		if err != nil {
 			return nil, err
 		}
-		budget := a.QueryBudget
-		if budget == 0 {
-			budget = bench.DefaultQueryBudget
-		}
 		out = append(out, fleet.App{
 			Name:    a.Name,
 			Module:  mod,
 			Failing: a.Failing,
 			Seed:    a.Seed,
-			Symex:   symex.Options{QueryBudget: budget, MaxInstrs: 50_000_000},
+			Symex:   symex.Options{QueryBudget: a.Budget(), MaxInstrs: 50_000_000},
 		})
 	}
 	return out, nil

@@ -40,14 +40,28 @@ type App struct {
 	Benign func(i int) *vm.Workload
 	// Seed is the scheduler seed of the failing run.
 	Seed int64
-	// QueryBudget overrides the default solver budget (0 = default).
-	// It plays the role of the paper's 30 s solver timeout, scaled
-	// to our solver's step metering.
+	// QueryBudget overrides DefaultQueryBudget (0 = default). It
+	// plays the role of the paper's 30 s solver timeout, scaled to our
+	// solver's step metering; Budget resolves it.
 	QueryBudget int64
 
 	once sync.Once
 	mod  *ir.Module
 	err  error
+}
+
+// DefaultQueryBudget is the per-query solver budget of an app that sets
+// no QueryBudget — the step-metered analog of the paper's 30-second
+// solver timeout (§4).
+const DefaultQueryBudget = 200_000
+
+// Budget returns the per-query solver budget the Table 1 runs give the
+// app: its QueryBudget, else DefaultQueryBudget.
+func (a *App) Budget() int64 {
+	if a.QueryBudget != 0 {
+		return a.QueryBudget
+	}
+	return DefaultQueryBudget
 }
 
 // Module compiles (once) and returns the app's module.

@@ -13,6 +13,8 @@ import (
 	"io"
 	"strings"
 	"text/tabwriter"
+
+	"execrecon/internal/apps"
 )
 
 // table renders rows with aligned columns.
@@ -30,7 +32,6 @@ func table(w io.Writer, header []string, rows [][]string) {
 	tw.Flush()
 }
 
-// DefaultQueryBudget is the per-query solver budget used for the
-// Table 1 runs — the step-metered analog of the paper's 30-second
-// solver timeout (§4).
-const DefaultQueryBudget = 200_000
+// DefaultQueryBudget is apps.DefaultQueryBudget, kept under this name
+// for the benchmark module.
+const DefaultQueryBudget = apps.DefaultQueryBudget

@@ -33,8 +33,6 @@ type Table1Row struct {
 
 // Table1Options configures the Table 1 run.
 type Table1Options struct {
-	// QueryBudget is the solver-timeout analog (0 = default).
-	QueryBudget int64
 	// Only restricts the run to the named apps (nil = all 13).
 	Only []string
 	// Log receives progress lines.
@@ -70,17 +68,10 @@ func runTable1App(a *apps.App, opts Table1Options) Table1Row {
 		row.FailReason = err.Error()
 		return row
 	}
-	budget := a.QueryBudget
-	if budget == 0 {
-		budget = opts.QueryBudget
-	}
-	if budget == 0 {
-		budget = DefaultQueryBudget
-	}
 	rep, err := core.Reproduce(core.Config{
 		Module: mod,
 		Gen:    &core.FixedWorkload{Workload: a.Failing(), Seed: a.Seed},
-		Symex:  symex.Options{QueryBudget: budget, MaxInstrs: 50_000_000},
+		Symex:  symex.Options{QueryBudget: a.Budget(), MaxInstrs: 50_000_000},
 		Log:    opts.Log,
 	})
 	if err != nil {

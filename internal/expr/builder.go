@@ -6,43 +6,53 @@ import "fmt"
 // Builder is not safe for concurrent use.
 type Builder struct {
 	table   map[nodeKey]*Expr
+	consts  [65]map[uint64]*Expr // by width, then value
+	named   map[namedKey]*Expr
 	nextID  uint64
 	created int
 }
 
-// nodeKey is a node's structural identity: every field intern
-// compares, with the arguments named by their ids. No node has more
-// than three arguments, and ids start at 1, so a zero id marks an
+// nodeKey is the structural identity of an operator node: every field
+// intern compares, with the arguments named by their ids. No node has
+// more than three arguments, and ids start at 1, so a zero id marks an
 // absent argument. Widths and Lo fit a byte (checkWidth bounds them
-// by 64).
+// by 64). Constants and named leaves have tables of their own.
 type nodeKey struct {
 	kind     Kind
 	width    uint8
 	idxWidth uint8
 	lo       uint8
-	val      uint64
-	name     string
 	args     [3]uint64
+}
+
+// namedKey is the identity of a KVar or KArrayVar leaf.
+type namedKey struct {
+	kind     Kind
+	width    uint8
+	idxWidth uint8
+	name     string
 }
 
 // NewBuilder returns an empty Builder.
 func NewBuilder() *Builder {
-	return &Builder{table: make(map[nodeKey]*Expr)}
+	return &Builder{
+		table: make(map[nodeKey]*Expr),
+		named: make(map[namedKey]*Expr),
+	}
 }
 
 // NumNodes returns the number of distinct nodes the builder has
 // interned, a proxy for constraint state size (§5.3).
 func (b *Builder) NumNodes() int { return b.created }
 
-// intern returns the canonical node for e, creating it if needed.
+// intern returns the canonical operator node for e, creating it if
+// needed.
 func (b *Builder) intern(e Expr) *Expr {
 	k := nodeKey{
 		kind:     e.Kind,
 		width:    uint8(e.Width),
 		idxWidth: uint8(e.IdxWidth),
 		lo:       uint8(e.Lo),
-		val:      e.Val,
-		name:     e.Name,
 	}
 	for i, a := range e.Args {
 		k.args[i] = a.id
@@ -50,12 +60,29 @@ func (b *Builder) intern(e Expr) *Expr {
 	if n := b.table[k]; n != nil {
 		return n
 	}
+	n := b.newNode(e)
+	b.table[k] = n
+	return n
+}
+
+// internNamed returns the canonical leaf named e.Name.
+func (b *Builder) internNamed(e Expr) *Expr {
+	k := namedKey{kind: e.Kind, width: uint8(e.Width), idxWidth: uint8(e.IdxWidth), name: e.Name}
+	if n := b.named[k]; n != nil {
+		return n
+	}
+	n := b.newNode(e)
+	b.named[k] = n
+	return n
+}
+
+// newNode copies e into a node with the next id.
+func (b *Builder) newNode(e Expr) *Expr {
 	n := new(Expr)
 	*n = e
 	b.nextID++
 	n.id = b.nextID
 	b.created++
-	b.table[k] = n
 	return n
 }
 
@@ -68,7 +95,18 @@ func checkWidth(w uint) {
 // Const returns the w-bit constant v (truncated to w bits).
 func (b *Builder) Const(v uint64, w uint) *Expr {
 	checkWidth(w)
-	return b.intern(Expr{Kind: KConst, Width: w, Val: Truncate(v, w)})
+	v = Truncate(v, w)
+	m := b.consts[w]
+	if n := m[v]; n != nil {
+		return n
+	}
+	if m == nil {
+		m = make(map[uint64]*Expr)
+		b.consts[w] = m
+	}
+	n := b.newNode(Expr{Kind: KConst, Width: w, Val: v})
+	m[v] = n
+	return n
 }
 
 // Bool returns the 1-bit constant for v.
@@ -88,7 +126,7 @@ func (b *Builder) False() *Expr { return b.Const(0, 1) }
 // Var returns the named w-bit free variable.
 func (b *Builder) Var(name string, w uint) *Expr {
 	checkWidth(w)
-	return b.intern(Expr{Kind: KVar, Width: w, Name: name})
+	return b.internNamed(Expr{Kind: KVar, Width: w, Name: name})
 }
 
 // ArrayVar returns a named free array from idxW-bit indices to w-bit
@@ -96,7 +134,7 @@ func (b *Builder) Var(name string, w uint) *Expr {
 func (b *Builder) ArrayVar(name string, idxW, w uint) *Expr {
 	checkWidth(w)
 	checkWidth(idxW)
-	return b.intern(Expr{Kind: KArrayVar, Width: w, IdxWidth: idxW, Name: name})
+	return b.internNamed(Expr{Kind: KArrayVar, Width: w, IdxWidth: idxW, Name: name})
 }
 
 // ConstArray returns an array whose every element equals elem.

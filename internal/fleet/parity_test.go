@@ -5,7 +5,6 @@ import (
 	"time"
 
 	"execrecon/internal/apps"
-	"execrecon/internal/bench"
 	"execrecon/internal/corpus"
 	"execrecon/internal/fleet"
 	"execrecon/internal/symex"
@@ -21,16 +20,12 @@ func table1Apps(t *testing.T) []fleet.App {
 		if err != nil {
 			t.Fatal(err)
 		}
-		budget := a.QueryBudget
-		if budget == 0 {
-			budget = bench.DefaultQueryBudget
-		}
 		out = append(out, fleet.App{
 			Name:    a.Name,
 			Module:  mod,
 			Failing: a.Failing,
 			Seed:    a.Seed,
-			Symex:   symex.Options{QueryBudget: budget, MaxInstrs: 50_000_000},
+			Symex:   symex.Options{QueryBudget: a.Budget(), MaxInstrs: 50_000_000},
 		})
 	}
 	return out

@@ -23,11 +23,11 @@ type arrayElim struct {
 	b      *expr.Builder
 	budget *Budget
 
-	cache     map[*expr.Expr]*expr.Expr
+	cache     []*expr.Expr // indexed by Expr.ID(); nil until rewritten
+	cached    []*expr.Expr // nodes with a cache entry
 	selCache  map[[2]uint64]*expr.Expr
 	reads     map[string][]readTerm // array var name -> reads
 	readOrder []string              // array names in first-read order
-	side      []*expr.Expr
 	fresh     int
 	err       error
 }
@@ -43,16 +43,28 @@ func newArrayElim(b *expr.Builder, budget *Budget) *arrayElim {
 	return &arrayElim{
 		b:        b,
 		budget:   budget,
-		cache:    make(map[*expr.Expr]*expr.Expr),
 		selCache: make(map[[2]uint64]*expr.Expr),
 		reads:    make(map[string][]readTerm),
 	}
 }
 
-// run rewrites each constraint, returning the pure-bitvector
-// constraint set including Ackermann side conditions.
-func (a *arrayElim) run(cs []*expr.Expr) ([]*expr.Expr, error) {
-	out := make([]*expr.Expr, 0, len(cs))
+// restart empties a for a new query metered by budget, clearing only
+// the cache entries the last query set.
+func (a *arrayElim) restart(budget *Budget) {
+	for _, e := range a.cached {
+		a.cache[e.ID()] = nil
+	}
+	a.cached = a.cached[:0]
+	clear(a.selCache)
+	clear(a.reads)
+	a.readOrder = a.readOrder[:0]
+	a.budget, a.fresh, a.err = budget, 0, nil
+}
+
+// run rewrites each constraint into out, which it returns with the
+// Ackermann side conditions appended after the len(cs) rewritten
+// constraints.
+func (a *arrayElim) run(cs, out []*expr.Expr) ([]*expr.Expr, error) {
 	for _, c := range cs {
 		r := a.rewrite(c)
 		if a.err != nil {
@@ -60,18 +72,13 @@ func (a *arrayElim) run(cs []*expr.Expr) ([]*expr.Expr, error) {
 		}
 		out = append(out, r)
 	}
-	lemmas, err := a.consistency()
-	if err != nil {
-		return nil, err
-	}
-	return append(append(out, lemmas...), a.side...), nil
+	return a.consistency(out)
 }
 
 // consistency emits the Ackermann functional-consistency constraints:
 // each read of a free array is paired against all earlier reads of the
 // same array.
-func (a *arrayElim) consistency() ([]*expr.Expr, error) {
-	var out []*expr.Expr
+func (a *arrayElim) consistency(out []*expr.Expr) ([]*expr.Expr, error) {
 	// Iterate arrays in first-read order, not map order: lemma order
 	// decides clause and watcher order in the SAT core, and through
 	// them which of several models the search finds — map iteration
@@ -96,8 +103,8 @@ func (a *arrayElim) rewrite(e *expr.Expr) *expr.Expr {
 	if a.err != nil {
 		return e
 	}
-	if r, ok := a.cache[e]; ok {
-		return r
+	if id := e.ID(); id < uint64(len(a.cache)) && a.cache[id] != nil {
+		return a.cache[id]
 	}
 	if !a.budget.spend(1) {
 		a.err = errBudget
@@ -136,7 +143,11 @@ func (a *arrayElim) rewrite(e *expr.Expr) *expr.Expr {
 			r = a.rebuild(e, args)
 		}
 	}
-	a.cache[e] = r
+	if n := int(e.ID()) + 1; n > len(a.cache) {
+		a.cache = append(a.cache, make([]*expr.Expr, n-len(a.cache))...)
+	}
+	a.cache[e.ID()] = r
+	a.cached = append(a.cached, e)
 	return r
 }
 

@@ -8,6 +8,11 @@ import (
 
 // blaster lowers pure bitvector expressions to CNF via a Tseitin
 // transformation, producing one SAT literal per bit.
+//
+// Its memo outlives a query: a Solver keeps one blaster, and rewind
+// forgets the nodes blasted after a mark, so a query that extends the
+// snapshot's constraints finds exactly the memo a fresh blast of them
+// would have built.
 type blaster struct {
 	s      *sat
 	budget *Budget
@@ -15,8 +20,8 @@ type blaster struct {
 	litTrue  lit
 	litFalse lit
 
-	bits map[*expr.Expr][]lit
-	vars map[string][]lit // expr var name -> bit literals
+	bits [][]lit      // indexed by Expr.ID(); nil until blasted
+	done []*expr.Expr // nodes with bits set, in blast order
 
 	// viaAddClause sends every gate clause through addClause; tests
 	// set it to check that gateClause's shortcut builds the same
@@ -26,20 +31,34 @@ type blaster struct {
 	err error
 }
 
-func newBlaster(s *sat, budget *Budget) *blaster {
-	b := &blaster{
-		s:      s,
-		budget: budget,
-		bits:   make(map[*expr.Expr][]lit),
-		vars:   make(map[string][]lit),
-	}
+// restart empties the memo and blasts the constant-true literal into
+// s, which reset has just emptied.
+func (b *blaster) restart(s *sat, budget *Budget) {
+	b.rewind(0)
+	b.s, b.budget, b.err = s, budget, nil
 	tv := s.newVar()
 	b.litTrue = mkLit(tv, false)
 	b.litFalse = b.litTrue.negate()
 	if !s.addClause([]lit{b.litTrue}) {
 		b.err = fmt.Errorf("solver: inconsistent true literal")
 	}
-	return b
+}
+
+// rewind forgets every node blasted after the first mark.
+func (b *blaster) rewind(mark int) {
+	for _, e := range b.done[mark:] {
+		b.bits[e.ID()] = nil
+	}
+	b.done = b.done[:mark]
+}
+
+// memo records e's bits.
+func (b *blaster) memo(e *expr.Expr, bs []lit) {
+	if n := int(e.ID()) + 1; n > len(b.bits) {
+		b.bits = append(b.bits, make([][]lit, n-len(b.bits))...)
+	}
+	b.bits[e.ID()] = bs
+	b.done = append(b.done, e)
 }
 
 func (b *blaster) constLit(v bool) lit {
@@ -248,8 +267,8 @@ func (b *blaster) blast(e *expr.Expr) []lit {
 	if b.err != nil {
 		return b.dummy(w)
 	}
-	if bs, ok := b.bits[e]; ok {
-		return bs
+	if id := e.ID(); id < uint64(len(b.bits)) && b.bits[id] != nil {
+		return b.bits[id]
 	}
 	if !b.spend(1) {
 		return b.dummy(w)
@@ -266,7 +285,6 @@ func (b *blaster) blast(e *expr.Expr) []lit {
 		for i := 0; i < w; i++ {
 			out[i] = b.freshLit()
 		}
-		b.vars[e.Name] = out
 	case expr.KAdd:
 		out = b.addBits(b.blast(e.Args[0]), b.blast(e.Args[1]), b.litFalse)
 	case expr.KSub:
@@ -367,7 +385,7 @@ func (b *blaster) blast(e *expr.Expr) []lit {
 	if b.err != nil {
 		return b.dummy(w)
 	}
-	b.bits[e] = out
+	b.memo(e, out)
 	return out
 }
 
@@ -513,12 +531,8 @@ func (b *blaster) assert(e *expr.Expr) {
 	b.s.addClause([]lit{bs[0]})
 }
 
-// modelVar reads back the model value of a named expression variable.
-func (b *blaster) modelVar(name string) (uint64, bool) {
-	bs, ok := b.vars[name]
-	if !ok {
-		return 0, false
-	}
+// modelValue reads back the model value of bit literals bs.
+func (b *blaster) modelValue(bs []lit) uint64 {
 	var v uint64
 	for i, l := range bs {
 		// isConstLit compares against the signed litTrue/litFalse
@@ -535,5 +549,5 @@ func (b *blaster) modelVar(name string) (uint64, bool) {
 			v |= 1 << uint(i)
 		}
 	}
-	return v, true
+	return v
 }

@@ -64,11 +64,10 @@ func TestBudgetSharedAccounting(t *testing.T) {
 }
 
 // TestBudgetCancelPrompt checks the explicit cancellation flag: a
-// Cancel tripped from another goroutine must deny the very next spend —
-// not the next deadline-cadence check.
+// Cancel tripped from another goroutine must deny the very next spend.
 func TestBudgetCancelPrompt(t *testing.T) {
 	stop := NewCancel()
-	b := &Budget{Timeout: time.Hour, Stop: stop}
+	b := &Budget{Stop: stop}
 	for i := 0; i < 10; i++ {
 		if !b.spend(1) {
 			t.Fatalf("spend %d denied before cancellation", i)
@@ -99,11 +98,10 @@ func TestBudgetCancelPrompt(t *testing.T) {
 }
 
 // TestSolveCancelPrompt is the regression test for the slow-abort bug:
-// cancellation used to be observed only via the deadline, at the
-// 256-step check cadence and only when a Timeout was configured at
-// all. With Options.Stop wired into every budget spend, canceling an
+// cancellation used to be observed only through a wall-clock deadline.
+// With Options.Stop wired into every budget spend, canceling an
 // in-flight solve of a hard factoring instance must return promptly
-// even though the budget itself would allow minutes of work.
+// even though the unlimited budget would allow minutes of work.
 func TestSolveCancelPrompt(t *testing.T) {
 	b := expr.NewBuilder()
 	// Non-wrapping factoring: zero-extended 32-bit operands multiplied
@@ -124,7 +122,7 @@ func TestSolveCancelPrompt(t *testing.T) {
 		b.Ult(b.Const(2, 32), y),
 	}
 	stop := NewCancel()
-	s := New(b, Options{Timeout: time.Minute, Stop: stop})
+	s := New(b, Options{Stop: stop})
 	type out struct {
 		res Result
 		err error
@@ -150,97 +148,6 @@ func TestSolveCancelPrompt(t *testing.T) {
 	}
 	if lag := time.Since(start); lag > time.Second {
 		t.Errorf("cancellation took %v to land, want prompt abort", lag)
-	}
-}
-
-// TestBudgetMonotonicDeadline is the regression test for the wall-
-// clock deadline bug: spend used to evaluate time.Now().After(
-// Deadline) on every cadence check, so an NTP step after the solve
-// started would starve it (forward step) or extend it indefinitely
-// (backward step). The fix converts Deadline to a monotonic duration
-// exactly once, at arm time, through the budgetNow seam — which this
-// test uses to simulate clock steps, asserting the wall clock is never
-// consulted after arming.
-func TestBudgetMonotonicDeadline(t *testing.T) {
-	defer func() { budgetNow = time.Now }()
-
-	// A forward NTP step after the solve starts must not starve it.
-	budgetNow = time.Now
-	b := &Budget{Deadline: time.Now().Add(time.Hour)}
-	if !b.spend(1) { // arms: one wall-clock read, then monotonic only
-		t.Fatal("first spend denied under a 1h deadline")
-	}
-	calls := 0
-	budgetNow = func() time.Time {
-		calls++
-		return time.Now().Add(48 * time.Hour) // simulated forward step
-	}
-	for i := 0; i < 4*deadlineCheckEvery; i++ {
-		if !b.spend(1) {
-			t.Fatal("forward wall-clock step starved an armed budget")
-		}
-	}
-	if calls != 0 {
-		t.Errorf("wall clock consulted %d times after arming, want 0", calls)
-	}
-
-	// A backward step must not extend the solve past its limit: the
-	// armed monotonic duration governs regardless of the wall clock.
-	budgetNow = func() time.Time { return time.Now().Add(-48 * time.Hour) }
-	b = &Budget{Timeout: 2 * time.Millisecond}
-	b.spend(1) // arm
-	time.Sleep(10 * time.Millisecond)
-	alive := 0
-	for b.spend(1) {
-		if alive++; alive > 2*deadlineCheckEvery {
-			t.Fatal("backward wall-clock step extended an expired budget")
-		}
-	}
-	if !b.Exhausted() {
-		t.Error("expired budget not marked exhausted")
-	}
-}
-
-// TestBudgetDeadlineStarvation is the regression test for the
-// deadline-starvation bug: the old implementation consulted the
-// wall clock only every 4096 steps, so a workload whose individual
-// steps are expensive (few but heavy spends) could overrun the
-// deadline by an unbounded factor — and a budget created with an
-// already-expired deadline would happily grant thousands of steps.
-func TestBudgetDeadlineStarvation(t *testing.T) {
-	// An already-expired deadline must deny the very first spend.
-	b := &Budget{Deadline: time.Now().Add(-time.Second)}
-	if b.spend(1) {
-		t.Fatal("expired deadline granted the first spend")
-	}
-	if !b.Exhausted() {
-		t.Error("budget not marked exhausted")
-	}
-
-	// A deadline expiring mid-run must be observed within the check
-	// cadence even when every spend is tiny.
-	b = &Budget{Deadline: time.Now().Add(2 * time.Millisecond)}
-	granted := 0
-	deadline := time.Now().Add(2 * time.Second) // test watchdog
-	for b.spend(1) {
-		granted++
-		if time.Now().After(deadline) {
-			t.Fatal("budget never observed the expired deadline")
-		}
-	}
-	// After expiry at most one check-cadence worth of steps may slip
-	// through before the clock is consulted again.
-	t.Logf("granted %d tiny spends before deadline stop", granted)
-
-	// Steps-only budgets are unaffected by the deadline machinery.
-	b = NewBudget(10)
-	for i := 0; i < 10; i++ {
-		if !b.spend(1) {
-			t.Fatalf("spend %d denied under budget", i)
-		}
-	}
-	if b.spend(1) {
-		t.Error("spend beyond MaxSteps granted")
 	}
 }
 

@@ -15,7 +15,8 @@ func blastDatabase(t *testing.T, cs []*expr.Expr, viaAddClause bool) *sat {
 	t.Helper()
 	s := new(sat)
 	s.reset(&Budget{})
-	bl := newBlaster(s, s.budget)
+	bl := new(blaster)
+	bl.restart(s, s.budget)
 	bl.viaAddClause = viaAddClause
 	for _, c := range cs {
 		bl.assert(c)

@@ -7,9 +7,9 @@
 // CNF and decided by a CDCL SAT solver.
 //
 // The solver meters its own work (array-elimination nodes, gates,
-// propagations, conflicts) against a step budget and a wall-clock
-// deadline. Exceeding either yields ResultUnknown — the solver
-// "timeout" that ER's stall detection is built on (§4). Crucially, the
+// conflicts, decisions) against a step budget. Exceeding it yields
+// ResultUnknown — the solver "timeout" that ER's stall detection is
+// built on (§4). Crucially, the
 // metered cost grows with the two constraint-complexity sources the
 // paper identifies (§3.3.1): the length of symbolic write chains and
 // the size of the accessed symbolic memory objects. Stalls therefore
@@ -131,6 +131,55 @@ func (s *sat) reset(budget *Budget) {
 		budget:   budget,
 	}
 	s.newVar() // var 0 placeholder
+}
+
+// copyFrom makes s an exact copy of src: the clause database with the
+// literal order level-0 propagation left in each clause, every watch
+// list in order, the level-0 trail, the variable order heap and the
+// counters. A search on s then runs exactly as it would on src. Every
+// slice of s keeps its capacity, and watch lists past the copied
+// length stay empty, as newVar expects.
+func (s *sat) copyFrom(src *sat) {
+	n := len(src.watches)
+	for i := n; i < len(s.watches); i++ {
+		s.watches[i] = s.watches[i][:0]
+	}
+	watches := s.watches
+	if cap(watches) < n {
+		watches = make([][]cref, n)
+		copy(watches, s.watches[:cap(s.watches)])
+	}
+	watches = watches[:n]
+	for i, w := range src.watches {
+		watches[i] = append(watches[i][:0], w...)
+	}
+	*s = sat{
+		arena:        append(s.arena[:0], src.arena...),
+		clauses:      append(s.clauses[:0], src.clauses...),
+		problems:     src.problems,
+		learnts:      append(s.learnts[:0], src.learnts...),
+		watches:      watches,
+		vals:         append(s.vals[:0], src.vals...),
+		level:        append(s.level[:0], src.level...),
+		reason:       append(s.reason[:0], src.reason...),
+		activity:     append(s.activity[:0], src.activity...),
+		polarity:     append(s.polarity[:0], src.polarity...),
+		varInc:       src.varInc,
+		trail:        append(s.trail[:0], src.trail...),
+		trailLim:     append(s.trailLim[:0], src.trailLim...),
+		qhead:        src.qhead,
+		heap:         append(s.heap[:0], src.heap...),
+		heapPos:      append(s.heapPos[:0], src.heapPos...),
+		seen:         append(s.seen[:0], src.seen...),
+		learnt:       s.learnt[:0],
+		marks:        s.marks[:0],
+		numVars:      src.numVars,
+		failed:       src.failed,
+		propagations: src.propagations,
+		conflicts:    src.conflicts,
+		decisions:    src.decisions,
+		budget:       src.budget,
+	}
 }
 
 func (s *sat) newVar() int {

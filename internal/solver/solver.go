@@ -3,6 +3,7 @@ package solver
 import (
 	"fmt"
 	"runtime"
+	"slices"
 	"strings"
 	"sync"
 	"time"
@@ -18,9 +19,9 @@ const (
 	ResultSat Result = iota
 	// ResultUnsat: the constraints are unsatisfiable.
 	ResultUnsat
-	// ResultUnknown: the solver exhausted its budget or deadline —
-	// the "solver timeout" that ER interprets as a symbolic
-	// execution stall.
+	// ResultUnknown: the solver exhausted its step budget — the
+	// "solver timeout" that ER interprets as a symbolic execution
+	// stall.
 	ResultUnknown
 )
 
@@ -39,16 +40,13 @@ func (r Result) String() string {
 type Options struct {
 	// MaxSteps bounds abstract solver work; 0 means unlimited.
 	MaxSteps int64
-	// Timeout bounds wall-clock time; 0 means unlimited.
-	Timeout time.Duration
 	// Validate re-evaluates the original constraints under the
 	// model and fails loudly on mismatch. Cheap; on by default via
 	// DefaultOptions.
 	Validate bool
 	// Stop, when set, cancels in-flight solves promptly: it is
 	// observed on every budget spend (each CDCL decision, conflict,
-	// and Tseitin gate), not just at the deadline-check cadence. A
-	// canceled solve returns ResultUnknown.
+	// and Tseitin gate). A canceled solve returns ResultUnknown.
 	Stop *Cancel
 }
 
@@ -74,14 +72,15 @@ type Stats struct {
 	CDCL      time.Duration
 }
 
-// workspaces recycles SAT workspaces across Solve calls. A symex
-// engine issues only a couple of queries, so a workspace per Solver
-// would rarely be reused; the free list lets every query in the
-// process grow the same few arenas instead of allocating its own.
-// Unlike a sync.Pool, a garbage collection does not empty it, so a
-// query after a collection does not regrow every arena and watch
-// list. It keeps at most GOMAXPROCS workspaces, one per goroutine
-// that can be solving at once.
+// workspaces recycles SAT workspaces across Solve calls and Solver
+// snapshots. A symex engine issues only a few dozen queries, so a
+// workspace per Solver would rarely be reused; the free list lets
+// every query in the process grow the same few arenas instead of
+// allocating its own. Unlike a sync.Pool, a garbage collection does
+// not empty it, so a query after a collection does not regrow every
+// arena and watch list. It keeps at most 2×GOMAXPROCS workspaces: a
+// goroutine that is solving holds its query's workspace and its
+// Solver's snapshot.
 var workspaces struct {
 	mu   sync.Mutex
 	free []*sat
@@ -107,26 +106,64 @@ func getWorkspace() *sat {
 func putWorkspace(ws *sat) {
 	workspaces.mu.Lock()
 	defer workspaces.mu.Unlock()
-	if len(workspaces.free) < runtime.GOMAXPROCS(0) {
+	if len(workspaces.free) < 2*runtime.GOMAXPROCS(0) {
 		workspaces.free = append(workspaces.free, ws)
 	}
 }
 
 // Solver decides conjunctions of bitvector/array constraints built
-// with a shared expr.Builder. Each Solve call is independent.
+// with a shared expr.Builder. Every Solve call answers, and counts its
+// steps, exactly as a fresh solve of its constraints would.
+//
+// A Solver keeps a snapshot of the SAT workspace as it stood right
+// after blasting the last query's rewritten constraints. A symex
+// engine's path constraint only grows, so the next query's rewritten
+// constraints usually begin with the snapshot's; that query starts
+// from a copy of the snapshot and blasts only what is new. A Solver is
+// not safe for concurrent use.
 type Solver struct {
 	b    *expr.Builder
 	opts Options
 	last Stats
+
+	elim arrayElim
+	bl   blaster
+	pure []*expr.Expr // scratch for the rewritten constraints
+
+	// snap holds the blasted prefix: the rewritten constraints in
+	// prefix, which cost prefixSteps to blast and left the first mark
+	// nodes in bl's memo. An empty prefix means no snapshot.
+	snap        *sat
+	prefix      []*expr.Expr
+	prefixSteps int64
+	mark        int
+	reused      bool // the last query started from the snapshot
 }
 
 // New returns a Solver over builder b.
 func New(b *expr.Builder, opts Options) *Solver {
-	return &Solver{b: b, opts: opts}
+	s := &Solver{b: b, opts: opts}
+	s.elim = *newArrayElim(b, nil)
+	return s
 }
 
 // LastStats returns statistics for the most recent Solve call.
 func (s *Solver) LastStats() Stats { return s.last }
+
+// Release returns the snapshot workspace to the free list. A later
+// Solve blasts from scratch.
+func (s *Solver) Release() {
+	if s.snap != nil {
+		putWorkspace(s.snap)
+		s.snap = nil
+	}
+	s.dropSnapshot()
+}
+
+func (s *Solver) dropSnapshot() {
+	s.prefix = s.prefix[:0]
+	s.prefixSteps, s.mark = 0, 0
+}
 
 // Solve decides the conjunction of cs. On ResultSat the returned
 // assignment satisfies every constraint; on other results it is nil.
@@ -136,12 +173,12 @@ func (s *Solver) Solve(cs []*expr.Expr) (Result, *expr.Assignment, error) {
 	return s.solve(cs, ws)
 }
 
-// solve is Solve on the SAT workspace ws, which it resets before
-// blasting.
+// solve is Solve on the SAT workspace ws, which it overwrites before
+// blasting the Ackermann lemmas.
 func (s *Solver) solve(cs []*expr.Expr, ws *sat) (Result, *expr.Assignment, error) {
 	start := time.Now()
-	budget := &Budget{MaxSteps: s.opts.MaxSteps, Timeout: s.opts.Timeout, Stop: s.opts.Stop}
-	s.last = Stats{}
+	budget := &Budget{MaxSteps: s.opts.MaxSteps, Stop: s.opts.Stop}
+	s.last, s.reused = Stats{}, false
 	// Stats are populated on *every* exit path via defer — including
 	// budget-exhausted ResultUnknown returns, which are exactly the
 	// solves ER's stall detection keys off. (They used to be recorded
@@ -180,8 +217,9 @@ func (s *Solver) solve(cs []*expr.Expr, ws *sat) (Result, *expr.Assignment, erro
 
 	// Stage 1: array elimination.
 	t := time.Now()
-	elim := newArrayElim(s.b, budget)
-	pure, err := elim.run(remaining)
+	elim := &s.elim
+	elim.restart(budget)
+	pure, err := elim.run(remaining, s.pure[:0])
 	s.last.ArrayElim = time.Since(t)
 	if err != nil {
 		if err == errBudget {
@@ -189,25 +227,19 @@ func (s *Solver) solve(cs []*expr.Expr, ws *sat) (Result, *expr.Assignment, erro
 		}
 		return ResultUnknown, nil, err
 	}
+	s.pure = pure
 
-	// Stage 2: bit blasting.
+	// Stage 2: bit blasting. The rewritten constraints extend the
+	// snapshot; the lemmas go into a copy of it in ws, because lemma
+	// order interleaves by array and so never forms a prefix of a
+	// later query.
 	t = time.Now()
-	core = ws
-	core.reset(budget)
-	bl := newBlaster(core, budget)
-	unsatEarly := false
-	for _, c := range pure {
-		if c.IsTrue() {
-			continue
-		}
-		if c.IsFalse() {
-			unsatEarly = true
-			break
-		}
-		bl.assert(c)
-		if bl.err != nil {
-			break
-		}
+	bl := &s.bl
+	core, unsat := s.blastPrefix(pure[:len(remaining)], budget)
+	if bl.err == nil && !unsat {
+		ws.copyFrom(core)
+		core, bl.s = ws, ws
+		unsat = s.blastAll(pure[len(remaining):])
 	}
 	s.last.Blast = time.Since(t)
 	if bl.err == errBudget {
@@ -216,7 +248,7 @@ func (s *Solver) solve(cs []*expr.Expr, ws *sat) (Result, *expr.Assignment, erro
 	if bl.err != nil {
 		return ResultUnknown, nil, bl.err
 	}
-	if unsatEarly {
+	if unsat {
 		return ResultUnsat, nil, nil
 	}
 
@@ -248,6 +280,60 @@ func (s *Solver) solve(cs []*expr.Expr, ws *sat) (Result, *expr.Assignment, erro
 	return ResultSat, asn, nil
 }
 
+// blastPrefix blasts the rewritten constraints cs into the snapshot
+// workspace, which it returns, and makes them the snapshot. When the
+// snapshot's constraints begin cs and the budget can pay what blasting
+// them cost, it charges those steps in one spend and blasts only the
+// rest. Otherwise it blasts cs from scratch, so a stall stops exactly
+// where a fresh blast would. It reports whether a constraint was the
+// constant false.
+func (s *Solver) blastPrefix(cs []*expr.Expr, budget *Budget) (*sat, bool) {
+	if s.snap == nil {
+		s.snap = getWorkspace()
+	}
+	bl := &s.bl
+	n := len(s.prefix)
+	s.reused = n > 0 && n <= len(cs) && slices.Equal(cs[:n], s.prefix) && budget.fits(s.prefixSteps)
+	if s.reused {
+		bl.rewind(s.mark)
+		bl.s, bl.budget, s.snap.budget = s.snap, budget, budget
+		bl.spend(s.prefixSteps)
+	} else {
+		s.dropSnapshot()
+		s.snap.reset(budget)
+		bl.restart(s.snap, budget)
+		n = 0
+	}
+	used := budget.Used()
+	unsat := s.blastAll(cs[n:])
+	if bl.err != nil || unsat {
+		s.dropSnapshot()
+		return s.snap, unsat
+	}
+	s.prefix = append(s.prefix, cs[n:]...)
+	s.prefixSteps += budget.Used() - used
+	s.mark = len(bl.done)
+	return s.snap, false
+}
+
+// blastAll asserts cs in order. It stops at a blasting error, and at
+// a constant-false constraint, which it reports.
+func (s *Solver) blastAll(cs []*expr.Expr) bool {
+	for _, c := range cs {
+		if c.IsTrue() {
+			continue
+		}
+		if c.IsFalse() {
+			return true
+		}
+		s.bl.assert(c)
+		if s.bl.err != nil {
+			return false
+		}
+	}
+	return false
+}
+
 // extractModel builds the satisfying assignment from the SAT model:
 // named bitvector variables read back from their bit literals, and
 // array models rebuilt from the Ackermann read terms (read-term index
@@ -256,9 +342,9 @@ func (s *Solver) solve(cs []*expr.Expr, ws *sat) (Result, *expr.Assignment, erro
 // from the visible model.
 func extractModel(bl *blaster, elim *arrayElim) (*expr.Assignment, error) {
 	asn := expr.NewAssignment()
-	for name := range bl.vars {
-		if v, ok := bl.modelVar(name); ok {
-			asn.Vars[name] = v
+	for _, e := range bl.done {
+		if e.Kind == expr.KVar {
+			asn.Vars[e.Name] = bl.modelValue(bl.bits[e.ID()])
 		}
 	}
 	for name, rs := range elim.reads {
@@ -286,32 +372,3 @@ func extractModel(bl *blaster, elim *arrayElim) (*expr.Assignment, error) {
 	}
 	return asn, nil
 }
-
-// MayBeTrue reports whether cond can be true together with the path
-// constraint pc.
-func (s *Solver) MayBeTrue(pc []*expr.Expr, cond *expr.Expr) (bool, error) {
-	res, _, err := s.Solve(append(append([]*expr.Expr{}, pc...), cond))
-	if err != nil {
-		return false, err
-	}
-	switch res {
-	case ResultSat:
-		return true, nil
-	case ResultUnsat:
-		return false, nil
-	}
-	return false, ErrTimeout
-}
-
-// MustBeTrue reports whether cond is implied by the path constraint.
-func (s *Solver) MustBeTrue(pc []*expr.Expr, cond *expr.Expr) (bool, error) {
-	may, err := s.MayBeTrue(pc, s.b.BoolNot(cond))
-	if err != nil {
-		return false, err
-	}
-	return !may, nil
-}
-
-// ErrTimeout is returned by helper predicates when the budget or
-// deadline is exhausted before a verdict.
-var ErrTimeout = fmt.Errorf("solver: timeout")

@@ -1,7 +1,6 @@
 package solver
 
 import (
-	"fmt"
 	"math/rand"
 	"testing"
 
@@ -265,56 +264,6 @@ func TestPaperRunningExample(t *testing.T) {
 	}
 	xv := asn.Vars["a"] + asn.Vars["b"]
 	t.Logf("model: a=%d b=%d c=%d d=%d (x=%d)", asn.Vars["a"], asn.Vars["b"], asn.Vars["c"], asn.Vars["d"], xv&0xffffffff)
-}
-
-func TestBudgetTimeout(t *testing.T) {
-	b := expr.NewBuilder()
-	// A long symbolic write chain with interdependent indices: the
-	// classic stall pattern. With a tiny budget the solver must
-	// report unknown rather than spin.
-	arr := b.ConstArray(b.Const(0, 32), 32)
-	cur := arr
-	for k := 0; k < 40; k++ {
-		ik := b.Var(fmt.Sprintf("i%d", k), 32)
-		v := b.Select(cur, ik)
-		cur = b.Store(cur, b.Add(ik, v), b.Add(v, b.Const(1, 32)))
-	}
-	final := b.Select(cur, b.Var("j", 32))
-	cs := []*expr.Expr{b.Eq(final, b.Const(7, 32))}
-	s := New(b, Options{MaxSteps: 500})
-	res, _, err := s.Solve(cs)
-	if err != nil {
-		t.Fatalf("error: %v", err)
-	}
-	if res != ResultUnknown {
-		t.Fatalf("tiny budget: got %v, want unknown", res)
-	}
-	if s.LastStats().Steps == 0 {
-		t.Error("steps not recorded")
-	}
-}
-
-func TestMayMustBeTrue(t *testing.T) {
-	b := expr.NewBuilder()
-	x := b.Var("x", 32)
-	pc := []*expr.Expr{b.Ult(x, b.Const(10, 32))}
-	s := New(b, DefaultOptions())
-	may, err := s.MayBeTrue(pc, b.Eq(x, b.Const(5, 32)))
-	if err != nil || !may {
-		t.Errorf("x==5 should be possible: may=%v err=%v", may, err)
-	}
-	may, err = s.MayBeTrue(pc, b.Eq(x, b.Const(50, 32)))
-	if err != nil || may {
-		t.Errorf("x==50 should be impossible: may=%v err=%v", may, err)
-	}
-	must, err := s.MustBeTrue(pc, b.Ult(x, b.Const(11, 32)))
-	if err != nil || !must {
-		t.Errorf("x<11 should be implied: must=%v err=%v", must, err)
-	}
-	must, err = s.MustBeTrue(pc, b.Ult(x, b.Const(5, 32)))
-	if err != nil || must {
-		t.Errorf("x<5 should not be implied: must=%v err=%v", must, err)
-	}
 }
 
 // TestRandomizedModels generates random constraint systems that are

@@ -63,16 +63,14 @@ type Options struct {
 	// QueryBudget bounds each solver query in abstract steps; an
 	// exhausted query is a stall. Zero means unlimited.
 	QueryBudget int64
-	// QueryTimeout optionally bounds each query in wall time.
-	QueryTimeout time.Duration
 	// MaxInstrs bounds symbolic execution length (default 100M).
 	MaxInstrs int64
 	// ProgressEvery records a progress sample each N instructions
 	// (0 disables); used by the Fig 5 experiment.
 	ProgressEvery int64
 	// Stop, when set, cancels in-flight solver queries promptly: the
-	// flag is observed on every budget spend, not just at the deadline
-	// cadence. Pipelines wire their abort flag here.
+	// flag is observed on every budget spend. Pipelines wire their
+	// abort flag here.
 	Stop *solver.Cancel
 	// Slice supplies the static backward failure slice of the module
 	// (dataflow.Analyze); core.Pipeline always sets it. Instructions
@@ -316,7 +314,6 @@ func NewFromEvents(mod *ir.Module, src pt.EventSource, failure *vm.Failure, opts
 		b:    b,
 		sol: solver.New(b, solver.Options{
 			MaxSteps: opts.QueryBudget,
-			Timeout:  opts.QueryTimeout,
 			Validate: false,
 			Stop:     opts.Stop,
 		}),
@@ -362,6 +359,7 @@ func (e *Engine) Run(entry string) *Result {
 	}
 	e.res = res
 	err := e.run(entry)
+	e.sol.Release()
 	res.StallExpr = e.stallExpr
 	res.PathConstraint = e.pc
 	res.Inputs = e.inputs
@@ -430,15 +428,13 @@ func (e *Engine) reportMetrics(res *Result) {
 		"cumulative solver wall time per run", nil).ObserveDuration(res.Stats.SolverTime)
 }
 
-// solve runs a solver query over the current path constraint plus
-// extras, accounting budget and stalls.
-func (e *Engine) solve(extra ...*expr.Expr) (solver.Result, *expr.Assignment, error) {
+// solve runs a solver query over the current path constraint,
+// accounting budget and stalls. The path constraint only grows, so
+// each query begins with the last one's constraints, and the Solver
+// starts from the clauses it blasted for them.
+func (e *Engine) solve() (solver.Result, *expr.Assignment, error) {
 	e.queries++
-	cs := e.pc
-	if len(extra) > 0 {
-		cs = append(append([]*expr.Expr{}, e.pc...), extra...)
-	}
-	r, m, err := e.sol.Solve(cs)
+	r, m, err := e.sol.Solve(e.pc)
 	st := e.sol.LastStats()
 	e.qsteps += st.Steps
 	e.qtime += st.Elapsed

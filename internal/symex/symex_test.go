@@ -3,7 +3,6 @@ package symex_test
 import (
 	"strings"
 	"testing"
-	"time"
 
 	"execrecon/internal/ir"
 	"execrecon/internal/minc"
@@ -351,36 +350,6 @@ func main() int {
 	}
 	if len(sres.Progress) == 0 {
 		t.Error("no progress samples")
-	}
-}
-
-func TestWallClockTimeout(t *testing.T) {
-	// The paper's 30 s solver timeout is wall clock; verify the
-	// deadline path stalls rather than hangs.
-	src := `
-int m[256];
-func main() int {
-	for (int i = 0; i < 14; i = i + 1) {
-		int k = input32("k");
-		if (k < 0 || k >= 250) { return 0; }
-		m[k] = m[k + 1] + 1;
-	}
-	assert(m[60] != 3, "chain");
-	return 0;
-}`
-	w := vm.NewWorkload().Add("k", 62, 61, 60)
-	for i := 0; i < 11; i++ {
-		w.Add("k", 200)
-	}
-	mod, tr, res := recordRun(t, src, w, 1)
-	if res.Failure == nil {
-		t.Fatal("no failure")
-	}
-	sres := symex.New(mod, tr, res.Failure, symex.Options{
-		QueryTimeout: time.Microsecond, // effectively instant
-	}).Run("main")
-	if sres.Status != symex.StatusStalled {
-		t.Fatalf("status %v, want stalled on wall-clock deadline", sres.Status)
 	}
 }
 

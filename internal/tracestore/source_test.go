@@ -5,7 +5,6 @@ import (
 	"testing"
 
 	"execrecon/internal/apps"
-	"execrecon/internal/bench"
 	"execrecon/internal/core"
 	"execrecon/internal/minc"
 	"execrecon/internal/prod"
@@ -121,11 +120,7 @@ func TestSourceTable1Parity(t *testing.T) {
 		ratioSum += store.Stats().Ratio()
 		store.Close()
 
-		budget := a.QueryBudget
-		if budget == 0 {
-			budget = bench.DefaultQueryBudget
-		}
-		cfg := core.Config{Module: mod, Symex: symex.Options{QueryBudget: budget, MaxInstrs: 50_000_000}}
+		cfg := core.Config{Module: mod, Symex: symex.Options{QueryBudget: a.Budget(), MaxInstrs: 50_000_000}}
 		memCfg := cfg
 		memCfg.Gen = &core.FixedWorkload{Workload: a.Failing(), Seed: a.Seed}
 		memRep, memErr := core.Reproduce(memCfg)
