@@ -9,11 +9,11 @@
 // The solver meters its own work (array-elimination nodes, gates,
 // conflicts, decisions) against a step budget. Exceeding it yields
 // ResultUnknown — the solver "timeout" that ER's stall detection is
-// built on (§4). Crucially, the
-// metered cost grows with the two constraint-complexity sources the
-// paper identifies (§3.3.1): the length of symbolic write chains and
-// the size of the accessed symbolic memory objects. Stalls therefore
-// arise here for the paper's stated reasons rather than by fiat.
+// built on (§4). Crucially, the metered cost grows with the two
+// constraint-complexity sources the paper identifies (§3.3.1): the
+// length of symbolic write chains and the size of the accessed
+// symbolic memory objects. Stalls therefore arise here for the
+// paper's stated reasons rather than by fiat.
 package solver
 
 // lit is a SAT literal: variable index shifted left once, with the
