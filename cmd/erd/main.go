@@ -20,10 +20,13 @@
 // pipeline, ships rollout chains back, and commits verdicts. Nodes
 // are stateless — kill one and its leases expire and re-dispatch.
 //
-// Observability: the coordinator journals structured events
-// (drainable at /debug/er/events, teed to stderr as JSON lines with
-// -log-json, filtered by -log-level), stitches per-bucket
-// cross-process timelines (/debug/er/timeline, `er timeline`), and
+// Observability: each process has one log/slog event stream. -log-level
+// is its threshold (debug, info, warn or error; default info), -v
+// writes it to stderr as text, and -log-json writes it as JSON lines
+// (and turns -v on). The coordinator also keeps the last 1024 events
+// in a ring drained at /debug/er/events; a node has no endpoint, so
+// its stream goes only to stderr. The coordinator stitches per-bucket
+// cross-process timelines (/debug/er/timeline, `er timeline`) and
 // accounts recording overhead per instrumentation version
 // (er_overhead_* on /metrics; -overhead-budget arms the SLO gate).
 //
@@ -33,6 +36,7 @@ package main
 import (
 	"flag"
 	"fmt"
+	"log/slog"
 	"os"
 	"os/signal"
 	"strings"
@@ -61,10 +65,11 @@ func main() {
 	timeout := flag.Duration("timeout", 0, "stop after this long even if buckets are unresolved (0 = run until every expected failure resolves)")
 	workers := flag.Int("workers", 2, "concurrent bucket pipelines per node (parked buckets hold a lease, not a worker)")
 	pprof := flag.Bool("pprof", false, "mount net/http/pprof on the coordinator endpoint")
-	logLevel := flag.String("log-level", "info", "journal level: debug, info, warn, or error")
-	logJSON := flag.Bool("log-json", false, "tee journal events to stderr as JSON lines")
+	var level slog.Level
+	flag.TextVar(&level, "log-level", slog.LevelInfo, "event threshold: debug, info, warn, or error")
+	logJSON := flag.Bool("log-json", false, "write events to stderr as JSON lines (implies -v)")
 	overheadBudget := flag.Float64("overhead-budget", 0, "recording-overhead SLO in percent over the version-0 baseline (coordinator; 0 = accounting without a gate)")
-	verbose := flag.Bool("v", false, "log cluster progress to stderr")
+	verbose := flag.Bool("v", false, "write events to stderr as text")
 	flag.Parse()
 
 	if flag.NArg() > 0 {
@@ -106,11 +111,6 @@ func main() {
 		fmt.Fprintf(os.Stderr, "erd: -workers must be > 0 (got %d)\n", *workers)
 		os.Exit(2)
 	}
-	minLevel, err := telemetry.ParseLevel(*logLevel)
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "erd: -log-level: %v\n", err)
-		os.Exit(2)
-	}
 	if *overheadBudget < 0 {
 		fmt.Fprintf(os.Stderr, "erd: -overhead-budget must be >= 0 (got %v)\n", *overheadBudget)
 		os.Exit(2)
@@ -121,15 +121,15 @@ func main() {
 		fmt.Fprintln(os.Stderr, "erd:", err)
 		os.Exit(2)
 	}
-	var log *os.File
-	if *verbose {
-		log = os.Stderr
+	// stderr is the -v / -log-json output, nil without either.
+	var stderr slog.Handler
+	hopts := &slog.HandlerOptions{Level: level}
+	switch {
+	case *logJSON:
+		stderr = slog.NewJSONHandler(os.Stderr, hopts)
+	case *verbose:
+		stderr = slog.NewTextHandler(os.Stderr, hopts)
 	}
-	jopts := telemetry.JournalOptions{Min: minLevel}
-	if *logJSON {
-		jopts.Tee = os.Stderr
-	}
-	journal := telemetry.NewJournal(jopts)
 
 	switch *role {
 	case "coordinator":
@@ -141,7 +141,7 @@ func main() {
 			fmt.Fprintln(os.Stderr, "erd: coordinator role requires -wal")
 			os.Exit(2)
 		}
-		runCoordinator(fapps, *storeDir, *walPath, *listen, *machines, *pace, *ttl, *timeout, *pprof, journal, *overheadBudget, log)
+		runCoordinator(fapps, *storeDir, *walPath, *listen, *machines, *pace, *ttl, *timeout, *pprof, telemetry.NewEventRing(level, stderr), *overheadBudget)
 	case "node":
 		if *coordinator == "" {
 			fmt.Fprintln(os.Stderr, "erd: node role requires -coordinator")
@@ -155,7 +155,11 @@ func main() {
 			}
 			nodeName = fmt.Sprintf("%s-%d", host, os.Getpid())
 		}
-		runNode(fapps, nodeName, *coordinator, *workers, journal, log)
+		var log *slog.Logger
+		if stderr != nil {
+			log = slog.New(stderr)
+		}
+		runNode(fapps, nodeName, *coordinator, *workers, log)
 	}
 }
 
@@ -207,17 +211,18 @@ func contains(names []string, n string) bool {
 	return false
 }
 
-func runCoordinator(fapps []fleet.App, storeDir, walPath, listen string, machines int, pace, ttl, timeout time.Duration, pprof bool, journal *telemetry.Journal, overheadBudget float64, log *os.File) {
+func runCoordinator(fapps []fleet.App, storeDir, walPath, listen string, machines int, pace, ttl, timeout time.Duration, pprof bool, ring *telemetry.EventRing, overheadBudget float64) {
 	store, err := tracestore.Open(storeDir, tracestore.Options{})
 	if err != nil {
 		fatal(fmt.Errorf("open trace store: %w", err))
 	}
 	defer store.Close()
 	reg := telemetry.New()
-	journal.RegisterMetrics(reg)
+	ring.RegisterMetrics(reg)
+	log := slog.New(ring)
 	overhead := telemetry.NewOverhead(telemetry.OverheadOptions{
 		BudgetPct: overheadBudget,
-		Journal:   journal,
+		Logger:    log,
 		Registry:  reg,
 	})
 	fo := fleet.Options{
@@ -225,10 +230,9 @@ func runCoordinator(fapps []fleet.App, storeDir, walPath, listen string, machine
 		Pace:           pace,
 		Telemetry:      reg,
 		Tracer:         telemetry.NewTracer(0),
-		Journal:        journal,
 		Overhead:       overhead,
 		Pprof:          pprof,
-		Log:            log,
+		Logger:         log,
 	}
 	if timeout > 0 {
 		fo.Timeout = timeout
@@ -241,7 +245,6 @@ func runCoordinator(fapps []fleet.App, storeDir, walPath, listen string, machine
 		WALPath: walPath,
 		TTL:     ttl,
 		Listen:  listen,
-		Log:     log,
 	})
 	if err != nil {
 		fatal(err)
@@ -283,20 +286,19 @@ func runCoordinator(fapps []fleet.App, storeDir, walPath, listen string, machine
 	os.Exit(code)
 }
 
-func runNode(fapps []fleet.App, name, coordinator string, workers int, journal *telemetry.Journal, log *os.File) {
+func runNode(fapps []fleet.App, name, coordinator string, workers int, log *slog.Logger) {
 	node, err := cluster.NewNode(cluster.NodeOptions{
 		Name:        name,
 		Coordinator: coordinator,
 		Apps:        fapps,
 		Workers:     workers,
 		Tracer:      telemetry.NewTracer(0),
-		Log:         log,
+		Logger:      log,
 	})
-	journal.Log(telemetry.LevelInfo, "erd", "node starting",
-		telemetry.A("name", name), telemetry.A("coordinator", coordinator))
 	if err != nil {
 		fatal(err)
 	}
+	telemetry.OrDiscard(log).Info("node starting", "component", "erd", "name", name, "coordinator", coordinator)
 	if err := node.Start(); err != nil {
 		fatal(err)
 	}

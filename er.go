@@ -98,7 +98,8 @@ type Options struct {
 	// (reconstruction → iteration → shepherd/solve/keyselect/
 	// instrument/verify); retrieve finished trees with Tracer.Recent.
 	Tracer *Tracer
-	// Log receives progress lines when set.
+	// Log, when set, receives the loop's iteration events as log/slog
+	// text lines.
 	Log io.Writer
 }
 
@@ -158,7 +159,7 @@ func ReproduceWith(mod *Module, gen Generator, opts Options) (*Report, error) {
 		RingSize:      opts.RingSize,
 		Telemetry:     opts.Telemetry,
 		Tracer:        opts.Tracer,
-		Log:           opts.Log,
+		Logger:        telemetry.TextLogger(opts.Log),
 	})
 }
 
@@ -184,7 +185,7 @@ func ReproduceFrom(mod *Module, src Source, opts Options) (*Report, error) {
 		RingSize:      opts.RingSize,
 		Telemetry:     opts.Telemetry,
 		Tracer:        opts.Tracer,
-		Log:           opts.Log,
+		Logger:        telemetry.TextLogger(opts.Log),
 	})
 }
 

@@ -54,9 +54,9 @@ func RunFig1() ([]Fig1Position, error) {
 		{System: "ER (this library)", OverheadPc: erPct, Measured: true,
 			Efficient: erPct < 10, Effective: true, Accurate: true,
 			Note: "verified replayable test cases for all 13 bugs incl. latent + MT"},
-		{System: "Full RR (internal/rr)", OverheadPc: rrPct, Measured: true,
+		{System: "Full RR (cost model)", OverheadPc: rrPct, Measured: true,
 			Efficient: rrPct < 10, Effective: true, Accurate: true,
-			Note: "bit-exact replay; overhead prohibitive"},
+			Note: "logs every input and the schedule; overhead prohibitive"},
 		{System: "REPT (internal/rept)", OverheadPc: erPct, Measured: true,
 			Efficient: true, Effective: false, Accurate: false,
 			Note: "~30% of recovered values silently wrong on long traces"},

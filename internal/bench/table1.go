@@ -3,11 +3,13 @@ package bench
 import (
 	"fmt"
 	"io"
+	"log/slog"
 	"time"
 
 	"execrecon/internal/apps"
 	"execrecon/internal/core"
 	"execrecon/internal/symex"
+	"execrecon/internal/telemetry"
 )
 
 // Table1Row mirrors one row of the paper's Table 1.
@@ -35,7 +37,8 @@ type Table1Row struct {
 type Table1Options struct {
 	// Only restricts the run to the named apps (nil = all 13).
 	Only []string
-	// Log receives progress lines.
+	// Log, when set, receives each session's iteration events as
+	// log/slog text lines.
 	Log io.Writer
 }
 
@@ -43,11 +46,12 @@ type Table1Options struct {
 // reports the paper's columns.
 func RunTable1(opts Table1Options) []Table1Row {
 	var rows []Table1Row
+	log := telemetry.TextLogger(opts.Log)
 	for _, a := range apps.All() {
 		if len(opts.Only) > 0 && !contains(opts.Only, a.Name) {
 			continue
 		}
-		rows = append(rows, runTable1App(a, opts))
+		rows = append(rows, runTable1App(a, log))
 	}
 	return rows
 }
@@ -61,7 +65,7 @@ func contains(xs []string, x string) bool {
 	return false
 }
 
-func runTable1App(a *apps.App, opts Table1Options) Table1Row {
+func runTable1App(a *apps.App, log *slog.Logger) Table1Row {
 	row := Table1Row{App: a.Name, BugType: a.BugType, MT: a.MT, SrcLines: a.SrcLines()}
 	mod, err := a.Module()
 	if err != nil {
@@ -72,7 +76,7 @@ func runTable1App(a *apps.App, opts Table1Options) Table1Row {
 		Module: mod,
 		Gen:    &core.FixedWorkload{Workload: a.Failing(), Seed: a.Seed},
 		Symex:  symex.Options{QueryBudget: a.Budget(), MaxInstrs: 50_000_000},
-		Log:    opts.Log,
+		Logger: log,
 	})
 	if err != nil {
 		row.FailReason = err.Error()

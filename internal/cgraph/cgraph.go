@@ -43,25 +43,24 @@ type Graph struct {
 // object states.
 func Build(pc []*expr.Expr, objects []Object) *Graph {
 	g := &Graph{Constraints: pc, Objects: objects}
-	seen := make(map[*expr.Expr]bool)
-	count := func(e *expr.Expr) {
-		expr.Walk(e, func(n *expr.Expr) {
-			if !seen[n] {
-				seen[n] = true
-				g.nodes++
-			}
-		})
-	}
-	for _, c := range pc {
-		count(c)
-	}
+	g.walk(func(*expr.Expr) { g.nodes++ })
 	for _, o := range objects {
-		if o.Arr != nil {
-			count(o.Arr)
-		}
 		g.Chains = append(g.Chains, buildChain(o))
 	}
 	return g
+}
+
+// walk calls fn once for every distinct node of the graph: one
+// traversal over the path constraint and every object's array.
+func (g *Graph) walk(fn func(*expr.Expr)) {
+	roots := make([]*expr.Expr, 0, len(g.Constraints)+len(g.Objects))
+	roots = append(roots, g.Constraints...)
+	for _, o := range g.Objects {
+		if o.Arr != nil {
+			roots = append(roots, o.Arr)
+		}
+	}
+	expr.WalkAll(roots, fn)
 }
 
 func buildChain(o Object) Chain {
@@ -152,25 +151,15 @@ func (g *Graph) BottleneckSet() []*expr.Expr {
 func (g *Graph) ReadIndexSet() []*expr.Expr {
 	seen := make(map[*expr.Expr]bool)
 	var out []*expr.Expr
-	visit := func(root *expr.Expr) {
-		expr.Walk(root, func(n *expr.Expr) {
-			if n.Kind == expr.KSelect {
-				idx := n.Args[1]
-				if !idx.IsConst() && !seen[idx] {
-					seen[idx] = true
-					out = append(out, idx)
-				}
+	g.walk(func(n *expr.Expr) {
+		if n.Kind == expr.KSelect {
+			idx := n.Args[1]
+			if !idx.IsConst() && !seen[idx] {
+				seen[idx] = true
+				out = append(out, idx)
 			}
-		})
-	}
-	for _, c := range g.Constraints {
-		visit(c)
-	}
-	for _, o := range g.Objects {
-		if o.Arr != nil {
-			visit(o.Arr)
 		}
-	}
+	})
 	sort.Slice(out, func(i, j int) bool { return out[i].ID() < out[j].ID() })
 	return out
 }
@@ -178,25 +167,12 @@ func (g *Graph) ReadIndexSet() []*expr.Expr {
 // SymbolicNodes returns every non-constant node in the graph, used by
 // the random-recording baseline of §5.2.
 func (g *Graph) SymbolicNodes() []*expr.Expr {
-	seen := make(map[*expr.Expr]bool)
 	var out []*expr.Expr
-	visit := func(e *expr.Expr) {
-		expr.Walk(e, func(n *expr.Expr) {
-			if seen[n] || n.IsConst() || n.IsArray() {
-				return
-			}
-			seen[n] = true
+	g.walk(func(n *expr.Expr) {
+		if !n.IsConst() && !n.IsArray() {
 			out = append(out, n)
-		})
-	}
-	for _, c := range g.Constraints {
-		visit(c)
-	}
-	for _, o := range g.Objects {
-		if o.Arr != nil {
-			visit(o.Arr)
 		}
-	}
+	})
 	sort.Slice(out, func(i, j int) bool { return out[i].ID() < out[j].ID() })
 	return out
 }

@@ -2,7 +2,7 @@ package cluster
 
 import (
 	"fmt"
-	"io"
+	"log/slog"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -26,9 +26,10 @@ type CoordinatorOptions struct {
 	// Fleet is the base fleet tuning (machines per app, pace, timeout,
 	// telemetry registry, ...). Remote, Store, and ListenAddr are owned
 	// by the coordinator and overwritten. The coordinator's endpoint
-	// serves Fleet.Telemetry, Tracer, Journal and Overhead, and mounts
-	// pprof when Fleet.Pprof is set; its lease lifecycle events go to
-	// Fleet.Journal.
+	// serves Fleet.Telemetry, Tracer and Overhead, the event ring
+	// behind Fleet.Logger (if any), and mounts pprof when Fleet.Pprof
+	// is set; its lease lifecycle events go to Fleet.Logger with
+	// component=cluster.
 	Fleet fleet.Options
 	// Store is the durable trace archive — required: it is the only
 	// occurrence delivery path to (possibly re-dispatched) nodes.
@@ -46,8 +47,6 @@ type CoordinatorOptions struct {
 	// CheckpointBytes triggers a WAL checkpoint (snapshot + truncate)
 	// once the log exceeds this size (default 256 KB).
 	CheckpointBytes int64
-	// Log receives progress lines.
-	Log io.Writer
 }
 
 // ctlState is a bucket lease's lifecycle:
@@ -133,7 +132,7 @@ type Coordinator struct {
 	server *telemetry.Server
 	reg    *telemetry.Registry
 
-	journal *telemetry.Journal
+	log *slog.Logger // Fleet.Logger with component=cluster
 
 	mu        sync.Mutex
 	ctls      map[bucketAddr]*bucketCtl
@@ -195,7 +194,7 @@ func NewCoordinator(apps []fleet.App, opts CoordinatorOptions) (*Coordinator, er
 		wal:        wal,
 		base:       make(map[string]baseApp, len(apps)),
 		ttl:        opts.TTL,
-		journal:    opts.Fleet.Journal,
+		log:        telemetry.OrDiscard(opts.Fleet.Logger).With("component", "cluster"),
 		ctls:       make(map[bucketAddr]*bucketCtl),
 		nodes:      make(map[string]*nodeSeen),
 		nodeGauges: make(map[string]bool),
@@ -276,8 +275,8 @@ func NewCoordinator(apps []fleet.App, opts CoordinatorOptions) (*Coordinator, er
 		c.recovered++
 	}
 	if recovered.Records > 0 || recovered.Truncated > 0 {
-		c.logf("cluster: WAL recovery: %d records, %d buckets (%d resolved), %d torn bytes truncated",
-			recovered.Records, len(recovered.Buckets), c.countResolvedLocked(), recovered.Truncated)
+		c.log.Info("WAL recovered", "records", recovered.Records, "buckets", len(recovered.Buckets),
+			"resolved", c.countResolvedLocked(), "truncated_bytes", recovered.Truncated)
 	}
 
 	fo := opts.Fleet
@@ -304,19 +303,13 @@ func (c *Coordinator) countResolvedLocked() int {
 	return n
 }
 
-func (c *Coordinator) logf(format string, args ...interface{}) {
-	if c.opts.Log != nil {
-		fmt.Fprintf(c.opts.Log, format+"\n", args...)
-	}
-}
-
 // Start launches the fleet's production half, the wire endpoint, and
 // the lease sweeper.
 func (c *Coordinator) Start() error {
 	srv, err := telemetry.Serve(c.opts.Listen, telemetry.ServerOptions{
 		Registry: c.opts.Fleet.Telemetry,
 		Tracer:   c.opts.Fleet.Tracer,
-		Journal:  c.journal,
+		Events:   telemetry.RingOf(c.opts.Fleet.Logger),
 		Overhead: c.opts.Fleet.Overhead,
 		Timeline: func() interface{} { return c.Timelines() },
 		Pprof:    c.opts.Fleet.Pprof,
@@ -338,7 +331,7 @@ func (c *Coordinator) Start() error {
 	}
 	c.wg.Add(1)
 	go c.sweeper()
-	c.logf("cluster: coordinator on http://%s (TTL %v)", srv.Addr(), c.ttl)
+	c.log.Info("coordinator up", "url", "http://"+srv.Addr(), "ttl", c.ttl.String())
 	return nil
 }
 
@@ -415,16 +408,13 @@ func (c *Coordinator) NewBucket(b *fleet.Bucket) {
 		rep := ctl.report
 		c.mu.Unlock()
 		c.fleet.ResolveBucket(b, rep)
-		c.journal.Log(telemetry.LevelInfo, "cluster", "bucket resolved from recovered WAL verdict",
-			telemetry.A("app", addr.App), telemetry.A("key", fmt.Sprintf("%#x", addr.Key)))
-		c.logf("cluster: bucket %s/%#x: resolved from recovered WAL verdict", addr.App, addr.Key)
+		c.log.Info("bucket resolved from recovered WAL verdict", "app", addr.App, "key", hexKey(addr.Key))
 		return
 	}
 	c.enqueueLocked(ctl)
 	c.mu.Unlock()
-	c.journal.Log(telemetry.LevelInfo, "cluster", "bucket ingested",
-		telemetry.A("app", addr.App), telemetry.A("key", fmt.Sprintf("%#x", addr.Key)),
-		telemetry.A("trace", ctl.trace.TraceID.String()))
+	c.log.Info("bucket ingested", "app", addr.App, "key", hexKey(addr.Key),
+		"trace", ctl.trace.TraceID.String())
 }
 
 // Banked wakes any node long-polling for this bucket's next banked
@@ -534,20 +524,14 @@ func (c *Coordinator) sweeper() {
 				T: walExpire, App: ctl.addr.App, Key: ctl.addr.Key,
 				Node: ctl.node, Term: ctl.term,
 			}); err != nil {
-				// Previously a silent log line: a WAL that stops
-				// accepting expiries threatens the fencing invariant,
-				// so it is journaled at error level.
-				c.journal.Log(telemetry.LevelError, "cluster", "wal expire append failed",
-					telemetry.A("app", ctl.addr.App), telemetry.A("key", fmt.Sprintf("%#x", ctl.addr.Key)),
-					telemetry.A("term", ctl.term), telemetry.A("err", err))
-				c.logf("cluster: wal expire: %v", err)
+				// A WAL that stops accepting expiries threatens the
+				// fencing invariant: an error event.
+				c.log.Error("wal expire append failed", "app", ctl.addr.App, "key", hexKey(ctl.addr.Key),
+					"term", ctl.term, "err", err)
 				continue // retried next sweep
 			}
-			c.journal.Log(telemetry.LevelWarn, "cluster", "lease expired; re-dispatching",
-				telemetry.A("app", ctl.addr.App), telemetry.A("key", fmt.Sprintf("%#x", ctl.addr.Key)),
-				telemetry.A("term", ctl.term), telemetry.A("node", ctl.node))
-			c.logf("cluster: lease %s/%#x term %d on %s expired; re-dispatching",
-				ctl.addr.App, ctl.addr.Key, ctl.term, ctl.node)
+			c.log.Warn("lease expired; re-dispatching", "app", ctl.addr.App, "key", hexKey(ctl.addr.Key),
+				"term", ctl.term, "node", ctl.node)
 			ctl.closeLeaseLocked(ctl.term, "expired", now)
 			ctl.eventLocked(now, "expire",
 				telemetry.A("term", ctl.term), telemetry.A("node", ctl.node))
@@ -593,9 +577,7 @@ func (c *Coordinator) checkpointLocked() {
 		state = append(state, rb)
 	}
 	if err := c.wal.Checkpoint(state); err != nil {
-		c.journal.Log(telemetry.LevelError, "cluster", "wal checkpoint failed",
-			telemetry.A("err", err))
-		c.logf("cluster: wal checkpoint: %v", err)
+		c.log.Error("wal checkpoint failed", "err", err)
 	}
 }
 

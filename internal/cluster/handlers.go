@@ -42,13 +42,18 @@ func rejection(format string, args ...interface{}) Status {
 }
 
 // decodeReq parses the body and enforces the protocol version; a
-// false return means the rejection was already written.
-func decodeReq(w http.ResponseWriter, r *http.Request, v interface{}, ver func() int) bool {
+// false return means the rejection was already written and a Warn
+// event emitted.
+func (c *Coordinator) decodeReq(w http.ResponseWriter, r *http.Request, v interface{}, ver func() int) bool {
 	if err := json.NewDecoder(r.Body).Decode(v); err != nil {
+		c.log.Warn("malformed request rejected", "path", r.URL.Path,
+			"coordinator_version", ProtocolVersion, "err", err)
 		http.Error(w, fmt.Sprintf("cluster: bad request: %v", err), http.StatusBadRequest)
 		return false
 	}
 	if got := ver(); got != ProtocolVersion {
+		c.log.Warn("protocol version mismatch rejected", "path", r.URL.Path,
+			"peer_version", got, "coordinator_version", ProtocolVersion)
 		writeJSON(w, rejection("protocol version mismatch: node speaks v%d, coordinator v%d", got, ProtocolVersion))
 		return false
 	}
@@ -69,7 +74,7 @@ func clampWait(millis int64) time.Duration {
 
 func (c *Coordinator) handleLease(w http.ResponseWriter, r *http.Request) {
 	var req LeaseRequest
-	if !decodeReq(w, r, &req, func() int { return req.V }) {
+	if !c.decodeReq(w, r, &req, func() int { return req.V }) {
 		return
 	}
 	c.touchNode(req.Node)
@@ -83,7 +88,8 @@ func (c *Coordinator) handleLease(w http.ResponseWriter, r *http.Request) {
 			return
 		}
 		if ctl != nil {
-			c.logf("cluster: leased %s/%#x term %d to %s", ctl.addr.App, ctl.addr.Key, term, req.Node)
+			c.log.Info("lease granted", "app", ctl.addr.App, "key", hexKey(ctl.addr.Key),
+				"term", term, "node", req.Node)
 			writeJSON(w, LeaseResponse{
 				Status: okStatus(), Granted: true,
 				App: ctl.addr.App, Key: ctl.addr.Key, Sig: ctl.sig,
@@ -117,7 +123,7 @@ func (c *Coordinator) handleLease(w http.ResponseWriter, r *http.Request) {
 // replay reads from it.
 func (c *Coordinator) handleRenew(w http.ResponseWriter, r *http.Request) {
 	var req RenewRequest
-	if !decodeReq(w, r, &req, func() int { return req.V }) {
+	if !c.decodeReq(w, r, &req, func() int { return req.V }) {
 		return
 	}
 	c.touchNode(req.Node)
@@ -155,9 +161,8 @@ func (c *Coordinator) handleRenew(w http.ResponseWriter, r *http.Request) {
 			Node: req.Node, Term: lr.Term, Iterations: lr.Iterations,
 		}); err != nil {
 			// The record carries progress only; the lease stays held.
-			c.journal.Log(telemetry.LevelError, "cluster", "wal renew append failed",
-				telemetry.A("app", lr.App), telemetry.A("key", fmt.Sprintf("%#x", lr.Key)),
-				telemetry.A("term", lr.Term), telemetry.A("err", err))
+			c.log.Error("wal renew append failed", "app", lr.App, "key", hexKey(lr.Key),
+				"term", lr.Term, "err", err)
 			continue
 		}
 		logged = true
@@ -172,7 +177,7 @@ func (c *Coordinator) handleRenew(w http.ResponseWriter, r *http.Request) {
 
 func (c *Coordinator) handleFetch(w http.ResponseWriter, r *http.Request) {
 	var req FetchRequest
-	if !decodeReq(w, r, &req, func() int { return req.V }) {
+	if !c.decodeReq(w, r, &req, func() int { return req.V }) {
 		return
 	}
 	c.touchNode(req.Node)
@@ -206,12 +211,10 @@ func (c *Coordinator) handleFetch(w http.ResponseWriter, r *http.Request) {
 			from = next
 			raw, info, err := c.store.ReadRaw(req.Key, ri.Seq)
 			if err != nil {
-				// Previously a silent log line: an unreadable archive
-				// record means the node's replay skips an occurrence.
-				c.journal.Log(telemetry.LevelWarn, "cluster", "archived occurrence unreadable; skipped",
-					telemetry.A("app", req.App), telemetry.A("key", fmt.Sprintf("%#x", req.Key)),
-					telemetry.A("seq", ri.Seq), telemetry.A("err", err))
-				c.logf("cluster: fetch %s/%#x seq %d: %v", req.App, req.Key, ri.Seq, err)
+				// An unreadable archive record means the node's replay
+				// skips an occurrence.
+				c.log.Warn("archived occurrence unreadable; skipped", "app", req.App, "key", hexKey(req.Key),
+					"seq", ri.Seq, "err", err)
 				continue
 			}
 			writeJSON(w, FetchResponse{
@@ -242,7 +245,7 @@ func (c *Coordinator) handleFetch(w http.ResponseWriter, r *http.Request) {
 
 func (c *Coordinator) handleRollout(w http.ResponseWriter, r *http.Request) {
 	var req RolloutRequest
-	if !decodeReq(w, r, &req, func() int { return req.V }) {
+	if !c.decodeReq(w, r, &req, func() int { return req.V }) {
 		return
 	}
 	c.touchNode(req.Node)
@@ -301,9 +304,8 @@ func (c *Coordinator) handleRollout(w http.ResponseWriter, r *http.Request) {
 	// Attribute the version's recording-set cost to the overhead
 	// accountant's (app, version) ledger cell.
 	c.opts.Fleet.Overhead.SetRecordingCost(req.App, req.Version, req.Sites, req.CostBytes)
-	c.journal.Log(telemetry.LevelInfo, "cluster", "rollout deployed",
-		telemetry.A("app", req.App), telemetry.A("key", fmt.Sprintf("%#x", req.Key)),
-		telemetry.A("version", req.Version), telemetry.A("sites", req.Sites))
+	c.log.Info("rollout deployed", "app", req.App, "key", hexKey(req.Key),
+		"version", req.Version, "sites", req.Sites)
 	if err := c.fleet.Rollout(req.App, mod, req.Version); err != nil {
 		writeJSON(w, RolloutResponse{Status: rejection("%v", err)})
 		return
@@ -313,7 +315,7 @@ func (c *Coordinator) handleRollout(w http.ResponseWriter, r *http.Request) {
 
 func (c *Coordinator) handleResolve(w http.ResponseWriter, r *http.Request) {
 	var req ResolveRequest
-	if !decodeReq(w, r, &req, func() int { return req.V }) {
+	if !c.decodeReq(w, r, &req, func() int { return req.V }) {
 		return
 	}
 	c.touchNode(req.Node)
@@ -363,18 +365,14 @@ func (c *Coordinator) handleResolve(w http.ResponseWriter, r *http.Request) {
 	c.maybeCheckpointLocked()
 	c.mu.Unlock()
 	c.fleet.ResolveBucket(b, req.Report)
-	c.journal.Log(telemetry.LevelInfo, "cluster", "bucket resolved",
-		telemetry.A("app", req.App), telemetry.A("key", fmt.Sprintf("%#x", req.Key)),
-		telemetry.A("node", req.Node), telemetry.A("reproduced", req.Report.Reproduced),
-		telemetry.A("verified", req.Report.Verified))
-	c.logf("cluster: bucket %s/%#x resolved by %s (reproduced=%v verified=%v)",
-		req.App, req.Key, req.Node, req.Report.Reproduced, req.Report.Verified)
+	c.log.Info("bucket resolved", "app", req.App, "key", hexKey(req.Key),
+		"node", req.Node, "reproduced", req.Report.Reproduced, "verified", req.Report.Verified)
 	writeJSON(w, ResolveResponse{Status: okStatus()})
 }
 
 func (c *Coordinator) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	var req SubmitRequest
-	if !decodeReq(w, r, &req, func() int { return req.V }) {
+	if !c.decodeReq(w, r, &req, func() int { return req.V }) {
 		return
 	}
 	if req.Failure == nil {

@@ -2,7 +2,7 @@ package cluster
 
 import (
 	"fmt"
-	"io"
+	"log/slog"
 	"path/filepath"
 	"time"
 
@@ -44,17 +44,16 @@ type HarnessOptions struct {
 	// Telemetry, when set, receives the er_fleet_*/er_cluster_*
 	// series.
 	Telemetry *telemetry.Registry
-	// Journal, when set, receives the coordinator's and fleet's
-	// structured events.
-	Journal *telemetry.Journal
 	// Overhead, when set, is the recording-overhead accountant the
 	// coordinator's machines and rollouts report into.
 	Overhead *telemetry.Overhead
 	// NodeTracers, when true, gives every node its own tracer so
 	// replay span trees ship back and stitch into bucket timelines.
 	NodeTracers bool
-	// Log receives progress lines.
-	Log io.Writer
+	// Logger, when set, receives the coordinator's, fleet's and
+	// nodes' events (the coordinator serves its event ring, if any).
+	// Nil logs nothing.
+	Logger *slog.Logger
 }
 
 // HarnessResult is one multi-node run's outcome.
@@ -104,14 +103,12 @@ func RunHarness(opts HarnessOptions) (*HarnessResult, error) {
 			Pace:           opts.Pace,
 			Timeout:        opts.Timeout,
 			Telemetry:      opts.Telemetry,
-			Journal:        opts.Journal,
 			Overhead:       opts.Overhead,
-			Log:            opts.Log,
+			Logger:         opts.Logger,
 		},
 		Store:   store,
 		WALPath: filepath.Join(opts.Dir, "lease.wal"),
 		TTL:     opts.TTL,
-		Log:     opts.Log,
 	})
 	if err != nil {
 		return nil, err
@@ -132,7 +129,7 @@ func RunHarness(opts HarnessOptions) (*HarnessResult, error) {
 			Apps:        opts.Apps,
 			Workers:     opts.WorkersPerNode,
 			Tracer:      tracer,
-			Log:         opts.Log,
+			Logger:      opts.Logger,
 		})
 		if err == nil {
 			err = n.Start()
@@ -154,9 +151,8 @@ func RunHarness(opts HarnessOptions) (*HarnessResult, error) {
 		killed = opts.KillNode
 		killTimer = time.AfterFunc(opts.KillAfter, func() {
 			victim.Kill()
-			if opts.Log != nil {
-				fmt.Fprintf(opts.Log, "harness: killed node-%d after %v\n", opts.KillNode, opts.KillAfter)
-			}
+			telemetry.OrDiscard(opts.Logger).Warn("node killed", "component", "harness",
+				"node", fmt.Sprintf("node-%d", opts.KillNode), "after", opts.KillAfter.String())
 		})
 	}
 

@@ -4,7 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"io"
+	"log/slog"
 	"runtime"
 	"sync"
 	"sync/atomic"
@@ -37,8 +37,11 @@ type NodeOptions struct {
 	// resolution. Nil disables span shipping (timelines still render
 	// from coordinator-side events alone).
 	Tracer *telemetry.Tracer
-	// Log receives progress lines.
-	Log io.Writer
+	// Logger receives the node's events with component=node and the
+	// node's name, and each leased bucket pipeline's iteration events
+	// with component=core and the bucket's app and key. Nil logs
+	// nothing.
+	Logger *slog.Logger
 }
 
 // Node is a remote triage worker: it leases buckets from the
@@ -50,6 +53,7 @@ type NodeOptions struct {
 // holds.
 type Node struct {
 	opts   NodeOptions
+	log    *slog.Logger // opts.Logger with component=node
 	client *Client
 	apps   map[string]fleet.App
 	runner *fleet.Runner
@@ -94,8 +98,10 @@ func NewNode(opts NodeOptions) (*Node, error) {
 	if opts.Workers <= 0 {
 		opts.Workers = 2
 	}
+	opts.Logger = telemetry.OrDiscard(opts.Logger)
 	n := &Node{
 		opts:   opts,
+		log:    opts.Logger.With("component", "node", "node", opts.Name),
 		client: NewClient(opts.Coordinator, opts.Name),
 		apps:   make(map[string]fleet.App, len(opts.Apps)),
 		runner: fleet.NewRunner(),
@@ -106,12 +112,6 @@ func NewNode(opts NodeOptions) (*Node, error) {
 		n.apps[a.Name] = a
 	}
 	return n, nil
-}
-
-func (n *Node) logf(format string, args ...interface{}) {
-	if n.opts.Log != nil {
-		fmt.Fprintf(n.opts.Log, "node %s: "+format+"\n", append([]interface{}{n.opts.Name}, args...)...)
-	}
 }
 
 // Start launches the lease loop and the pipeline workers.
@@ -173,7 +173,7 @@ func (n *Node) leaser() {
 		}
 		if err != nil || !resp.OK {
 			if err != nil {
-				n.logf("lease: %v", err)
+				n.log.Warn("lease request failed", "err", err)
 			}
 			select {
 			case <-n.ctx.Done():
@@ -204,7 +204,7 @@ func (n *Node) accept(g *LeaseResponse) *lease {
 	if !ok {
 		// Misconfigured node: let the lease expire so a properly
 		// configured survivor inherits the bucket.
-		n.logf("leased %s/%#x but have no module for app %q; abandoning", g.App, g.Key, g.App)
+		n.log.Error("leased a bucket of an app without a module; abandoning", "app", g.App, "key", hexKey(g.Key))
 		return nil
 	}
 	ttl := time.Duration(g.TTLMillis) * time.Millisecond
@@ -277,7 +277,7 @@ func (n *Node) renew() {
 			err = errors.New(resp.Err)
 		}
 		if n.ctx.Err() == nil {
-			n.logf("renew: %v", err)
+			n.log.Warn("renew failed", "err", err)
 		}
 		return
 	}
@@ -292,7 +292,7 @@ func (n *Node) renew() {
 		n.mu.Unlock()
 		if l != nil && l.grant.Term == ref.Term {
 			n.lost.Add(1)
-			n.logf("lease %s/%#x term %d lost", ref.App, ref.Key, ref.Term)
+			n.log.Warn("lease lost", "app", ref.App, "key", hexKey(ref.Key), "term", ref.Term)
 			l.drop()
 		}
 	}
@@ -357,7 +357,7 @@ func (l *lease) Start() *core.Pipeline {
 	n, g := l.n, l.grant
 	l.replay = n.opts.Tracer.StartRemote("replay", g.Trace,
 		telemetry.A("node", n.opts.Name), telemetry.A("app", g.App),
-		telemetry.A("key", fmt.Sprintf("%#x", g.Key)), telemetry.A("term", g.Term))
+		telemetry.A("key", hexKey(g.Key)), telemetry.A("term", g.Term))
 	l.shipSpan()
 	p, err := core.NewPipeline(core.Config{
 		Module:     l.app.Module,
@@ -365,13 +365,13 @@ func (l *lease) Start() *core.Pipeline {
 		Symex:      l.app.Symex,
 		Tracer:     n.opts.Tracer,
 		ParentSpan: l.replay,
-		Log:        n.opts.Log,
+		Logger:     n.opts.Logger.With("node", n.opts.Name, "app", g.App, "key", hexKey(g.Key)),
 	})
 	if err != nil {
 		// A broken pipeline config is permanent for this node-app
 		// pair; resolving as failed beats leaving the bucket to ping
 		// between equally broken nodes forever.
-		n.logf("pipeline for %s: %v", g.App, err)
+		n.log.Error("pipeline not built", "app", g.App, "key", hexKey(g.Key), "err", err)
 		l.Resolve(&core.Report{Failure: g.Sig, FailReason: err.Error()})
 		return nil
 	}
@@ -400,14 +400,14 @@ func (l *lease) Next(version int) (*core.Occurrence, error) {
 			fr, err = n.client.Fetch(l.ctx, g.App, g.Key, g.Term, l.after, version, 0)
 			if err != nil {
 				if l.ctx.Err() == nil {
-					n.logf("fetch %s/%#x: %v", g.App, g.Key, err)
+					n.log.Warn("fetch failed", "app", g.App, "key", hexKey(g.Key), "err", err)
 				}
 				return nil, nil // park; the long-poll retries
 			}
 		}
 		if !fr.OK {
 			n.lost.Add(1)
-			n.logf("lease %s/%#x term %d fenced during fetch: %s", g.App, g.Key, g.Term, fr.Err)
+			n.log.Warn("lease fenced during fetch", "app", g.App, "key", hexKey(g.Key), "term", g.Term, "err", fr.Err)
 			l.drop()
 			return nil, errLeaseLost
 		}
@@ -419,7 +419,8 @@ func (l *lease) Next(version int) (*core.Occurrence, error) {
 		l.after = fr.Seq + 1
 		occ, err := occurrenceFromFetch(g.Sig, fr)
 		if err != nil {
-			n.logf("decode %s/%#x seq %d: %v", g.App, g.Key, fr.Seq, err)
+			n.log.Warn("fetched occurrence undecodable; skipped", "app", g.App, "key", hexKey(g.Key),
+				"seq", fr.Seq, "err", err)
 			continue
 		}
 		return occ, nil
@@ -454,7 +455,7 @@ func (l *lease) poll() {
 		fr, err := n.client.Fetch(l.ctx, g.App, g.Key, g.Term, l.after, l.version, maxPollWait)
 		if err != nil {
 			if l.ctx.Err() == nil {
-				n.logf("fetch %s/%#x: %v", g.App, g.Key, err)
+				n.log.Warn("fetch failed", "app", g.App, "key", hexKey(g.Key), "err", err)
 				select {
 				case <-l.ctx.Done():
 				case <-time.After(100 * time.Millisecond):
@@ -472,7 +473,7 @@ func (l *lease) poll() {
 
 func (l *lease) Fed(_ *core.Pipeline, err error) {
 	if err != nil {
-		l.n.logf("pipeline %s/%#x: %v", l.grant.App, l.grant.Key, err)
+		l.n.log.Error("pipeline failed", "app", l.grant.App, "key", hexKey(l.grant.Key), "err", err)
 	}
 	l.shipSpan()
 }
@@ -501,13 +502,14 @@ func (l *lease) shipRollout(req *RolloutRequest) bool {
 	}
 	resp, err := n.client.Rollout(req)
 	if err != nil {
-		n.logf("rollout %s/%#x v%d: %v", g.App, g.Key, req.Version, err)
+		n.log.Warn("rollout failed; dropping lease", "app", g.App, "key", hexKey(g.Key),
+			"version", req.Version, "err", err)
 		l.drop()
 		return false
 	}
 	if !resp.OK {
 		n.lost.Add(1)
-		n.logf("lease %s/%#x term %d fenced during rollout: %s", g.App, g.Key, g.Term, resp.Err)
+		n.log.Warn("lease fenced during rollout", "app", g.App, "key", hexKey(g.Key), "term", g.Term, "err", resp.Err)
 		l.drop()
 		return false
 	}
@@ -544,17 +546,17 @@ func (l *lease) resolve(rep *core.Report, span *telemetry.SpanSnapshot) {
 		App: g.App, Key: g.Key, Term: g.Term, Report: rep, Span: span,
 	})
 	if err != nil {
-		n.logf("resolve %s/%#x: %v", g.App, g.Key, err)
+		n.log.Warn("resolve failed", "app", g.App, "key", hexKey(g.Key), "err", err)
 		return
 	}
 	if !resp.OK {
 		n.lost.Add(1)
-		n.logf("lease %s/%#x term %d fenced during resolve: %s", g.App, g.Key, g.Term, resp.Err)
+		n.log.Warn("lease fenced during resolve", "app", g.App, "key", hexKey(g.Key), "term", g.Term, "err", resp.Err)
 		return
 	}
 	n.resolved.Add(1)
-	n.logf("resolved %s/%#x (reproduced=%v verified=%v, %d iterations)",
-		g.App, g.Key, rep.Reproduced, rep.Verified, len(rep.Iterations))
+	n.log.Info("bucket resolved", "app", g.App, "key", hexKey(g.Key),
+		"reproduced", rep.Reproduced, "verified", rep.Verified, "iterations", len(rep.Iterations))
 }
 
 // chainOf extracts the accumulated instrumentation-site chain from a

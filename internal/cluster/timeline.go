@@ -136,7 +136,7 @@ func (ctl *bucketCtl) timelineLocked(now time.Time) BucketTimeline {
 		SpanID:  ctl.trace.SpanID.String(),
 		Attrs: map[string]string{
 			"app":   ctl.addr.App,
-			"key":   fmt.Sprintf("%#x", ctl.addr.Key),
+			"key":   hexKey(ctl.addr.Key),
 			"state": ctl.state.String(),
 		},
 	}

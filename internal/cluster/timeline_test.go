@@ -5,6 +5,7 @@ import (
 	"context"
 	"encoding/json"
 	"fmt"
+	"log/slog"
 	"net/http"
 	"path/filepath"
 	"strings"
@@ -88,8 +89,10 @@ func TestWireTraceContextRoundTrip(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer store.Close()
+	ring := telemetry.NewEventRing(nil, nil)
 	coord, err := NewCoordinator(apps, CoordinatorOptions{
-		Fleet:   fleet.Options{MachinesPerApp: 1, Pace: 50 * time.Microsecond, Timeout: 60 * time.Second},
+		Fleet: fleet.Options{MachinesPerApp: 1, Pace: 50 * time.Microsecond, Timeout: 60 * time.Second,
+			Logger: slog.New(ring)},
 		Store:   store,
 		WALPath: filepath.Join(dir, "lease.wal"),
 	})
@@ -196,6 +199,21 @@ func TestWireTraceContextRoundTrip(t *testing.T) {
 	if rr2.OK || !strings.Contains(rr2.Err, "protocol version") {
 		t.Errorf("version mismatch response = %+v", rr2)
 	}
+	// The rejection is one Warn event naming both versions.
+	var skews []map[string]any
+	for _, line := range ring.Recent(slog.LevelWarn, 0) {
+		var rec map[string]any
+		if err := json.Unmarshal(line, &rec); err != nil {
+			t.Fatal(err)
+		}
+		if rec["peer_version"] != nil {
+			skews = append(skews, rec)
+		}
+	}
+	if len(skews) != 1 || skews[0]["level"] != "WARN" || skews[0]["path"] != PathRenew ||
+		skews[0]["peer_version"] != float64(ProtocolVersion+1) || skews[0]["coordinator_version"] != float64(ProtocolVersion) {
+		t.Errorf("version-skew events = %v, want one Warn naming both versions", skews)
+	}
 }
 
 // TestClusterTimelineStitching runs the three-app mix across two
@@ -204,8 +222,9 @@ func TestWireTraceContextRoundTrip(t *testing.T) {
 // on it.
 func TestClusterTimelineStitching(t *testing.T) {
 	apps := testApps(t)
-	journal := telemetry.NewJournal(telemetry.JournalOptions{})
-	overhead := telemetry.NewOverhead(telemetry.OverheadOptions{Journal: journal})
+	ring := telemetry.NewEventRing(nil, nil)
+	log := slog.New(ring)
+	overhead := telemetry.NewOverhead(telemetry.OverheadOptions{Logger: log})
 	res, err := RunHarness(HarnessOptions{
 		Apps:           apps,
 		Nodes:          2,
@@ -214,7 +233,7 @@ func TestClusterTimelineStitching(t *testing.T) {
 		MachinesPerApp: 2,
 		Pace:           50 * time.Microsecond,
 		Timeout:        90 * time.Second,
-		Journal:        journal,
+		Logger:         log,
 		Overhead:       overhead,
 		NodeTracers:    true,
 	})
@@ -239,9 +258,9 @@ func TestClusterTimelineStitching(t *testing.T) {
 			}
 		}
 	}
-	// The journal saw the lifecycle, and the accountant saw production.
-	if journal.Emitted() == 0 {
-		t.Error("journal saw no events")
+	// The ring saw the lifecycle, and the accountant saw production.
+	if c := ring.Counts(); c[1] == 0 {
+		t.Errorf("event ring saw no info events: %v", c)
 	}
 	var accounted uint64
 	for _, row := range overhead.Snapshot() {

@@ -146,6 +146,9 @@ type bucketAddr struct {
 	Key uint64
 }
 
+// hexKey renders a signature key the way events and timelines print it.
+func hexKey(k uint64) string { return fmt.Sprintf("%#x", k) }
+
 // WAL is the coordinator's write-ahead lease/commit log. All methods
 // are safe for concurrent use.
 type WAL struct {

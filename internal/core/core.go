@@ -15,7 +15,7 @@ package core
 
 import (
 	"fmt"
-	"io"
+	"log/slog"
 	"time"
 
 	"execrecon/internal/ir"
@@ -73,8 +73,10 @@ type Config struct {
 	// failure is observed multiple times"). Untraced failures count
 	// toward Occurrences but yield no trace to analyze.
 	DeferTracing int
-	// Log, when set, receives progress lines.
-	Log io.Writer
+	// Logger, when set, receives the loop's iteration events (nil
+	// logs nothing). Drivers running many pipelines attach the
+	// bucket's labels to it.
+	Logger *slog.Logger
 	// RandomSelection replaces key data value selection with a
 	// same-budget random choice — the §5.2 baseline.
 	RandomSelection bool
@@ -177,12 +179,6 @@ func (r *Report) RecordingSet() (sites int, costBytes int64) {
 		}
 	}
 	return sites, costBytes
-}
-
-func (c *Config) logf(format string, args ...interface{}) {
-	if c.Log != nil {
-		fmt.Fprintf(c.Log, format+"\n", args...)
-	}
 }
 
 // Reproduce runs the ER loop to completion: it awaits reoccurrences

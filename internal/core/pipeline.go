@@ -10,6 +10,7 @@ package core
 
 import (
 	"fmt"
+	"log/slog"
 	"time"
 
 	"execrecon/internal/dataflow"
@@ -27,6 +28,7 @@ import (
 // drive each Pipeline from a single goroutine.
 type Pipeline struct {
 	cfg Config
+	log *slog.Logger
 
 	deployed *ir.Module
 	version  int // increments on each re-instrumentation
@@ -86,6 +88,7 @@ func NewPipeline(cfg Config) (*Pipeline, error) {
 	}
 	p := &Pipeline{
 		cfg:       cfg,
+		log:       telemetry.OrDiscard(cfg.Logger).With("component", "core"),
 		deployed:  cfg.Module,
 		rep:       &Report{},
 		deferLeft: cfg.DeferTracing,
@@ -185,7 +188,7 @@ func (p *Pipeline) Feed(occ *Occurrence) (bool, error) {
 	// Deferred-tracing phase: observe, count, do not analyze.
 	if p.deferLeft > 0 {
 		p.deferLeft--
-		p.cfg.logf("untraced occurrence %d observed; tracing still deferred", p.rep.Occurrences)
+		p.log.Info("untraced occurrence observed; tracing still deferred", "occurrence", p.rep.Occurrences)
 		return false, nil
 	}
 	if !occ.traced() {
@@ -273,13 +276,13 @@ func (p *Pipeline) Feed(occ *Occurrence) (bool, error) {
 		if p.rep.Verified {
 			p.tel.verified().Inc()
 		}
-		p.cfg.logf("iteration %d: reproduced after %d occurrence(s); verified=%v",
-			p.iters+1, p.rep.Occurrences, p.rep.Verified)
+		p.log.Info("reproduced", "iteration", p.iters+1,
+			"occurrences", p.rep.Occurrences, "verified", p.rep.Verified)
 		p.done = true
 		return true, nil
 
 	case symex.StatusStalled:
-		p.cfg.logf("iteration %d: stalled (%s); selecting key data values", p.iters+1, sres.StallReason)
+		p.log.Info("stalled; selecting key data values", "iteration", p.iters+1, "reason", sres.StallReason)
 		p.tel.iterations().Inc()
 		p.tel.stalls().Inc()
 		var sites []symex.SiteKey
@@ -328,8 +331,7 @@ func (p *Pipeline) Feed(occ *Occurrence) (bool, error) {
 		p.tel.instrument().Observe(time.Since(inStart).Seconds())
 		inSpan.SetAttr("version", p.version)
 		inSpan.End()
-		p.cfg.logf("iteration %d: instrumenting %d site(s), cost %d bytes/occurrence",
-			p.iters+1, len(sites), cost)
+		p.log.Info("instrumenting", "iteration", p.iters+1, "sites", len(sites), "cost_bytes", cost)
 		p.iters++
 		if p.iters >= p.cfg.MaxIterations {
 			p.rep.FailReason = fmt.Sprintf("not reproduced within %d iterations", p.cfg.MaxIterations)

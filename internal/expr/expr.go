@@ -217,7 +217,12 @@ func (e *Expr) Size() int {
 
 // Walk calls fn for every distinct node reachable from e, parents
 // before children.
-func Walk(e *Expr, fn func(*Expr)) {
+func Walk(e *Expr, fn func(*Expr)) { WalkAll([]*Expr{e}, fn) }
+
+// WalkAll calls fn once for every distinct node reachable from any of
+// roots, parents before children: subterms shared between roots are
+// visited once.
+func WalkAll(roots []*Expr, fn func(*Expr)) {
 	seen := make(map[*Expr]bool)
 	var walk func(*Expr)
 	walk = func(x *Expr) {
@@ -230,5 +235,7 @@ func Walk(e *Expr, fn func(*Expr)) {
 			walk(a)
 		}
 	}
-	walk(e)
+	for _, e := range roots {
+		walk(e)
+	}
 }

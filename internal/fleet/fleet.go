@@ -3,7 +3,7 @@ package fleet
 import (
 	"context"
 	"fmt"
-	"io"
+	"log/slog"
 	"os"
 	"runtime"
 	"sync"
@@ -94,10 +94,13 @@ type Options struct {
 	// reoccurrence-wait children. Recent finished trees are exposed on
 	// the introspection endpoint's /debug/er.
 	Tracer *telemetry.Tracer
-	// Journal, when set, receives the fleet's structured events —
-	// archive failures that were previously silent log lines — and
-	// backs the introspection endpoint's /debug/er/events drain.
-	Journal *telemetry.Journal
+	// Logger, when set, receives the fleet's events (new buckets,
+	// rollouts, archive failures) with component=fleet, and each
+	// bucket pipeline's iteration events with component=core and the
+	// bucket's app and id. When its handler is a
+	// *telemetry.EventRing, the introspection endpoint serves that
+	// ring at /debug/er/events. Nil logs nothing.
+	Logger *slog.Logger
 	// Overhead, when set, is the recording-overhead accountant: every
 	// production machine reports its run wall times to it (attributed
 	// by app and deployment version), rollouts attribute their
@@ -114,8 +117,6 @@ type Options struct {
 	// Pprof additionally mounts net/http/pprof handlers on the
 	// introspection endpoint (/debug/pprof/...).
 	Pprof bool
-	// Log receives progress lines when set.
-	Log io.Writer
 }
 
 // Ingest sizing: shard count and per-shard capacity. A full shard
@@ -128,6 +129,7 @@ const (
 
 func (o *Options) withDefaults() Options {
 	v := *o
+	v.Logger = telemetry.OrDiscard(v.Logger)
 	if v.Workers <= 0 {
 		v.Workers = runtime.GOMAXPROCS(0)
 	}
@@ -182,6 +184,7 @@ func (l localTriage) Banked(b *Bucket, _ uint64) { l.f.runner.Wake(&b.Job) }
 // together.
 type Fleet struct {
 	opts   Options
+	log    *slog.Logger // opts.Logger with component=fleet
 	apps   []App
 	byName map[string]*appGroup
 
@@ -243,6 +246,7 @@ func New(apps []App, opts Options) (*Fleet, error) {
 	o := opts.withDefaults()
 	f := &Fleet{
 		opts:      o,
+		log:       o.Logger.With("component", "fleet"),
 		apps:      apps,
 		byName:    make(map[string]*appGroup, len(apps)),
 		ingest:    NewIngest(ingestShards, ingestQueueCap),
@@ -305,12 +309,6 @@ func New(apps []App, opts Options) (*Fleet, error) {
 	return f, nil
 }
 
-func (f *Fleet) logf(format string, args ...interface{}) {
-	if f.opts.Log != nil {
-		fmt.Fprintf(f.opts.Log, format+"\n", args...)
-	}
-}
-
 // Start spins up the producer machines, the triage drainers (one per
 // ingest shard), and the scheduler worker pool.
 func (f *Fleet) Start() error {
@@ -338,7 +336,7 @@ func (f *Fleet) Start() error {
 		srv, err := telemetry.Serve(f.opts.ListenAddr, telemetry.ServerOptions{
 			Registry: f.opts.Telemetry,
 			Tracer:   f.opts.Tracer,
-			Journal:  f.opts.Journal,
+			Events:   telemetry.RingOf(f.opts.Logger),
 			Overhead: f.opts.Overhead,
 			Debug:    func() interface{} { return f.Snapshot() },
 			Pprof:    f.opts.Pprof,
@@ -349,7 +347,7 @@ func (f *Fleet) Start() error {
 			return fmt.Errorf("fleet: introspection endpoint: %w", err)
 		}
 		f.server = srv
-		f.logf("fleet: introspection endpoint on http://%s (/metrics, /debug/er)", srv.Addr())
+		f.log.Info("introspection endpoint up", "url", "http://"+srv.Addr())
 	}
 
 	for s := 0; s < f.ingest.Shards(); s++ {
@@ -400,16 +398,14 @@ func (f *Fleet) admit(msg *prod.TraceMsg) {
 		Seed: msg.Seed, Instrs: msg.Instrs,
 	}, msg.Ring)
 	if isNew {
-		f.logf("fleet: new failure bucket %d (%s): %v", b.ID, b.App, b.Sig)
+		f.log.Info("new failure bucket", "app", b.App, "bucket", b.ID, "sig", b.Sig.Error())
 		f.triage.NewBucket(b)
 	}
 	if err != nil {
 		// The archive is the only delivery path, so a failed append
-		// loses the occurrence — journal it at error level.
+		// loses the occurrence — an error event.
 		b.badDrops.Add(1)
-		f.opts.Journal.Log(telemetry.LevelError, "fleet", "archive append failed; occurrence lost",
-			telemetry.A("app", b.App), telemetry.A("bucket", b.ID), telemetry.A("err", err))
-		f.logf("fleet: bucket %d (%s): archive append: %v", b.ID, b.App, err)
+		f.log.Error("archive append failed; occurrence lost", "app", b.App, "bucket", b.ID, "err", err)
 		return
 	}
 	f.triage.Banked(b, seq)
@@ -434,7 +430,7 @@ func (a archiveFeed) Start() *core.Pipeline {
 	f, b := a.f, a.b
 	g := f.byName[b.App]
 	if g == nil {
-		f.logf("fleet: bucket %d names unknown app %q; abandoning", b.ID, b.App)
+		f.log.Error("bucket names an unknown app; abandoning", "app", b.App, "bucket", b.ID)
 		f.ResolveBucket(b, &core.Report{Failure: b.Sig, FailReason: fmt.Sprintf("fleet: unknown app %q", b.App)})
 		return nil
 	}
@@ -444,10 +440,10 @@ func (a archiveFeed) Start() *core.Pipeline {
 		Symex:     g.app.Symex,
 		Telemetry: f.opts.Telemetry,
 		Tracer:    f.opts.Tracer,
-		Log:       f.opts.Log,
+		Logger:    f.opts.Logger.With("app", b.App, "bucket", b.ID),
 	})
 	if err != nil {
-		f.logf("fleet: bucket %d (%s): %v", b.ID, b.App, err)
+		f.log.Error("pipeline not built", "app", b.App, "bucket", b.ID, "err", err)
 		f.ResolveBucket(b, &core.Report{Failure: b.Sig, FailReason: err.Error()})
 		return nil
 	}
@@ -492,10 +488,8 @@ func (a archiveFeed) Next(version int) (*core.Occurrence, error) {
 			r, err := f.store.OpenEvents(b.key, info.Seq)
 			if err != nil {
 				b.badDrops.Add(1)
-				f.opts.Journal.Log(telemetry.LevelWarn, "fleet", "archived occurrence unreadable; dropped",
-					telemetry.A("app", b.App), telemetry.A("bucket", b.ID),
-					telemetry.A("seq", info.Seq), telemetry.A("err", err))
-				f.logf("fleet: bucket %d (%s): record %d unreadable: %v", b.ID, b.App, info.Seq, err)
+				f.log.Warn("archived occurrence unreadable; dropped",
+					"app", b.App, "bucket", b.ID, "seq", info.Seq, "err", err)
 				continue
 			}
 			occ.Events = r
@@ -509,7 +503,7 @@ func (archiveFeed) Parked() {}
 
 func (a archiveFeed) Fed(_ *core.Pipeline, err error) {
 	if err != nil {
-		a.f.logf("fleet: bucket %d (%s): pipeline: %v", a.b.ID, a.b.App, err)
+		a.f.log.Error("pipeline failed", "app", a.b.App, "bucket", a.b.ID, "err", err)
 	}
 }
 
@@ -537,7 +531,7 @@ func (f *Fleet) Rollout(app string, mod *ir.Module, version int) error {
 	for _, m := range g.machines {
 		m.Deploy(dep)
 	}
-	f.logf("fleet: app %s: rolled out instrumented deployment v%d", app, version)
+	f.log.Info("rolled out instrumented deployment", "app", app, "version", version)
 	return nil
 }
 

@@ -4,6 +4,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"log/slog"
 	"net/http"
 	"strings"
 	"sync"
@@ -241,4 +242,52 @@ func grepLines(s, substr string) string {
 		}
 	}
 	return strings.Join(out, "\n")
+}
+
+// TestFleetLoggerLabelsBuckets runs two buckets on two workers into
+// one event ring and requires every core iteration event to carry its
+// bucket's app and id, so interleaved buckets stay apart.
+func TestFleetLoggerLabelsBuckets(t *testing.T) {
+	all := testApps(t)
+	apps := []App{all[0], all[2]} // alpha reproduces at once; gamma stalls first
+	ring := telemetry.NewEventRing(nil, nil)
+	res, err := Run(apps, Options{
+		Workers:        2,
+		MachinesPerApp: 2,
+		Pace:           50 * time.Microsecond,
+		Timeout:        60 * time.Second,
+		Logger:         slog.New(ring),
+	})
+	if err != nil {
+		t.Fatalf("Run: %v", err)
+	}
+	ids := map[string]float64{}
+	for _, b := range res.Buckets {
+		ids[b.App] = float64(b.ID)
+	}
+	events := map[string]int{}
+	for _, line := range ring.Recent(slog.LevelDebug, 0) {
+		var rec map[string]any
+		if err := json.Unmarshal(line, &rec); err != nil {
+			t.Fatal(err)
+		}
+		if rec["component"] != "core" {
+			continue
+		}
+		app, _ := rec["app"].(string)
+		if id, ok := ids[app]; !ok || rec["bucket"] != id {
+			t.Errorf("iteration event without its bucket's labels: %s", line)
+		}
+		events[app]++
+	}
+	// One event per reproducing iteration, two (stalled, instrumenting)
+	// per stalled one.
+	for _, b := range res.Buckets {
+		if want := 2*len(b.Report.Iterations) - 1; events[b.App] != want {
+			t.Errorf("%s: %d iteration events, want %d", b.App, events[b.App], want)
+		}
+	}
+	if len(res.Buckets[0].Report.Iterations)+len(res.Buckets[1].Report.Iterations) < 3 {
+		t.Errorf("no bucket stalled: %+v", res.Buckets)
+	}
 }

@@ -4,6 +4,7 @@ import (
 	"context"
 	"encoding/json"
 	"fmt"
+	"log/slog"
 	"net"
 	"net/http"
 	"net/http/pprof"
@@ -23,10 +24,10 @@ type ServerOptions struct {
 	// is embedded as the "state" section — the hook fleet uses to dump
 	// per-bucket pipeline state.
 	Debug func() interface{}
-	// Journal backs /debug/er/events (JSONL drain, ?level= and ?n=
-	// filters) and the "events" summary of /debug/er. Nil serves an
+	// Events backs /debug/er/events (JSONL drain, ?level= and ?n=
+	// filters) and the "events" counts of /debug/er. Nil serves an
 	// empty drain.
-	Journal *Journal
+	Events *EventRing
 	// Overhead, when set, embeds the recording-overhead ledger as the
 	// "overhead" section of /debug/er — including the per-version
 	// over-budget flags the SLO gate latches.
@@ -71,8 +72,8 @@ func NewHandler(opts ServerOptions) http.Handler {
 		if opts.Debug != nil {
 			payload.State = opts.Debug()
 		}
-		if opts.Journal != nil {
-			counts := opts.Journal.Counts()
+		if opts.Events != nil {
+			counts := opts.Events.Counts()
 			payload.Events = &counts
 		}
 		if opts.Overhead != nil {
@@ -85,14 +86,12 @@ func NewHandler(opts ServerOptions) http.Handler {
 		}
 	})
 	mux.HandleFunc("/debug/er/events", func(w http.ResponseWriter, r *http.Request) {
-		min := LevelDebug
+		min := slog.LevelDebug
 		if s := r.URL.Query().Get("level"); s != "" {
-			l, err := ParseLevel(s)
-			if err != nil {
+			if err := min.UnmarshalText([]byte(s)); err != nil {
 				http.Error(w, err.Error(), http.StatusBadRequest)
 				return
 			}
-			min = l
 		}
 		max := 0
 		if s := r.URL.Query().Get("n"); s != "" {
@@ -104,7 +103,11 @@ func NewHandler(opts ServerOptions) http.Handler {
 			max = v
 		}
 		w.Header().Set("Content-Type", "application/x-ndjson")
-		_ = WriteJSONL(w, opts.Journal.Recent(min, max))
+		if opts.Events != nil {
+			for _, line := range opts.Events.Recent(min, max) {
+				w.Write(line) //nolint:errcheck // a gone client ends the drain
+			}
+		}
 	})
 	mux.HandleFunc("/debug/er/timeline", func(w http.ResponseWriter, _ *http.Request) {
 		w.Header().Set("Content-Type", "application/json")

@@ -2,7 +2,9 @@ package telemetry
 
 import (
 	"encoding/json"
+	"fmt"
 	"io"
+	"log/slog"
 	"net/http"
 	"net/http/httptest"
 	"runtime"
@@ -234,5 +236,73 @@ func TestServeCloseNoGoroutineLeak(t *testing.T) {
 				baseline, runtime.NumGoroutine(), buf[:n])
 		}
 		time.Sleep(10 * time.Millisecond)
+	}
+}
+
+func TestHandlerEventsEndpoint(t *testing.T) {
+	ring := NewEventRing(slog.LevelDebug, nil)
+	log := slog.New(ring).With("component", "c")
+	log.Debug("d")
+	log.Info("i")
+	log.Warn("w1")
+	log.Error("e")
+	log.Warn("w2")
+	srv := httptest.NewServer(NewHandler(ServerOptions{Events: ring}))
+	defer srv.Close()
+
+	get := func(query string) (int, []string) {
+		t.Helper()
+		resp, err := http.Get(srv.URL + "/debug/er/events" + query)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer resp.Body.Close()
+		body, _ := io.ReadAll(resp.Body)
+		if resp.StatusCode != http.StatusOK {
+			return resp.StatusCode, nil
+		}
+		var msgs []string
+		for _, line := range strings.Split(strings.TrimSpace(string(body)), "\n") {
+			var rec struct{ Msg string }
+			if err := json.Unmarshal([]byte(line), &rec); err != nil {
+				t.Fatalf("drain line %q: %v", line, err)
+			}
+			msgs = append(msgs, rec.Msg)
+		}
+		return resp.StatusCode, msgs
+	}
+	for _, c := range []struct {
+		query string
+		want  string
+	}{
+		{"", "[d i w1 e w2]"},
+		{"?level=warn", "[w1 e w2]"},
+		{"?level=ERROR", "[e]"},
+		{"?n=2", "[e w2]"},
+		{"?level=warn&n=2", "[e w2]"},
+	} {
+		if code, msgs := get(c.query); code != http.StatusOK || fmt.Sprint(msgs) != c.want {
+			t.Errorf("GET %q = %d %v, want %s", c.query, code, msgs, c.want)
+		}
+	}
+	for _, q := range []string{"?level=bogus", "?level=warning", "?n=-1", "?n=x"} {
+		if code, _ := get(q); code != http.StatusBadRequest {
+			t.Errorf("GET %q = %d, want 400", q, code)
+		}
+	}
+
+	resp, err := http.Get(srv.URL + "/debug/er")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	var payload struct {
+		Events *[4]uint64 `json:"events"`
+	}
+	if err := json.NewDecoder(resp.Body).Decode(&payload); err != nil {
+		t.Fatal(err)
+	}
+	if payload.Events == nil || *payload.Events != [4]uint64{1, 1, 2, 1} {
+		t.Errorf("/debug/er events = %v, want [1 1 2 1]", payload.Events)
 	}
 }

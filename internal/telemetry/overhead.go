@@ -2,6 +2,7 @@ package telemetry
 
 import (
 	"fmt"
+	"log/slog"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -15,8 +16,8 @@ import (
 // the version (reported at rollout) — and enforces the paper's
 // deployability budget as an SLO: when an instrumented version's mean
 // run time exceeds the uninstrumented (version 0) baseline by more
-// than the configured percentage, the accountant raises a
-// LevelError journal alert once per (app, version) and latches an
+// than the configured percentage, the accountant raises an
+// Error event once per (app, version) and latches an
 // OverBudget flag the /debug/er endpoint surfaces.
 //
 // All methods are nil-receiver safe; RecordRun is the hot path (one
@@ -35,8 +36,8 @@ type OverheadOptions struct {
 	// baseline, in percent. <= 0 disables the gate (accounting still
 	// runs).
 	BudgetPct float64
-	// Journal receives the budget-breach alerts.
-	Journal *Journal
+	// Logger receives the budget-breach alerts (nil logs nothing).
+	Logger *slog.Logger
 	// Registry, when set, gets the er_overhead_* series registered as
 	// (app, version) cells appear.
 	Registry *Registry
@@ -64,7 +65,7 @@ type overheadKey struct {
 // cost. Construct with NewOverhead.
 type Overhead struct {
 	budget   float64
-	journal  *Journal
+	log      *slog.Logger
 	registry *Registry
 
 	mu       sync.Mutex
@@ -76,7 +77,7 @@ type Overhead struct {
 func NewOverhead(opts OverheadOptions) *Overhead {
 	o := &Overhead{
 		budget:   opts.BudgetPct,
-		journal:  opts.Journal,
+		log:      OrDiscard(opts.Logger).With("component", "overhead"),
 		registry: opts.Registry,
 		cells:    make(map[overheadKey]*overheadCell),
 	}
@@ -196,11 +197,10 @@ func (o *Overhead) RecordRun(app string, version int, traced bool, d time.Durati
 	o.mu.Unlock()
 	if breach {
 		o.breaches.Add(1)
-		o.journal.Log(LevelError, "overhead",
-			"instrumentation version exceeds the recording-overhead budget",
-			A("app", app), A("version", version),
-			A("overhead_pct", fmt.Sprintf("%.2f", pct)),
-			A("budget_pct", fmt.Sprintf("%.2f", o.budget)))
+		o.log.Error("instrumentation version exceeds the recording-overhead budget",
+			"app", app, "version", version,
+			"overhead_pct", fmt.Sprintf("%.2f", pct),
+			"budget_pct", fmt.Sprintf("%.2f", o.budget))
 	}
 }
 

@@ -1,6 +1,7 @@
 package telemetry
 
 import (
+	"log/slog"
 	"testing"
 	"time"
 )
@@ -63,24 +64,24 @@ func TestOverheadMinSamplesGuard(t *testing.T) {
 }
 
 func TestOverheadBudgetGateLatchesOnce(t *testing.T) {
-	j := NewJournal(JournalOptions{})
-	o := NewOverhead(OverheadOptions{BudgetPct: 5, Journal: j})
+	ring := NewEventRing(nil, nil)
+	o := NewOverhead(OverheadOptions{BudgetPct: 5, Logger: slog.New(ring)})
 	feedRuns(o, "app", 0, 32, false, time.Millisecond)
 	feedRuns(o, "app", 1, 32, true, 2*time.Millisecond) // +100% vs +5% budget
 	if o.Breaches() != 1 {
 		t.Fatalf("breaches = %d, want exactly 1 (the gate latches per cell)", o.Breaches())
 	}
 	var alerts int
-	for _, ev := range j.Recent(LevelError, 0) {
-		if ev.Component == "overhead" {
+	for _, ev := range records(t, ring, slog.LevelError) {
+		if ev["component"] == "overhead" {
 			alerts++
-			if ev.Attrs["app"] != "app" || ev.Attrs["version"] != "1" {
-				t.Errorf("alert attrs = %v", ev.Attrs)
+			if ev["app"] != "app" || ev["version"] != 1.0 {
+				t.Errorf("alert attrs = %v", ev)
 			}
 		}
 	}
 	if alerts != 1 {
-		t.Errorf("journal alerts = %d, want 1", alerts)
+		t.Errorf("error alerts = %d, want 1", alerts)
 	}
 	for _, row := range o.Snapshot() {
 		if row.Version == 1 && !row.OverBudget {
