@@ -36,9 +36,6 @@
 //	               the cluster wire protocol as a pure client: submit
 //	               traces into the fleet's ingest path, query triage
 //	               verdicts back out.
-//	-lint          print the advisory dataflow lint findings (dead
-//	               stores, width inconsistencies) to stderr after
-//	               compiling. Findings never change the exit status.
 //	-v             log ER loop progress to stderr.
 //
 // All errors — including a failure that cannot be reproduced and an
@@ -66,7 +63,7 @@ import (
 )
 
 func usage() {
-	fmt.Fprintln(os.Stderr, "usage: er [-store dir] [-replay-store] [-lint] [-v] run|reproduce|constraints <prog.minc> [tag=v1,v2,...]...")
+	fmt.Fprintln(os.Stderr, "usage: er [-store dir] [-replay-store] [-v] run|reproduce|constraints <prog.minc> [tag=v1,v2,...]...")
 	fmt.Fprintln(os.Stderr, "       er -coordinator URL submit <prog.minc> [tag=v1,v2,...]...")
 	fmt.Fprintln(os.Stderr, "       er -coordinator URL verdicts")
 	fmt.Fprintln(os.Stderr, "       er -coordinator URL timeline")
@@ -79,7 +76,6 @@ func main() {
 	replayStore := flag.Bool("replay-store", false, "reproduce from archived records only (requires -store)")
 	metricsAddr := flag.String("metrics-addr", "", "serve live telemetry on this address (/metrics Prometheus text, /debug/er JSON) while the command runs")
 	coordinator := flag.String("coordinator", "", "erd coordinator base URL (enables the submit and verdicts subcommands)")
-	lint := flag.Bool("lint", false, "print advisory dataflow lint findings (dead stores, width mismatches) to stderr")
 	verbose := flag.Bool("v", false, "log ER loop progress to stderr")
 	flag.Usage = usage
 	flag.Parse()
@@ -117,14 +113,9 @@ func main() {
 	if err != nil {
 		fatal(err)
 	}
-	mod, findings, err := er.CompileWithLint(path, string(src))
+	mod, err := er.Compile(path, string(src))
 	if err != nil {
 		fatal(err)
-	}
-	if *lint {
-		for _, f := range findings {
-			fmt.Fprintf(os.Stderr, "er: lint: %s\n", f)
-		}
 	}
 	w := er.NewWorkload()
 	for _, arg := range flag.Args()[2:] {

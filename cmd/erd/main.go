@@ -24,11 +24,14 @@
 // is its threshold (debug, info, warn or error; default info), -v
 // writes it to stderr as text, and -log-json writes it as JSON lines
 // (and turns -v on). The coordinator also keeps the last 1024 events
-// in a ring drained at /debug/er/events; a node has no endpoint, so
-// its stream goes only to stderr. The coordinator stitches per-bucket
-// cross-process timelines (/debug/er/timeline, `er timeline`) and
-// accounts recording overhead per instrumentation version
-// (er_overhead_* on /metrics; -overhead-budget arms the SLO gate).
+// in a ring drained at /debug/er/events. A node has no endpoint, so
+// its stream goes only to stderr; without -v or -log-json it still
+// writes its warn and error events there as text (lease and renew
+// failures, fenced leases, pipeline errors). The coordinator stitches
+// per-bucket cross-process timelines (/debug/er/timeline, `er
+// timeline`) and accounts recording overhead per instrumentation
+// version (er_overhead_* on /metrics; -overhead-budget arms the SLO
+// gate).
 //
 // All flag validation errors exit 2, matching erbench.
 package main
@@ -155,11 +158,12 @@ func main() {
 			}
 			nodeName = fmt.Sprintf("%s-%d", host, os.Getpid())
 		}
-		var log *slog.Logger
-		if stderr != nil {
-			log = slog.New(stderr)
+		if stderr == nil {
+			// A node has no endpoint: stderr is the only way out for
+			// its warnings and errors.
+			stderr = slog.NewTextHandler(os.Stderr, &slog.HandlerOptions{Level: max(level, slog.LevelWarn)})
 		}
-		runNode(fapps, nodeName, *coordinator, *workers, log)
+		runNode(fapps, nodeName, *coordinator, *workers, slog.New(stderr))
 	}
 }
 
@@ -298,7 +302,7 @@ func runNode(fapps []fleet.App, name, coordinator string, workers int, log *slog
 	if err != nil {
 		fatal(err)
 	}
-	telemetry.OrDiscard(log).Info("node starting", "component", "erd", "name", name, "coordinator", coordinator)
+	log.Info("node starting", "component", "erd", "name", name, "coordinator", coordinator)
 	if err := node.Start(); err != nil {
 		fatal(err)
 	}

@@ -1,23 +1,18 @@
 // Command ertrace records one monitored execution of a minc program
 // and prints the decoded PT-like packet stream — the raw material ER's
-// analysis engine consumes. It also exposes the static analyses:
-// -lint reports the dataflow lint's advisory findings, and -dump-cfg
-// renders each function's control-flow graph (with dominator-tree
-// edges) as Graphviz DOT instead of running the program.
+// analysis engine consumes. -dump-cfg instead renders each function's
+// control-flow graph as Graphviz DOT without running the program.
 //
 // Usage:
 //
-//	ertrace [-lint] [-dump-cfg] prog.minc [tag=v1,v2,...]...
+//	ertrace [-dump-cfg] [-spans [-budget n]] prog.minc [tag=v1,v2,...]...
 //
 // Flags:
 //
-//	-lint      print advisory dataflow lint findings (dead stores,
-//	           width inconsistencies) to stderr after compiling.
-//	           Findings never change the exit status.
 //	-dump-cfg  write every function's CFG as Graphviz DOT to stdout
-//	           and exit without executing the program. Solid edges are
+//	           and exit without executing the program. Edges are
 //	           control flow (T/F-labelled for conditional branches);
-//	           dashed blue edges are the dominator tree.
+//	           unreachable blocks are greyed out.
 //	-spans     run the full ER reproduction loop on the given (failing)
 //	           input instead of dumping packets, and print the
 //	           session's nested span tree: the reconstruction root, one
@@ -43,13 +38,12 @@ import (
 )
 
 func usage() {
-	fmt.Fprintln(os.Stderr, "usage: ertrace [-lint] [-dump-cfg] [-spans [-budget n]] <prog.minc> [tag=v1,v2,...]...")
+	fmt.Fprintln(os.Stderr, "usage: ertrace [-dump-cfg] [-spans [-budget n]] <prog.minc> [tag=v1,v2,...]...")
 	flag.PrintDefaults()
 	os.Exit(2)
 }
 
 func main() {
-	lint := flag.Bool("lint", false, "print advisory dataflow lint findings (dead stores, width mismatches) to stderr")
 	dumpCFG := flag.Bool("dump-cfg", false, "write function CFGs as Graphviz DOT to stdout and exit")
 	spans := flag.Bool("spans", false, "run the ER loop and print the session's span tree instead of dumping packets")
 	budget := flag.Int64("budget", 0, "solver query budget for -spans (0 = unlimited)")
@@ -63,14 +57,9 @@ func main() {
 	if err != nil {
 		fatal(err)
 	}
-	mod, findings, err := er.CompileWithLint(path, string(src))
+	mod, err := er.Compile(path, string(src))
 	if err != nil {
 		fatal(err)
-	}
-	if *lint {
-		for _, f := range findings {
-			fmt.Fprintf(os.Stderr, "ertrace: lint: %s\n", f)
-		}
 	}
 	if *dumpCFG {
 		for _, fn := range mod.Funcs {

@@ -40,7 +40,6 @@ import (
 	"io"
 
 	"execrecon/internal/core"
-	"execrecon/internal/dataflow"
 	"execrecon/internal/fleet"
 	"execrecon/internal/invariants"
 	"execrecon/internal/ir"
@@ -107,19 +106,6 @@ type Options struct {
 func Compile(name, src string) (*Module, error) {
 	return minc.Compile(name, src)
 }
-
-// Finding is one static-analysis lint finding (internal/dataflow).
-type Finding = dataflow.Finding
-
-// CompileWithLint is Compile plus the advisory IR lint rules (dead
-// stores, cross-block width inconsistencies). The invariant rules
-// (maybe-undef, unreachable-block) are always enforced by Compile.
-func CompileWithLint(name, src string) (*Module, []Finding, error) {
-	return minc.CompileWithLint(name, src)
-}
-
-// Lint runs the dataflow lint rules over a compiled module.
-func Lint(mod *Module) []Finding { return dataflow.Lint(mod) }
 
 // NewWorkload returns an empty workload; use Add to fill streams.
 func NewWorkload() *Workload { return vm.NewWorkload() }

@@ -4,7 +4,6 @@ import (
 	"testing"
 
 	"execrecon/internal/apps"
-	"execrecon/internal/bench"
 	"execrecon/internal/core"
 	"execrecon/internal/symex"
 )
@@ -24,14 +23,10 @@ func TestTable1Determinism(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%s: %v", a.Name, err)
 		}
-		budget := a.QueryBudget
-		if budget == 0 {
-			budget = bench.DefaultQueryBudget
-		}
 		rep, err := core.Reproduce(core.Config{
 			Module: mod,
 			Gen:    &core.FixedWorkload{Workload: a.Failing(), Seed: a.Seed},
-			Symex:  symex.Options{QueryBudget: budget, MaxInstrs: 50_000_000},
+			Symex:  symex.Options{QueryBudget: a.Budget(), MaxInstrs: 50_000_000},
 		})
 		if err != nil || !rep.Reproduced || !rep.Verified {
 			t.Fatalf("%s: reproduced=%v verified=%v err=%v (%s)", a.Name, rep.Reproduced, rep.Verified, err, rep.FailReason)

@@ -159,7 +159,7 @@ func (s *Scenario) BenignSeed(i int) int64 {
 
 // App adapts the scenario to the evaluation-program shape shared with
 // the hand-written Table 1 set, so every driver that consumes
-// *apps.App (fleet conversion, overhead runners, lint sweeps) accepts
+// *apps.App (fleet conversion, overhead runners) accepts
 // generated scenarios unchanged.
 func (s *Scenario) App() *apps.App {
 	return &apps.App{

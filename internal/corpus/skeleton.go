@@ -72,7 +72,7 @@ func emitMixHelper(r *rng, s *src, idx int) string {
 
 // fillerStmts emits 0..max locals computed from the operands, folding
 // each into the named accumulator so the work is observable (and thus
-// neither dead-store lint noise nor trivially sliceable away).
+// not trivially sliceable away).
 func fillerStmts(r *rng, s *src, acc string, operands []string, max int) {
 	for n := r.rangeInt(0, max); n > 0; n-- {
 		v := fmt.Sprintf("f%d", r.intn(1000))

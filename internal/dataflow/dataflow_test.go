@@ -50,20 +50,9 @@ func diamond() *ir.Func {
 
 func TestCFGDominators(t *testing.T) {
 	c := BuildCFG(diamond())
-	if len(c.RPO) != 4 || c.RPO[0] != 0 {
+	// The join block follows both arms in reverse postorder.
+	if len(c.RPO) != 4 || c.RPO[0] != 0 || c.RPO[3] != 3 {
 		t.Fatalf("RPO = %v", c.RPO)
-	}
-	for _, b := range []int{1, 2, 3} {
-		if c.IDom[b] != 0 {
-			t.Errorf("IDom[b%d] = %d, want 0", b, c.IDom[b])
-		}
-	}
-	if !c.Dominates(0, 3) || c.Dominates(1, 3) || c.Dominates(2, 3) {
-		t.Errorf("dominance wrong: 0>3=%v 1>3=%v 2>3=%v",
-			c.Dominates(0, 3), c.Dominates(1, 3), c.Dominates(2, 3))
-	}
-	if !c.Dominates(1, 1) {
-		t.Error("a block must dominate itself")
 	}
 }
 
@@ -76,8 +65,8 @@ func TestCFGUnreachable(t *testing.T) {
 	if c.Reachable[1] {
 		t.Fatal("b1 should be unreachable")
 	}
-	if c.Dominates(1, 0) || c.Dominates(0, 1) {
-		t.Error("unreachable blocks must not take part in dominance")
+	if len(c.RPO) != 1 || len(c.Preds[0]) != 0 {
+		t.Errorf("RPO = %v, Preds[b0] = %v; an unreachable block takes no part", c.RPO, c.Preds[0])
 	}
 }
 
@@ -101,20 +90,6 @@ func TestDefUseReachingDefs(t *testing.T) {
 	defs = d.ReachingDefs(1, 1, 1)
 	if len(defs) != 1 || d.Defs[defs[0]].Blk != 1 {
 		t.Errorf("in-block query = %v", defs)
-	}
-}
-
-func TestLiveness(t *testing.T) {
-	f := diamond()
-	d := BuildDefUse(BuildCFG(f))
-	if !d.LiveIn[3].get(1) {
-		t.Error("r1 must be live into b3")
-	}
-	if !d.LiveIn[0].get(0) {
-		t.Error("r0 (the branch condition) must be live into the entry")
-	}
-	if d.LiveIn[1].get(1) {
-		t.Error("r1 is defined before use in b1; not live-in")
 	}
 }
 
@@ -280,7 +255,7 @@ func TestAnalyzeLoadNoVal(t *testing.T) {
 	}
 }
 
-// --- lint fixtures: one negative fixture per rule ---
+// --- lint fixtures: one negative fixture per codegen invariant ---
 
 func findRule(fs []Finding, rule string) *Finding {
 	for i := range fs {
@@ -327,62 +302,6 @@ func TestLintUnreachable(t *testing.T) {
 	}
 }
 
-func TestLintDeadStore(t *testing.T) {
-	f := fn("ds", 1, 3,
-		block(0,
-			ir.Instr{Op: ir.OpAdd, W: ir.W64, Dst: 1, A: ir.Reg(0), B: ir.Imm(1)}, // dead
-			ir.Instr{Op: ir.OpMov, W: ir.W64, Dst: 2, A: ir.Imm(0)},               // zero-init: exempt
-			ir.Instr{Op: ir.OpRet, A: ir.Reg(0)},
-		),
-	)
-	fs := LintFunc(f)
-	got := findRule(fs, RuleDeadStore)
-	if got == nil {
-		t.Fatalf("no dead-store finding in %v", fs)
-	}
-	n := 0
-	for _, x := range fs {
-		if x.Rule == RuleDeadStore {
-			n++
-		}
-	}
-	if n != 1 {
-		t.Errorf("%d dead-store findings, want 1 (zero-init mov is exempt)", n)
-	}
-}
-
-func TestLintWidthMismatch(t *testing.T) {
-	// b1 defines r1 at width 8, b2 at width 32; b3 uses it raw.
-	f := fn("wm", 1, 2,
-		block(0, ir.Instr{Op: ir.OpCondBr, A: ir.Reg(0), Blk: 1, Blk2: 2}),
-		block(1, ir.Instr{Op: ir.OpConst, W: ir.W8, Dst: 1, A: ir.Imm(1)},
-			ir.Instr{Op: ir.OpBr, Blk: 3}),
-		block(2, ir.Instr{Op: ir.OpConst, W: ir.W32, Dst: 1, A: ir.Imm(2)},
-			ir.Instr{Op: ir.OpBr, Blk: 3}),
-		block(3, ir.Instr{Op: ir.OpRet, A: ir.Reg(1)}),
-	)
-	got := findRule(LintFunc(f), RuleWidthMix)
-	if got == nil || got.Blk != 3 {
-		t.Fatalf("want width-mismatch finding at the use in b3, got %v", got)
-	}
-}
-
-func TestLintWidthMismatchExemptsConversions(t *testing.T) {
-	// Same shape, but the use normalises via zext: no finding.
-	f := fn("wmok", 1, 3,
-		block(0, ir.Instr{Op: ir.OpCondBr, A: ir.Reg(0), Blk: 1, Blk2: 2}),
-		block(1, ir.Instr{Op: ir.OpConst, W: ir.W8, Dst: 1, A: ir.Imm(1)},
-			ir.Instr{Op: ir.OpBr, Blk: 3}),
-		block(2, ir.Instr{Op: ir.OpConst, W: ir.W32, Dst: 1, A: ir.Imm(2)},
-			ir.Instr{Op: ir.OpBr, Blk: 3}),
-		block(3, ir.Instr{Op: ir.OpZext, W: ir.W8, Dst: 2, A: ir.Reg(1)},
-			ir.Instr{Op: ir.OpRet, A: ir.Reg(2)}),
-	)
-	if got := findRule(LintFunc(f), RuleWidthMix); got != nil {
-		t.Fatalf("conversion use must be exempt, got %v", got)
-	}
-}
-
 func TestLintCleanOnDiamond(t *testing.T) {
 	if fs := LintFunc(diamond()); len(fs) != 0 {
 		t.Fatalf("diamond should be lint-clean, got %v", fs)
@@ -390,14 +309,23 @@ func TestLintCleanOnDiamond(t *testing.T) {
 }
 
 func TestWriteDOT(t *testing.T) {
+	f := diamond()
+	f.Blocks = append(f.Blocks, block(4, ir.Instr{Op: ir.OpBr, Blk: 3})) // dead
 	var sb strings.Builder
-	if err := BuildCFG(diamond()).WriteDOT(&sb); err != nil {
+	if err := BuildCFG(f).WriteDOT(&sb); err != nil {
 		t.Fatal(err)
 	}
 	dot := sb.String()
-	for _, want := range []string{"digraph", "b0 -> b1", "label=\"T\"", "style=dashed"} {
+	for _, want := range []string{"digraph", "b0 -> b1", "label=\"T\"", "b4 -> b3"} {
 		if !strings.Contains(dot, want) {
 			t.Errorf("DOT output missing %q:\n%s", want, dot)
+		}
+	}
+	// Only the unreachable block is greyed out.
+	for _, line := range strings.Split(dot, "\n") {
+		greyed := strings.HasSuffix(line, "style=dashed, color=gray];")
+		if strings.HasPrefix(line, "  b4 [") != greyed {
+			t.Errorf("greyed = %v on %q", greyed, line)
 		}
 	}
 }

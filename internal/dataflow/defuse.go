@@ -56,7 +56,7 @@ type Def struct {
 
 // DefUse carries the per-function value-flow analyses: reaching
 // definitions (per block-entry def sets plus on-demand per-use
-// queries), def-use chains, and classic backward liveness.
+// queries) and def-use chains.
 type DefUse struct {
 	CFG *CFG
 
@@ -70,9 +70,6 @@ type DefUse struct {
 	// ReachIn[b] is the set of definitions (bits over Defs) reaching
 	// the entry of reachable block b.
 	ReachIn []bitset
-
-	// LiveIn/LiveOut are the registers live at block entry/exit.
-	LiveIn, LiveOut []bitset
 
 	defAt map[[2]int]int // (blk, idx) -> def index
 }
@@ -104,7 +101,7 @@ func writesReg(in *ir.Instr) bool {
 	return true
 }
 
-// BuildDefUse computes reaching definitions and liveness over c.
+// BuildDefUse computes reaching definitions over c.
 func BuildDefUse(c *CFG) *DefUse {
 	f := c.F
 	d := &DefUse{CFG: c, defAt: make(map[[2]int]int)}
@@ -167,51 +164,6 @@ func BuildDefUse(c *CFG) *DefUse {
 		}
 	}
 
-	// Liveness: backward over registers.
-	nr := f.NumRegs
-	use := make([]bitset, nb)
-	def := make([]bitset, nb)
-	d.LiveIn = make([]bitset, nb)
-	d.LiveOut = make([]bitset, nb)
-	var reads []int
-	for _, bi := range c.RPO {
-		use[bi], def[bi] = newBitset(nr), newBitset(nr)
-		d.LiveIn[bi], d.LiveOut[bi] = newBitset(nr), newBitset(nr)
-		for ii := range f.Blocks[bi].Instrs {
-			in := &f.Blocks[bi].Instrs[ii]
-			reads = readsOf(in, reads[:0])
-			for _, r := range reads {
-				if !def[bi].get(r) {
-					use[bi].set(r)
-				}
-			}
-			if writesReg(in) && !use[bi].get(in.Dst) {
-				def[bi].set(in.Dst)
-			}
-		}
-	}
-	tmp = newBitset(nr)
-	for changed := true; changed; {
-		changed = false
-		for i := len(c.RPO) - 1; i >= 0; i-- {
-			bi := c.RPO[i]
-			lo := d.LiveOut[bi]
-			for j := range lo {
-				lo[j] = 0
-			}
-			for _, s := range c.Succs[bi] {
-				lo.or(d.LiveIn[s])
-			}
-			tmp.copyFrom(lo)
-			for j := range tmp {
-				tmp[j] = (tmp[j] &^ def[bi][j]) | use[bi][j]
-			}
-			if !tmp.equal(d.LiveIn[bi]) {
-				d.LiveIn[bi].copyFrom(tmp)
-				changed = true
-			}
-		}
-	}
 	return d
 }
 

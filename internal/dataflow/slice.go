@@ -123,9 +123,10 @@ func pureOp(op ir.Op) bool {
 	return false
 }
 
-// Analyze builds the full static analysis of mod: control-flow graphs
-// and dominators, input taint, and the backward failure slice with its
-// per-instruction execution modes.
+// Analyze builds the static analysis reproduction reads: control-flow
+// graphs with reachability, input taint, and the backward failure
+// slice with its per-instruction execution modes. Def-use chains are
+// built lazily, per function, by Deducibility queries.
 func Analyze(mod *ir.Module) *Analysis {
 	a := &Analysis{
 		Mod:    mod,

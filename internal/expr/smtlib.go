@@ -26,23 +26,21 @@ func WriteSMTLIB(w io.Writer, cs []*Expr) error {
 	}
 	seen := make(map[string]bool)
 	var decls []decl
-	for _, c := range cs {
-		Walk(c, func(n *Expr) {
-			switch n.Kind {
-			case KVar:
-				if !seen[n.Name] {
-					seen[n.Name] = true
-					decls = append(decls, decl{smtSym(n.Name), fmt.Sprintf("(_ BitVec %d)", n.Width)})
-				}
-			case KArrayVar:
-				if !seen[n.Name] {
-					seen[n.Name] = true
-					decls = append(decls, decl{smtSym(n.Name),
-						fmt.Sprintf("(Array (_ BitVec %d) (_ BitVec %d))", n.IdxWidth, n.Width)})
-				}
+	WalkAll(cs, func(n *Expr) {
+		switch n.Kind {
+		case KVar:
+			if !seen[n.Name] {
+				seen[n.Name] = true
+				decls = append(decls, decl{smtSym(n.Name), fmt.Sprintf("(_ BitVec %d)", n.Width)})
 			}
-		})
-	}
+		case KArrayVar:
+			if !seen[n.Name] {
+				seen[n.Name] = true
+				decls = append(decls, decl{smtSym(n.Name),
+					fmt.Sprintf("(Array (_ BitVec %d) (_ BitVec %d))", n.IdxWidth, n.Width)})
+			}
+		}
+	})
 	sort.Slice(decls, func(i, j int) bool { return decls[i].name < decls[j].name })
 	for _, d := range decls {
 		fmt.Fprintf(w, "(declare-fun %s () %s)\n", d.name, d.sort)

@@ -44,6 +44,34 @@ func TestSMTLIBExport(t *testing.T) {
 	if !strings.Contains(out, "(assert (= t") {
 		t.Errorf("asserts missing:\n%s", out)
 	}
+
+	// A subterm shared across two constraints, pinned byte for byte:
+	// declarations are sorted, and the shared term is defined once.
+	z := b.Var("z", 8)
+	a := b.Var("a", 8)
+	xz := b.Xor(z, a)
+	sb.Reset()
+	if err := WriteSMTLIB(&sb, []*Expr{
+		b.Ult(xz, b.Const(9, 8)),
+		b.Eq(b.Add(xz, z), b.Const(3, 8)),
+	}); err != nil {
+		t.Fatal(err)
+	}
+	const want = `(set-logic QF_ABV)
+(declare-fun v_a () (_ BitVec 8))
+(declare-fun v_z () (_ BitVec 8))
+(define-fun t1 () (_ BitVec 8) (bvxor v_z v_a))
+(define-fun t2 () (_ BitVec 1) (ite (bvult t1 (_ bv9 8)) #b1 #b0))
+(assert (= t2 #b1))
+(define-fun t3 () (_ BitVec 8) (bvadd v_z t1))
+(define-fun t4 () (_ BitVec 1) (ite (= t3 (_ bv3 8)) #b1 #b0))
+(assert (= t4 #b1))
+(check-sat)
+(get-model)
+`
+	if got := sb.String(); got != want {
+		t.Errorf("shared-subterm export:\n%s\nwant:\n%s", got, want)
+	}
 }
 
 func TestSMTLIBAllOps(t *testing.T) {

@@ -388,10 +388,10 @@ func (s *selector) supp(n *expr.Expr, known map[*expr.Expr]bool, memo map[*expr.
 //
 // Placements are validated against the control-flow graph: a site must
 // name a value-producing instruction in a block that is reachable from
-// — and hence dominated by — the function entry. An unreachable or
-// non-defining site would emit a ptwrite that the traced run never
-// executes (or that records garbage), desynchronizing event matching
-// in the next shepherded run.
+// the function entry (block 0, which dominates every reachable block).
+// An unreachable or non-defining site would emit a ptwrite that the
+// traced run never executes (or that records garbage),
+// desynchronizing event matching in the next shepherded run.
 func Instrument(mod *ir.Module, sites []symex.SiteKey) (*ir.Module, error) {
 	nm := mod.Clone()
 	cfgs := make(map[*ir.Func]*dataflow.CFG)
@@ -409,7 +409,7 @@ func Instrument(mod *ir.Module, sites []symex.SiteKey) (*ir.Module, error) {
 			cfg = dataflow.BuildCFG(fn)
 			cfgs[fn] = cfg
 		}
-		if !cfg.Reachable[bi] || !cfg.Dominates(0, bi) {
+		if !cfg.Reachable[bi] {
 			return nil, fmt.Errorf("keyselect: site %s#%d is in unreachable block b%d", site.Func, site.InstrID, bi)
 		}
 		blk := fn.Blocks[bi]

@@ -14,35 +14,23 @@ import (
 // the dead blocks its statement emitter creates, so a violation is a
 // compiler bug, not a property of the user program.
 func Compile(name, src string) (*ir.Module, error) {
-	mod, _, err := CompileWithLint(name, src)
-	return mod, err
-}
-
-// CompileWithLint is Compile plus the advisory dataflow lint findings
-// (dead stores, cross-block width inconsistencies): suspicious but
-// executable IR.
-func CompileWithLint(name, src string) (*ir.Module, []dataflow.Finding, error) {
 	prog, err := parse(src)
 	if err != nil {
-		return nil, nil, err
+		return nil, err
 	}
 	c := &compiler{mod: &ir.Module{Name: name}, prog: prog}
 	if err := c.run(); err != nil {
-		return nil, nil, err
+		return nil, err
 	}
 	if err := c.mod.Validate(); err != nil {
-		return nil, nil, fmt.Errorf("minc: internal error: %w", err)
+		return nil, fmt.Errorf("minc: internal error: %w", err)
 	}
-	var advisory []dataflow.Finding
-	for _, f := range dataflow.Lint(c.mod) {
-		switch f.Rule {
-		case dataflow.RuleMaybeUndef, dataflow.RuleUnreachable:
-			return nil, nil, fmt.Errorf("minc: internal error: %s", f)
-		default:
-			advisory = append(advisory, f)
+	for _, f := range c.mod.Funcs {
+		if fs := dataflow.LintFunc(f); len(fs) > 0 {
+			return nil, fmt.Errorf("minc: internal error: %s", fs[0])
 		}
 	}
-	return c.mod, advisory, nil
+	return c.mod, nil
 }
 
 // pruneUnreachable removes blocks no path from the entry reaches and

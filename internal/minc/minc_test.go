@@ -242,45 +242,3 @@ func main() int {
 		t.Errorf("dead code survived pruning:\n%s", d)
 	}
 }
-
-func TestCompileWithLintDeadStore(t *testing.T) {
-	src := `
-func main() int {
-	int y = input32("y");
-	int x = y + 1;
-	x = 3;
-	output(x);
-	return 0;
-}`
-	mod, findings, err := CompileWithLint("test", src)
-	if err != nil || mod == nil {
-		t.Fatalf("compile: %v", err)
-	}
-	var dead int
-	for _, f := range findings {
-		if f.Rule == dataflow.RuleDeadStore {
-			dead++
-		}
-		if f.Rule == dataflow.RuleMaybeUndef || f.Rule == dataflow.RuleUnreachable {
-			t.Errorf("invariant rule leaked as advisory finding: %v", f)
-		}
-	}
-	if dead == 0 {
-		t.Errorf("expected a dead-store finding, got %v", findings)
-	}
-}
-
-func TestCompileWithLintCleanProgram(t *testing.T) {
-	_, findings, err := CompileWithLint("test", `
-func main() int {
-	int x = input32("x");
-	assert(x != 41, "boom");
-	return 0;
-}`)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(findings) != 0 {
-		t.Errorf("unexpected findings: %v", findings)
-	}
-}
