@@ -12,7 +12,7 @@
 //	                                                      erd coordinator
 //	er -coordinator URL verdicts                          list every cluster bucket's
 //	                                                      triage outcome
-//	er -coordinator URL timeline                          render every bucket's stitched
+//	er -coordinator URL timeline                          render every bucket's
 //	                                                      cross-process reconstruction
 //	                                                      timeline (ingest → lease →
 //	                                                      remote replay → resolve)
@@ -337,8 +337,8 @@ func reportTimelines(base string) {
 		if i > 0 {
 			fmt.Println()
 		}
-		fmt.Printf("%s key=%#x trace=%s state=%s redispatches=%d\n",
-			tl.App, tl.Key, tl.TraceID, tl.State, tl.Redispatches)
+		fmt.Printf("%s key=%#x state=%s redispatches=%d\n",
+			tl.App, tl.Key, tl.State, tl.Redispatches)
 		if err := telemetry.WriteTree(os.Stdout, tl.Root); err != nil {
 			fatal(err)
 		}

@@ -95,11 +95,9 @@ type bucketCtl struct {
 	// banked under this bucket — the long-poll wakeup for Fetch.
 	notify chan struct{}
 
-	// Timeline state (timeline.go): the bucket's distributed trace
-	// identity, lifecycle timestamps, bounded point events and lease
-	// windows, and the per-term remote replay snapshots nodes ship
-	// back on renew/resolve.
-	trace      telemetry.SpanContext
+	// Timeline state (timeline.go): lifecycle timestamps, bounded
+	// point events and lease windows, and the per-term remote replay
+	// snapshots nodes ship back on renew/resolve.
 	firstSeen  time.Time
 	resolvedAt time.Time
 	events     []tlEvent
@@ -227,13 +225,10 @@ func NewCoordinator(apps []fleet.App, opts CoordinatorOptions) (*Coordinator, er
 			firstSeen:    unstamp(rb.FirstSeen),
 			resolvedAt:   unstamp(rb.ResolvedAt),
 		}
-		// Restore the timeline skeleton: the trace id and ingest
-		// time persisted on the grant, the final replay span on the
-		// resolution — so ingest-through-resolve still renders for
-		// buckets that completed before the crash.
-		if rb.Trace != 0 {
-			ctl.trace = telemetry.SpanContext{TraceID: rb.Trace, SpanID: telemetry.SpanID(rb.Trace)}
-		}
+		// Restore the timeline skeleton: the ingest time persisted on
+		// the grant, the final replay span on the resolution — so
+		// ingest-through-resolve still renders for buckets that
+		// completed before the crash.
 		if !ctl.firstSeen.IsZero() {
 			ctl.eventLocked(ctl.firstSeen, "ingest", telemetry.A("recovered", true))
 		}
@@ -392,14 +387,6 @@ func (c *Coordinator) NewBucket(b *fleet.Bucket) {
 	if ctl.sig == nil {
 		ctl.sig = b.Sig
 	}
-	// Mint the bucket's trace identity at first ingest (recovered
-	// buckets keep the id the WAL grant persisted). The root span id
-	// equals the trace id by convention; lease grants hand this
-	// context to nodes so their replay trees stitch back under it.
-	if !ctl.trace.Valid() {
-		id := telemetry.NewTraceID()
-		ctl.trace = telemetry.SpanContext{TraceID: id, SpanID: telemetry.SpanID(id)}
-	}
 	if ctl.firstSeen.IsZero() {
 		ctl.firstSeen = now
 		ctl.eventLocked(now, "ingest", telemetry.A("sig", b.Sig.Error()))
@@ -413,8 +400,7 @@ func (c *Coordinator) NewBucket(b *fleet.Bucket) {
 	}
 	c.enqueueLocked(ctl)
 	c.mu.Unlock()
-	c.log.Info("bucket ingested", "app", addr.App, "key", hexKey(addr.Key),
-		"trace", ctl.trace.TraceID.String())
+	c.log.Info("bucket ingested", "app", addr.App, "key", hexKey(addr.Key))
 }
 
 // Banked wakes any node long-polling for this bucket's next banked
@@ -464,7 +450,7 @@ func (c *Coordinator) grantLocked(node string) (*bucketCtl, uint64, error) {
 		if err := c.wal.Append(walRecord{
 			T: walGrant, App: ctl.addr.App, Key: ctl.addr.Key,
 			Node: node, Term: ctl.term, Sig: ctl.sig,
-			Trace: ctl.trace.TraceID, FirstSeen: stamp(ctl.firstSeen),
+			FirstSeen: stamp(ctl.firstSeen),
 		}); err != nil {
 			ctl.term--
 			c.enqueueLocked(ctl)
@@ -560,8 +546,7 @@ func (c *Coordinator) checkpointLocked() {
 			App: ctl.addr.App, Key: ctl.addr.Key, Sig: ctl.sig,
 			Term: ctl.term, Version: ctl.version,
 			Iterations: ctl.iterations, Redispatches: ctl.redispatches,
-			Trace: ctl.trace.TraceID, FirstSeen: stamp(ctl.firstSeen),
-			ResolvedAt: stamp(ctl.resolvedAt),
+			FirstSeen: stamp(ctl.firstSeen), ResolvedAt: stamp(ctl.resolvedAt),
 		}
 		if sn, ok := ctl.remote[ctl.term]; ok {
 			rb.Span = &sn

@@ -94,7 +94,6 @@ func (c *Coordinator) handleLease(w http.ResponseWriter, r *http.Request) {
 				Status: okStatus(), Granted: true,
 				App: ctl.addr.App, Key: ctl.addr.Key, Sig: ctl.sig,
 				Term: term, TTLMillis: c.ttl.Milliseconds(),
-				Trace: ctl.trace,
 			})
 			return
 		}

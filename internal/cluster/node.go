@@ -31,11 +31,11 @@ type NodeOptions struct {
 	// (default 2). It does not bound the leases the node holds: a
 	// bucket waiting for a reoccurrence parks and frees its worker.
 	Workers int
-	// Tracer records each leased bucket's replay as a span tree rooted
-	// under the coordinator's bucket span (the lease grant carries the
-	// parent context); snapshots ship back on heartbeats and with the
-	// resolution. Nil disables span shipping (timelines still render
-	// from coordinator-side events alone).
+	// Tracer records each leased bucket's replay as a span tree;
+	// snapshots ship back on heartbeats and with the resolution, and
+	// the coordinator hangs them under the lease window of their term.
+	// Nil disables span shipping (timelines still render from
+	// coordinator-side events alone).
 	Tracer *telemetry.Tracer
 	// Logger receives the node's events with component=node and the
 	// node's name, and each leased bucket pipeline's iteration events
@@ -328,6 +328,27 @@ type lease struct {
 	// banked on it before it ships, so the bucket parks and its
 	// long-poll ships it first.
 	rollout *RolloutRequest
+	// retry is the wait before the next fetch while fetches are
+	// failing, zero while they succeed (see fetchFailed).
+	retry time.Duration
+}
+
+// fetchRetryMin is the first wait after a failed fetch.
+const fetchRetryMin = 100 * time.Millisecond
+
+// fetchFailed records a failed fetch. The first failure of a streak
+// logs one Warn; each failure then doubles the wait before the long-poll
+// retries, from fetchRetryMin up to the heartbeat period, so an
+// unreachable coordinator costs each parked lease one log line and a
+// few requests per heartbeat.
+func (l *lease) fetchFailed(err error) {
+	if l.retry == 0 {
+		l.n.log.Warn("fetch failed", "app", l.grant.App, "key", hexKey(l.grant.Key), "err", err)
+		l.retry = fetchRetryMin
+	} else {
+		l.retry *= 2
+	}
+	l.retry = min(l.retry, time.Duration(l.n.ttl.Load())/3)
 }
 
 // drop stops holding the lease: the heartbeat no longer renews it, so
@@ -350,12 +371,12 @@ func (l *lease) shipSpan() {
 	}
 }
 
-// Start opens the replay span as a remote child of the coordinator's
-// bucket span (the grant carried its context) and builds the pipeline
-// under it.
+// Start opens the lease's replay span and builds the pipeline under
+// it. The coordinator hangs the snapshots this span ships under the
+// bucket's lease window for g.Term.
 func (l *lease) Start() *core.Pipeline {
 	n, g := l.n, l.grant
-	l.replay = n.opts.Tracer.StartRemote("replay", g.Trace,
+	l.replay = n.opts.Tracer.Start("replay",
 		telemetry.A("node", n.opts.Name), telemetry.A("app", g.App),
 		telemetry.A("key", hexKey(g.Key)), telemetry.A("term", g.Term))
 	l.shipSpan()
@@ -400,10 +421,11 @@ func (l *lease) Next(version int) (*core.Occurrence, error) {
 			fr, err = n.client.Fetch(l.ctx, g.App, g.Key, g.Term, l.after, version, 0)
 			if err != nil {
 				if l.ctx.Err() == nil {
-					n.log.Warn("fetch failed", "app", g.App, "key", hexKey(g.Key), "err", err)
+					l.fetchFailed(err)
 				}
 				return nil, nil // park; the long-poll retries
 			}
+			l.retry = 0
 		}
 		if !fr.OK {
 			n.lost.Add(1)
@@ -452,17 +474,21 @@ func (l *lease) poll() {
 	}
 	n, g := l.n, l.grant
 	for l.ctx.Err() == nil {
+		if l.retry > 0 {
+			select {
+			case <-l.ctx.Done():
+				return
+			case <-time.After(l.retry):
+			}
+		}
 		fr, err := n.client.Fetch(l.ctx, g.App, g.Key, g.Term, l.after, l.version, maxPollWait)
 		if err != nil {
 			if l.ctx.Err() == nil {
-				n.log.Warn("fetch failed", "app", g.App, "key", hexKey(g.Key), "err", err)
-				select {
-				case <-l.ctx.Done():
-				case <-time.After(100 * time.Millisecond):
-				}
+				l.fetchFailed(err)
 			}
 			continue
 		}
+		l.retry = 0
 		if fr.OK && !fr.Found {
 			continue
 		}

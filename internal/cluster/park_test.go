@@ -1,8 +1,14 @@
 package cluster
 
 import (
+	"encoding/json"
+	"fmt"
+	"log/slog"
+	"net"
+	"net/http"
 	"path/filepath"
 	"strings"
+	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -193,5 +199,105 @@ func TestClusterParkedLeaseRenews(t *testing.T) {
 	}
 	if v := metricValue(t, sb.String(), "er_cluster_leases_expired_total"); v != 0 {
 		t.Errorf("er_cluster_leases_expired_total = %v, want 0", v)
+	}
+}
+
+// fetchLog is a RoundTripper that timestamps every /v1/fetch attempt by
+// bucket key before passing the request on.
+type fetchLog struct {
+	next http.RoundTripper
+	mu   sync.Mutex
+	at   map[uint64][]time.Time
+}
+
+func (f *fetchLog) RoundTrip(r *http.Request) (*http.Response, error) {
+	if r.URL.Path == PathFetch {
+		var req FetchRequest
+		body, _ := r.GetBody()
+		if err := json.NewDecoder(body).Decode(&req); err == nil {
+			f.mu.Lock()
+			f.at[req.Key] = append(f.at[req.Key], time.Now())
+			f.mu.Unlock()
+		}
+	}
+	return f.next.RoundTrip(r)
+}
+
+func (f *fetchLog) attempts(key uint64) []time.Time {
+	f.mu.Lock()
+	defer f.mu.Unlock()
+	return append([]time.Time(nil), f.at[key]...)
+}
+
+// TestNodeFetchBackoff: parked leases whose coordinator is gone log one
+// "fetch failed" each, and each retries on a doubling schedule from
+// 100 ms capped at the heartbeat period, not every 100 ms.
+func TestNodeFetchBackoff(t *testing.T) {
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	url := "http://" + ln.Addr().String()
+	ln.Close() // every request is refused
+
+	ring := telemetry.NewEventRing(nil, nil)
+	apps := testApps(t)[:1]
+	n, err := NewNode(NodeOptions{Name: "n0", Coordinator: url, Apps: apps, Workers: 1, Logger: slog.New(ring)})
+	if err != nil {
+		t.Fatal(err)
+	}
+	fl := &fetchLog{next: n.client.hc.Transport, at: make(map[uint64][]time.Time)}
+	n.client.hc.Transport = fl
+	if err := n.Start(); err != nil {
+		t.Fatal(err)
+	}
+	defer n.Close()
+
+	const ttl = 900 * time.Millisecond
+	hb := ttl / 3
+	keys := []uint64{1, 2, 3}
+	for _, k := range keys {
+		l := n.accept(&LeaseResponse{Granted: true, App: apps[0].Name, Key: k, Term: 1,
+			TTLMillis: ttl.Milliseconds()})
+		l.Parked()
+	}
+	// Waits: 100, 200, 300, 300, 300 ms (doubling, capped at TTL/3).
+	const want = 6
+	waitUntil(t, "six fetch attempts per lease", 30*time.Second, func() bool {
+		for _, k := range keys {
+			if len(fl.attempts(k)) < want {
+				return false
+			}
+		}
+		return true
+	})
+
+	for _, k := range keys {
+		at := fl.attempts(k)[:want]
+		wait := fetchRetryMin
+		for i := 1; i < len(at); i++ {
+			// A retry never comes before its wait is up, and once the
+			// wait is capped it never stretches towards a doubled one.
+			gap := at[i].Sub(at[i-1])
+			if gap < wait-5*time.Millisecond || (wait == hb && gap >= 2*hb) {
+				t.Errorf("key %d: retry %d came %v after the last, want %v (capped at %v)", k, i, gap, wait, hb)
+			}
+			wait = min(2*wait, hb)
+		}
+	}
+	failed := make(map[string]int)
+	for _, line := range ring.Recent(slog.LevelWarn, 0) {
+		var rec map[string]any
+		if err := json.Unmarshal(line, &rec); err != nil {
+			t.Fatal(err)
+		}
+		if rec["msg"] == "fetch failed" {
+			failed[fmt.Sprint(rec["key"])]++
+		}
+	}
+	for _, k := range keys {
+		if got := failed[hexKey(k)]; got != 1 {
+			t.Errorf("key %d: %d \"fetch failed\" events, want 1 per failure streak (all: %v)", k, got, failed)
+		}
 	}
 }

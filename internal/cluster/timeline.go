@@ -17,9 +17,9 @@ import (
 // which the remote replay subtree the leaseholder shipped back
 // (heartbeat: latest open snapshot; resolve: final tree) is
 // attached by term. The skeleton is durable: grants persist the
-// trace id and ingest time, resolutions persist the final remote
-// span, so timelines survive lease expiry, re-dispatch, and
-// coordinator WAL restart.
+// ingest time, resolutions persist the final remote span, so
+// timelines survive lease expiry, re-dispatch, and coordinator WAL
+// restart.
 
 const (
 	// maxTimelineEvents bounds a bucket's point-event list; overflow
@@ -107,7 +107,6 @@ func (ctl *bucketCtl) remoteSpanLocked(term uint64, sn telemetry.SpanSnapshot) {
 type BucketTimeline struct {
 	App          string     `json:"app"`
 	Key          uint64     `json:"key"`
-	TraceID      string     `json:"trace_id"`
 	State        string     `json:"state"`
 	FirstSeen    time.Time  `json:"first_seen"`
 	ResolvedAt   *time.Time `json:"resolved_at,omitempty"`
@@ -123,17 +122,14 @@ func (ctl *bucketCtl) timelineLocked(now time.Time) BucketTimeline {
 	tl := BucketTimeline{
 		App:          ctl.addr.App,
 		Key:          ctl.addr.Key,
-		TraceID:      ctl.trace.TraceID.String(),
 		State:        ctl.state.String(),
 		FirstSeen:    ctl.firstSeen,
 		ResolvedAt:   stamp(ctl.resolvedAt),
 		Redispatches: ctl.redispatches,
 	}
 	root := telemetry.SpanSnapshot{
-		Name:    "bucket",
-		Start:   ctl.firstSeen,
-		TraceID: ctl.trace.TraceID.String(),
-		SpanID:  ctl.trace.SpanID.String(),
+		Name:  "bucket",
+		Start: ctl.firstSeen,
 		Attrs: map[string]string{
 			"app":   ctl.addr.App,
 			"key":   hexKey(ctl.addr.Key),
@@ -158,11 +154,7 @@ func (ctl *bucketCtl) timelineLocked(now time.Time) BucketTimeline {
 		root.Duration = end.Sub(ctl.firstSeen)
 	}
 	for _, ev := range ctl.events {
-		sn := telemetry.SpanSnapshot{
-			Name:    ev.name,
-			Start:   ev.at,
-			TraceID: root.TraceID,
-		}
+		sn := telemetry.SpanSnapshot{Name: ev.name, Start: ev.at}
 		if len(ev.attrs) > 0 {
 			sn.Attrs = make(map[string]string, len(ev.attrs))
 			for _, a := range ev.attrs {
@@ -173,9 +165,8 @@ func (ctl *bucketCtl) timelineLocked(now time.Time) BucketTimeline {
 	}
 	for _, lw := range ctl.leaseLog {
 		sn := telemetry.SpanSnapshot{
-			Name:    "lease",
-			Start:   lw.start,
-			TraceID: root.TraceID,
+			Name:  "lease",
+			Start: lw.start,
 			Attrs: map[string]string{
 				"term": fmt.Sprintf("%d", lw.term),
 				"node": lw.node,

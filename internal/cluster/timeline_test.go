@@ -18,18 +18,16 @@ import (
 	"execrecon/internal/tracestore"
 )
 
-// requireCompleteTimeline asserts a resolved bucket's stitched
-// timeline covers ingest through resolve and carries a remote replay
-// subtree joined to the bucket's trace. restart relaxes the point-event
-// checks to the durable skeleton (intermediate events are not
-// replayed from the WAL; the resolution shows as ResolvedAt).
-func requireCompleteTimeline(t *testing.T, tl BucketTimeline, restart bool) {
+// requireCompleteTimeline asserts a resolved bucket's timeline covers
+// ingest through resolve and that the resolving lease window carries
+// the replay subtree its leaseholder shipped under the same term, and
+// returns that subtree. restart relaxes the point-event checks to the
+// durable skeleton (intermediate events are not replayed from the WAL;
+// the resolution shows as ResolvedAt).
+func requireCompleteTimeline(t *testing.T, tl BucketTimeline, restart bool) telemetry.SpanSnapshot {
 	t.Helper()
 	if tl.State != "resolved" {
 		t.Errorf("bucket %s/%#x: state = %s, want resolved", tl.App, tl.Key, tl.State)
-	}
-	if tl.TraceID == "" || tl.TraceID == "0000000000000000" {
-		t.Errorf("bucket %s/%#x: no trace id", tl.App, tl.Key)
 	}
 	if tl.FirstSeen.IsZero() || tl.ResolvedAt == nil {
 		t.Errorf("bucket %s/%#x: lifecycle timestamps missing (%v, %v)",
@@ -38,7 +36,8 @@ func requireCompleteTimeline(t *testing.T, tl BucketTimeline, restart bool) {
 	if tl.Root.Name != "bucket" || tl.Root.Open {
 		t.Errorf("bucket %s/%#x: root = %q open=%v", tl.App, tl.Key, tl.Root.Name, tl.Root.Open)
 	}
-	var hasIngest, hasResolve, hasReplay, stitched bool
+	var hasIngest, hasResolve bool
+	var resolving *telemetry.SpanSnapshot
 	leases := 0
 	for _, ch := range tl.Root.Children {
 		switch ch.Name {
@@ -48,13 +47,9 @@ func requireCompleteTimeline(t *testing.T, tl BucketTimeline, restart bool) {
 			hasResolve = true
 		case "lease":
 			leases++
-			for _, r := range ch.Children {
-				if r.Name != "replay" {
-					continue
-				}
-				hasReplay = true
-				if r.TraceID == tl.TraceID && r.ParentID == tl.Root.SpanID {
-					stitched = true
+			for i, r := range ch.Children {
+				if r.Name == "replay" && ch.Attrs["outcome"] == "resolved" && r.Attrs["term"] == ch.Attrs["term"] {
+					resolving = &ch.Children[i]
 				}
 			}
 		}
@@ -68,20 +63,19 @@ func requireCompleteTimeline(t *testing.T, tl BucketTimeline, restart bool) {
 	if leases == 0 {
 		t.Errorf("bucket %s/%#x: no lease window", tl.App, tl.Key)
 	}
-	if !hasReplay {
-		t.Errorf("bucket %s/%#x: no remote replay subtree", tl.App, tl.Key)
+	if resolving == nil {
+		t.Errorf("bucket %s/%#x: no replay subtree under the resolving lease window's term", tl.App, tl.Key)
+		return telemetry.SpanSnapshot{}
 	}
-	if hasReplay && !stitched {
-		t.Errorf("bucket %s/%#x: replay subtree not joined to the bucket trace", tl.App, tl.Key)
-	}
+	return *resolving
 }
 
-// TestWireTraceContextRoundTrip drives the /v1/* envelopes by hand:
-// the lease grant must carry the bucket's span context, a heartbeat
-// must ship a span snapshot and node health that land on the timeline
-// and the node table, and a heartbeat speaking the wrong protocol
-// version must be rejected in the envelope.
-func TestWireTraceContextRoundTrip(t *testing.T) {
+// TestWireLeaseRenewRoundTrip drives the /v1/* envelopes by hand: a
+// heartbeat must ship a span snapshot and node health that land on the
+// timeline (under the lease window of the renewed term) and the node
+// table, fencing must be per lease, and a heartbeat speaking the wrong
+// protocol version must be rejected in the envelope.
+func TestWireLeaseRenewRoundTrip(t *testing.T) {
 	apps := testApps(t)[:1] // alpha
 	dir := t.TempDir()
 	store, err := tracestore.Open(filepath.Join(dir, "store"), tracestore.Options{})
@@ -119,14 +113,11 @@ func TestWireTraceContextRoundTrip(t *testing.T) {
 			t.Fatal("no lease granted")
 		}
 	}
-	if !lr.Trace.Valid() {
-		t.Fatalf("lease grant carries no trace context: %+v", lr)
-	}
 
-	// A remote replay span opened under the granted context, shipped
-	// on a heartbeat with node vitals.
+	// A replay span for the granted term, shipped on a heartbeat with
+	// node vitals.
 	tracer := telemetry.NewTracer(0)
-	replay := tracer.StartRemote("replay", lr.Trace, telemetry.A("node", "hand-node"))
+	replay := tracer.Start("replay", telemetry.A("node", "hand-node"), telemetry.A("term", lr.Term))
 	sn := replay.Snapshot()
 	held := LeaseRef{App: lr.App, Key: lr.Key, Term: lr.Term}
 	stale := LeaseRef{App: lr.App, Key: lr.Key, Term: lr.Term + 1}
@@ -150,16 +141,13 @@ func TestWireTraceContextRoundTrip(t *testing.T) {
 	if !ok {
 		t.Fatal("no timeline for the leased bucket")
 	}
-	if tl.TraceID != lr.Trace.TraceID.String() {
-		t.Errorf("timeline trace = %s, wire grant = %s", tl.TraceID, lr.Trace.TraceID)
-	}
 	var found bool
 	for _, ch := range tl.Root.Children {
-		if ch.Name != "lease" {
+		if ch.Name != "lease" || ch.Attrs["term"] != fmt.Sprint(lr.Term) {
 			continue
 		}
 		for _, r := range ch.Children {
-			if r.Name == "replay" && r.ParentID == tl.Root.SpanID && r.TraceID == tl.TraceID {
+			if r.Name == "replay" && r.Attrs["node"] == "hand-node" {
 				found = true
 			}
 		}
@@ -373,7 +361,7 @@ func TestClusterTimelineSurvivesRedispatch(t *testing.T) {
 // TestClusterTimelineSurvivesRestart completes a traced two-node run,
 // then reopens the WAL with a fresh coordinator: the recovered
 // skeletons must still render ingest-through-resolve with the same
-// trace ids and the final replay spans.
+// ingest times and the resolving term's final replay spans.
 func TestClusterTimelineSurvivesRestart(t *testing.T) {
 	apps := testApps(t)[:2] // alpha + beta: fast, no solver leg
 	dir := t.TempDir()
@@ -390,10 +378,17 @@ func TestClusterTimelineSurvivesRestart(t *testing.T) {
 		t.Fatalf("RunHarness: %v", err)
 	}
 	checkParity(t, res.Fleet, apps)
-	before := make(map[string]BucketTimeline, len(res.Timelines))
+	type final struct {
+		tl     BucketTimeline
+		replay []byte
+	}
+	before := make(map[string]final, len(res.Timelines))
 	for _, tl := range res.Timelines {
-		requireCompleteTimeline(t, tl, false)
-		before[fmt.Sprintf("%s/%#x", tl.App, tl.Key)] = tl
+		replay, err := json.Marshal(requireCompleteTimeline(t, tl, false))
+		if err != nil {
+			t.Fatal(err)
+		}
+		before[fmt.Sprintf("%s/%#x", tl.App, tl.Key)] = final{tl, replay}
 	}
 
 	store, err := tracestore.Open(filepath.Join(dir, "store"), tracestore.Options{})
@@ -415,15 +410,23 @@ func TestClusterTimelineSurvivesRestart(t *testing.T) {
 		t.Fatalf("recovered %d timelines, want %d", len(after), len(before))
 	}
 	for _, tl := range after {
-		requireCompleteTimeline(t, tl, true)
-		pre, ok := before[fmt.Sprintf("%s/%#x", tl.App, tl.Key)]
+		replay, err := json.Marshal(requireCompleteTimeline(t, tl, true))
+		if err != nil {
+			t.Fatal(err)
+		}
+		b, ok := before[fmt.Sprintf("%s/%#x", tl.App, tl.Key)]
 		if !ok {
 			t.Errorf("recovered unknown bucket %s/%#x", tl.App, tl.Key)
 			continue
 		}
-		if tl.TraceID != pre.TraceID {
-			t.Errorf("bucket %s/%#x: trace id changed across restart: %s -> %s",
-				tl.App, tl.Key, pre.TraceID, tl.TraceID)
+		pre := b.tl
+		if !tl.FirstSeen.Equal(pre.FirstSeen) {
+			t.Errorf("bucket %s/%#x: ingest time changed across restart: %v -> %v",
+				tl.App, tl.Key, pre.FirstSeen, tl.FirstSeen)
+		}
+		if !bytes.Equal(replay, b.replay) {
+			t.Errorf("bucket %s/%#x: resolving replay subtree changed across restart:\n%s\n->\n%s",
+				tl.App, tl.Key, b.replay, replay)
 		}
 		if !unstamp(tl.ResolvedAt).Equal(unstamp(pre.ResolvedAt)) {
 			t.Errorf("bucket %s/%#x: resolution time changed across restart: %v -> %v",

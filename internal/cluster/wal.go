@@ -63,12 +63,13 @@ type walRecord struct {
 	Version    int          `json:"version,omitempty"`
 	Iterations int          `json:"iterations,omitempty"`
 	Report     *core.Report `json:"report,omitempty"`
-	// Trace/FirstSeen ride on grants, At and Span on resolutions —
-	// the durable skeleton of the bucket's stitched timeline, so a
-	// restarted coordinator still renders ingest-through-resolve for
-	// buckets that completed before the crash. Stamps are pointers so
-	// that an unset one (see stamp) is left out of the record.
-	Trace     telemetry.TraceID       `json:"trace,omitempty"`
+	// FirstSeen rides on grants, At and Span on resolutions — the
+	// durable skeleton of the bucket's timeline, so a restarted
+	// coordinator still renders ingest-through-resolve for buckets
+	// that completed before the crash. Stamps are pointers so that an
+	// unset one (see stamp) is left out of the record. Logs written
+	// before trace ids were dropped also carry a "trace" field, which
+	// decoding ignores.
 	FirstSeen *time.Time              `json:"first_seen,omitempty"`
 	At        *time.Time              `json:"at,omitempty"`
 	Span      *telemetry.SpanSnapshot `json:"span,omitempty"`
@@ -99,10 +100,8 @@ type RecoveredBucket struct {
 	// prevents a re-interned bucket from being triaged twice.
 	Resolved bool         `json:"resolved,omitempty"`
 	Report   *core.Report `json:"report,omitempty"`
-	// Timeline skeleton: the bucket's trace id, ingest time,
-	// resolution time, and the final remote replay span the resolving
-	// node shipped.
-	Trace      telemetry.TraceID       `json:"trace,omitempty"`
+	// Timeline skeleton: the bucket's ingest time, resolution time,
+	// and the final remote replay span the resolving node shipped.
 	FirstSeen  *time.Time              `json:"first_seen,omitempty"`
 	ResolvedAt *time.Time              `json:"resolved_at,omitempty"`
 	Span       *telemetry.SpanSnapshot `json:"span,omitempty"`
@@ -258,9 +257,6 @@ func replayWAL(recs []walRecord) *RecoveredState {
 			}
 			if b.Sig == nil {
 				b.Sig = rec.Sig
-			}
-			if b.Trace == 0 {
-				b.Trace = rec.Trace
 			}
 			if unstamp(b.FirstSeen).IsZero() {
 				b.FirstSeen = rec.FirstSeen

@@ -31,7 +31,7 @@ const walFuzzMaxFrames = 64
 func FuzzWALRecovery(f *testing.F) {
 	recs := walTestRecords()
 	at := time.Unix(1700000000, 0).UTC()
-	recs[0].Trace, recs[0].FirstSeen = 0xab, &at
+	recs[0].FirstSeen = &at
 	recs[3].At = &at
 	recs[3].Span = &telemetry.SpanSnapshot{Name: "replay", Start: at, Attrs: map[string]string{"node": "n0"}}
 	var state []RecoveredBucket

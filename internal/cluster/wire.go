@@ -52,11 +52,17 @@ import (
 // OK=false so mixed deployments fail loudly instead of corrupting a
 // reconstruction.
 //
-// v2 added distributed trace propagation (lease grants carry the
-// bucket's SpanContext, renew/resolve ship span snapshots back),
-// piggybacked node health on renewals, and recording-cost attribution
-// on rollouts. v3 batches renewals: one heartbeat renews every lease a
-// node holds and the response names each lost one.
+// v2 added span snapshots on renew/resolve, piggybacked node health on
+// renewals, and recording-cost attribution on rollouts. v3 batches
+// renewals: one heartbeat renews every lease a node holds and the
+// response names each lost one.
+//
+// Dropping the grant's "trace" span context did not bump the version:
+// a field one side omits decodes to its zero value on the other, an
+// older coordinator's "trace" is ignored by a newer node, and an older
+// node opens its replay tree as a fresh root when the field is absent.
+// Either way the coordinator attaches the replay tree by bucket and
+// term, as it always has.
 const ProtocolVersion = 3
 
 // Wire paths (mounted on the coordinator's telemetry mux).
@@ -101,10 +107,6 @@ type LeaseResponse struct {
 	Sig       *vm.Failure `json:"sig,omitempty"`
 	Term      uint64      `json:"term,omitempty"`
 	TTLMillis int64       `json:"ttl_millis,omitempty"`
-	// Trace is the bucket timeline's span context: the node opens its
-	// replay span tree as a remote child of it, so the snapshots it
-	// ships back stitch under the coordinator's per-bucket timeline.
-	Trace telemetry.SpanContext `json:"trace"`
 }
 
 // NodeHealth is the node-side runtime vitals piggybacked on every

@@ -522,11 +522,10 @@ func (b *Builder) Sle(x, y *Expr) *Expr {
 	return b.intern(Expr{Kind: KSle, Width: 1, Args: []*Expr{x, y}})
 }
 
-// Ugt, Uge, Sgt, Sge are the flipped comparison helpers.
+// Ugt, Uge, Sgt are the flipped comparison helpers.
 func (b *Builder) Ugt(x, y *Expr) *Expr { return b.Ult(y, x) }
 func (b *Builder) Uge(x, y *Expr) *Expr { return b.Ule(y, x) }
 func (b *Builder) Sgt(x, y *Expr) *Expr { return b.Slt(y, x) }
-func (b *Builder) Sge(x, y *Expr) *Expr { return b.Sle(y, x) }
 
 // BoolAnd returns the 1-bit conjunction.
 func (b *Builder) BoolAnd(x, y *Expr) *Expr {

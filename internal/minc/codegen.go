@@ -256,15 +256,6 @@ type val struct {
 	typ *Type
 }
 
-func (c *compiler) materialize(v val) int {
-	if v.arg.K == ir.ArgReg {
-		return v.arg.Reg
-	}
-	r := c.newReg()
-	c.emit(ir.Instr{Op: ir.OpConst, W: widthOf(v.typ), Dst: r, A: v.arg})
-	return r
-}
-
 func widthOf(t *Type) ir.Width {
 	switch t.Kind {
 	case TyInt:
@@ -274,8 +265,6 @@ func widthOf(t *Type) ir.Width {
 	}
 	return ir.W64
 }
-
-func isSigned(t *Type) bool { return t.Kind == TyInt && t.Signed }
 
 // compileFunc lowers one function.
 func (c *compiler) compileFunc(f *funcDecl) error {

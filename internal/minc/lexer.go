@@ -28,13 +28,6 @@ func lex(src string) ([]token, error) {
 	}
 }
 
-func (l *lexer) peekByte() byte {
-	if l.pos >= len(l.src) {
-		return 0
-	}
-	return l.src[l.pos]
-}
-
 func (l *lexer) peekByte2() byte {
 	if l.pos+1 >= len(l.src) {
 		return 0

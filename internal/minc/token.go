@@ -22,7 +22,6 @@ const (
 	tokIdent
 	tokNumber
 	tokString
-	tokChar
 	tokPunct   // operators and delimiters
 	tokKeyword // reserved words
 )

@@ -83,8 +83,6 @@ type Span struct {
 	ended    bool
 	attrs    []Attr
 	children []*Span
-	ctx      SpanContext
-	remote   SpanID // parent span id in another process (StartRemote)
 }
 
 // Start begins a new root span. Returns nil on a nil tracer.
@@ -92,7 +90,7 @@ func (t *Tracer) Start(name string, attrs ...Attr) *Span {
 	if t == nil {
 		return nil
 	}
-	return &Span{tracer: t, name: name, start: t.now(), attrs: attrs, ctx: newSpanContext()}
+	return &Span{tracer: t, name: name, start: t.now(), attrs: attrs}
 }
 
 // Child begins a nested span. Returns nil on a nil span.
@@ -100,8 +98,7 @@ func (s *Span) Child(name string, attrs ...Attr) *Span {
 	if s == nil {
 		return nil
 	}
-	c := &Span{tracer: s.tracer, parent: s, name: name, start: s.tracer.now(), attrs: attrs,
-		ctx: SpanContext{TraceID: s.ctx.TraceID, SpanID: SpanID(newID())}}
+	c := &Span{tracer: s.tracer, parent: s, name: name, start: s.tracer.now(), attrs: attrs}
 	s.children = append(s.children, c)
 	return c
 }
@@ -204,14 +201,6 @@ type SpanSnapshot struct {
 	// Open marks a span that had not ended when the snapshot was
 	// taken (duration is elapsed-so-far).
 	Open bool `json:"open,omitempty"`
-	// TraceID/SpanID/ParentID carry the distributed trace identity as
-	// 16-digit hex (empty on snapshots of pre-context spans). ParentID
-	// names the parent span — in this process for nested children, in
-	// another process for roots started via StartRemote — and is what
-	// Stitch keys on to reassemble cross-process timelines.
-	TraceID  string `json:"trace_id,omitempty"`
-	SpanID   string `json:"span_id,omitempty"`
-	ParentID string `json:"parent_id,omitempty"`
 }
 
 // Snapshot copies the span tree rooted at s. Safe only from the
@@ -225,18 +214,6 @@ func (s *Span) Snapshot() SpanSnapshot {
 
 func (s *Span) snapshot(now time.Time) SpanSnapshot {
 	sn := SpanSnapshot{Name: s.name, Start: s.start, Open: !s.ended}
-	if s.ctx.TraceID != 0 {
-		sn.TraceID = s.ctx.TraceID.String()
-	}
-	if s.ctx.SpanID != 0 {
-		sn.SpanID = s.ctx.SpanID.String()
-	}
-	switch {
-	case s.remote != 0:
-		sn.ParentID = s.remote.String()
-	case s.parent != nil && s.parent.ctx.SpanID != 0:
-		sn.ParentID = s.parent.ctx.SpanID.String()
-	}
 	if s.ended {
 		sn.Duration = s.dur
 	} else {
