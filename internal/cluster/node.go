@@ -68,6 +68,9 @@ type Node struct {
 	// the first grant and renews at ttl/3.
 	ttl    atomic.Int64
 	hbOnce sync.Once
+	// leaseRetry paces the lease loop and renewRetry the heartbeat
+	// while their requests fail; each is touched by its loop alone.
+	leaseRetry, renewRetry retry
 
 	// held is every lease the node holds: queued for a worker, running
 	// or parked.
@@ -171,17 +174,19 @@ func (n *Node) leaser() {
 		if n.ctx.Err() != nil {
 			return
 		}
-		if err != nil || !resp.OK {
-			if err != nil {
-				n.log.Warn("lease request failed", "err", err)
-			}
+		if err == nil && !resp.OK {
+			err = errors.New(resp.Err)
+		}
+		if err != nil {
+			n.leaseRetry.fail(n.log, n.period(), "lease request failed", "err", err)
 			select {
 			case <-n.ctx.Done():
 				return
-			case <-time.After(200 * time.Millisecond):
+			case <-time.After(n.leaseRetry.wait):
 			}
 			continue
 		}
+		n.leaseRetry.ok()
 		if !resp.Granted {
 			continue
 		}
@@ -225,15 +230,24 @@ func (n *Node) accept(g *LeaseResponse) *lease {
 	return l
 }
 
+// period is the heartbeat period: a third of the latest grant's TTL,
+// or of DefaultTTL before the first grant.
+func (n *Node) period() time.Duration {
+	if ttl := time.Duration(n.ttl.Load()); ttl > 0 {
+		return ttl / 3
+	}
+	return DefaultTTL / 3
+}
+
 // heartbeat renews every held lease in one /v1/renew round trip each
-// TTL/3, and abandons each lease the coordinator names lost.
+// period, and abandons each lease the coordinator names lost.
 func (n *Node) heartbeat() {
 	defer n.wg.Done()
 	for {
 		select {
 		case <-n.ctx.Done():
 			return
-		case <-time.After(time.Duration(n.ttl.Load()) / 3):
+		case <-time.After(n.period()):
 		}
 		n.renew()
 	}
@@ -277,10 +291,11 @@ func (n *Node) renew() {
 			err = errors.New(resp.Err)
 		}
 		if n.ctx.Err() == nil {
-			n.log.Warn("renew failed", "err", err)
+			n.renewRetry.fail(n.log, n.period(), "renew failed", "err", err)
 		}
 		return
 	}
+	n.renewRetry.ok()
 	for i, l := range held {
 		if sn := req.Leases[i].Span; sn != nil {
 			l.shipped = sn
@@ -328,27 +343,38 @@ type lease struct {
 	// banked on it before it ships, so the bucket parks and its
 	// long-poll ships it first.
 	rollout *RolloutRequest
-	// retry is the wait before the next fetch while fetches are
-	// failing, zero while they succeed (see fetchFailed).
-	retry time.Duration
+	// fetchRetry paces the long-poll while fetches fail.
+	fetchRetry retry
 }
 
-// fetchRetryMin is the first wait after a failed fetch.
-const fetchRetryMin = 100 * time.Millisecond
+// retryMin is the first wait after a failed request.
+const retryMin = 100 * time.Millisecond
 
-// fetchFailed records a failed fetch. The first failure of a streak
-// logs one Warn; each failure then doubles the wait before the long-poll
-// retries, from fetchRetryMin up to the heartbeat period, so an
-// unreachable coordinator costs each parked lease one log line and a
-// few requests per heartbeat.
-func (l *lease) fetchFailed(err error) {
-	if l.retry == 0 {
-		l.n.log.Warn("fetch failed", "app", l.grant.App, "key", hexKey(l.grant.Key), "err", err)
-		l.retry = fetchRetryMin
+// retry paces one loop of requests to the coordinator: wait is the
+// pause before the next attempt while attempts fail, zero while they
+// succeed.
+type retry struct{ wait time.Duration }
+
+// fail records a failed attempt. The first failure of a streak logs msg
+// and args as one Warn; each failure then doubles the wait, from
+// retryMin up to limit, so an unreachable coordinator costs each loop
+// one log line and a few requests per limit.
+func (r *retry) fail(log *slog.Logger, limit time.Duration, msg string, args ...any) {
+	if r.wait == 0 {
+		log.Warn(msg, args...)
+		r.wait = retryMin
 	} else {
-		l.retry *= 2
+		r.wait *= 2
 	}
-	l.retry = min(l.retry, time.Duration(l.n.ttl.Load())/3)
+	r.wait = min(r.wait, limit)
+}
+
+// ok ends a failure streak.
+func (r *retry) ok() { r.wait = 0 }
+
+// fetchFailed records a failed fetch of the lease's bucket.
+func (l *lease) fetchFailed(err error) {
+	l.fetchRetry.fail(l.n.log, l.n.period(), "fetch failed", "app", l.grant.App, "key", hexKey(l.grant.Key), "err", err)
 }
 
 // drop stops holding the lease: the heartbeat no longer renews it, so
@@ -425,7 +451,7 @@ func (l *lease) Next(version int) (*core.Occurrence, error) {
 				}
 				return nil, nil // park; the long-poll retries
 			}
-			l.retry = 0
+			l.fetchRetry.ok()
 		}
 		if !fr.OK {
 			n.lost.Add(1)
@@ -474,11 +500,11 @@ func (l *lease) poll() {
 	}
 	n, g := l.n, l.grant
 	for l.ctx.Err() == nil {
-		if l.retry > 0 {
+		if l.fetchRetry.wait > 0 {
 			select {
 			case <-l.ctx.Done():
 				return
-			case <-time.After(l.retry):
+			case <-time.After(l.fetchRetry.wait):
 			}
 		}
 		fr, err := n.client.Fetch(l.ctx, g.App, g.Key, g.Term, l.after, l.version, maxPollWait)
@@ -488,7 +514,7 @@ func (l *lease) poll() {
 			}
 			continue
 		}
-		l.retry = 0
+		l.fetchRetry.ok()
 		if fr.OK && !fr.Found {
 			continue
 		}

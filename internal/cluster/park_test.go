@@ -202,15 +202,20 @@ func TestClusterParkedLeaseRenews(t *testing.T) {
 	}
 }
 
-// fetchLog is a RoundTripper that timestamps every /v1/fetch attempt by
-// bucket key before passing the request on.
+// fetchLog is a RoundTripper that counts every request by path and
+// timestamps every /v1/fetch attempt by bucket key before passing the
+// request on.
 type fetchLog struct {
-	next http.RoundTripper
-	mu   sync.Mutex
-	at   map[uint64][]time.Time
+	next  http.RoundTripper
+	mu    sync.Mutex
+	at    map[uint64][]time.Time
+	calls map[string]int
 }
 
 func (f *fetchLog) RoundTrip(r *http.Request) (*http.Response, error) {
+	f.mu.Lock()
+	f.calls[r.URL.Path]++
+	f.mu.Unlock()
 	if r.URL.Path == PathFetch {
 		var req FetchRequest
 		body, _ := r.GetBody()
@@ -229,9 +234,17 @@ func (f *fetchLog) attempts(key uint64) []time.Time {
 	return append([]time.Time(nil), f.at[key]...)
 }
 
+func (f *fetchLog) requests(path string) int {
+	f.mu.Lock()
+	defer f.mu.Unlock()
+	return f.calls[path]
+}
+
 // TestNodeFetchBackoff: parked leases whose coordinator is gone log one
 // "fetch failed" each, and each retries on a doubling schedule from
-// 100 ms capped at the heartbeat period, not every 100 ms.
+// 100 ms capped at the heartbeat period, not every 100 ms. The lease
+// loop and the heartbeat fail throughout too, and each logs one
+// warning for its failure streak.
 func TestNodeFetchBackoff(t *testing.T) {
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
@@ -246,7 +259,7 @@ func TestNodeFetchBackoff(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	fl := &fetchLog{next: n.client.hc.Transport, at: make(map[uint64][]time.Time)}
+	fl := &fetchLog{next: n.client.hc.Transport, at: make(map[uint64][]time.Time), calls: make(map[string]int)}
 	n.client.hc.Transport = fl
 	if err := n.Start(); err != nil {
 		t.Fatal(err)
@@ -274,7 +287,7 @@ func TestNodeFetchBackoff(t *testing.T) {
 
 	for _, k := range keys {
 		at := fl.attempts(k)[:want]
-		wait := fetchRetryMin
+		wait := retryMin
 		for i := 1; i < len(at); i++ {
 			// A retry never comes before its wait is up, and once the
 			// wait is capped it never stretches towards a doubled one.
@@ -286,18 +299,32 @@ func TestNodeFetchBackoff(t *testing.T) {
 		}
 	}
 	failed := make(map[string]int)
+	warns := make(map[string]int)
 	for _, line := range ring.Recent(slog.LevelWarn, 0) {
 		var rec map[string]any
 		if err := json.Unmarshal(line, &rec); err != nil {
 			t.Fatal(err)
 		}
-		if rec["msg"] == "fetch failed" {
+		msg := fmt.Sprint(rec["msg"])
+		warns[msg]++
+		if msg == "fetch failed" {
 			failed[fmt.Sprint(rec["key"])]++
 		}
 	}
 	for _, k := range keys {
 		if got := failed[hexKey(k)]; got != 1 {
 			t.Errorf("key %d: %d \"fetch failed\" events, want 1 per failure streak (all: %v)", k, got, failed)
+		}
+	}
+	for _, c := range []struct{ msg, path string }{
+		{"lease request failed", PathLease},
+		{"renew failed", PathRenew},
+	} {
+		if n := fl.requests(c.path); n < 2 {
+			t.Errorf("%s: %d attempts, want a failure streak of at least 2", c.path, n)
+		}
+		if got := warns[c.msg]; got != 1 {
+			t.Errorf("%d %q events over %d attempts, want 1 per failure streak (all: %v)", got, c.msg, fl.requests(c.path), warns)
 		}
 	}
 }

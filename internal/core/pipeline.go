@@ -38,10 +38,10 @@ type Pipeline struct {
 	// instructions outside its backward failure slice, and key data
 	// value selection drops recording sites it proves deducible.
 	an *dataflow.Analysis
-	// tel caches the telemetry series this pipeline updates (nil
+	// tel caches the telemetry series this pipeline updates (each nil
 	// unless Config.Telemetry is set); root is the session's
 	// reconstruction span (nil unless Config.Tracer is set).
-	tel  *pipelineTelemetry
+	tel  pipelineTelemetry
 	root *telemetry.Span
 	// stop is the pipeline-wide cancellation flag: Abort trips it, and
 	// every solver query the pipeline issues observes it on its next
@@ -146,7 +146,7 @@ func (p *Pipeline) fail(format string, args ...interface{}) (bool, error) {
 	p.err = fmt.Errorf(format, args...)
 	p.rep.FailReason = p.err.Error()
 	p.done = true
-	p.tel.failed().Inc()
+	p.tel.failed.Inc()
 	return true, p.err
 }
 
@@ -176,7 +176,7 @@ func (p *Pipeline) Feed(occ *Occurrence) (bool, error) {
 		p.haveSeed = true
 	}
 	p.rep.Occurrences++
-	p.tel.occurrences().Inc()
+	p.tel.occurrences.Inc()
 	// Every path that terminates the session below must close the root
 	// span so the tree publishes to the tracer ring.
 	defer func() {
@@ -253,8 +253,8 @@ func (p *Pipeline) Feed(occ *Occurrence) (bool, error) {
 	solveSpan.SetAttr("cdcl_s", sres.Stats.CDCLTime.Seconds())
 	solveSpan.EndAfter(sres.Stats.SolverTime)
 	shSpan.End()
-	p.tel.shepherd().Observe(sres.Stats.Elapsed.Seconds())
-	p.tel.solve().Observe(sres.Stats.SolverTime.Seconds())
+	p.tel.shepherd.Observe(sres.Stats.Elapsed.Seconds())
+	p.tel.solve.Observe(sres.Stats.SolverTime.Seconds())
 	p.tel.observeSolverStages(sres.Stats)
 
 	switch sres.Status {
@@ -262,19 +262,19 @@ func (p *Pipeline) Feed(occ *Occurrence) (bool, error) {
 		p.rep.Iterations = append(p.rep.Iterations, it)
 		p.rep.Reproduced = true
 		p.rep.TestCase = sres.TestCase
-		p.tel.iterations().Inc()
-		p.tel.reproduced().Inc()
+		p.tel.iterations.Inc()
+		p.tel.reproduced.Inc()
 		// Verify: the generated input must reproduce the same failure
 		// signature on a fresh concrete run of the pristine module.
 		vSpan := itSpan.Child("verify")
 		verStart := time.Now()
 		ver := vm.New(p.cfg.Module, vm.Config{Input: sres.TestCase.Clone(), Seed: p.seed}).Run(p.cfg.Entry)
 		p.rep.Verified = ver.Failure.SameSignature(p.signature)
-		p.tel.verify().Observe(time.Since(verStart).Seconds())
+		p.tel.verify.Observe(time.Since(verStart).Seconds())
 		vSpan.SetAttr("verified", p.rep.Verified)
 		vSpan.End()
 		if p.rep.Verified {
-			p.tel.verified().Inc()
+			p.tel.verified.Inc()
 		}
 		p.log.Info("reproduced", "iteration", p.iters+1,
 			"occurrences", p.rep.Occurrences, "verified", p.rep.Verified)
@@ -283,8 +283,8 @@ func (p *Pipeline) Feed(occ *Occurrence) (bool, error) {
 
 	case symex.StatusStalled:
 		p.log.Info("stalled; selecting key data values", "iteration", p.iters+1, "reason", sres.StallReason)
-		p.tel.iterations().Inc()
-		p.tel.stalls().Inc()
+		p.tel.iterations.Inc()
+		p.tel.stalls.Inc()
 		var sites []symex.SiteKey
 		var cost int64
 		var err error
@@ -300,7 +300,7 @@ func (p *Pipeline) Feed(occ *Occurrence) (bool, error) {
 			}
 		}
 		it.SelectTime = time.Since(selStart)
-		p.tel.keyselect().Observe(it.SelectTime.Seconds())
+		p.tel.keyselect.Observe(it.SelectTime.Seconds())
 		ksSpan.SetAttr("sites", len(sites))
 		ksSpan.SetAttr("cost_bytes", cost)
 		ksSpan.End()
@@ -312,14 +312,14 @@ func (p *Pipeline) Feed(occ *Occurrence) (bool, error) {
 		it.RecordingCost = cost
 		it.Sites = sites
 		p.rep.Iterations = append(p.rep.Iterations, it)
-		p.tel.sites().Add(int64(len(sites)))
-		p.tel.recordBytes().Add(cost)
+		p.tel.sites.Add(int64(len(sites)))
+		p.tel.recordBytes.Add(cost)
 		inSpan := itSpan.Child("instrument", telemetry.A("sites", len(sites)))
 		inStart := time.Now()
 		instrumented, err := keyselect.Instrument(p.deployed, sites)
 		if err != nil {
 			inSpan.End()
-			p.tel.failed().Inc()
+			p.tel.failed.Inc()
 			p.err = err
 			p.rep.FailReason = err.Error()
 			p.done = true
@@ -328,7 +328,7 @@ func (p *Pipeline) Feed(occ *Occurrence) (bool, error) {
 		p.deployed = instrumented
 		p.version++
 		p.an = dataflow.Analyze(instrumented)
-		p.tel.instrument().Observe(time.Since(inStart).Seconds())
+		p.tel.instrument.Observe(time.Since(inStart).Seconds())
 		inSpan.SetAttr("version", p.version)
 		inSpan.End()
 		p.log.Info("instrumenting", "iteration", p.iters+1, "sites", len(sites), "cost_bytes", cost)
@@ -336,7 +336,7 @@ func (p *Pipeline) Feed(occ *Occurrence) (bool, error) {
 		if p.iters >= p.cfg.MaxIterations {
 			p.rep.FailReason = fmt.Sprintf("not reproduced within %d iterations", p.cfg.MaxIterations)
 			p.done = true
-			p.tel.failed().Inc()
+			p.tel.failed.Inc()
 		}
 		return p.done, nil
 
@@ -345,7 +345,7 @@ func (p *Pipeline) Feed(occ *Occurrence) (bool, error) {
 		p.rep.FailReason = fmt.Sprintf("symbolic execution %v: %v", sres.Status, sres.Err)
 		p.err = fmt.Errorf("core: %s", p.rep.FailReason)
 		p.done = true
-		p.tel.failed().Inc()
+		p.tel.failed.Inc()
 		return true, p.err
 	}
 }

@@ -15,138 +15,37 @@ import (
 
 // pipelineTelemetry caches the registry series one pipeline updates;
 // resolving them once in NewPipeline keeps Feed free of map lookups.
-// All accessors are nil-receiver-safe and return nil-safe series, so
-// instrumentation sites in Feed need no "telemetry enabled?" branches.
+// Without a registry every series is nil, and nil series are no-ops,
+// so instrumentation sites in Feed need no "telemetry enabled?"
+// branches.
 type pipelineTelemetry struct {
-	cOccurrences *telemetry.Counter
-	cIterations  *telemetry.Counter
-	cStalls      *telemetry.Counter
-	cReproduced  *telemetry.Counter
-	cVerified    *telemetry.Counter
-	cFailed      *telemetry.Counter
-	cSites       *telemetry.Counter
-	cRecordBytes *telemetry.Counter
+	occurrences *telemetry.Counter
+	iterations  *telemetry.Counter
+	stalls      *telemetry.Counter
+	reproduced  *telemetry.Counter
+	verified    *telemetry.Counter
+	failed      *telemetry.Counter
+	sites       *telemetry.Counter
+	recordBytes *telemetry.Counter
 
-	hShepherd   *telemetry.Histogram
-	hSolve      *telemetry.Histogram
-	hKeyselect  *telemetry.Histogram
-	hInstrument *telemetry.Histogram
-	hVerify     *telemetry.Histogram
-	hWait       *telemetry.Histogram
+	shepherd   *telemetry.Histogram
+	solve      *telemetry.Histogram
+	keyselect  *telemetry.Histogram
+	instrument *telemetry.Histogram
+	verify     *telemetry.Histogram
 
 	// er_solver_stage_seconds series.
-	hArrayElim *telemetry.Histogram
-	hBlast     *telemetry.Histogram
-	hCDCL      *telemetry.Histogram
-}
-
-func (t *pipelineTelemetry) occurrences() *telemetry.Counter {
-	if t == nil {
-		return nil
-	}
-	return t.cOccurrences
-}
-
-func (t *pipelineTelemetry) iterations() *telemetry.Counter {
-	if t == nil {
-		return nil
-	}
-	return t.cIterations
-}
-
-func (t *pipelineTelemetry) stalls() *telemetry.Counter {
-	if t == nil {
-		return nil
-	}
-	return t.cStalls
-}
-
-func (t *pipelineTelemetry) reproduced() *telemetry.Counter {
-	if t == nil {
-		return nil
-	}
-	return t.cReproduced
-}
-
-func (t *pipelineTelemetry) verified() *telemetry.Counter {
-	if t == nil {
-		return nil
-	}
-	return t.cVerified
-}
-
-func (t *pipelineTelemetry) failed() *telemetry.Counter {
-	if t == nil {
-		return nil
-	}
-	return t.cFailed
-}
-
-func (t *pipelineTelemetry) sites() *telemetry.Counter {
-	if t == nil {
-		return nil
-	}
-	return t.cSites
-}
-
-func (t *pipelineTelemetry) recordBytes() *telemetry.Counter {
-	if t == nil {
-		return nil
-	}
-	return t.cRecordBytes
-}
-
-func (t *pipelineTelemetry) shepherd() *telemetry.Histogram {
-	if t == nil {
-		return nil
-	}
-	return t.hShepherd
-}
-
-func (t *pipelineTelemetry) solve() *telemetry.Histogram {
-	if t == nil {
-		return nil
-	}
-	return t.hSolve
-}
-
-func (t *pipelineTelemetry) keyselect() *telemetry.Histogram {
-	if t == nil {
-		return nil
-	}
-	return t.hKeyselect
-}
-
-func (t *pipelineTelemetry) instrument() *telemetry.Histogram {
-	if t == nil {
-		return nil
-	}
-	return t.hInstrument
-}
-
-func (t *pipelineTelemetry) verify() *telemetry.Histogram {
-	if t == nil {
-		return nil
-	}
-	return t.hVerify
-}
-
-func (t *pipelineTelemetry) wait() *telemetry.Histogram {
-	if t == nil {
-		return nil
-	}
-	return t.hWait
+	arrayElim *telemetry.Histogram
+	blast     *telemetry.Histogram
+	cdcl      *telemetry.Histogram
 }
 
 // observeSolverStages records one shepherded run's solver time split
 // by solver stage.
 func (t *pipelineTelemetry) observeSolverStages(st symex.RunStats) {
-	if t == nil {
-		return
-	}
-	t.hArrayElim.ObserveDuration(st.ArrayElimTime)
-	t.hBlast.ObserveDuration(st.BlastTime)
-	t.hCDCL.ObserveDuration(st.CDCLTime)
+	t.arrayElim.ObserveDuration(st.ArrayElimTime)
+	t.blast.ObserveDuration(st.BlastTime)
+	t.cdcl.ObserveDuration(st.CDCLTime)
 }
 
 // StageHistogram resolves the shared per-stage latency histogram —
@@ -165,32 +64,29 @@ func solverStageHistogram(reg *telemetry.Registry, stage string) *telemetry.Hist
 		"solver wall time per shepherded run, by solver stage", nil, telemetry.L("stage", stage))
 }
 
-func newPipelineTelemetry(reg *telemetry.Registry) *pipelineTelemetry {
-	if reg == nil {
-		return nil
-	}
-	t := &pipelineTelemetry{
-		cOccurrences: reg.Counter("er_core_occurrences_total", "matching failure occurrences fed to pipelines"),
-		cIterations:  reg.Counter("er_core_iterations_total", "analysis iterations completed"),
-		cStalls:      reg.Counter("er_core_stalls_total", "iterations that stalled on a solver budget"),
-		cReproduced:  reg.Counter("er_core_reproduced_total", "sessions that generated a test case"),
-		cVerified:    reg.Counter("er_core_verified_total", "sessions whose test case re-triggered the signature"),
-		cFailed:      reg.Counter("er_core_failed_total", "sessions that ended without reproducing"),
-		cSites:       reg.Counter("er_core_recording_sites_total", "key data value recording sites instrumented"),
-		cRecordBytes: reg.Counter("er_core_recording_bytes_total", "estimated per-occurrence recording cost instrumented"),
+// newPipelineTelemetry resolves the pipeline's series in reg; a nil
+// reg leaves them all nil.
+func newPipelineTelemetry(reg *telemetry.Registry) pipelineTelemetry {
+	return pipelineTelemetry{
+		occurrences: reg.Counter("er_core_occurrences_total", "matching failure occurrences fed to pipelines"),
+		iterations:  reg.Counter("er_core_iterations_total", "analysis iterations completed"),
+		stalls:      reg.Counter("er_core_stalls_total", "iterations that stalled on a solver budget"),
+		reproduced:  reg.Counter("er_core_reproduced_total", "sessions that generated a test case"),
+		verified:    reg.Counter("er_core_verified_total", "sessions whose test case re-triggered the signature"),
+		failed:      reg.Counter("er_core_failed_total", "sessions that ended without reproducing"),
+		sites:       reg.Counter("er_core_recording_sites_total", "key data value recording sites instrumented"),
+		recordBytes: reg.Counter("er_core_recording_bytes_total", "estimated per-occurrence recording cost instrumented"),
 
-		hShepherd:   StageHistogram(reg, "shepherd"),
-		hSolve:      StageHistogram(reg, "solve"),
-		hKeyselect:  StageHistogram(reg, "keyselect"),
-		hInstrument: StageHistogram(reg, "instrument"),
-		hVerify:     StageHistogram(reg, "verify"),
-		hWait:       StageHistogram(reg, "wait"),
+		shepherd:   StageHistogram(reg, "shepherd"),
+		solve:      StageHistogram(reg, "solve"),
+		keyselect:  StageHistogram(reg, "keyselect"),
+		instrument: StageHistogram(reg, "instrument"),
+		verify:     StageHistogram(reg, "verify"),
 
-		hArrayElim: solverStageHistogram(reg, "arrayelim"),
-		hBlast:     solverStageHistogram(reg, "blast"),
-		hCDCL:      solverStageHistogram(reg, "cdcl"),
+		arrayElim: solverStageHistogram(reg, "arrayelim"),
+		blast:     solverStageHistogram(reg, "blast"),
+		cdcl:      solverStageHistogram(reg, "cdcl"),
 	}
-	return t
 }
 
 // Span returns the pipeline's root reconstruction span (nil without

@@ -45,21 +45,36 @@ func NewBuilder() *Builder {
 // interned, a proxy for constraint state size (§5.3).
 func (b *Builder) NumNodes() int { return b.created }
 
-// intern returns the canonical operator node for e, creating it if
-// needed.
-func (b *Builder) intern(e Expr) *Expr {
+// intern returns the canonical operator node with e's kind and widths
+// over args, creating it if needed. When every argument is a constant
+// it returns the constant the node evaluates to instead (compute), so
+// each operator's constant semantics are defined once, for the
+// evaluator and the builder alike. Callers pass args separately from
+// e so that the Args slice is allocated only for a new node.
+func (b *Builder) intern(e Expr, args ...*Expr) *Expr {
 	k := nodeKey{
 		kind:     e.Kind,
 		width:    uint8(e.Width),
 		idxWidth: uint8(e.IdxWidth),
 		lo:       uint8(e.Lo),
 	}
-	for i, a := range e.Args {
+	var vals [3]uint64
+	folds := true
+	for i, a := range args {
 		k.args[i] = a.id
+		vals[i] = a.Val
+		folds = folds && a.IsConst()
+	}
+	if folds {
+		if v, ok := compute(e.Kind, e.Width, args[0].Width, e.Lo, vals[0], vals[1], vals[2]); ok {
+			return b.Const(v, e.Width)
+		}
 	}
 	if n := b.table[k]; n != nil {
 		return n
 	}
+	e.Args = make([]*Expr, len(args))
+	copy(e.Args, args)
 	n := b.newNode(e)
 	b.table[k] = n
 	return n
@@ -140,7 +155,7 @@ func (b *Builder) ArrayVar(name string, idxW, w uint) *Expr {
 // ConstArray returns an array whose every element equals elem.
 func (b *Builder) ConstArray(elem *Expr, idxW uint) *Expr {
 	checkWidth(idxW)
-	return b.intern(Expr{Kind: KConstArray, Width: elem.Width, IdxWidth: idxW, Args: []*Expr{elem}})
+	return b.intern(Expr{Kind: KConstArray, Width: elem.Width, IdxWidth: idxW}, elem)
 }
 
 func binWidthCheck(op Kind, x, y *Expr) {
@@ -171,9 +186,6 @@ func orderComm(x, y *Expr) (*Expr, *Expr) {
 // Add returns x+y.
 func (b *Builder) Add(x, y *Expr) *Expr {
 	binWidthCheck(KAdd, x, y)
-	if x.IsConst() && y.IsConst() {
-		return b.Const(x.Val+y.Val, x.Width)
-	}
 	if x.IsConst() && x.Val == 0 {
 		return y
 	}
@@ -189,30 +201,24 @@ func (b *Builder) Add(x, y *Expr) *Expr {
 	if x.IsConst() {
 		x, y = y, x
 	}
-	return b.intern(Expr{Kind: KAdd, Width: x.Width, Args: []*Expr{x, y}})
+	return b.intern(Expr{Kind: KAdd, Width: x.Width}, x, y)
 }
 
 // Sub returns x-y.
 func (b *Builder) Sub(x, y *Expr) *Expr {
 	binWidthCheck(KSub, x, y)
-	if x.IsConst() && y.IsConst() {
-		return b.Const(x.Val-y.Val, x.Width)
-	}
 	if y.IsConst() && y.Val == 0 {
 		return x
 	}
 	if x == y {
 		return b.Const(0, x.Width)
 	}
-	return b.intern(Expr{Kind: KSub, Width: x.Width, Args: []*Expr{x, y}})
+	return b.intern(Expr{Kind: KSub, Width: x.Width}, x, y)
 }
 
 // Mul returns x*y.
 func (b *Builder) Mul(x, y *Expr) *Expr {
 	binWidthCheck(KMul, x, y)
-	if x.IsConst() && y.IsConst() {
-		return b.Const(x.Val*y.Val, x.Width)
-	}
 	if x.IsConst() {
 		x, y = y, x
 	}
@@ -225,82 +231,44 @@ func (b *Builder) Mul(x, y *Expr) *Expr {
 		}
 	}
 	x, y = orderComm(x, y)
-	return b.intern(Expr{Kind: KMul, Width: x.Width, Args: []*Expr{x, y}})
+	return b.intern(Expr{Kind: KMul, Width: x.Width}, x, y)
 }
 
 // UDiv returns the unsigned quotient x/y, with x/0 = all-ones
 // (SMT-LIB semantics).
 func (b *Builder) UDiv(x, y *Expr) *Expr {
 	binWidthCheck(KUDiv, x, y)
-	if x.IsConst() && y.IsConst() {
-		if y.Val == 0 {
-			return b.Const(mask(x.Width), x.Width)
-		}
-		return b.Const(x.Val/y.Val, x.Width)
-	}
 	if y.IsConst() && y.Val == 1 {
 		return x
 	}
-	return b.intern(Expr{Kind: KUDiv, Width: x.Width, Args: []*Expr{x, y}})
+	return b.intern(Expr{Kind: KUDiv, Width: x.Width}, x, y)
 }
 
 // URem returns the unsigned remainder, with x%0 = x (SMT-LIB).
 func (b *Builder) URem(x, y *Expr) *Expr {
 	binWidthCheck(KURem, x, y)
-	if x.IsConst() && y.IsConst() {
-		if y.Val == 0 {
-			return x
-		}
-		return b.Const(x.Val%y.Val, x.Width)
-	}
 	if y.IsConst() && y.Val == 1 {
 		return b.Const(0, x.Width)
 	}
-	return b.intern(Expr{Kind: KURem, Width: x.Width, Args: []*Expr{x, y}})
+	return b.intern(Expr{Kind: KURem, Width: x.Width}, x, y)
 }
 
 // SDiv returns the signed quotient (truncated), with x/0 defined as in
 // SMT-LIB (-1 for non-negative x, 1 for negative x).
 func (b *Builder) SDiv(x, y *Expr) *Expr {
 	binWidthCheck(KSDiv, x, y)
-	if x.IsConst() && y.IsConst() {
-		xv, yv := SignExtendValue(x.Val, x.Width), SignExtendValue(y.Val, y.Width)
-		if yv == 0 {
-			if xv >= 0 {
-				return b.Const(mask(x.Width), x.Width)
-			}
-			return b.Const(1, x.Width)
-		}
-		if yv == -1 && xv == -9223372036854775808 {
-			return b.Const(x.Val, x.Width) // MIN/-1 wraps
-		}
-		return b.Const(uint64(xv/yv), x.Width)
-	}
-	return b.intern(Expr{Kind: KSDiv, Width: x.Width, Args: []*Expr{x, y}})
+	return b.intern(Expr{Kind: KSDiv, Width: x.Width}, x, y)
 }
 
 // SRem returns the signed remainder (sign of dividend), x%0 = x.
 func (b *Builder) SRem(x, y *Expr) *Expr {
 	binWidthCheck(KSRem, x, y)
-	if x.IsConst() && y.IsConst() {
-		xv, yv := SignExtendValue(x.Val, x.Width), SignExtendValue(y.Val, y.Width)
-		if yv == 0 {
-			return x
-		}
-		if yv == -1 {
-			return b.Const(0, x.Width)
-		}
-		return b.Const(uint64(xv%yv), x.Width)
-	}
-	return b.intern(Expr{Kind: KSRem, Width: x.Width, Args: []*Expr{x, y}})
+	return b.intern(Expr{Kind: KSRem, Width: x.Width}, x, y)
 }
 
 // And returns the bitwise conjunction.
 func (b *Builder) And(x, y *Expr) *Expr {
 	binWidthCheck(KAnd, x, y)
-	if x.IsConst() && y.IsConst() {
-		return b.Const(x.Val&y.Val, x.Width)
-	}
 	if x.IsConst() {
 		x, y = y, x
 	}
@@ -316,15 +284,12 @@ func (b *Builder) And(x, y *Expr) *Expr {
 		return x
 	}
 	x, y = orderComm(x, y)
-	return b.intern(Expr{Kind: KAnd, Width: x.Width, Args: []*Expr{x, y}})
+	return b.intern(Expr{Kind: KAnd, Width: x.Width}, x, y)
 }
 
 // Or returns the bitwise disjunction.
 func (b *Builder) Or(x, y *Expr) *Expr {
 	binWidthCheck(KOr, x, y)
-	if x.IsConst() && y.IsConst() {
-		return b.Const(x.Val|y.Val, x.Width)
-	}
 	if x.IsConst() {
 		x, y = y, x
 	}
@@ -340,15 +305,12 @@ func (b *Builder) Or(x, y *Expr) *Expr {
 		return x
 	}
 	x, y = orderComm(x, y)
-	return b.intern(Expr{Kind: KOr, Width: x.Width, Args: []*Expr{x, y}})
+	return b.intern(Expr{Kind: KOr, Width: x.Width}, x, y)
 }
 
 // Xor returns the bitwise exclusive or.
 func (b *Builder) Xor(x, y *Expr) *Expr {
 	binWidthCheck(KXor, x, y)
-	if x.IsConst() && y.IsConst() {
-		return b.Const(x.Val^y.Val, x.Width)
-	}
 	if x.IsConst() {
 		x, y = y, x
 	}
@@ -359,29 +321,23 @@ func (b *Builder) Xor(x, y *Expr) *Expr {
 		return b.Const(0, x.Width)
 	}
 	x, y = orderComm(x, y)
-	return b.intern(Expr{Kind: KXor, Width: x.Width, Args: []*Expr{x, y}})
+	return b.intern(Expr{Kind: KXor, Width: x.Width}, x, y)
 }
 
 // Not returns the bitwise complement.
 func (b *Builder) Not(x *Expr) *Expr {
-	if x.IsConst() {
-		return b.Const(^x.Val, x.Width)
-	}
 	if x.Kind == KNot {
 		return x.Args[0]
 	}
-	return b.intern(Expr{Kind: KNot, Width: x.Width, Args: []*Expr{x}})
+	return b.intern(Expr{Kind: KNot, Width: x.Width}, x)
 }
 
 // Neg returns the two's-complement negation.
 func (b *Builder) Neg(x *Expr) *Expr {
-	if x.IsConst() {
-		return b.Const(-x.Val, x.Width)
-	}
 	if x.Kind == KNeg {
 		return x.Args[0]
 	}
-	return b.intern(Expr{Kind: KNeg, Width: x.Width, Args: []*Expr{x}})
+	return b.intern(Expr{Kind: KNeg, Width: x.Width}, x)
 }
 
 // Shl returns x shifted left by y; shifts ≥ width yield zero.
@@ -394,11 +350,8 @@ func (b *Builder) Shl(x, y *Expr) *Expr {
 		if y.Val == 0 {
 			return x
 		}
-		if x.IsConst() {
-			return b.Const(x.Val<<y.Val, x.Width)
-		}
 	}
-	return b.intern(Expr{Kind: KShl, Width: x.Width, Args: []*Expr{x, y}})
+	return b.intern(Expr{Kind: KShl, Width: x.Width}, x, y)
 }
 
 // LShr returns the logical right shift.
@@ -411,29 +364,17 @@ func (b *Builder) LShr(x, y *Expr) *Expr {
 		if y.Val == 0 {
 			return x
 		}
-		if x.IsConst() {
-			return b.Const(Truncate(x.Val, x.Width)>>y.Val, x.Width)
-		}
 	}
-	return b.intern(Expr{Kind: KLShr, Width: x.Width, Args: []*Expr{x, y}})
+	return b.intern(Expr{Kind: KLShr, Width: x.Width}, x, y)
 }
 
 // AShr returns the arithmetic right shift.
 func (b *Builder) AShr(x, y *Expr) *Expr {
 	binWidthCheck(KAShr, x, y)
-	if y.IsConst() {
-		if y.Val == 0 {
-			return x
-		}
-		if x.IsConst() {
-			sh := y.Val
-			if sh >= uint64(x.Width) {
-				sh = uint64(x.Width) - 1
-			}
-			return b.Const(uint64(SignExtendValue(x.Val, x.Width)>>sh), x.Width)
-		}
+	if y.IsConst() && y.Val == 0 {
+		return x
 	}
-	return b.intern(Expr{Kind: KAShr, Width: x.Width, Args: []*Expr{x, y}})
+	return b.intern(Expr{Kind: KAShr, Width: x.Width}, x, y)
 }
 
 // Eq returns the 1-bit equality x == y. Arrays may not be compared.
@@ -441,9 +382,6 @@ func (b *Builder) Eq(x, y *Expr) *Expr {
 	binWidthCheck(KEq, x, y)
 	if x == y {
 		return b.True()
-	}
-	if x.IsConst() && y.IsConst() {
-		return b.Bool(x.Val == y.Val)
 	}
 	// Boolean equality with a constant simplifies to the operand or
 	// its negation.
@@ -462,7 +400,7 @@ func (b *Builder) Eq(x, y *Expr) *Expr {
 		}
 	}
 	x, y = orderComm(x, y)
-	return b.intern(Expr{Kind: KEq, Width: 1, Args: []*Expr{x, y}})
+	return b.intern(Expr{Kind: KEq, Width: 1}, x, y)
 }
 
 // Ne returns the 1-bit disequality.
@@ -471,55 +409,43 @@ func (b *Builder) Ne(x, y *Expr) *Expr { return b.BoolNot(b.Eq(x, y)) }
 // Ult returns the 1-bit unsigned less-than.
 func (b *Builder) Ult(x, y *Expr) *Expr {
 	binWidthCheck(KUlt, x, y)
-	if x.IsConst() && y.IsConst() {
-		return b.Bool(x.Val < y.Val)
-	}
 	if x == y {
 		return b.False()
 	}
 	if y.IsConst() && y.Val == 0 {
 		return b.False()
 	}
-	return b.intern(Expr{Kind: KUlt, Width: 1, Args: []*Expr{x, y}})
+	return b.intern(Expr{Kind: KUlt, Width: 1}, x, y)
 }
 
 // Ule returns the 1-bit unsigned less-or-equal.
 func (b *Builder) Ule(x, y *Expr) *Expr {
 	binWidthCheck(KUle, x, y)
-	if x.IsConst() && y.IsConst() {
-		return b.Bool(x.Val <= y.Val)
-	}
 	if x == y {
 		return b.True()
 	}
 	if x.IsConst() && x.Val == 0 {
 		return b.True()
 	}
-	return b.intern(Expr{Kind: KUle, Width: 1, Args: []*Expr{x, y}})
+	return b.intern(Expr{Kind: KUle, Width: 1}, x, y)
 }
 
 // Slt returns the 1-bit signed less-than.
 func (b *Builder) Slt(x, y *Expr) *Expr {
 	binWidthCheck(KSlt, x, y)
-	if x.IsConst() && y.IsConst() {
-		return b.Bool(SignExtendValue(x.Val, x.Width) < SignExtendValue(y.Val, y.Width))
-	}
 	if x == y {
 		return b.False()
 	}
-	return b.intern(Expr{Kind: KSlt, Width: 1, Args: []*Expr{x, y}})
+	return b.intern(Expr{Kind: KSlt, Width: 1}, x, y)
 }
 
 // Sle returns the 1-bit signed less-or-equal.
 func (b *Builder) Sle(x, y *Expr) *Expr {
 	binWidthCheck(KSle, x, y)
-	if x.IsConst() && y.IsConst() {
-		return b.Bool(SignExtendValue(x.Val, x.Width) <= SignExtendValue(y.Val, y.Width))
-	}
 	if x == y {
 		return b.True()
 	}
-	return b.intern(Expr{Kind: KSle, Width: 1, Args: []*Expr{x, y}})
+	return b.intern(Expr{Kind: KSle, Width: 1}, x, y)
 }
 
 // Ugt, Uge, Sgt are the flipped comparison helpers.
@@ -575,17 +501,14 @@ func (b *Builder) Ite(cond, x, y *Expr) *Expr {
 	if x.Width == 1 && !x.IsArray() {
 		return b.BoolOr(b.BoolAnd(cond, x), b.BoolAnd(b.BoolNot(cond), y))
 	}
-	return b.intern(Expr{Kind: KIte, Width: x.Width, IdxWidth: x.IdxWidth, Args: []*Expr{cond, x, y}})
+	return b.intern(Expr{Kind: KIte, Width: x.Width, IdxWidth: x.IdxWidth}, cond, x, y)
 }
 
 // Concat returns hi ∘ lo, the (hi.Width+lo.Width)-bit concatenation.
 func (b *Builder) Concat(hi, lo *Expr) *Expr {
 	w := hi.Width + lo.Width
 	checkWidth(w)
-	if hi.IsConst() && lo.IsConst() {
-		return b.Const(hi.Val<<lo.Width|Truncate(lo.Val, lo.Width), w)
-	}
-	return b.intern(Expr{Kind: KConcat, Width: w, Args: []*Expr{hi, lo}})
+	return b.intern(Expr{Kind: KConcat, Width: w}, hi, lo)
 }
 
 // Extract returns bits [lo, lo+w) of x.
@@ -597,26 +520,22 @@ func (b *Builder) Extract(x *Expr, lo, w uint) *Expr {
 	if lo == 0 && w == x.Width {
 		return x
 	}
-	if x.IsConst() {
-		return b.Const(x.Val>>lo, w)
-	}
 	if x.Kind == KExtract {
 		return b.Extract(x.Args[0], x.Lo+lo, w)
 	}
 	if x.Kind == KConcat {
-		hw, lw := x.Args[0].Width, x.Args[1].Width
+		lw := x.Args[1].Width
 		if lo+w <= lw {
 			return b.Extract(x.Args[1], lo, w)
 		}
 		if lo >= lw {
 			return b.Extract(x.Args[0], lo-lw, w)
 		}
-		_ = hw
 	}
 	if x.Kind == KZExt && lo+w <= x.Args[0].Width {
 		return b.Extract(x.Args[0], lo, w)
 	}
-	return b.intern(Expr{Kind: KExtract, Width: w, Lo: lo, Args: []*Expr{x}})
+	return b.intern(Expr{Kind: KExtract, Width: w, Lo: lo}, x)
 }
 
 // ZExt zero-extends x to w bits.
@@ -628,13 +547,10 @@ func (b *Builder) ZExt(x *Expr, w uint) *Expr {
 	if w < x.Width {
 		panic("expr: ZExt to narrower width")
 	}
-	if x.IsConst() {
-		return b.Const(x.Val, w)
-	}
 	if x.Kind == KZExt {
 		return b.ZExt(x.Args[0], w)
 	}
-	return b.intern(Expr{Kind: KZExt, Width: w, Args: []*Expr{x}})
+	return b.intern(Expr{Kind: KZExt, Width: w}, x)
 }
 
 // SExt sign-extends x to w bits.
@@ -646,10 +562,7 @@ func (b *Builder) SExt(x *Expr, w uint) *Expr {
 	if w < x.Width {
 		panic("expr: SExt to narrower width")
 	}
-	if x.IsConst() {
-		return b.Const(uint64(SignExtendValue(x.Val, x.Width)), w)
-	}
-	return b.intern(Expr{Kind: KSExt, Width: w, Args: []*Expr{x}})
+	return b.intern(Expr{Kind: KSExt, Width: w}, x)
 }
 
 // Select returns array[idx].
@@ -681,7 +594,7 @@ func (b *Builder) Select(arr, idx *Expr) *Expr {
 		}
 		break
 	}
-	return b.intern(Expr{Kind: KSelect, Width: arr.Width, Args: []*Expr{cur, idx}})
+	return b.intern(Expr{Kind: KSelect, Width: arr.Width}, cur, idx)
 }
 
 // Store returns arr with idx mapped to val.
@@ -696,5 +609,66 @@ func (b *Builder) Store(arr, idx, val *Expr) *Expr {
 	if arr.Kind == KStore && arr.Args[1] == idx {
 		return b.Store(arr.Args[0], idx, val)
 	}
-	return b.intern(Expr{Kind: KStore, Width: arr.Width, IdxWidth: arr.IdxWidth, Args: []*Expr{arr, idx, val}})
+	return b.intern(Expr{Kind: KStore, Width: arr.Width, IdxWidth: arr.IdxWidth}, arr, idx, val)
+}
+
+// Apply builds a kind-k operator node over args through the kind's own
+// builder method, so every simplification applies. w and lo are read
+// only by the kinds whose result shape args do not fix: KExtract (width
+// and low bit), KZExt and KSExt (width). Leaves and array kinds have
+// no operator builder; Apply panics on them.
+func (b *Builder) Apply(k Kind, w, lo uint, args ...*Expr) *Expr {
+	switch k {
+	case KAdd:
+		return b.Add(args[0], args[1])
+	case KSub:
+		return b.Sub(args[0], args[1])
+	case KMul:
+		return b.Mul(args[0], args[1])
+	case KUDiv:
+		return b.UDiv(args[0], args[1])
+	case KURem:
+		return b.URem(args[0], args[1])
+	case KSDiv:
+		return b.SDiv(args[0], args[1])
+	case KSRem:
+		return b.SRem(args[0], args[1])
+	case KAnd:
+		return b.And(args[0], args[1])
+	case KOr:
+		return b.Or(args[0], args[1])
+	case KXor:
+		return b.Xor(args[0], args[1])
+	case KNot:
+		return b.Not(args[0])
+	case KNeg:
+		return b.Neg(args[0])
+	case KShl:
+		return b.Shl(args[0], args[1])
+	case KLShr:
+		return b.LShr(args[0], args[1])
+	case KAShr:
+		return b.AShr(args[0], args[1])
+	case KEq:
+		return b.Eq(args[0], args[1])
+	case KUlt:
+		return b.Ult(args[0], args[1])
+	case KUle:
+		return b.Ule(args[0], args[1])
+	case KSlt:
+		return b.Slt(args[0], args[1])
+	case KSle:
+		return b.Sle(args[0], args[1])
+	case KIte:
+		return b.Ite(args[0], args[1], args[2])
+	case KConcat:
+		return b.Concat(args[0], args[1])
+	case KExtract:
+		return b.Extract(args[0], lo, w)
+	case KZExt:
+		return b.ZExt(args[0], w)
+	case KSExt:
+		return b.SExt(args[0], w)
+	}
+	panic("expr: Apply of " + k.String())
 }

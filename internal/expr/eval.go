@@ -168,108 +168,142 @@ func (ctx *evalCtx) evalUncached(e *Expr) (uint64, error) {
 			return 0, err
 		}
 	}
-	w := e.Width
-	bool2 := func(v bool) (uint64, error) {
-		if v {
-			return 1, nil
-		}
-		return 0, nil
-	}
 	switch e.Kind {
+	case KEq:
+		if e.Args[0].IsArray() {
+			return 0, fmt.Errorf("expr: array equality not supported")
+		}
+	case KIte:
+		if e.Args[1].IsArray() {
+			return 0, fmt.Errorf("expr: Eval of array-sorted ite")
+		}
+	}
+	var aw uint
+	if len(e.Args) > 0 {
+		aw = e.Args[0].Width
+	}
+	if v, ok := compute(e.Kind, e.Width, aw, e.Lo, a, c, d); ok {
+		return v, nil
+	}
+	return 0, fmt.Errorf("expr: Eval of %s", e.Kind)
+}
+
+// compute returns the value of a kind-k node whose operands have the
+// values a, c and d, each within its operand's width. It is the one
+// definition of what every operator computes: the evaluator checks
+// solver models with it, the Builder folds constant operands through
+// it, and symex's native ALU reaches it through BinOp. w is the node's
+// width, aw its first operand's width and lo an extract's low bit.
+// Division by zero follows SMT-LIB. ok is false for leaves and the
+// array kinds, which are not operators over bitvector values.
+func compute(k Kind, w, aw, lo uint, a, c, d uint64) (v uint64, ok bool) {
+	switch k {
 	case KAdd:
-		return Truncate(a+c, w), nil
+		return Truncate(a+c, w), true
 	case KSub:
-		return Truncate(a-c, w), nil
+		return Truncate(a-c, w), true
 	case KMul:
-		return Truncate(a*c, w), nil
+		return Truncate(a*c, w), true
 	case KUDiv:
 		if c == 0 {
-			return mask(w), nil
+			return mask(w), true
 		}
-		return Truncate(a/c, w), nil
+		return Truncate(a/c, w), true
 	case KURem:
 		if c == 0 {
-			return a, nil
+			return a, true
 		}
-		return Truncate(a%c, w), nil
+		return Truncate(a%c, w), true
 	case KSDiv:
-		xa, xc := SignExtendValue(a, e.Args[0].Width), SignExtendValue(c, e.Args[1].Width)
+		xa, xc := SignExtendValue(a, aw), SignExtendValue(c, aw)
 		if xc == 0 {
 			if xa >= 0 {
-				return mask(w), nil
+				return mask(w), true
 			}
-			return 1, nil
+			return 1, true
 		}
 		if xc == -1 && xa == -9223372036854775808 {
-			return a, nil // MIN/-1 wraps to MIN in two's complement
+			return a, true // MIN/-1 wraps to MIN in two's complement
 		}
-		return Truncate(uint64(xa/xc), w), nil
+		return Truncate(uint64(xa/xc), w), true
 	case KSRem:
-		xa, xc := SignExtendValue(a, e.Args[0].Width), SignExtendValue(c, e.Args[1].Width)
+		xa, xc := SignExtendValue(a, aw), SignExtendValue(c, aw)
 		if xc == 0 {
-			return a, nil
+			return a, true
 		}
 		if xc == -1 {
-			return 0, nil
+			return 0, true
 		}
-		return Truncate(uint64(xa%xc), w), nil
+		return Truncate(uint64(xa%xc), w), true
 	case KAnd:
-		return a & c, nil
+		return a & c, true
 	case KOr:
-		return a | c, nil
+		return a | c, true
 	case KXor:
-		return a ^ c, nil
+		return a ^ c, true
 	case KNot:
-		return Truncate(^a, w), nil
+		return Truncate(^a, w), true
 	case KNeg:
-		return Truncate(-a, w), nil
+		return Truncate(-a, w), true
 	case KShl:
 		if c >= uint64(w) {
-			return 0, nil
+			return 0, true
 		}
-		return Truncate(a<<c, w), nil
+		return Truncate(a<<c, w), true
 	case KLShr:
 		if c >= uint64(w) {
-			return 0, nil
+			return 0, true
 		}
-		return a >> c, nil
+		return a >> c, true
 	case KAShr:
 		sh := c
 		if sh >= uint64(w) {
 			sh = uint64(w) - 1
 		}
-		return Truncate(uint64(SignExtendValue(a, e.Args[0].Width)>>sh), w), nil
+		return Truncate(uint64(SignExtendValue(a, aw)>>sh), w), true
 	case KEq:
-		if e.Args[0].IsArray() {
-			return 0, fmt.Errorf("expr: array equality not supported")
-		}
-		return bool2(a == c)
+		return bit(a == c), true
 	case KUlt:
-		return bool2(a < c)
+		return bit(a < c), true
 	case KUle:
-		return bool2(a <= c)
+		return bit(a <= c), true
 	case KSlt:
-		return bool2(SignExtendValue(a, e.Args[0].Width) < SignExtendValue(c, e.Args[1].Width))
+		return bit(SignExtendValue(a, aw) < SignExtendValue(c, aw)), true
 	case KSle:
-		return bool2(SignExtendValue(a, e.Args[0].Width) <= SignExtendValue(c, e.Args[1].Width))
+		return bit(SignExtendValue(a, aw) <= SignExtendValue(c, aw)), true
 	case KIte:
-		if e.Args[1].IsArray() {
-			return 0, fmt.Errorf("expr: Eval of array-sorted ite")
-		}
 		if a != 0 {
-			return c, nil
+			return c, true
 		}
-		return d, nil
+		return d, true
 	case KConcat:
-		return Truncate(a<<e.Args[1].Width|Truncate(c, e.Args[1].Width), w), nil
+		return Truncate(a<<(w-aw)|Truncate(c, w-aw), w), true
 	case KExtract:
-		return Truncate(a>>e.Lo, w), nil
+		return Truncate(a>>lo, w), true
 	case KZExt:
-		return Truncate(a, e.Args[0].Width), nil
+		return Truncate(a, aw), true
 	case KSExt:
-		return Truncate(uint64(SignExtendValue(a, e.Args[0].Width)), w), nil
+		return Truncate(uint64(SignExtendValue(a, aw)), w), true
 	}
-	return 0, fmt.Errorf("expr: Eval of %s", e.Kind)
+	return 0, false
+}
+
+// BinOp computes the binary operator k over the low w bits of a and c:
+// the value the Builder folds k's constant operands to. For comparison
+// kinds the result is 0 or 1.
+func BinOp(k Kind, w uint, a, c uint64) uint64 {
+	v, ok := compute(k, w, w, 0, Truncate(a, w), Truncate(c, w), 0)
+	if !ok {
+		panic("expr: BinOp of " + k.String())
+	}
+	return v
+}
+
+func bit(v bool) uint64 {
+	if v {
+		return 1
+	}
+	return 0
 }
 
 // MustEval evaluates e and panics on structural errors; intended for

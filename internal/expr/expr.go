@@ -12,6 +12,17 @@
 // identical nodes and applies local simplification rules at build time.
 // Node identity (pointer equality) therefore coincides with structural
 // equality for nodes produced by the same Builder.
+//
+// What each operator computes is defined once, by compute in eval.go.
+// The evaluator checks solver models with it, the Builder folds every
+// operator whose operands are all constants through it, and symex's
+// native ALU for slice-pruned steps reaches it through BinOp, so a
+// value the engine computes natively is the value the builder would
+// have folded. internal/vm's EvalBin is kept apart on purpose: the VM
+// is the production machine and the final verification re-run, so it
+// stays an independent implementation, and a symex test cross-checks
+// the two (they differ only on zero divisors, where the VM faults and
+// expr follows SMT-LIB).
 package expr
 
 import (

@@ -140,7 +140,9 @@ func (a *arrayElim) rewrite(e *expr.Expr) *expr.Expr {
 		if !changed {
 			r = e
 		} else {
-			r = a.rebuild(e, args)
+			// Rebuilt through the builder so simplifications
+			// re-apply to the rewritten arguments.
+			r = a.b.Apply(e.Kind, e.Width, e.Lo, args...)
 		}
 	}
 	if n := int(e.ID()) + 1; n > len(a.cache) {
@@ -204,64 +206,4 @@ func (a *arrayElim) selectOf(arr, idx *expr.Expr) *expr.Expr {
 	}
 	a.selCache[key] = r
 	return r
-}
-
-// rebuild re-creates node e with new arguments through the builder so
-// simplifications re-apply.
-func (a *arrayElim) rebuild(e *expr.Expr, args []*expr.Expr) *expr.Expr {
-	b := a.b
-	switch e.Kind {
-	case expr.KAdd:
-		return b.Add(args[0], args[1])
-	case expr.KSub:
-		return b.Sub(args[0], args[1])
-	case expr.KMul:
-		return b.Mul(args[0], args[1])
-	case expr.KUDiv:
-		return b.UDiv(args[0], args[1])
-	case expr.KURem:
-		return b.URem(args[0], args[1])
-	case expr.KSDiv:
-		return b.SDiv(args[0], args[1])
-	case expr.KSRem:
-		return b.SRem(args[0], args[1])
-	case expr.KAnd:
-		return b.And(args[0], args[1])
-	case expr.KOr:
-		return b.Or(args[0], args[1])
-	case expr.KXor:
-		return b.Xor(args[0], args[1])
-	case expr.KNot:
-		return b.Not(args[0])
-	case expr.KNeg:
-		return b.Neg(args[0])
-	case expr.KShl:
-		return b.Shl(args[0], args[1])
-	case expr.KLShr:
-		return b.LShr(args[0], args[1])
-	case expr.KAShr:
-		return b.AShr(args[0], args[1])
-	case expr.KEq:
-		return b.Eq(args[0], args[1])
-	case expr.KUlt:
-		return b.Ult(args[0], args[1])
-	case expr.KUle:
-		return b.Ule(args[0], args[1])
-	case expr.KSlt:
-		return b.Slt(args[0], args[1])
-	case expr.KSle:
-		return b.Sle(args[0], args[1])
-	case expr.KIte:
-		return b.Ite(args[0], args[1], args[2])
-	case expr.KConcat:
-		return b.Concat(args[0], args[1])
-	case expr.KExtract:
-		return b.Extract(args[0], e.Lo, e.Width)
-	case expr.KZExt:
-		return b.ZExt(args[0], e.Width)
-	case expr.KSExt:
-		return b.SExt(args[0], e.Width)
-	}
-	a.err = fmt.Errorf("solver: rebuild of %s", e.Kind)
-	return e
 }

@@ -18,9 +18,11 @@ import (
 // The induction invariant is that every register in the slice holds
 // the same expression as in the full run; registers handled natively
 // hold a concrete value v exactly when the full run holds the constant
-// expression for v (the native ALU mirrors the builder's constant
-// folds bit for bit, and falls back to the full symbolic path whenever
-// an operand turns out not to be constant at runtime).
+// expression for v. That holds by construction: the native ALU
+// (evalBin) and the builder's constant folds both compute through
+// expr's one definition of each operator, reached through the same
+// binKinds table, and the native path falls back to the full symbolic
+// one whenever an operand turns out not to be constant at runtime.
 
 // cval reads an operand as a native concrete value, reporting whether
 // one is available. Mirrors reg(): immediates and never-written
@@ -176,7 +178,7 @@ func (e *Engine) fastStep(t *sthread, f *sframe, in *ir.Instr, m dataflow.Mode) 
 		if !okx || !oky {
 			return false, nil
 		}
-		e.setConc(f, in.Dst, concBinOp(in.Op, x, y, w))
+		e.setConc(f, in.Dst, evalBin(in.Op, w, x, y))
 
 	default:
 		// Division and every stateful op are never assigned ModeConc.
@@ -185,63 +187,4 @@ func (e *Engine) fastStep(t *sthread, f *sframe, in *ir.Instr, m dataflow.Mode) 
 	f.ii++
 	e.concSteps++
 	return true, nil
-}
-
-func b2u(v bool) uint64 {
-	if v {
-		return 1
-	}
-	return 0
-}
-
-// concBinOp natively evaluates a width-w binary operation over
-// full-width operand values, returning the zero-extended w-bit result
-// exactly as the full path's up(binOp(op, low(x), low(y))) constant
-// folds it.
-func concBinOp(op ir.Op, x, y uint64, w uint) uint64 {
-	a := expr.Truncate(x, w)
-	c := expr.Truncate(y, w)
-	switch op {
-	case ir.OpAdd:
-		return expr.Truncate(a+c, w)
-	case ir.OpSub:
-		return expr.Truncate(a-c, w)
-	case ir.OpMul:
-		return expr.Truncate(a*c, w)
-	case ir.OpAnd:
-		return a & c
-	case ir.OpOr:
-		return a | c
-	case ir.OpXor:
-		return a ^ c
-	case ir.OpShl:
-		if c >= uint64(w) {
-			return 0
-		}
-		return expr.Truncate(a<<c, w)
-	case ir.OpLShr:
-		if c >= uint64(w) {
-			return 0
-		}
-		return a >> c
-	case ir.OpAShr:
-		sh := c
-		if sh >= uint64(w) {
-			sh = uint64(w) - 1
-		}
-		return expr.Truncate(uint64(expr.SignExtendValue(a, w)>>sh), w)
-	case ir.OpEq:
-		return b2u(a == c)
-	case ir.OpNe:
-		return b2u(a != c)
-	case ir.OpUlt:
-		return b2u(a < c)
-	case ir.OpUle:
-		return b2u(a <= c)
-	case ir.OpSlt:
-		return b2u(expr.SignExtendValue(a, w) < expr.SignExtendValue(c, w))
-	case ir.OpSle:
-		return b2u(expr.SignExtendValue(a, w) <= expr.SignExtendValue(c, w))
-	}
-	panic("symex: concBinOp on " + op.String())
 }

@@ -478,51 +478,43 @@ func (e *Engine) stepOne(t *sthread) (bool, error) {
 	return false, nil
 }
 
+// binKinds maps each binary IR op to the expression kind that defines
+// it, for the symbolic path (binOp) and the native one (evalBin) alike.
+// OpNe has no kind of its own: it is the negation of KEq.
+var binKinds = [...]struct {
+	kind expr.Kind
+	neg  bool
+}{
+	ir.OpAdd: {kind: expr.KAdd}, ir.OpSub: {kind: expr.KSub}, ir.OpMul: {kind: expr.KMul},
+	ir.OpUDiv: {kind: expr.KUDiv}, ir.OpURem: {kind: expr.KURem},
+	ir.OpSDiv: {kind: expr.KSDiv}, ir.OpSRem: {kind: expr.KSRem},
+	ir.OpAnd: {kind: expr.KAnd}, ir.OpOr: {kind: expr.KOr}, ir.OpXor: {kind: expr.KXor},
+	ir.OpShl: {kind: expr.KShl}, ir.OpLShr: {kind: expr.KLShr}, ir.OpAShr: {kind: expr.KAShr},
+	ir.OpEq: {kind: expr.KEq}, ir.OpNe: {kind: expr.KEq, neg: true},
+	ir.OpUlt: {kind: expr.KUlt}, ir.OpUle: {kind: expr.KUle},
+	ir.OpSlt: {kind: expr.KSlt}, ir.OpSle: {kind: expr.KSle},
+}
+
 // binOp builds the 64-bit result expression of a width-w operation.
 func (e *Engine) binOp(op ir.Op, a, b2 *expr.Expr) *expr.Expr {
-	b := e.b
-	var r *expr.Expr
-	switch op {
-	case ir.OpAdd:
-		r = b.Add(a, b2)
-	case ir.OpSub:
-		r = b.Sub(a, b2)
-	case ir.OpMul:
-		r = b.Mul(a, b2)
-	case ir.OpUDiv:
-		r = b.UDiv(a, b2)
-	case ir.OpURem:
-		r = b.URem(a, b2)
-	case ir.OpSDiv:
-		r = b.SDiv(a, b2)
-	case ir.OpSRem:
-		r = b.SRem(a, b2)
-	case ir.OpAnd:
-		r = b.And(a, b2)
-	case ir.OpOr:
-		r = b.Or(a, b2)
-	case ir.OpXor:
-		r = b.Xor(a, b2)
-	case ir.OpShl:
-		r = b.Shl(a, b2)
-	case ir.OpLShr:
-		r = b.LShr(a, b2)
-	case ir.OpAShr:
-		r = b.AShr(a, b2)
-	case ir.OpEq:
-		r = b.Eq(a, b2)
-	case ir.OpNe:
-		r = b.Ne(a, b2)
-	case ir.OpUlt:
-		r = b.Ult(a, b2)
-	case ir.OpUle:
-		r = b.Ule(a, b2)
-	case ir.OpSlt:
-		r = b.Slt(a, b2)
-	case ir.OpSle:
-		r = b.Sle(a, b2)
-	default:
-		panic("symex: not a binary op: " + op.String())
+	bk := binKinds[op]
+	r := e.b.Apply(bk.kind, 0, 0, a, b2)
+	if bk.neg {
+		r = e.b.BoolNot(r)
 	}
 	return e.up(r)
+}
+
+// evalBin natively computes a width-w binary operation over full-width
+// register values, returning the zero-extended w-bit result: the value
+// up(binOp(op, low(x), low(y))) folds to when both operands are
+// constants, since both go through expr's one definition of the
+// operator.
+func evalBin(op ir.Op, w uint, x, y uint64) uint64 {
+	bk := binKinds[op]
+	v := expr.BinOp(bk.kind, w, x, y)
+	if bk.neg {
+		v ^= 1
+	}
+	return v
 }
