@@ -18,7 +18,6 @@ import (
 	"execrecon/internal/bench"
 	"execrecon/internal/core"
 	"execrecon/internal/prod"
-	"execrecon/internal/symex"
 	"execrecon/internal/vm"
 )
 
@@ -34,12 +33,7 @@ func BenchmarkTable1(b *testing.B) {
 			}
 			var occ int
 			for i := 0; i < b.N; i++ {
-				rep, err := core.Reproduce(core.Config{
-					Module:        mod,
-					Gen:           &core.FixedWorkload{Workload: a.Failing(), Seed: a.Seed},
-					Symex:         symex.Options{QueryBudget: a.QueryBudget, MaxInstrs: 50_000_000},
-					MaxIterations: 12,
-				})
+				rep, err := core.Reproduce(bench.ReproConfig(a, mod))
 				if err != nil || !rep.Reproduced || !rep.Verified {
 					b.Fatalf("reproduction failed: %v (%+v)", err, rep)
 				}

@@ -15,6 +15,9 @@ import (
 	"text/tabwriter"
 
 	"execrecon/internal/apps"
+	"execrecon/internal/core"
+	"execrecon/internal/ir"
+	"execrecon/internal/symex"
 )
 
 // table renders rows with aligned columns.
@@ -35,3 +38,14 @@ func table(w io.Writer, header []string, rows [][]string) {
 // DefaultQueryBudget is apps.DefaultQueryBudget, kept under this name
 // for the benchmark module.
 const DefaultQueryBudget = apps.DefaultQueryBudget
+
+// ReproConfig is the reproduction recipe every experiment runs an app
+// with: its failing workload and seed, its query budget (a.Budget),
+// and the default iteration limit.
+func ReproConfig(a *apps.App, mod *ir.Module) core.Config {
+	return core.Config{
+		Module: mod,
+		Gen:    &core.FixedWorkload{Workload: a.Failing(), Seed: a.Seed},
+		Symex:  symex.Options{QueryBudget: a.Budget(), MaxInstrs: 50_000_000},
+	}
+}

@@ -6,7 +6,6 @@ import (
 
 	"execrecon/internal/apps"
 	"execrecon/internal/core"
-	"execrecon/internal/symex"
 	"execrecon/internal/vm"
 )
 
@@ -34,12 +33,7 @@ func RunRandomBaseline(maxIter int) []RandomRow {
 			continue
 		}
 		row := RandomRow{App: a.Name}
-		rep, err := core.Reproduce(core.Config{
-			Module:        mod,
-			Gen:           &core.FixedWorkload{Workload: a.Failing(), Seed: a.Seed},
-			Symex:         symex.Options{QueryBudget: a.QueryBudget, MaxInstrs: 50_000_000},
-			MaxIterations: 12,
-		})
+		rep, err := core.Reproduce(ReproConfig(a, mod))
 		row.KeyOK = err == nil && rep.Reproduced && rep.Verified
 		row.KeyOccur = rep.Occurrences
 		row.NeedsData = rep.Occurrences > 1
@@ -51,14 +45,11 @@ func RunRandomBaseline(maxIter int) []RandomRow {
 		if maxIter > 0 {
 			iters = maxIter
 		}
-		rrep, rerr := core.Reproduce(core.Config{
-			Module:          mod,
-			Gen:             &core.FixedWorkload{Workload: a.Failing(), Seed: a.Seed},
-			Symex:           symex.Options{QueryBudget: a.QueryBudget, MaxInstrs: 50_000_000},
-			MaxIterations:   iters,
-			RandomSelection: true,
-			RandomSeed:      0xC0FFEE,
-		})
+		rcfg := ReproConfig(a, mod)
+		rcfg.MaxIterations = iters
+		rcfg.RandomSelection = true
+		rcfg.RandomSeed = 0xC0FFEE
+		rrep, rerr := core.Reproduce(rcfg)
 		row.RandomOK = rerr == nil && rrep.Reproduced && rrep.Verified
 		row.RandomOccur = rrep.Occurrences
 		if rerr != nil {
@@ -125,12 +116,7 @@ func RunAccuracy() ([]AccuracyRow, error) {
 		if err != nil {
 			return nil, err
 		}
-		rep, err := core.Reproduce(core.Config{
-			Module:        mod,
-			Gen:           &core.FixedWorkload{Workload: a.Failing(), Seed: a.Seed},
-			Symex:         symex.Options{QueryBudget: a.QueryBudget, MaxInstrs: 50_000_000},
-			MaxIterations: 12,
-		})
+		rep, err := core.Reproduce(ReproConfig(a, mod))
 		if err != nil || !rep.Reproduced {
 			rows = append(rows, AccuracyRow{App: a.Name})
 			continue

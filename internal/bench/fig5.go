@@ -7,6 +7,7 @@ import (
 	"time"
 
 	"execrecon/internal/apps"
+	"execrecon/internal/core"
 	"execrecon/internal/ir"
 	"execrecon/internal/keyselect"
 	"execrecon/internal/prod"
@@ -34,8 +35,8 @@ type Fig5Result struct {
 }
 
 // RunFig5 reproduces Fig. 5 on the PHP-74194 analog: it derives the
-// iteration-1 and iteration-2 instrumentation sets through the real
-// ER loop, then re-runs shepherded symbolic execution with the solver
+// iteration-1 and iteration-2 instrumentation sets through the
+// pipeline, then re-runs shepherded symbolic execution with the solver
 // timeout disabled under each of the three recording configurations,
 // measuring the time to symbolically execute the same instructions.
 func RunFig5(appName string) (*Fig5Result, error) {
@@ -51,42 +52,25 @@ func RunFig5(appName string) (*Fig5Result, error) {
 		return nil, err
 	}
 
-	// Derive up to two instrumentation generations by running the
-	// stall/select cycle with a tightly constrained solver budget
-	// (half the app's configured timeout analog), so two distinct
-	// recording generations emerge.
-	budget := a.QueryBudget / 2
-	if budget == 0 {
-		budget = 2000
+	// Derive up to two instrumentation generations by running two
+	// stall/select iterations with a tightly constrained solver
+	// budget (half the app's configured timeout analog), so two
+	// distinct recording generations emerge. Generation i deploys the
+	// first i steps of the chain; when the session converged early
+	// the last generation's module is reused.
+	cfg := ReproConfig(a, mod)
+	cfg.Symex.QueryBudget = a.Budget() / 2
+	cfg.MaxIterations = 2
+	rep, err := core.Reproduce(cfg)
+	if err != nil {
+		return nil, err
 	}
-	// One recorder, so every recording below reuses one ring.
-	var rec prod.Recorder
-	modules := []*ir.Module{mod} // generation 0: control flow only
-	cur := mod
-	for gen := 0; gen < 2; gen++ {
-		trace, failRes, err := rec.Record(cur, a.Failing(), a.Seed)
-		if err == nil && failRes.Failure == nil {
-			err = errNoFailure
-		}
-		if err != nil {
+	chain := rep.Chain()
+	modules := make([]*ir.Module, 3) // generation 0: control flow only
+	for i := range modules {
+		if modules[i], err = keyselect.InstrumentChain(mod, chain[:min(i, len(chain))]); err != nil {
 			return nil, err
 		}
-		sres := symex.New(cur, trace, failRes.Failure, symex.Options{QueryBudget: budget}).Run("main")
-		if sres.Status != symex.StatusStalled {
-			// Converged early: reuse the last instrumentation for
-			// the remaining generation.
-			modules = append(modules, cur)
-			continue
-		}
-		sel, err := keyselect.Select(sres)
-		if err != nil {
-			return nil, err
-		}
-		cur, err = keyselect.Instrument(cur, sel.Sites)
-		if err != nil {
-			return nil, err
-		}
-		modules = append(modules, cur)
 	}
 
 	labels := []string{
@@ -99,8 +83,10 @@ func RunFig5(appName string) (*Fig5Result, error) {
 		failure *vm.Failure
 		best    *symex.Result
 	}
+	// One recorder, so every recording below reuses one ring.
+	var rec prod.Recorder
 	gens := make([]generation, len(modules))
-	for i, m := range modules { // instrumenting does not change the failure checked above
+	for i, m := range modules { // instrumenting does not change the failure the session reproduced
 		trace, failRes, err := rec.Record(m, a.Failing(), a.Seed)
 		if err != nil {
 			return nil, err

@@ -9,7 +9,6 @@ import (
 	"execrecon/internal/ir"
 	"execrecon/internal/keyselect"
 	"execrecon/internal/prod"
-	"execrecon/internal/symex"
 	"execrecon/internal/vm"
 )
 
@@ -58,43 +57,16 @@ func RunFig6(runs int) ([]Fig6Row, error) {
 	return rows, nil
 }
 
-// finalInstrumentation reruns the ER loop to obtain the module as
-// deployed in the final (most-instrumented) iteration.
+// finalInstrumentation reproduces the app and returns the module as
+// deployed in the final (most-instrumented) iteration: the session's
+// chain folded onto the base module.
 func finalInstrumentation(a *apps.App, mod *ir.Module) (*ir.Module, error) {
-	deployed := mod
-	rep, err := core.Reproduce(core.Config{
-		Module:        mod,
-		Gen:           &core.FixedWorkload{Workload: a.Failing(), Seed: a.Seed},
-		Symex:         symex.Options{QueryBudget: a.QueryBudget, MaxInstrs: 50_000_000},
-		MaxIterations: 12,
-	})
+	rep, err := core.Reproduce(ReproConfig(a, mod))
 	if err != nil || !rep.Reproduced {
 		// Overhead of plain control-flow tracing still applies.
 		return mod, nil
 	}
-	// Re-derive the instrumented module by replaying the recorded
-	// iteration count.
-	var rec prod.Recorder
-	for i := 0; i < len(rep.Iterations)-1; i++ {
-		trace, failRes, err := rec.Record(deployed, a.Failing(), a.Seed) // fails: it reproduced above
-		if err != nil {
-			return nil, err
-		}
-		sres := symex.New(deployed, trace, failRes.Failure,
-			symex.Options{QueryBudget: a.QueryBudget}).Run("main")
-		if sres.Status != symex.StatusStalled {
-			break
-		}
-		sel, err := keyselect.Select(sres)
-		if err != nil {
-			return nil, err
-		}
-		deployed, err = keyselect.Instrument(deployed, sel.Sites)
-		if err != nil {
-			return nil, err
-		}
-	}
-	return deployed, nil
+	return keyselect.InstrumentChain(mod, rep.Chain())
 }
 
 // RenderFig6 prints the overhead bars with standard errors.

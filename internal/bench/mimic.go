@@ -7,7 +7,6 @@ import (
 	"execrecon/internal/apps"
 	"execrecon/internal/core"
 	"execrecon/internal/invariants"
-	"execrecon/internal/symex"
 	"execrecon/internal/vm"
 )
 
@@ -57,12 +56,7 @@ func RunMimic() ([]MimicRow, error) {
 		set := invariants.Infer(passing)
 
 		// Reconstruct the failure with ER.
-		rep, err := core.Reproduce(core.Config{
-			Module:        mod,
-			Gen:           &core.FixedWorkload{Workload: c.app.Failing(), Seed: c.app.Seed},
-			Symex:         symex.Options{QueryBudget: 200_000, MaxInstrs: 50_000_000},
-			MaxIterations: 12,
-		})
+		rep, err := core.Reproduce(ReproConfig(c.app, mod))
 		if err != nil || !rep.Reproduced {
 			return nil, fmt.Errorf("bench: mimic reconstruction failed for %s: %v", c.app.Name, err)
 		}
@@ -165,12 +159,7 @@ func RunMT() ([]MultiThreadedRow, error) {
 			return nil, err
 		}
 		res := vm.New(mod, vm.Config{Input: a.Failing(), Seed: a.Seed}).Run("main")
-		rep, err := core.Reproduce(core.Config{
-			Module:        mod,
-			Gen:           &core.FixedWorkload{Workload: a.Failing(), Seed: a.Seed},
-			Symex:         symex.Options{QueryBudget: a.QueryBudget, MaxInstrs: 50_000_000},
-			MaxIterations: 12,
-		})
+		rep, err := core.Reproduce(ReproConfig(a, mod))
 		row := MultiThreadedRow{
 			App:     a.Name,
 			Threads: res.Stats.Threads,

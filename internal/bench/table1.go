@@ -8,7 +8,6 @@ import (
 
 	"execrecon/internal/apps"
 	"execrecon/internal/core"
-	"execrecon/internal/symex"
 	"execrecon/internal/telemetry"
 )
 
@@ -72,12 +71,9 @@ func runTable1App(a *apps.App, log *slog.Logger) Table1Row {
 		row.FailReason = err.Error()
 		return row
 	}
-	rep, err := core.Reproduce(core.Config{
-		Module: mod,
-		Gen:    &core.FixedWorkload{Workload: a.Failing(), Seed: a.Seed},
-		Symex:  symex.Options{QueryBudget: a.Budget(), MaxInstrs: 50_000_000},
-		Logger: log,
-	})
+	cfg := ReproConfig(a, mod)
+	cfg.Logger = log
+	rep, err := core.Reproduce(cfg)
 	if err != nil {
 		row.FailReason = err.Error()
 		if rep == nil {

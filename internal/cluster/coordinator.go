@@ -586,13 +586,9 @@ func (c *Coordinator) rebuildModule(app string, chain [][]symex.SiteKey) (*ir.Mo
 	if !ok {
 		return nil, fmt.Errorf("cluster: rollout names unknown app %q", app)
 	}
-	mod := b.mod
-	for i, sites := range chain {
-		next, err := keyselect.Instrument(mod, sites)
-		if err != nil {
-			return nil, fmt.Errorf("cluster: rebuild chain step %d: %w", i+1, err)
-		}
-		mod = next
+	mod, err := keyselect.InstrumentChain(b.mod, chain)
+	if err != nil {
+		return nil, fmt.Errorf("cluster: rebuild %s: %w", app, err)
 	}
 	return mod, nil
 }

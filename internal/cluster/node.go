@@ -13,7 +13,6 @@ import (
 	"execrecon/internal/core"
 	"execrecon/internal/fleet"
 	"execrecon/internal/pt"
-	"execrecon/internal/symex"
 	"execrecon/internal/telemetry"
 	"execrecon/internal/vm"
 )
@@ -539,7 +538,7 @@ func (l *lease) Rollout(p *core.Pipeline) error {
 	sites, costBytes := p.Report().RecordingSet()
 	l.rollout = &RolloutRequest{
 		App: g.App, Key: g.Key, Term: g.Term,
-		Version: p.Version(), Chain: chainOf(p.Report()),
+		Version: p.Version(), Chain: p.Report().Chain(),
 		Sites: sites, CostBytes: costBytes,
 	}
 	return nil
@@ -609,18 +608,6 @@ func (l *lease) resolve(rep *core.Report, span *telemetry.SpanSnapshot) {
 	n.resolved.Add(1)
 	n.log.Info("bucket resolved", "app", g.App, "key", hexKey(g.Key),
 		"reproduced", rep.Reproduced, "verified", rep.Verified, "iterations", len(rep.Iterations))
-}
-
-// chainOf extracts the accumulated instrumentation-site chain from a
-// pipeline report (one entry per stall iteration, in order).
-func chainOf(rep *core.Report) [][]symex.SiteKey {
-	var chain [][]symex.SiteKey
-	for _, it := range rep.Iterations {
-		if len(it.Sites) > 0 {
-			chain = append(chain, it.Sites)
-		}
-	}
-	return chain
 }
 
 // occurrenceFromFetch rebuilds a pipeline occurrence from a fetched

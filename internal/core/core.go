@@ -181,6 +181,19 @@ func (r *Report) RecordingSet() (sites int, costBytes int64) {
 	return sites, costBytes
 }
 
+// Chain returns the report's instrumentation-site chain: one site
+// list per stall iteration, in rollout order. Folding it onto the base
+// module (keyselect.InstrumentChain) yields the deployed module.
+func (r *Report) Chain() [][]symex.SiteKey {
+	var chain [][]symex.SiteKey
+	for _, it := range r.Iterations {
+		if len(it.Sites) > 0 {
+			chain = append(chain, it.Sites)
+		}
+	}
+	return chain
+}
+
 // Reproduce runs the ER loop to completion: it awaits reoccurrences
 // from the configured source (or workload generator) and feeds them
 // to a Pipeline until the session ends.

@@ -35,8 +35,7 @@ type Pipeline struct {
 	rep      *Report
 	// an is the static dataflow analysis of the deployed module,
 	// recomputed on every re-instrumentation: shepherding prunes
-	// instructions outside its backward failure slice, and key data
-	// value selection drops recording sites it proves deducible.
+	// instructions outside its backward failure slice.
 	an *dataflow.Analysis
 	// tel caches the telemetry series this pipeline updates (each nil
 	// unless Config.Telemetry is set); root is the session's
@@ -294,7 +293,7 @@ func (p *Pipeline) Feed(occ *Occurrence) (bool, error) {
 			sites, cost, err = randomSelection(sres, p.cfg.RandomSeed+int64(p.iters))
 		} else {
 			var sel *keyselect.Selection
-			sel, err = keyselect.SelectWith(sres, keyselect.Options{Static: p.an})
+			sel, err = keyselect.Select(sres)
 			if err == nil {
 				sites, cost = sel.Sites, sel.TotalCostBytes
 			}

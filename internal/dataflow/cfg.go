@@ -1,11 +1,10 @@
 // Package dataflow is the static-analysis framework over the register
-// IR: control-flow graphs with reachability, reaching definitions and
-// def-use chains, interprocedural input-taint propagation through a
-// conservative alias partition, the backward failure slice that prunes
-// shepherded symbolic execution (internal/symex), and the
-// deducibility test that prunes key data value selection
-// (internal/keyselect). Two codegen-invariant checks (lint.go) run on
-// the CFG at the end of every minc compilation.
+// IR: control-flow graphs with reachability, interprocedural
+// input-taint propagation through a conservative alias partition, and
+// the backward failure slice that prunes shepherded symbolic execution
+// (internal/symex). internal/keyselect checks instrumentation
+// placements against the CFG. Two codegen-invariant checks (lint.go)
+// run on the CFG at the end of every minc compilation.
 //
 // Everything here is purely static: no trace, no reoccurrence, no
 // solver. That is the point — most instructions of a failing trace

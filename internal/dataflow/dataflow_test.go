@@ -70,29 +70,6 @@ func TestCFGUnreachable(t *testing.T) {
 	}
 }
 
-func TestDefUseReachingDefs(t *testing.T) {
-	f := diamond()
-	c := BuildCFG(f)
-	d := BuildDefUse(c)
-	// The ret in b3 reads r1; both consts must reach it.
-	defs := d.ReachingDefs(3, 0, 1)
-	if len(defs) != 2 {
-		t.Fatalf("ReachingDefs(b3, r1) = %v, want 2 defs", defs)
-	}
-	blks := map[int]bool{}
-	for _, di := range defs {
-		blks[d.Defs[di].Blk] = true
-	}
-	if !blks[1] || !blks[2] {
-		t.Errorf("defs reach from blocks %v, want {1,2}", blks)
-	}
-	// Inside b1, immediately after the const, only that def reaches.
-	defs = d.ReachingDefs(1, 1, 1)
-	if len(defs) != 1 || d.Defs[defs[0]].Blk != 1 {
-		t.Errorf("in-block query = %v", defs)
-	}
-}
-
 func TestTaintThroughMemory(t *testing.T) {
 	// main: r0 = input; store g0 <- r0; r1 = load g0; r2 = const 7;
 	// assert r2; ret r1
@@ -327,78 +304,5 @@ func TestWriteDOT(t *testing.T) {
 		if strings.HasPrefix(line, "  b4 [") != greyed {
 			t.Errorf("greyed = %v on %q", greyed, line)
 		}
-	}
-}
-
-func TestDeducibility(t *testing.T) {
-	// b0: r1 = input "x"; r2 = r1*3; r3 = const 5; r4 = r2+r3;
-	//     assert r4; ret 0
-	f := fn("main", 0, 5,
-		block(0,
-			ir.Instr{Op: ir.OpInput, W: ir.W32, Dst: 1, Tag: "x"},
-			ir.Instr{Op: ir.OpMul, W: ir.W32, Dst: 2, A: ir.Reg(1), B: ir.Imm(3)},
-			ir.Instr{Op: ir.OpConst, W: ir.W32, Dst: 3, A: ir.Imm(5)},
-			ir.Instr{Op: ir.OpAdd, W: ir.W32, Dst: 4, A: ir.Reg(2), B: ir.Reg(3)},
-			ir.Instr{Op: ir.OpAssert, A: ir.Reg(4)},
-			ir.Instr{Op: ir.OpRet, A: ir.Imm(0)},
-		))
-	a := Analyze(mod(f))
-	ded := NewDeducibility(a)
-	inputID := f.Blocks[0].Instrs[0].ID
-	mulID := f.Blocks[0].Instrs[1].ID
-	addID := f.Blocks[0].Instrs[3].ID
-	none := func(string, int32) bool { return false }
-	recInput := func(fn string, id int32) bool { return fn == "main" && id == inputID }
-	recMul := func(fn string, id int32) bool { return fn == "main" && id == mulID }
-
-	if ded.Deducible("main", inputID, recInput) {
-		t.Error("an input instruction must never be deducible")
-	}
-	if ded.Deducible("main", mulID, none) {
-		t.Error("mul deducible with nothing recorded")
-	}
-	if !ded.Deducible("main", mulID, recInput) {
-		t.Error("mul should be deducible from the recorded input")
-	}
-	if !ded.Deducible("main", addID, recInput) {
-		t.Error("add should be deducible: const operand plus deducible mul")
-	}
-	if !ded.Deducible("main", addID, recMul) {
-		t.Error("add should be deducible from the recorded mul")
-	}
-	if ded.Deducible("main", 9999, none) {
-		t.Error("unknown instruction id must not be deducible")
-	}
-	if ded.Deducible("nosuch", mulID, none) {
-		t.Error("unknown function must not be deducible")
-	}
-}
-
-func TestDeducibilityCycle(t *testing.T) {
-	// b0: r1 = const 0; br b1
-	// b1: r1 = r1 + 1; r2 = r1 <u 10; condbr r2 -> b1 | b2
-	// b2: ret r1
-	f := fn("loop", 0, 3,
-		block(0,
-			ir.Instr{Op: ir.OpConst, W: ir.W32, Dst: 1, A: ir.Imm(0)},
-			ir.Instr{Op: ir.OpBr, Blk: 1}),
-		block(1,
-			ir.Instr{Op: ir.OpAdd, W: ir.W32, Dst: 1, A: ir.Reg(1), B: ir.Imm(1)},
-			ir.Instr{Op: ir.OpUlt, W: ir.W32, Dst: 2, A: ir.Reg(1), B: ir.Imm(10)},
-			ir.Instr{Op: ir.OpCondBr, A: ir.Reg(2), Blk: 1, Blk2: 2}),
-		block(2, ir.Instr{Op: ir.OpRet, A: ir.Reg(1)}),
-	)
-	a := Analyze(mod(f))
-	ded := NewDeducibility(a)
-	addID := f.Blocks[1].Instrs[0].ID
-	none := func(string, int32) bool { return false }
-	if ded.Deducible("loop", addID, none) {
-		t.Error("loop-carried definition must be conservatively non-deducible")
-	}
-	// Recording the add itself makes the comparison deducible.
-	recAdd := func(fn string, id int32) bool { return fn == "loop" && id == addID }
-	ultID := f.Blocks[1].Instrs[1].ID
-	if !ded.Deducible("loop", ultID, recAdd) {
-		t.Error("comparison should be deducible once the add is recorded")
 	}
 }

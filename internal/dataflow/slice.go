@@ -62,8 +62,7 @@ type FuncAnalysis struct {
 func (fa *FuncAnalysis) Mode(blk, ii int) Mode { return fa.Modes[blk][ii] }
 
 // Analysis is the module-wide static analysis consumed by
-// internal/symex (slice-pruned stepping) and internal/keyselect
-// (static deducibility).
+// internal/symex (slice-pruned stepping).
 type Analysis struct {
 	Mod   *ir.Module
 	Taint *Taint
@@ -125,8 +124,7 @@ func pureOp(op ir.Op) bool {
 
 // Analyze builds the static analysis reproduction reads: control-flow
 // graphs with reachability, input taint, and the backward failure
-// slice with its per-instruction execution modes. Def-use chains are
-// built lazily, per function, by Deducibility queries.
+// slice with its per-instruction execution modes.
 func Analyze(mod *ir.Module) *Analysis {
 	a := &Analysis{
 		Mod:    mod,

@@ -39,11 +39,8 @@ type Selection struct {
 	Sites []symex.SiteKey
 	// TotalCostBytes is the summed recording cost.
 	TotalCostBytes int64
-	// DroppedDeducible counts recording elements removed by the static
-	// deducibility pass (Options.Static).
-	DroppedDeducible int
-	GraphNodes       int
-	Elapsed          time.Duration
+	GraphNodes     int
+	Elapsed        time.Duration
 }
 
 const infCost = int64(1) << 60
@@ -54,19 +51,12 @@ func Select(res *symex.Result) (*Selection, error) {
 	return SelectWith(res, Options{})
 }
 
-// Options tunes the selection, mainly for ablation studies.
+// Options tunes the selection for the minimization ablation (E10).
 type Options struct {
 	// NoMinimize skips the §3.3.2 cost-reduction DFS and records the
 	// raw bottleneck set directly (the "naive strategy" the paper
 	// rejects for its overhead).
 	NoMinimize bool
-
-	// Static, when non-nil, is the module's static dataflow analysis.
-	// After minimization, recording elements whose defining sites a
-	// shepherded replay can statically recompute from the remaining
-	// recorded sites (dataflow.Deducibility) are dropped: recording
-	// them costs trace bandwidth without adding information.
-	Static *dataflow.Analysis
 }
 
 // SelectWith is Select with explicit options.
@@ -116,11 +106,6 @@ func SelectWith(res *symex.Result, opts Options) (*Selection, error) {
 	if len(recording) == 0 {
 		return nil, fmt.Errorf("keyselect: no recordable elements for bottleneck set of %d", len(bottleneck))
 	}
-	if opts.Static != nil {
-		kept := dropDeducible(recording, opts.Static)
-		sel.DroppedDeducible = len(recording) - len(kept)
-		recording = kept
-	}
 
 	siteSeen := make(map[symex.SiteKey]bool)
 	for _, el := range recording {
@@ -140,66 +125,6 @@ func SelectWith(res *symex.Result, opts Options) (*Selection, error) {
 	})
 	sel.Elapsed = time.Since(start)
 	return sel, nil
-}
-
-// dropDeducible removes recording elements whose sites are statically
-// deducible from the sites that remain recorded. Elements are
-// considered at site granularity (co-sited elements share one ptwrite)
-// in descending cost order, so the most expensive redundant sites drop
-// first; at least one site always survives.
-func dropDeducible(rec []Element, a *dataflow.Analysis) []Element {
-	if len(rec) <= 1 {
-		return rec
-	}
-	ded := dataflow.NewDeducibility(a)
-
-	type site = symex.SiteKey
-	cost := make(map[site]int64)
-	for _, el := range rec {
-		cost[el.Site] += el.CostBytes
-	}
-	sites := make([]site, 0, len(cost))
-	for s := range cost {
-		sites = append(sites, s)
-	}
-	sort.Slice(sites, func(i, j int) bool {
-		a, b := sites[i], sites[j]
-		if cost[a] != cost[b] {
-			return cost[a] > cost[b]
-		}
-		if a.Func != b.Func {
-			return a.Func < b.Func
-		}
-		return a.InstrID < b.InstrID
-	})
-
-	kept := make(map[site]bool, len(sites))
-	for _, s := range sites {
-		kept[s] = true
-	}
-	for _, s := range sites {
-		if len(kept) == 1 {
-			break
-		}
-		if !kept[s] {
-			continue
-		}
-		delete(kept, s) // test s against the others
-		recorded := func(fn string, id int32) bool {
-			return kept[site{Func: fn, InstrID: id}]
-		}
-		if !ded.Deducible(s.Func, s.InstrID, recorded) {
-			kept[s] = true
-		}
-	}
-
-	out := rec[:0]
-	for _, el := range rec {
-		if kept[el.Site] {
-			out = append(out, el)
-		}
-	}
-	return out
 }
 
 type selector struct {
@@ -434,6 +359,21 @@ func Instrument(mod *ir.Module, sites []symex.SiteKey) (*ir.Module, error) {
 		return nil, fmt.Errorf("keyselect: instrumented module invalid: %w", err)
 	}
 	return nm, nil
+}
+
+// InstrumentChain folds a rollout chain onto base: each step's sites
+// are instrumented into the module the previous steps produced, which
+// re-derives the module a pipeline deployed from its report's chain.
+func InstrumentChain(base *ir.Module, chain [][]symex.SiteKey) (*ir.Module, error) {
+	mod := base
+	for i, sites := range chain {
+		next, err := Instrument(mod, sites)
+		if err != nil {
+			return nil, fmt.Errorf("chain step %d: %w", i+1, err)
+		}
+		mod = next
+	}
+	return mod, nil
 }
 
 // widthOfSite picks the recorded width for a site instruction.

@@ -4,7 +4,6 @@ import (
 	"strings"
 	"testing"
 
-	"execrecon/internal/dataflow"
 	"execrecon/internal/ir"
 	"execrecon/internal/keyselect"
 	"execrecon/internal/minc"
@@ -163,6 +162,24 @@ func TestInstrumentUnknownSite(t *testing.T) {
 	}
 }
 
+// TestInstrumentChainSteps: an empty chain deploys the base module, and
+// a bad step is reported by its 1-based position in the chain.
+func TestInstrumentChainSteps(t *testing.T) {
+	mod, sres := stalledRun(t)
+	if got, err := keyselect.InstrumentChain(mod, nil); err != nil || got != mod {
+		t.Fatalf("empty chain = (%p, %v), want the base module %p", got, err, mod)
+	}
+	sel, err := keyselect.Select(sres)
+	if err != nil {
+		t.Fatal(err)
+	}
+	bad := []symex.SiteKey{{Func: "nope", InstrID: 1}}
+	_, err = keyselect.InstrumentChain(mod, [][]symex.SiteKey{sel.Sites, bad})
+	if err == nil || !strings.Contains(err.Error(), "chain step 2") {
+		t.Errorf("bad second step: err = %v, want it named as chain step 2", err)
+	}
+}
+
 // TestRecordedValuesUnblock is the end-to-end property: recording the
 // selected values lets the previously stalled execution complete at
 // the same solver budget.
@@ -197,58 +214,6 @@ func TestRecordedValuesUnblock(t *testing.T) {
 	rerun := vm.New(mod, vm.Config{Input: sres2.TestCase.Clone(), Seed: 1}).Run("main")
 	if rerun.Failure == nil || !rerun.Failure.SameSignature(res.Failure) {
 		t.Errorf("generated test case does not reproduce: %v", rerun.Failure)
-	}
-}
-
-// TestStaticSelectionStillUnblocks: the static deducibility pass must
-// not drop sites the next iteration needs — the instrumented rerun has
-// to complete just as it does without the pass.
-func TestStaticSelectionStillUnblocks(t *testing.T) {
-	mod, sres := stalledRun(t)
-	sel, err := keyselect.SelectWith(sres, keyselect.Options{Static: dataflow.Analyze(mod)})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(sel.Recording) == 0 || len(sel.Sites) == 0 {
-		t.Fatal("static pass emptied the selection")
-	}
-	t.Logf("dropped %d deducible elements, %d sites kept", sel.DroppedDeducible, len(sel.Sites))
-	instr, err := keyselect.Instrument(mod, sel.Sites)
-	if err != nil {
-		t.Fatal(err)
-	}
-	w := vm.NewWorkload().Add("k", 62, 61, 60, 200, 200, 200, 200, 200, 200, 200)
-	ring := pt.NewRing(1 << 22)
-	enc := pt.NewEncoder(ring)
-	res := vm.New(instr, vm.Config{Input: w, Tracer: enc, Seed: 1}).Run("main")
-	enc.Finish()
-	tr, err := pt.Decode(ring)
-	if err != nil {
-		t.Fatal(err)
-	}
-	sres2 := symex.New(instr, tr, res.Failure, symex.Options{QueryBudget: 20_000}).Run("main")
-	if sres2.Status != symex.StatusCompleted {
-		t.Fatalf("instrumented run did not complete: %v (%s)", sres2.Status, sres2.StallReason)
-	}
-}
-
-// TestStaticNeverCostsMore: dropping deducible sites can only shrink
-// the recorded byte count.
-func TestStaticNeverCostsMore(t *testing.T) {
-	mod, sres := stalledRun(t)
-	base, err := keyselect.SelectWith(sres, keyselect.Options{NoMinimize: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	stat, err := keyselect.SelectWith(sres, keyselect.Options{NoMinimize: true, Static: dataflow.Analyze(mod)})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if stat.TotalCostBytes > base.TotalCostBytes {
-		t.Errorf("static pass increased cost: %d > %d", stat.TotalCostBytes, base.TotalCostBytes)
-	}
-	if len(stat.Sites) > len(base.Sites) {
-		t.Errorf("static pass added sites: %d > %d", len(stat.Sites), len(base.Sites))
 	}
 }
 

@@ -69,10 +69,9 @@ func TestSliceDifferential(t *testing.T) {
 		if full.Status == symex.StatusStalled {
 			stalled++
 			// Recording-set parity: selection over the full result
-			// (with the same deducibility analysis) and over the
-			// sliced result must pick the same sites.
-			fsel, ferr := keyselect.SelectWith(full, keyselect.Options{Static: an})
-			ssel, serr := keyselect.SelectWith(sliced, keyselect.Options{Static: an})
+			// and over the sliced result must pick the same sites.
+			fsel, ferr := keyselect.Select(full)
+			ssel, serr := keyselect.Select(sliced)
 			if (ferr == nil) != (serr == nil) {
 				t.Fatalf("%s\nselection errors differ: full=%v sliced=%v", ctx(), ferr, serr)
 			}
