@@ -49,7 +49,6 @@ import (
 	"execrecon/internal/apps"
 	"execrecon/internal/cluster"
 	"execrecon/internal/fleet"
-	"execrecon/internal/symex"
 	"execrecon/internal/telemetry"
 	"execrecon/internal/tracestore"
 )
@@ -200,7 +199,7 @@ func corpusApps(only string) ([]fleet.App, error) {
 			Module:  mod,
 			Failing: a.Failing,
 			Seed:    a.Seed,
-			Symex:   symex.Options{QueryBudget: a.Budget(), MaxInstrs: 50_000_000},
+			Symex:   a.SymexOptions(),
 		})
 	}
 	return out, nil

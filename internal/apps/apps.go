@@ -19,6 +19,7 @@ import (
 
 	"execrecon/internal/ir"
 	"execrecon/internal/minc"
+	"execrecon/internal/symex"
 	"execrecon/internal/vm"
 )
 
@@ -62,6 +63,13 @@ func (a *App) Budget() int64 {
 		return a.QueryBudget
 	}
 	return DefaultQueryBudget
+}
+
+// SymexOptions returns the symbolic-execution options every
+// reproduction of the app runs with: its query budget (Budget) and
+// the default instruction limit.
+func (a *App) SymexOptions() symex.Options {
+	return symex.Options{QueryBudget: a.Budget(), MaxInstrs: 50_000_000}
 }
 
 // Module compiles (once) and returns the app's module.

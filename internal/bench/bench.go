@@ -17,7 +17,6 @@ import (
 	"execrecon/internal/apps"
 	"execrecon/internal/core"
 	"execrecon/internal/ir"
-	"execrecon/internal/symex"
 )
 
 // table renders rows with aligned columns.
@@ -46,6 +45,6 @@ func ReproConfig(a *apps.App, mod *ir.Module) core.Config {
 	return core.Config{
 		Module: mod,
 		Gen:    &core.FixedWorkload{Workload: a.Failing(), Seed: a.Seed},
-		Symex:  symex.Options{QueryBudget: a.Budget(), MaxInstrs: 50_000_000},
+		Symex:  a.SymexOptions(),
 	}
 }

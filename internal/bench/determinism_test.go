@@ -4,6 +4,7 @@ import (
 	"testing"
 
 	"execrecon/internal/apps"
+	"execrecon/internal/bench"
 	"execrecon/internal/core"
 	"execrecon/internal/symex"
 )
@@ -23,11 +24,7 @@ func TestTable1Determinism(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%s: %v", a.Name, err)
 		}
-		rep, err := core.Reproduce(core.Config{
-			Module: mod,
-			Gen:    &core.FixedWorkload{Workload: a.Failing(), Seed: a.Seed},
-			Symex:  symex.Options{QueryBudget: a.Budget(), MaxInstrs: 50_000_000},
-		})
+		rep, err := core.Reproduce(bench.ReproConfig(a, mod))
 		if err != nil || !rep.Reproduced || !rep.Verified {
 			t.Fatalf("%s: reproduced=%v verified=%v err=%v (%s)", a.Name, rep.Reproduced, rep.Verified, err, rep.FailReason)
 		}

@@ -11,9 +11,7 @@ import (
 	"execrecon/internal/ir"
 	"execrecon/internal/keyselect"
 	"execrecon/internal/prod"
-	"execrecon/internal/pt"
 	"execrecon/internal/symex"
-	"execrecon/internal/vm"
 )
 
 // Fig5Series is one curve of Fig. 5: symbolic execution progress
@@ -22,7 +20,11 @@ import (
 type Fig5Series struct {
 	Label  string
 	Points []symex.ProgressPoint
-	// Total is the wall time to execute the full instruction count.
+	// Steps is the solver steps spent executing the full instruction
+	// count (symex Stats.SolverSteps): the deterministic measure of the
+	// work each generation's recorded values save.
+	Steps int64
+	// Total is the wall time of the same run.
 	Total  time.Duration
 	Instrs int64
 }
@@ -38,7 +40,8 @@ type Fig5Result struct {
 // iteration-1 and iteration-2 instrumentation sets through the
 // pipeline, then re-runs shepherded symbolic execution with the solver
 // timeout disabled under each of the three recording configurations,
-// measuring the time to symbolically execute the same instructions.
+// counting the solver steps (and timing the run) to symbolically
+// execute the same instructions.
 func RunFig5(appName string) (*Fig5Result, error) {
 	if appName == "" {
 		appName = "PHP-74194"
@@ -78,48 +81,26 @@ func RunFig5(appName string) (*Fig5Result, error) {
 		"control-flow + 1st iteration data values",
 		"control-flow + 2nd iteration data values",
 	}
-	type generation struct {
-		trace   *pt.Trace
-		failure *vm.Failure
-		best    *symex.Result
-	}
-	// One recorder, so every recording below reuses one ring.
+	// One recorder, so every recording below reuses one ring. Solver
+	// timeout disabled (§5.2): every configuration executes the same
+	// instructions to completion.
 	var rec prod.Recorder
-	gens := make([]generation, len(modules))
+	res := &Fig5Result{App: a.Name}
 	for i, m := range modules { // instrumenting does not change the failure the session reproduced
 		trace, failRes, err := rec.Record(m, a.Failing(), a.Seed)
 		if err != nil {
 			return nil, err
 		}
-		gens[i] = generation{trace: trace, failure: failRes.Failure}
-	}
-	// Solver timeout disabled (§5.2): every configuration executes the
-	// same instructions to completion. The work per configuration is
-	// deterministic but the later generations finish in single-digit
-	// milliseconds, where one scheduling hiccup dwarfs the real
-	// difference — so measure each configuration a few times and keep
-	// the fastest run, the standard noise-robust estimator for fixed
-	// work. The repetitions are interleaved across generations so a
-	// burst of load on the machine hits every generation alike.
-	for rep := 0; rep < 3; rep++ {
-		for i, m := range modules {
-			g := &gens[i]
-			sres := symex.New(m, g.trace, g.failure, symex.Options{ProgressEvery: 64}).Run("main")
-			if sres.Status != symex.StatusCompleted {
-				return nil, fmt.Errorf("bench: fig5 generation %d: %v (%v)", i, sres.Status, sres.Err)
-			}
-			if g.best == nil || sres.Stats.Elapsed < g.best.Stats.Elapsed {
-				g.best = sres
-			}
+		sres := symex.New(m, trace, failRes.Failure, symex.Options{ProgressEvery: 64}).Run("main")
+		if sres.Status != symex.StatusCompleted {
+			return nil, fmt.Errorf("bench: fig5 generation %d: %v (%v)", i, sres.Status, sres.Err)
 		}
-	}
-	res := &Fig5Result{App: a.Name}
-	for i, g := range gens {
 		res.Series = append(res.Series, Fig5Series{
 			Label:  labels[i],
-			Points: g.best.Progress,
-			Total:  g.best.Stats.Elapsed,
-			Instrs: g.best.Stats.Instrs,
+			Points: sres.Progress,
+			Steps:  sres.Stats.SolverSteps,
+			Total:  sres.Stats.Elapsed,
+			Instrs: sres.Stats.Instrs,
 		})
 	}
 	return res, nil
@@ -128,13 +109,13 @@ func RunFig5(appName string) (*Fig5Result, error) {
 // errNoFailure reports an app's failing workload running clean.
 var errNoFailure = errors.New("bench: workload did not fail")
 
-// RenderFig5 prints the series: per configuration, total time and a
-// coarse progress curve (CSV-like rows usable for plotting).
+// RenderFig5 prints the series: per configuration, solver steps, wall
+// time and a coarse progress curve (CSV-like rows usable for plotting).
 func RenderFig5(w io.Writer, r *Fig5Result) {
 	fmt.Fprintf(w, "Fig 5 — shepherded symbolic execution progress, %s\n", r.App)
 	for _, s := range r.Series {
-		fmt.Fprintf(w, "%-45s total %10v for %d instructions\n",
-			s.Label, s.Total.Round(time.Microsecond), s.Instrs)
+		fmt.Fprintf(w, "%-45s %9d solver steps, %10v for %d instructions\n",
+			s.Label, s.Steps, s.Total.Round(time.Microsecond), s.Instrs)
 	}
 	fmt.Fprintln(w, "\nseries,instructions,milliseconds")
 	for si, s := range r.Series {

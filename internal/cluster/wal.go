@@ -1,10 +1,8 @@
 package cluster
 
 import (
-	"encoding/binary"
 	"encoding/json"
 	"fmt"
-	"hash/crc32"
 	"os"
 	"path/filepath"
 	"sync"
@@ -12,26 +10,18 @@ import (
 	"time"
 
 	"execrecon/internal/core"
+	"execrecon/internal/framelog"
 	"execrecon/internal/telemetry"
 	"execrecon/internal/vm"
 )
 
-// The lease/commit log is a single append-only file of CRC-framed
-// JSON records:
-//
-//	[4]byte magic "ERWL" | u32 payload len | u32 CRC32(payload) | payload
-//
-// (little-endian, mirroring the tracestore segment frame). A crash
-// tears at most the tail; OpenWAL truncates the torn tail and keeps
-// every fully framed record, so recovery is never fatal. Checkpoint
-// rewrites the log as a single checkpoint record (snapshot to a temp
-// file, then rename), truncating the history it subsumes.
-var walMagic = [4]byte{'E', 'R', 'W', 'L'}
-
-const (
-	walFrameHeaderSize = 12
-	walMaxPayload      = 64 << 20
-)
+// The lease/commit log is a single append-only file of JSON records in
+// framelog frames under the magic "ERWL". A crash tears at most the
+// tail; OpenWAL truncates the torn tail and keeps every fully framed
+// record, so recovery is never fatal. Checkpoint rewrites the log as a
+// single checkpoint record (snapshot to a temp file, then rename),
+// truncating the history it subsumes.
+var walFormat = framelog.Format{Magic: [4]byte{'E', 'R', 'W', 'L'}, MaxPayload: 64 << 20}
 
 // WAL record types. Grants, expiries, rollouts, and resolutions
 // mutate recovered state. A restarted coordinator fences every
@@ -170,11 +160,17 @@ func OpenWAL(path string) (*WAL, *RecoveredState, error) {
 		f.Close()
 		return nil, nil, fmt.Errorf("cluster: stat wal: %w", err)
 	}
-	recs, good, err := scanWAL(f, fi.Size())
-	if err != nil {
-		f.Close()
-		return nil, nil, err
-	}
+	var recs []walRecord
+	good := walFormat.Scan(f, fi.Size(), func(_ int64, payload []byte) bool {
+		// A CRC-valid payload that does not decode to a typed record is
+		// a future or foreign format: keep everything before it.
+		var rec walRecord
+		if json.Unmarshal(payload, &rec) != nil || rec.T == "" {
+			return false
+		}
+		recs = append(recs, rec)
+		return true
+	})
 	if good < fi.Size() {
 		if err := f.Truncate(good); err != nil {
 			f.Close()
@@ -190,42 +186,6 @@ func OpenWAL(path string) (*WAL, *RecoveredState, error) {
 	w := &WAL{f: f, path: path}
 	w.bytes.Store(good)
 	return w, st, nil
-}
-
-// scanWAL walks the frames, stopping (without error) at the first
-// torn or corrupt one; good is the byte offset of the last intact
-// frame end.
-func scanWAL(f *os.File, size int64) (recs []walRecord, good int64, err error) {
-	var off int64
-	var hdr [walFrameHeaderSize]byte
-	for off+walFrameHeaderSize <= size {
-		if _, err := f.ReadAt(hdr[:], off); err != nil {
-			return recs, off, nil
-		}
-		if [4]byte(hdr[:4]) != walMagic {
-			return recs, off, nil
-		}
-		plen := int64(binary.LittleEndian.Uint32(hdr[4:8]))
-		if plen > walMaxPayload || off+walFrameHeaderSize+plen > size {
-			return recs, off, nil
-		}
-		payload := make([]byte, plen)
-		if _, err := f.ReadAt(payload, off+walFrameHeaderSize); err != nil {
-			return recs, off, nil
-		}
-		if crc32.ChecksumIEEE(payload) != binary.LittleEndian.Uint32(hdr[8:12]) {
-			return recs, off, nil
-		}
-		var rec walRecord
-		if json.Unmarshal(payload, &rec) != nil || rec.T == "" {
-			// CRC-valid but unparseable: a future/foreign format.
-			// Treat like a torn tail — keep everything before it.
-			return recs, off, nil
-		}
-		recs = append(recs, rec)
-		off += walFrameHeaderSize + plen
-	}
-	return recs, off, nil
 }
 
 // replayWAL folds the record sequence into per-bucket state.
@@ -300,16 +260,6 @@ func replayWAL(recs []walRecord) *RecoveredState {
 	return st
 }
 
-// walFrame wraps payload in the log's frame header.
-func walFrame(payload []byte) []byte {
-	frame := make([]byte, walFrameHeaderSize+len(payload))
-	copy(frame[:4], walMagic[:])
-	binary.LittleEndian.PutUint32(frame[4:8], uint32(len(payload)))
-	binary.LittleEndian.PutUint32(frame[8:12], crc32.ChecksumIEEE(payload))
-	copy(frame[walFrameHeaderSize:], payload)
-	return frame
-}
-
 // Append frames and writes one record. The write is buffered by the
 // OS only — like the tracestore, the frame format confines crash
 // damage to a recoverable torn tail, so fsync would only narrow the
@@ -319,7 +269,7 @@ func (w *WAL) Append(rec walRecord) error {
 	if err != nil {
 		return fmt.Errorf("cluster: wal marshal: %w", err)
 	}
-	frame := walFrame(payload)
+	frame := walFormat.Frame(payload)
 
 	w.mu.Lock()
 	defer w.mu.Unlock()
@@ -343,7 +293,7 @@ func (w *WAL) Checkpoint(state []RecoveredBucket) error {
 	if err != nil {
 		return fmt.Errorf("cluster: checkpoint marshal: %w", err)
 	}
-	frame := walFrame(payload)
+	frame := walFormat.Frame(payload)
 
 	w.mu.Lock()
 	defer w.mu.Unlock()

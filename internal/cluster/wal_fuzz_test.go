@@ -73,7 +73,7 @@ func FuzzWALRecovery(f *testing.F) {
 		var file []byte
 		want, kept, stopped := 0, 0, false
 		for _, p := range bytes.SplitN(data, []byte("\n"), walFuzzMaxFrames) {
-			file = append(file, walFrame(p)...)
+			file = append(file, walFormat.Frame(p)...)
 			if !stopped {
 				var rec walRecord
 				stopped = json.Unmarshal(p, &rec) != nil || rec.T == ""

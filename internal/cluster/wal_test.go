@@ -8,6 +8,7 @@ import (
 	"time"
 
 	"execrecon/internal/core"
+	"execrecon/internal/framelog"
 	"execrecon/internal/vm"
 )
 
@@ -202,7 +203,7 @@ func TestWALCorruptMiddle(t *testing.T) {
 	}
 	// Corrupt a payload byte of record 3 (offsets inside frame 3's
 	// payload start after its header).
-	pos := ends[2] + walFrameHeaderSize + 2
+	pos := ends[2] + framelog.HeaderSize + 2
 	blob[pos] ^= 0xff
 	if err := os.WriteFile(path, blob, 0o644); err != nil {
 		t.Fatal(err)
@@ -299,7 +300,7 @@ func TestWALOmitsZeroStamps(t *testing.T) {
 		`{"t":"grant","app":"beta","key":2,"node":"n1","term":2,"first_seen":` + at(seen) + `,"at":` + zero + `}`,
 		`{"t":"resolve","app":"alpha","key":1,"node":"n0","term":1,"first_seen":` + zero + `,"at":` + at(done) + `}`,
 	} {
-		file = append(file, walFrame([]byte(rec))...)
+		file = append(file, walFormat.Frame([]byte(rec))...)
 	}
 	path := filepath.Join(t.TempDir(), "lease.wal")
 	if err := os.WriteFile(path, file, 0o644); err != nil {

@@ -18,8 +18,8 @@ import (
 //
 // Events is consumed once by the pipeline's symbolic executor. It is
 // a pt.Cursor over an in-memory decoded trace, or a streaming source
-// such as a tracestore reader that delta-reconstructs and decodes an
-// archived blob incrementally without holding the full event slice.
+// such as a tracestore reader that decodes an archived blob
+// incrementally without holding the full event slice.
 type Occurrence struct {
 	Events pt.EventSource
 	Result *vm.Result

@@ -64,9 +64,8 @@ type Options struct {
 	// negative disables).
 	Timeout time.Duration
 	// Store is the persistent trace archive, and the one delivery path
-	// of reoccurrences: triage appends every ingested occurrence to it
-	// (delta-compressed against the signature's reference trace), and
-	// each bucket's pipeline replays the next matching record from it —
+	// of reoccurrences: triage appends every ingested occurrence to it,
+	// and each bucket's pipeline replays the next matching record from it —
 	// this app's, recorded on the pipeline's current deployment, with
 	// an unwrapped ring. Records are never removed, so a bucket interned
 	// after another app on the same signature resolved still replays

@@ -25,7 +25,7 @@ func table1Apps(t *testing.T) []fleet.App {
 			Module:  mod,
 			Failing: a.Failing,
 			Seed:    a.Seed,
-			Symex:   symex.Options{QueryBudget: a.Budget(), MaxInstrs: 50_000_000},
+			Symex:   a.SymexOptions(),
 		})
 	}
 	return out

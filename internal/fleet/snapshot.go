@@ -20,8 +20,7 @@ type Snapshot struct {
 	// Machines aggregates the producer machines' counters.
 	Machines prod.MachineStats
 	// Store is the trace archive's stats snapshot: segments, records,
-	// raw vs stored bytes (the delta-compression win) and torn-tail
-	// recoveries.
+	// raw vs stored bytes and torn-tail recoveries.
 	Store tracestore.Stats
 	// Buckets holds per-bucket progress in creation order.
 	Buckets []BucketSnapshot

@@ -333,8 +333,8 @@ func DecodeBytes(data []byte, lost uint64) (*Trace, error) {
 // executor consumes: sequential Peek/Next with position accounting.
 // Cursor implements it over a fully decoded in-memory Trace;
 // StreamDecoder implements it over an incrementally decoded byte
-// stream (the trace-archive read path), and internal/tracestore's
-// readers compose it over delta-reconstructed segment data.
+// stream (the trace-archive read path, where internal/tracestore's
+// readers feed it a record's bytes straight off the segment).
 //
 // Remaining may be a lower bound for streaming sources that do not
 // know the total event count in advance; the contract consumers rely

@@ -143,7 +143,7 @@ func (d *StreamDecoder) decodePacket() {
 				// stream without an End marker is accepted).
 				d.done = true
 			} else {
-				// A real source error (e.g. corrupt delta/RLE layer in
+				// A real source error (e.g. a failed segment read in
 				// the trace archive) must surface, not masquerade as a
 				// short trace.
 				d.fail(err)

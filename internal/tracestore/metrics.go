@@ -19,10 +19,6 @@ func (s *Store) RegisterMetrics(reg *telemetry.Registry) {
 		"live segment files", func() float64 { return float64(s.Stats().Segments) })
 	reg.GaugeFunc("er_tracestore_records",
 		"live archived records", func() float64 { return float64(s.Stats().Records) })
-	reg.GaugeFunc("er_tracestore_records_reference",
-		"live reference (first-occurrence) records", func() float64 { return float64(s.Stats().References) })
-	reg.GaugeFunc("er_tracestore_records_delta",
-		"live delta-compressed records", func() float64 { return float64(s.Stats().Deltas) })
 	reg.GaugeFunc("er_tracestore_raw_bytes",
 		"raw (as-shipped) bytes of live records", func() float64 { return float64(s.Stats().RawBytes) })
 	reg.GaugeFunc("er_tracestore_stored_bytes",

@@ -3,49 +3,30 @@ package tracestore
 import (
 	"encoding/binary"
 	"fmt"
-	"hash/crc32"
-	"io"
 	"os"
 	"path/filepath"
 	"sort"
 	"strings"
 
+	"execrecon/internal/framelog"
 	"execrecon/internal/vm"
 )
 
-// Segment framing. A segment file is a sequence of framed records:
-//
-//	+-------+------------+------------+---------------+
-//	| magic | payloadLen | crc32(pay) |  payload ...  |
-//	|  4 B  |  4 B (LE)  |  4 B (LE)  |  payloadLen B |
-//	+-------+------------+------------+---------------+
-//
-// The payload is self-describing (see encodePayload). A crash can
-// only tear the tail of the last segment; recovery scans frames and
-// truncates at the first bad magic, oversized length, short read, or
-// CRC mismatch — every fully framed record before the tear survives,
-// the tear itself is discarded, and the store keeps appending after
-// it. Nothing before a valid frame is ever rewritten, so a torn tail
-// is never fatal.
+// A segment file (seg-NNNNNNNN.log) is a sequence of framelog frames
+// under segFormat, one archived occurrence each. A record's payload
+// (see appendPayload) holds its per-key seq, a reference to its key,
+// its Meta and the raw PT bytes as shipped. The first record of a key
+// in a segment names the key by its failure signature; later ones
+// refer to it by its position among the keys the segment names, so
+// every segment describes itself. A crash can only tear the tail
+// of the last segment; Open truncates at the first frame that is not
+// intact, and everything before it survives.
+var segFormat = framelog.Format{Magic: [4]byte{'E', 'R', 'S', '2'}, MaxPayload: 1 << 30}
 
-var segMagic = [4]byte{'E', 'R', 'S', '1'}
-
-const (
-	frameHeaderSize = 12
-	// maxPayload bounds a single record (a trace blob plus metadata);
-	// anything larger in a frame header is treated as corruption.
-	maxPayload = 1 << 30
-)
-
-// Record kinds.
-const (
-	// KindReference is a bucket's first archived occurrence: the full
-	// raw packet stream, RLE-packed.
-	KindReference byte = 1
-	// KindDelta is a subsequent reoccurrence, stored as copy-range +
-	// literal-run ops against the bucket's reference stream.
-	KindDelta byte = 2
-)
+// oldSegMagic opens the frames of the older, delta-coded segment
+// format. Open refuses such a segment instead of reading it as a torn
+// tail, which would truncate it away.
+var oldSegMagic = [4]byte{'E', 'R', 'S', '1'}
 
 func segName(id int) string { return fmt.Sprintf("seg-%08d.log", id) }
 
@@ -117,19 +98,6 @@ func (s *byteScanner) zigzag() int64 {
 	return int64(u>>1) ^ -int64(u&1)
 }
 
-func (s *byteScanner) byte() byte {
-	if s.err != nil {
-		return 0
-	}
-	if s.i >= len(s.b) {
-		s.fail("truncated byte")
-		return 0
-	}
-	c := s.b[s.i]
-	s.i++
-	return c
-}
-
 func (s *byteScanner) str() string {
 	n := s.uvarint()
 	if s.err != nil {
@@ -187,129 +155,60 @@ func (s *byteScanner) failure() *vm.Failure {
 
 // --- record payload codec -------------------------------------------
 
-// recordHeader is the parsed self-describing prefix of a payload; the
-// body (RLE reference stream or delta ops) follows at bodyOff.
+// recordHeader is the parsed prefix of a payload; the raw PT bytes
+// follow at rawOff.
 type recordHeader struct {
-	kind    byte
-	seq     uint64
-	key     uint64
-	sig     *vm.Failure
-	meta    Meta
-	rawLen  uint64
-	bodyOff int
+	seq    uint64
+	key    uint64
+	sig    *vm.Failure // nil unless the record names its key
+	meta   Meta
+	rawOff int
 }
 
-func encodePayload(kind byte, seq, key uint64, sig *vm.Failure, meta Meta, rawLen uint64, body []byte) []byte {
-	dst := make([]byte, 0, 64+len(body))
-	dst = append(dst, kind)
+// appendPayload appends a record's payload to dst: seq; ref, the
+// position of the record's key among the keys its segment names; the
+// signature, when sig is non-nil and the record names its key at
+// position ref; meta; and then raw to the end of the payload.
+func appendPayload(dst []byte, seq uint64, ref int, sig *vm.Failure, meta Meta, raw []byte) []byte {
 	dst = putUvarint(dst, seq)
-	var kb [8]byte
-	binary.LittleEndian.PutUint64(kb[:], key)
-	dst = append(dst, kb[:]...)
-	dst = encodeFailure(dst, sig)
+	dst = putUvarint(dst, uint64(ref))
+	if sig != nil {
+		dst = encodeFailure(dst, sig)
+	}
 	dst = putString(dst, meta.App)
 	dst = putZigzag(dst, int64(meta.Machine))
 	dst = putZigzag(dst, int64(meta.Version))
 	dst = putZigzag(dst, meta.Seed)
 	dst = putZigzag(dst, meta.Instrs)
 	dst = putUvarint(dst, meta.Lost)
-	dst = putUvarint(dst, rawLen)
-	return append(dst, body...)
+	return append(dst, raw...)
 }
 
-func parseHeader(payload []byte) (recordHeader, error) {
+// parseHeader parses a payload of a segment that has named keys so
+// far: a ref of len(keys) names a new key by its signature.
+func parseHeader(payload []byte, keys []uint64) (recordHeader, error) {
 	var h recordHeader
 	s := &byteScanner{b: payload}
-	h.kind = s.byte()
 	h.seq = s.uvarint()
-	if s.err == nil && s.i+8 > len(payload) {
-		s.fail("truncated key")
+	switch ref := s.uvarint(); {
+	case s.err != nil:
+	case ref < uint64(len(keys)):
+		h.key = keys[ref]
+	case ref == uint64(len(keys)):
+		if h.sig = s.failure(); h.sig != nil {
+			h.key = KeyOf(h.sig)
+		}
+	default:
+		s.fail("key reference out of range")
 	}
-	if s.err == nil {
-		h.key = binary.LittleEndian.Uint64(payload[s.i:])
-		s.i += 8
-	}
-	h.sig = s.failure()
 	h.meta.App = s.str()
 	h.meta.Machine = int(s.zigzag())
 	h.meta.Version = int(s.zigzag())
 	h.meta.Seed = s.zigzag()
 	h.meta.Instrs = s.zigzag()
 	h.meta.Lost = s.uvarint()
-	h.rawLen = s.uvarint()
-	h.bodyOff = s.i
-	if s.err != nil {
-		return h, s.err
-	}
-	if h.kind != KindReference && h.kind != KindDelta {
-		return h, fmt.Errorf("tracestore: unknown record kind %d", h.kind)
-	}
-	return h, nil
-}
-
-// --- frame write / recovery scan ------------------------------------
-
-func appendFrame(f *os.File, off int64, payload []byte) (int64, error) {
-	var hdr [frameHeaderSize]byte
-	copy(hdr[:4], segMagic[:])
-	binary.LittleEndian.PutUint32(hdr[4:8], uint32(len(payload)))
-	binary.LittleEndian.PutUint32(hdr[8:12], crc32.ChecksumIEEE(payload))
-	if _, err := f.WriteAt(hdr[:], off); err != nil {
-		return off, err
-	}
-	if _, err := f.WriteAt(payload, off+frameHeaderSize); err != nil {
-		return off, err
-	}
-	return off + frameHeaderSize + int64(len(payload)), nil
-}
-
-// scannedRecord is one fully framed, CRC-valid record found by the
-// recovery scan.
-type scannedRecord struct {
-	off  int64 // payload offset in the segment file
-	plen int
-	hdr  recordHeader
-}
-
-// scanSegment walks the segment's frames. It returns the valid
-// records, the offset of the first byte after the last valid frame
-// (the truncation point when torn is true), and whether a torn or
-// corrupt tail was found.
-func scanSegment(f *os.File, size int64) (recs []scannedRecord, good int64, torn bool, err error) {
-	var off int64
-	var hdr [frameHeaderSize]byte
-	for off+frameHeaderSize <= size {
-		if _, err := f.ReadAt(hdr[:], off); err != nil {
-			return recs, off, true, nil
-		}
-		if [4]byte(hdr[:4]) != segMagic {
-			return recs, off, true, nil
-		}
-		plen := int64(binary.LittleEndian.Uint32(hdr[4:8]))
-		if plen > maxPayload || off+frameHeaderSize+plen > size {
-			return recs, off, true, nil
-		}
-		payload := make([]byte, plen)
-		if _, err := f.ReadAt(payload, off+frameHeaderSize); err != nil {
-			return recs, off, true, nil
-		}
-		if crc32.ChecksumIEEE(payload) != binary.LittleEndian.Uint32(hdr[8:12]) {
-			return recs, off, true, nil
-		}
-		rh, perr := parseHeader(payload)
-		if perr != nil {
-			// CRC-valid but unparseable: written by a future/foreign
-			// format. Treat like a torn tail — keep everything before
-			// it.
-			return recs, off, true, nil
-		}
-		recs = append(recs, scannedRecord{off: off + frameHeaderSize, plen: int(plen), hdr: rh})
-		off += frameHeaderSize + plen
-	}
-	if off != size {
-		return recs, off, true, nil // trailing partial frame header
-	}
-	return recs, off, false, nil
+	h.rawOff = s.i
+	return h, s.err
 }
 
 // listSegments returns the segment ids present in dir, sorted.
@@ -342,10 +241,4 @@ func openSegFile(dir string, id int) (*os.File, int64, error) {
 		return nil, 0, err
 	}
 	return f, st.Size(), nil
-}
-
-// sectionReader returns a reader over [off, off+n) of f. Records are
-// immutable once written, so concurrent sections are safe.
-func sectionReader(f *os.File, off int64, n int) io.Reader {
-	return io.NewSectionReader(f, off, int64(n))
 }

@@ -10,11 +10,10 @@ import (
 
 // Source is a core.ReoccurrenceSource that routes every traced
 // reoccurrence through the archive: the failing run is recorded, its
-// raw ring bytes are appended to the store (delta-compressed against
-// the signature's reference stream), and the occurrence handed to the
-// pipeline decodes straight back off the segment log through the
-// streaming reader — the pipeline's symbolic executor never sees an
-// in-memory event slice.
+// raw ring bytes are appended to the store, and the occurrence handed
+// to the pipeline decodes straight back off the segment log through
+// the streaming reader — the pipeline's symbolic executor never sees
+// an in-memory event slice.
 //
 // This is both the persistence deployment shape (`er run -store`,
 // `er reproduce -store -replay-store`) and the verdict-parity harness
@@ -23,8 +22,8 @@ import (
 // divergence is a store bug.
 //
 // Untraced occurrences (the deferred-tracing phase) are passed through
-// without archiving: an empty stream must not become a signature's
-// reference, or every later delta would degenerate to literals.
+// without archiving: they carry no trace to round-trip through the
+// archive, and the pipeline reads none from them.
 type Source struct {
 	// Store receives every traced occurrence.
 	Store *Store

@@ -1,28 +1,26 @@
-// Package tracestore is the persistent, delta-compressed trace
-// archive: an append-only, chunked segment log that stores every
-// ingested failure-reoccurrence PT blob, keyed by failure signature.
+// Package tracestore is the persistent trace archive: an append-only,
+// chunked segment log that stores every ingested failure-reoccurrence
+// PT blob, keyed by failure signature.
 //
-// ER's whole premise is that the same failure reoccurs with nearly
-// identical control flow, and the store exploits exactly that
-// redundancy: the first occurrence archived under a signature becomes
-// the bucket's *reference* stream (RLE-packed); every subsequent
-// reoccurrence is stored as an rsync-style delta — copy ranges into
-// the reference plus RLE-packed literal runs — which collapses
-// near-identical traces to a handful of bytes. Storage cost is what
-// makes always-on recording deployable (O'Callahan et al.), and the
-// failure signature is the natural archival key (Joshy et al.).
+// Each record holds its occurrence's raw PT bytes as shipped, with its
+// per-key seq and run metadata. A signature is written once per
+// segment, in the first record of its key there; later records of the
+// key refer to it by position. So no record repeats it, every segment
+// describes itself, and no record's trace depends on another record. Storage cost is what makes always-on recording
+// deployable (O'Callahan et al.), and the failure signature is the
+// natural archival key (Joshy et al.).
 //
 // Properties:
 //
 //   - Append-only chunked segment log (seg-NNNNNNNN.log), records
-//     framed with magic + length + CRC32. A crash tears at most the
-//     tail of the last segment; Open truncates the torn tail and
-//     keeps every fully framed record — recovery is never fatal.
-//   - Streaming reads: OpenEvents returns a pt.EventSource that
-//     reconstructs the raw stream op-by-op from disk (copy ranges
-//     served from the shared per-bucket reference) and decodes PT
-//     packets incrementally, feeding shepherded symbolic execution
-//     without ever materializing the full trace in memory.
+//     framed by internal/framelog (magic + length + CRC32). A crash
+//     tears at most the tail of the last segment; Open truncates the
+//     torn tail and keeps every fully framed record — recovery is
+//     never fatal.
+//   - Streaming reads: OpenEvents returns a pt.EventSource that reads
+//     the record's raw bytes off the segment and decodes PT packets
+//     incrementally, feeding shepherded symbolic execution without
+//     ever materializing the full trace in memory.
 //
 // The store appends and replays; it never rewrites or deletes a
 // record. It is the fleet's one delivery path: internal/fleet banks
@@ -36,9 +34,11 @@ import (
 	"hash/fnv"
 	"io"
 	"os"
+	"path/filepath"
 	"sort"
 	"sync"
 
+	"execrecon/internal/framelog"
 	"execrecon/internal/pt"
 	"execrecon/internal/vm"
 )
@@ -48,10 +48,6 @@ type Options struct {
 	// SegmentBytes rolls the active segment once it exceeds this size
 	// (default 4 MB).
 	SegmentBytes int64
-	// Sync fsyncs the active segment after every append. Off by
-	// default: the format already confines crash damage to a torn,
-	// recoverable tail, so fsync only narrows the loss window.
-	Sync bool
 }
 
 func (o Options) withDefaults() Options {
@@ -78,7 +74,6 @@ type Meta struct {
 type RecordInfo struct {
 	Key         uint64
 	Seq         uint64
-	Kind        byte // KindReference or KindDelta
 	Meta        Meta
 	RawLen      uint64 // raw packet-stream bytes as shipped
 	StoredBytes int64  // framed bytes on disk
@@ -110,10 +105,8 @@ func KeyOf(f *vm.Failure) uint64 {
 type Stats struct {
 	// Segments is the live segment-file count.
 	Segments int
-	// Records/References/Deltas count live records.
-	Records    int64
-	References int64
-	Deltas     int64
+	// Records counts live records.
+	Records int64
 	// Appends counts records appended since Open (records recovered
 	// at Open are not counted).
 	Appends int64
@@ -123,13 +116,11 @@ type Stats struct {
 	StoredBytes int64
 	// Recoveries counts torn tails truncated at Open.
 	Recoveries int64
-	// Orphans counts records dropped at Open because they sort before
-	// their key's first surviving reference, so no reference to decode
-	// them against survived.
-	Orphans int64
 }
 
-// Ratio returns the raw-vs-stored compression ratio (0 when empty).
+// Ratio returns raw over stored bytes (0 when empty). Records hold
+// their raw bytes as shipped, so it is below 1 by the framing and
+// header bytes.
 func (s Stats) Ratio() float64 {
 	if s.StoredBytes == 0 {
 		return 0
@@ -141,26 +132,25 @@ type recordRef struct {
 	seg    int
 	off    int64 // payload offset in segment file
 	plen   int
-	hdrLen int // body starts at off+hdrLen
-	kind   byte
+	rawOff int // raw bytes start at off+rawOff
 	seq    uint64
 	meta   Meta
-	rawLen uint64
 }
 
-func (r recordRef) storedBytes() int64 { return frameHeaderSize + int64(r.plen) }
+func (r recordRef) rawLen() int { return r.plen - r.rawOff }
+
+func (r recordRef) storedBytes() int64 { return framelog.HeaderSize + int64(r.plen) }
 
 func (r recordRef) info(key uint64) RecordInfo {
 	return RecordInfo{
-		Key: key, Seq: r.seq, Kind: r.kind, Meta: r.meta,
-		RawLen: r.rawLen, StoredBytes: r.storedBytes(),
+		Key: key, Seq: r.seq, Meta: r.meta,
+		RawLen: uint64(r.rawLen()), StoredBytes: r.storedBytes(),
 	}
 }
 
 type keyState struct {
 	sig     *vm.Failure
 	recs    []recordRef // ascending seq
-	refRaw  []byte      // lazily cached reference raw stream
 	nextSeq uint64
 }
 
@@ -168,6 +158,7 @@ type segfile struct {
 	id   int
 	f    *os.File
 	size int64
+	refs map[uint64]int // position of each key among those the segment names
 }
 
 // Store is a trace archive rooted at one directory. All methods are
@@ -187,8 +178,8 @@ type Store struct {
 
 // Open opens (creating if needed) the store rooted at dir, scanning
 // every segment and truncating any torn tail left by a crash. Every
-// fully framed record survives recovery, except records whose key's
-// reference did not (Stats.Orphans).
+// fully framed record survives recovery. A segment of the older,
+// delta-coded format is refused: Open fails and leaves it unchanged.
 func Open(dir string, opts Options) (*Store, error) {
 	opts = opts.withDefaults()
 	if err := os.MkdirAll(dir, 0o755); err != nil {
@@ -205,33 +196,9 @@ func Open(dir string, opts Options) (*Store, error) {
 		return nil, fmt.Errorf("tracestore: %w", err)
 	}
 	for _, id := range ids {
-		f, size, err := openSegFile(dir, id)
-		if err != nil {
+		if err := s.openSegment(id); err != nil {
 			s.closeAll()
-			return nil, fmt.Errorf("tracestore: %w", err)
-		}
-		recs, good, torn, err := scanSegment(f, size)
-		if err != nil {
-			f.Close()
-			s.closeAll()
-			return nil, fmt.Errorf("tracestore: scan %s: %w", segName(id), err)
-		}
-		if torn {
-			if err := f.Truncate(good); err != nil {
-				f.Close()
-				s.closeAll()
-				return nil, fmt.Errorf("tracestore: truncate torn tail of %s: %w", segName(id), err)
-			}
-			size = good
-			s.stats.Recoveries++
-		}
-		sf := &segfile{id: id, f: f, size: size}
-		s.segs[id] = sf
-		if id >= s.nextSeg {
-			s.nextSeg = id + 1
-		}
-		for _, r := range recs {
-			s.indexRecord(sf.id, r)
+			return nil, err
 		}
 	}
 	// Resume appending into the last segment if it has headroom.
@@ -243,66 +210,80 @@ func Open(dir string, opts Options) (*Store, error) {
 	}
 	for _, ks := range s.keys {
 		sort.Slice(ks.recs, func(i, j int) bool { return ks.recs[i].seq < ks.recs[j].seq })
-		ks.nextSeq = 0
 		if n := len(ks.recs); n > 0 {
 			ks.nextSeq = ks.recs[n-1].seq + 1
-		}
-		// A delta decodes only against its key's reference, which a
-		// corrupt frame may have truncated away. Records before the
-		// first surviving reference stay on disk but leave the index;
-		// nextSeq stays past them, so no later append reuses their
-		// seqs and a reopen cannot mistake them for new records.
-		i := 0
-		for i < len(ks.recs) && ks.recs[i].kind != KindReference {
-			i++
-		}
-		s.stats.Orphans += int64(i)
-		ks.recs = ks.recs[i:]
-		for _, r := range ks.recs {
-			s.accountAdd(r)
 		}
 	}
 	return s, nil
 }
 
+// openSegment scans segment id into the index, truncating a torn tail.
+// A record refers to its key by position among the keys the segment
+// named before it; a reference past them, or a second naming of one
+// key, ends the scan like any other corrupt frame.
+func (s *Store) openSegment(id int) error {
+	f, size, err := openSegFile(s.dir, id)
+	if err != nil {
+		return fmt.Errorf("tracestore: %w", err)
+	}
+	var magic [4]byte
+	if _, err := f.ReadAt(magic[:], 0); err == nil && magic == oldSegMagic {
+		f.Close()
+		return fmt.Errorf("tracestore: %s is in an older, delta-coded archive format that this build does not read",
+			filepath.Join(s.dir, segName(id)))
+	}
+	sf := &segfile{id: id, f: f, size: size, refs: make(map[uint64]int)}
+	var keys []uint64 // inverse of sf.refs
+	good := segFormat.Scan(f, size, func(off int64, payload []byte) bool {
+		h, err := parseHeader(payload, keys)
+		if err != nil {
+			return false
+		}
+		if h.sig != nil {
+			if _, dup := sf.refs[h.key]; dup {
+				return false
+			}
+			sf.refs[h.key] = len(keys)
+			keys = append(keys, h.key)
+		}
+		s.indexRecord(h, recordRef{seg: id, off: off, plen: len(payload), rawOff: h.rawOff, seq: h.seq, meta: h.meta})
+		return true
+	})
+	if good < size {
+		if err := f.Truncate(good); err != nil {
+			f.Close()
+			return fmt.Errorf("tracestore: truncate torn tail of %s: %w", segName(id), err)
+		}
+		sf.size = good
+		s.stats.Recoveries++
+	}
+	s.segs[id] = sf
+	s.nextSeg = max(s.nextSeg, id+1)
+	return nil
+}
+
 // indexRecord adds one scanned record to the in-memory index,
 // dropping duplicate (key, seq) pairs: the segment bytes come from
 // disk, possibly written by an older build, and a seq must name one
-// record for Next and lookups to be well defined. Open accounts the
-// records it keeps once every segment is indexed.
-func (s *Store) indexRecord(seg int, r scannedRecord) {
-	h := r.hdr
+// record for Next and lookups to be well defined.
+func (s *Store) indexRecord(h recordHeader, ref recordRef) {
 	ks := s.keys[h.key]
 	if ks == nil {
 		ks = &keyState{sig: h.sig}
 		s.keys[h.key] = ks
 	}
 	for _, existing := range ks.recs {
-		if existing.seq == h.seq {
+		if existing.seq == ref.seq {
 			return
 		}
 	}
-	ref := recordRef{
-		seg:    seg,
-		off:    r.off,
-		plen:   r.plen,
-		hdrLen: h.bodyOff,
-		kind:   h.kind,
-		seq:    h.seq,
-		meta:   h.meta,
-		rawLen: h.rawLen,
-	}
 	ks.recs = append(ks.recs, ref)
+	s.accountAdd(ref)
 }
 
 func (s *Store) accountAdd(r recordRef) {
 	s.stats.Records++
-	if r.kind == KindReference {
-		s.stats.References++
-	} else {
-		s.stats.Deltas++
-	}
-	s.stats.RawBytes += int64(r.rawLen)
+	s.stats.RawBytes += int64(r.rawLen())
 	s.stats.StoredBytes += r.storedBytes()
 }
 
@@ -318,8 +299,7 @@ func (s *Store) Stats() Stats {
 // Dir returns the store's root directory.
 func (s *Store) Dir() string { return s.dir }
 
-// Close flushes and closes every segment. The store must not be used
-// afterwards.
+// Close closes every segment. The store must not be used afterwards.
 func (s *Store) Close() error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -351,42 +331,19 @@ func (s *Store) rollLocked() error {
 	if err != nil {
 		return err
 	}
-	sf := &segfile{id: s.nextSeg, f: f, size: size}
+	sf := &segfile{id: s.nextSeg, f: f, size: size, refs: make(map[uint64]int)}
 	s.segs[sf.id] = sf
 	s.nextSeg++
 	s.cur = sf
 	return nil
 }
 
-// appendPayloadLocked frames payload into the active segment and
-// returns its segment id and payload offset.
-func (s *Store) appendPayloadLocked(payload []byte) (int, int64, error) {
-	if err := s.rollLocked(); err != nil {
-		return 0, 0, err
-	}
-	sf := s.cur
-	off := sf.size
-	end, err := appendFrame(sf.f, off, payload)
-	if err != nil {
-		return 0, 0, err
-	}
-	if s.opts.Sync {
-		if err := sf.f.Sync(); err != nil {
-			return 0, 0, err
-		}
-	}
-	sf.size = end
-	return sf.id, off + frameHeaderSize, nil
-}
-
 // Append archives one occurrence: sig is the failure signature (the
 // archival key), meta the run metadata, raw the PT packet stream as
 // shipped (Ring.Bytes data; meta.Lost carries the wrap loss). The
-// first occurrence of a signature becomes the bucket's reference;
-// later ones are delta-encoded against it. A key whose reference was
-// lost to a corrupt frame gets a fresh one at its next unused seq.
-// Returns the record's per-key sequence number (0 for a first
-// reference).
+// record holds raw as is; it names sig only if it is the key's first
+// record in the active segment. Returns the record's per-key sequence
+// number (0 for a signature's first record).
 func (s *Store) Append(sig *vm.Failure, meta Meta, raw []byte) (uint64, error) {
 	if sig == nil {
 		return 0, fmt.Errorf("tracestore: nil failure signature")
@@ -397,43 +354,38 @@ func (s *Store) Append(sig *vm.Failure, meta Meta, raw []byte) (uint64, error) {
 	if s.closed {
 		return 0, fmt.Errorf("tracestore: store is closed")
 	}
+	if err := s.rollLocked(); err != nil {
+		return 0, fmt.Errorf("tracestore: append: %w", err)
+	}
+	sf := s.cur
 	ks := s.keys[key]
 	if ks == nil {
 		ks = &keyState{sig: sig}
-		s.keys[key] = ks
 	}
 	seq := ks.nextSeq
-
-	var kind byte
-	var body []byte
-	if len(ks.recs) == 0 {
-		kind = KindReference
-		body = packRLE(nil, raw)
-		ks.refRaw = append([]byte(nil), raw...)
+	pos, ok := sf.refs[key]
+	named := sig
+	if ok {
+		named = nil
 	} else {
-		kind = KindDelta
-		refRaw, err := s.refRawLocked(key, ks)
-		if err != nil {
-			return 0, err
-		}
-		body = deltaEncode(nil, refRaw, raw)
+		pos = len(sf.refs)
 	}
-	payload := encodePayload(kind, seq, key, sig, meta, uint64(len(raw)), body)
-	seg, off, err := s.appendPayloadLocked(payload)
-	if err != nil {
+	payload := appendPayload(make([]byte, 0, 64+len(raw)), seq, pos, named, meta, raw)
+	frame := segFormat.Frame(payload)
+	if _, err := sf.f.WriteAt(frame, sf.size); err != nil {
 		return 0, fmt.Errorf("tracestore: append: %w", err)
 	}
-	hdrLen := len(payload) - len(body)
 	ref := recordRef{
-		seg:    seg,
-		off:    off,
+		seg:    sf.id,
+		off:    sf.size + framelog.HeaderSize,
 		plen:   len(payload),
-		hdrLen: hdrLen,
-		kind:   kind,
+		rawOff: len(payload) - len(raw),
 		seq:    seq,
 		meta:   meta,
-		rawLen: uint64(len(raw)),
 	}
+	sf.size += int64(len(frame))
+	sf.refs[key] = pos
+	s.keys[key] = ks
 	ks.recs = append(ks.recs, ref)
 	ks.nextSeq = seq + 1
 	s.accountAdd(ref)
@@ -454,32 +406,13 @@ func (s *Store) AppendRing(sig *vm.Failure, meta Meta, ring *pt.Ring) (uint64, e
 	return s.Append(sig, meta, raw)
 }
 
-// refRawLocked returns the key's reference raw stream, loading (and
-// caching) it from disk if the store was reopened.
-func (s *Store) refRawLocked(key uint64, ks *keyState) ([]byte, error) {
-	if ks.refRaw != nil {
-		return ks.refRaw, nil
-	}
-	if len(ks.recs) == 0 || ks.recs[0].kind != KindReference {
-		return nil, fmt.Errorf("tracestore: key %#x has no reference record", key)
-	}
-	raw, err := s.materializeLocked(ks, ks.recs[0])
-	if err != nil {
-		return nil, err
-	}
-	ks.refRaw = raw
-	return raw, nil
-}
-
 // Keys returns every signature key with a live record, sorted.
 func (s *Store) Keys() []uint64 {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	out := make([]uint64, 0, len(s.keys))
-	for k, ks := range s.keys {
-		if len(ks.recs) > 0 {
-			out = append(out, k)
-		}
+	for k := range s.keys {
+		out = append(out, k)
 	}
 	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
 	return out
@@ -509,7 +442,7 @@ func (s *Store) Count(key uint64) int {
 // Next returns the first live record under key with Seq >= from that
 // match accepts. It reads only the in-memory index, under the store
 // lock, and opens no record, so a consumer skips stale or foreign
-// records without decoding them and then opens just the one it
+// records without reading them and then opens just the one it
 // delivers. match sees every record it passes over, in seq order, and
 // must not call back into the store. next is where the following scan
 // resumes: just past the match, or past every record under key when
@@ -534,52 +467,39 @@ func (ks *keyState) search(seq uint64) int {
 	return sort.Search(len(ks.recs), func(i int) bool { return ks.recs[i].seq >= seq })
 }
 
-// lookupLocked finds the record with the given seq under key.
-func (s *Store) lookupLocked(key, seq uint64) (*keyState, recordRef, error) {
-	ks := s.keys[key]
-	if ks == nil {
-		return nil, recordRef{}, fmt.Errorf("tracestore: unknown key %#x", key)
-	}
-	if i := ks.search(seq); i < len(ks.recs) && ks.recs[i].seq == seq {
-		return ks, ks.recs[i], nil
-	}
-	return nil, recordRef{}, fmt.Errorf("tracestore: key %#x has no record seq %d", key, seq)
-}
-
-// materializeLocked reconstructs a record's full raw stream.
-func (s *Store) materializeLocked(ks *keyState, r recordRef) ([]byte, error) {
-	sf := s.segs[r.seg]
-	if sf == nil {
-		return nil, fmt.Errorf("tracestore: record references missing segment %d", r.seg)
-	}
-	body := sectionReader(sf.f, r.off+int64(r.hdrLen), r.plen-r.hdrLen)
-	bodyBytes := make([]byte, r.plen-r.hdrLen)
-	if _, err := io.ReadFull(body, bodyBytes); err != nil {
-		return nil, fmt.Errorf("tracestore: read record: %w", err)
-	}
-	if r.kind == KindReference {
-		return unpackRLE(bodyBytes)
-	}
-	refRaw, err := s.refRawLocked(KeyOf(ks.sig), ks)
-	if err != nil {
-		return nil, err
-	}
-	return deltaApply(refRaw, bodyBytes)
-}
-
-// ReadRaw reconstructs and returns the full raw packet stream of one
-// archived occurrence, plus its record info. Prefer OpenEvents for
-// analysis — ReadRaw materializes the stream.
-func (s *Store) ReadRaw(key, seq uint64) ([]byte, RecordInfo, error) {
+// rawSection returns a reader over the raw PT bytes of record (key,
+// seq) and the record's info. Records are immutable once framed, so
+// the section stays valid across concurrent appends.
+func (s *Store) rawSection(key, seq uint64) (*io.SectionReader, RecordInfo, error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	ks, r, err := s.lookupLocked(key, seq)
+	ks := s.keys[key]
+	if ks == nil {
+		return nil, RecordInfo{}, fmt.Errorf("tracestore: unknown key %#x", key)
+	}
+	i := ks.search(seq)
+	if i == len(ks.recs) || ks.recs[i].seq != seq {
+		return nil, RecordInfo{}, fmt.Errorf("tracestore: key %#x has no record seq %d", key, seq)
+	}
+	r := ks.recs[i]
+	sf := s.segs[r.seg]
+	if sf == nil {
+		return nil, RecordInfo{}, fmt.Errorf("tracestore: record references missing segment %d", r.seg)
+	}
+	return io.NewSectionReader(sf.f, r.off+int64(r.rawOff), int64(r.rawLen())), r.info(key), nil
+}
+
+// ReadRaw returns the raw packet stream of one archived occurrence,
+// plus its record info. Prefer OpenEvents for analysis: ReadRaw holds
+// the whole stream in memory.
+func (s *Store) ReadRaw(key, seq uint64) ([]byte, RecordInfo, error) {
+	sec, info, err := s.rawSection(key, seq)
 	if err != nil {
 		return nil, RecordInfo{}, err
 	}
-	raw, err := s.materializeLocked(ks, r)
-	if err != nil {
-		return nil, RecordInfo{}, err
+	raw := make([]byte, sec.Size())
+	if _, err := io.ReadFull(sec, raw); err != nil {
+		return nil, RecordInfo{}, fmt.Errorf("tracestore: read record: %w", err)
 	}
-	return raw, r.info(key), nil
+	return raw, info, nil
 }

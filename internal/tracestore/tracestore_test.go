@@ -5,8 +5,10 @@ import (
 	"math/rand"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 
+	"execrecon/internal/framelog"
 	"execrecon/internal/ir"
 	"execrecon/internal/pt"
 	"execrecon/internal/vm"
@@ -101,25 +103,22 @@ func TestStoreRoundTrip(t *testing.T) {
 		if !bytes.Equal(raw, raws[i]) {
 			t.Fatalf("ReadRaw(%d): reconstructed stream differs (%d vs %d bytes)", i, len(raw), len(raws[i]))
 		}
-		wantKind := KindDelta
-		if i == 0 {
-			wantKind = KindReference
-		}
-		if info.Kind != wantKind {
-			t.Fatalf("record %d kind = %d, want %d", i, info.Kind, wantKind)
-		}
 		if info.Meta.Machine != i || info.Meta.Seed != int64(i) {
 			t.Fatalf("record %d meta = %+v", i, info.Meta)
 		}
+		// The key's first record in the segment names its signature;
+		// every further record costs exactly its frame, its seq, key
+		// reference and Meta header, and its raw bytes.
+		want := framelog.HeaderSize + len(appendPayload(nil, uint64(i), 0, nil, info.Meta, nil)) + len(raws[i])
+		if i == 0 {
+			want += len(encodeFailure(nil, sig))
+		}
+		if info.StoredBytes != int64(want) {
+			t.Fatalf("record %d stores %d bytes, want %d", i, info.StoredBytes, want)
+		}
 	}
-	st := s.Stats()
-	if st.Records != K || st.References != 1 || st.Deltas != K-1 {
+	if st := s.Stats(); st.Records != K || st.Appends != K {
 		t.Fatalf("stats = %+v", st)
-	}
-	// Near-identical reoccurrence streams must compress well: the
-	// acceptance bar for the whole archive is >= 5x.
-	if r := st.Ratio(); r < 5 {
-		t.Fatalf("compression ratio %.2f < 5 (raw %d, stored %d)", r, st.RawBytes, st.StoredBytes)
 	}
 }
 
@@ -131,7 +130,7 @@ func TestOpenEventsStreamParity(t *testing.T) {
 	raws := [][]byte{
 		makeRaw(9, 1500, nil),
 		makeRaw(9, 1500, map[int]bool{50: true, 700: true}),
-		makeRaw(10, 300, nil), // genuinely different stream as a delta
+		makeRaw(10, 300, nil), // a genuinely different stream
 	}
 	for i, raw := range raws {
 		if _, err := s.Append(sig, Meta{Seed: int64(i)}, raw); err != nil {
@@ -306,68 +305,6 @@ func TestCrashRecoveryEveryOffset(t *testing.T) {
 	}
 }
 
-// TestDeltaRoundTripProperty fuzzes the delta codec with random
-// reference/target pairs at several similarity levels: encode then
-// apply must reproduce the target byte-exactly.
-func TestDeltaRoundTripProperty(t *testing.T) {
-	rng := rand.New(rand.NewSource(77))
-	randBytes := func(n int) []byte {
-		b := make([]byte, n)
-		rng.Read(b)
-		return b
-	}
-	mutate := func(ref []byte, edits int) []byte {
-		tgt := append([]byte(nil), ref...)
-		for e := 0; e < edits && len(tgt) > 0; e++ {
-			switch rng.Intn(3) {
-			case 0: // flip
-				tgt[rng.Intn(len(tgt))] ^= byte(1 + rng.Intn(255))
-			case 1: // insert
-				at := rng.Intn(len(tgt) + 1)
-				ins := randBytes(1 + rng.Intn(40))
-				tgt = append(tgt[:at], append(ins, tgt[at:]...)...)
-			case 2: // delete
-				at := rng.Intn(len(tgt))
-				n := 1 + rng.Intn(40)
-				if at+n > len(tgt) {
-					n = len(tgt) - at
-				}
-				tgt = append(tgt[:at], tgt[at+n:]...)
-			}
-		}
-		return tgt
-	}
-	for trial := 0; trial < 200; trial++ {
-		ref := randBytes(rng.Intn(4096))
-		var target []byte
-		switch trial % 4 {
-		case 0:
-			target = append([]byte(nil), ref...) // identical
-		case 1:
-			target = mutate(ref, 1+rng.Intn(8)) // near-identical
-		case 2:
-			target = randBytes(rng.Intn(4096)) // unrelated
-		case 3:
-			target = mutate(ref, 1+rng.Intn(64)) // heavily edited
-		}
-		ops := deltaEncode(nil, ref, target)
-		got, err := deltaApply(ref, ops)
-		if err != nil {
-			t.Fatalf("trial %d: apply: %v", trial, err)
-		}
-		if !bytes.Equal(got, target) {
-			t.Fatalf("trial %d: round trip mismatch (%d vs %d bytes)", trial, len(got), len(target))
-		}
-	}
-	// Identical streams must collapse to a single copy op, the whole
-	// point of reoccurrence archival.
-	ref := randBytes(8192)
-	ops := deltaEncode(nil, ref, ref)
-	if len(ops) > 32 {
-		t.Fatalf("identical-stream delta is %d bytes", len(ops))
-	}
-}
-
 // TestReopenDropsDuplicateRecords: a (key, seq) pair that appears
 // twice on disk is indexed once, so Next and reads stay well defined
 // whatever build wrote the segments.
@@ -408,82 +345,6 @@ func TestReopenDropsDuplicateRecords(t *testing.T) {
 			t.Fatalf("ReadRaw(%d): err=%v equal=%v", i, err, bytes.Equal(got, raw))
 		}
 	}
-}
-
-// TestReopenDropsOrphanedDeltas corrupts the frame that holds a key's
-// reference while later segments keep its deltas. Open must drop the
-// orphaned deltas instead of indexing records that cannot be decoded,
-// and the key must keep archiving: the next Append writes a fresh
-// reference past the orphans' seqs, so a second reopen, which scans
-// the orphans again, still serves every new record.
-func TestReopenDropsOrphanedDeltas(t *testing.T) {
-	dir := t.TempDir()
-	opts := Options{SegmentBytes: 1 << 10}
-	s := openTest(t, dir, opts)
-	sig := testSig("orphan", 9)
-	key := KeyOf(sig)
-	for i := 0; i < 6; i++ {
-		if _, err := s.Append(sig, Meta{Seed: int64(i)}, makeRaw(81, 800, map[int]bool{i * 5: true})); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if st := s.Stats(); st.Segments < 2 {
-		t.Fatalf("want the deltas past segment 0, got %d segments", st.Segments)
-	}
-	if err := s.Close(); err != nil {
-		t.Fatal(err)
-	}
-	seg0 := filepath.Join(dir, segName(0))
-	b, err := os.ReadFile(seg0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	b[frameHeaderSize] ^= 0xff // first payload byte of the reference's frame
-	if err := os.WriteFile(seg0, b, 0o644); err != nil {
-		t.Fatal(err)
-	}
-
-	s2 := openTest(t, dir, opts)
-	st := s2.Stats()
-	if st.Records != 0 || st.Orphans == 0 || st.Recoveries != 1 {
-		t.Fatalf("after corrupting the reference: %+v, want no live records, some orphans and one recovery", st)
-	}
-	if keys := s2.Keys(); len(keys) != 0 {
-		t.Fatalf("Keys = %x, want none with live records", keys)
-	}
-	raws := map[uint64][]byte{}
-	appendRead := func(s *Store, i int) {
-		t.Helper()
-		raw := makeRaw(82, 800, map[int]bool{i: true})
-		seq, err := s.Append(sig, Meta{Seed: int64(i)}, raw)
-		if err != nil {
-			t.Fatalf("Append after losing the reference: %v", err)
-		}
-		if seq < 6 {
-			t.Fatalf("Append reused seq %d of an orphaned record", seq)
-		}
-		raws[seq] = raw
-		for seq, raw := range raws {
-			got, _, err := s.ReadRaw(key, seq)
-			if err != nil || !bytes.Equal(got, raw) {
-				t.Fatalf("ReadRaw(%d): err=%v equal=%v", seq, err, bytes.Equal(got, raw))
-			}
-		}
-	}
-	appendRead(s2, 0)
-	appendRead(s2, 1)
-	if st := s2.Stats(); st.References != 1 || st.Deltas != 1 {
-		t.Fatalf("after two appends: %+v, want a fresh reference and one delta", st)
-	}
-	if err := s2.Close(); err != nil {
-		t.Fatal(err)
-	}
-
-	s3 := openTest(t, dir, opts)
-	if got := s3.Stats(); got.Records != 2 || got.Orphans != st.Orphans {
-		t.Fatalf("second reopen: %+v, want the 2 new records and the same %d orphans", got, st.Orphans)
-	}
-	appendRead(s3, 2)
 }
 
 // TestConcurrentAppendRead exercises concurrent appends and streaming
@@ -601,5 +462,120 @@ func TestNextScansMetadata(t *testing.T) {
 	}
 	if _, err := s.OpenEvents(key, info.Seq); err != nil {
 		t.Fatalf("OpenEvents(seq %d): %v", info.Seq, err)
+	}
+}
+
+// TestSegmentsDescribeThemselves: every segment names the signature of
+// each key it holds, so the records of a segment survive the loss of
+// every other segment, including the one the key was first written to.
+func TestSegmentsDescribeThemselves(t *testing.T) {
+	dir := t.TempDir()
+	opts := Options{SegmentBytes: 1 << 10}
+	s := openTest(t, dir, opts)
+	sig := testSig("self", 4)
+	key := KeyOf(sig)
+	raws := map[uint64][]byte{}
+	for i := 0; i < 6; i++ {
+		raw := makeRaw(41, 400, map[int]bool{i: true})
+		seq, err := s.Append(sig, Meta{Seed: int64(i)}, raw)
+		if err != nil {
+			t.Fatal(err)
+		}
+		raws[seq] = raw
+	}
+	if st := s.Stats(); st.Segments < 3 {
+		t.Fatalf("want records in at least 3 segments, got %d", st.Segments)
+	}
+	if err := s.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.Remove(filepath.Join(dir, segName(0))); err != nil {
+		t.Fatal(err)
+	}
+	s2 := openTest(t, dir, opts)
+	if sg := s2.Sig(key); sg == nil || !sg.SameSignature(sig) {
+		t.Fatalf("Sig after losing segment 0 = %v", sg)
+	}
+	if _, _, err := s2.ReadRaw(key, 0); err == nil {
+		t.Fatal("seq 0 still reads after its segment was removed")
+	}
+	n := 0
+	for seq, raw := range raws {
+		got, _, err := s2.ReadRaw(key, seq)
+		if err != nil {
+			continue // in segment 0
+		}
+		n++
+		if !bytes.Equal(got, raw) {
+			t.Fatalf("ReadRaw(%d) differs", seq)
+		}
+	}
+	if n != s2.Count(key) || n == 0 || n == len(raws) {
+		t.Fatalf("%d records read back, Count %d, of %d appended", n, s2.Count(key), len(raws))
+	}
+	if seq, err := s2.Append(sig, Meta{}, raws[0]); err != nil || seq != uint64(len(raws)) {
+		t.Fatalf("Append after reopen: seq %d, err %v; want %d", seq, err, len(raws))
+	}
+}
+
+// TestOpenRefusesOldFormat: testdata/ers1.log is a segment of the
+// older, delta-coded format (two keys, a reference and a delta each).
+// Open refuses it with an error that names the segment and leaves its
+// bytes as they were; it does not read it as a torn tail and truncate
+// it away. A segment whose start is zero-filled is still a torn tail.
+func TestOpenRefusesOldFormat(t *testing.T) {
+	old, err := os.ReadFile(filepath.Join("testdata", "ers1.log"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	dir := t.TempDir()
+	seg := filepath.Join(dir, segName(0))
+	if err := os.WriteFile(seg, old, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	s, err := Open(dir, Options{})
+	if err == nil {
+		s.Close()
+		t.Fatal("Open read an older-format segment")
+	}
+	if !strings.Contains(err.Error(), seg) || !strings.Contains(err.Error(), "older") {
+		t.Fatalf("error %q does not name %s as an older format", err, seg)
+	}
+	if got, err := os.ReadFile(seg); err != nil || !bytes.Equal(got, old) {
+		t.Fatalf("the refused segment changed (read err %v)", err)
+	}
+
+	if err := os.WriteFile(seg, make([]byte, len(old)), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	s = openTest(t, dir, Options{})
+	if st := s.Stats(); st.Records != 0 || st.Recoveries != 1 {
+		t.Fatalf("zero-filled segment: %+v, want no records and one recovery", st)
+	}
+	if fi, err := os.Stat(seg); err != nil || fi.Size() != 0 {
+		t.Fatalf("zero-filled segment not truncated: %v, %v", fi, err)
+	}
+}
+
+// TestOpenTruncatesBadKeyRef: a CRC-valid record that refers to a key
+// its segment has not named, or names a key a second time, ends the
+// scan like a corrupt frame, so no key is indexed without its
+// signature and a key has one position per segment.
+func TestOpenTruncatesBadKeyRef(t *testing.T) {
+	sig := testSig("ref", 6)
+	raw := makeRaw(5, 40, nil)
+	first := segFormat.Frame(appendPayload(nil, 0, 0, sig, Meta{}, raw))
+	for name, second := range map[string][]byte{
+		"unnamed key": appendPayload(nil, 1, 2, nil, Meta{}, raw),
+		"named twice": appendPayload(nil, 1, 1, sig, Meta{}, raw),
+	} {
+		dir := t.TempDir()
+		if err := os.WriteFile(filepath.Join(dir, segName(0)), append(first, segFormat.Frame(second)...), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		s := openTest(t, dir, Options{})
+		if st, keys := s.Stats(), s.Keys(); st.Records != 1 || st.Recoveries != 1 || len(keys) != 1 || keys[0] != KeyOf(sig) {
+			t.Errorf("%s: %+v, keys %x; want the first record alone and one recovery", name, st, keys)
+		}
 	}
 }
